@@ -170,11 +170,11 @@ def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> dict:
     else:
         joint = np.bincount(w * k + c, minlength=l * k).reshape(l, k)
         out["coupling"] = hyper.coupling_concentration + joint
+    # integer counts summed in float64 are exact far below 2**53
+    onehot = np.eye(k)[c]
     for m in agent.mask.ordered:
         obs = dataset.observations[agent.name][m]
-        sums = np.zeros((k, obs.shape[1]))
-        np.add.at(sums, c, obs)
-        out[f"emissions.{m}"] = hyper.emission_concentration[m] + sums
+        out[f"emissions.{m}"] = hyper.emission_concentration[m] + onehot.T @ obs
     return out
 
 
@@ -238,14 +238,16 @@ def sample_categories(agent: AgentModel, dataset: "Dataset", rng) -> np.ndarray:
     return sample_categories_t2t(agent, dataset, rng)
 
 
-def sign_distribution(agent: AgentModel, d: int) -> np.ndarray:
+def sign_distribution(agent: AgentModel, d) -> np.ndarray:
     """The agent's current distribution over signs for object d.
 
-    h2h reads the coupling row of the object's category. t2t inverts the
-    coupling under a uniform sign prior, which is a normalized column.
+    d is one object index (a vector is returned) or an index array (one
+    row per object). h2h reads the coupling row of the object's category.
+    t2t inverts the coupling under a uniform sign prior, which is a
+    normalized column.
     """
     c = agent.categories[d]
     if agent.variant == VARIANT_H2H:
         return agent.coupling[c]
-    col = agent.coupling[:, c]
-    return col / col.sum()
+    cols = agent.coupling.T[c]
+    return cols / cols.sum(axis=-1, keepdims=True)

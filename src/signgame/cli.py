@@ -12,6 +12,7 @@ from .experiment import (
     VARIANT_CHOICES,
     ConfigError,
     ExperimentConfig,
+    ReportError,
     compare_to_reference,
     parse_config,
     read_summary,
@@ -94,6 +95,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ReportError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -85,6 +86,10 @@ class ConfigError(ValueError):
     """Raised for unknown keys or out-of-range configuration values."""
 
 
+class ReportError(ValueError):
+    """Raised for a report file that lacks a column or holds a bad value."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One grid cell plus the shared sizes, concentrations, and seed."""
@@ -134,11 +139,17 @@ def _trial_worker(payload):
     return trial, run_trial(cfg, trial)
 
 
-def run_cell(cfg: ExperimentConfig) -> tuple[list[tuple], dict]:
-    """All trials of one cell: detail rows (trial, iteration order) + summary."""
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            done = dict(pool.map(_trial_worker, [(cfg, t) for t in range(cfg.trials)]))
+def run_cell(cfg: ExperimentConfig, pool: ProcessPoolExecutor | None = None) -> tuple[list[tuple], dict]:
+    """All trials of one cell: detail rows (trial, iteration order) + summary.
+
+    Trials run in pool when one is given, in a pool of cfg.jobs workers
+    opened for this cell when cfg.jobs > 1, and in this process otherwise.
+    """
+    if pool is None and cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as own_pool:
+            return run_cell(cfg, own_pool)
+    if pool is not None:
+        done = dict(pool.map(_trial_worker, [(cfg, t) for t in range(cfg.trials)]))
         per_trial = [done[t] for t in range(cfg.trials)]
     else:
         per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
@@ -229,29 +240,40 @@ def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     summary row per cell."""
     detail_rows = []
     summary_rows = []
-    for cell_cfg in full_grid_configs(cfg):
-        detail, summary = run_cell(cell_cfg)
-        detail_rows.extend(detail)
-        summary_rows.append(summary)
-        if progress is not None:
-            progress(summary)
+    # one worker pool serves every cell of a parallel run
+    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        for cell_cfg in full_grid_configs(cfg):
+            detail, summary = run_cell(cell_cfg, pool)
+            detail_rows.extend(detail)
+            summary_rows.append(summary)
+            if progress is not None:
+                progress(summary)
     write_reports(Path(out_dir), detail_rows, summary_rows)
     return summary_rows
 
 
 def read_summary(path) -> list[dict]:
-    """Load a summary.csv back into row dicts (floats, None for blanks)."""
+    """Load a summary.csv back into row dicts (floats, None for blanks).
+
+    Raises ReportError if a column is missing or a value does not parse.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [key for key in SUMMARY_HEADER if key not in (reader.fieldnames or ())]
+        if missing:
+            raise ReportError(f"{path}: missing column {missing[0]!r}")
         rows = []
         for raw in reader:
-            row = {
-                "variant": raw["variant"],
-                "method": raw["method"],
-                "condition": int(raw["condition"]),
-            }
-            for key in SUMMARY_HEADER[3:]:
-                row[key] = float(raw[key]) if raw[key] else None
+            try:
+                row = {
+                    "variant": raw["variant"],
+                    "method": raw["method"],
+                    "condition": int(raw["condition"]),
+                }
+                for key in SUMMARY_HEADER[3:]:
+                    row[key] = float(raw[key]) if raw[key] else None
+            except (TypeError, ValueError) as exc:
+                raise ReportError(f"{path}, line {reader.line_num}: {exc}") from exc
             rows.append(row)
     return rows
 
@@ -312,9 +334,16 @@ def _build_hyper(block: Mapping) -> Hyperparams:
         raise ConfigError(f"unknown hyperparams key {sorted(unknown)[0]!r}")
     kwargs = dict(block)
     if "emission_concentration" in kwargs:
-        kwargs["emission_concentration"] = {
-            str(m): float(b) for m, b in kwargs["emission_concentration"].items()
-        }
+        given = kwargs["emission_concentration"]
+        if not isinstance(given, Mapping):
+            raise ConfigError("hyperparams.emission_concentration must map modalities to numbers")
+        # a partial mapping overrides the defaults of the modalities it names
+        merged = dict(Hyperparams().emission_concentration)
+        try:
+            merged.update({str(m): float(b) for m, b in given.items()})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"hyperparams.emission_concentration: {exc}") from exc
+        kwargs["emission_concentration"] = merged
     try:
         return Hyperparams(**kwargs)
     except ValueError as exc:
@@ -330,6 +359,16 @@ def _build_synthetic(block: Mapping, hyper: Hyperparams) -> SyntheticConfig:
         return SyntheticConfig(hyper=hyper, **block)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _integer(key: str, value) -> int:
+    # int() would truncate 2.7 to 2 and read true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentConfig:
@@ -366,10 +405,7 @@ def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentCo
             merged[key] = value
     for key in ("condition", "trials", "iterations", "seed", "jobs"):
         if key in merged:
-            try:
-                merged[key] = int(merged[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
+            merged[key] = _integer(key, merged[key])
     hyper = _build_hyper(hyper_block)
     synthetic = _build_synthetic(synthetic_block, hyper)
     return ExperimentConfig(hyper=hyper, synthetic=synthetic, **merged)

@@ -10,9 +10,9 @@ Modes:
 
 * MH: the listener accepts with probability min(1, a), where a is the
   listener's probability ratio of the proposed sign to its current one.
-* ALL_REJECTION: the listener never accepts, so the speaking phase changes
-  no sign state at all and each agent ends up doing isolated inference
-  against its own randomly initialized signs.
+* ALL_REJECTION: the listener never accepts, so a speaking phase would
+  change no sign state at all; the game runs none, and each agent ends up
+  doing isolated inference against its own randomly initialized signs.
 * GIBBS_TOPLINE: no utterances; both agents' signs are drawn jointly from
   the product of their sign distributions. This needs access to both models
   at once and serves as the centralized reference the exchange protocols
@@ -43,7 +43,7 @@ from .agents import (
 )
 from .datagen import Dataset
 from .metrics import MetricsRecord, adjusted_rand_index, kappa
-from .stochastic import PROB_FLOOR, RngStream, as_generator, normalize_log_weights
+from .stochastic import PROB_FLOOR, RngStream, as_generator, normalize_log_rows
 
 
 class CommunicationMode(enum.Enum):
@@ -67,10 +67,6 @@ class GameState:
     iteration: int = 0
 
 
-class InferenceError(RuntimeError):
-    """Internal sampling reached an impossible state."""
-
-
 # first-level stream ids under a game's base stream
 _STREAM_INIT = 0
 _STREAM_ITERATION = 1
@@ -86,91 +82,118 @@ _SLOT = {"A": 0, "B": 1}
 _SLOT_JOINT = 2
 
 
-def acceptance_ratio_h2h(listener: AgentModel, d: int, sign_new: int, sign_old: int) -> float:
-    """Listener-side ratio: how much more readily its category emits the new sign."""
-    row = listener.coupling[listener.categories[d]]
-    log_a = np.log(max(row[sign_new], PROB_FLOOR)) - np.log(max(row[sign_old], PROB_FLOOR))
-    return float(np.exp(log_a))
+def _floored_ratio(p_new, p_old):
+    return np.exp(np.log(np.maximum(p_new, PROB_FLOOR)) - np.log(np.maximum(p_old, PROB_FLOOR)))
 
 
-def acceptance_ratio_t2t(listener: AgentModel, d: int, sign_new: int, sign_old: int) -> float:
-    """Listener-side ratio: how much better the new sign predicts its category."""
-    col = listener.coupling[:, listener.categories[d]]
-    log_a = np.log(max(col[sign_new], PROB_FLOOR)) - np.log(max(col[sign_old], PROB_FLOOR))
-    return float(np.exp(log_a))
+def acceptance_ratio_h2h(listener: AgentModel, d, sign_new, sign_old):
+    """Listener-side ratio: how much more readily its category emits the new sign.
+
+    d, sign_new and sign_old are scalars or equal-length arrays.
+    """
+    c = listener.categories[d]
+    return _floored_ratio(listener.coupling[c, sign_new], listener.coupling[c, sign_old])
 
 
-def _draw_sign(probs: np.ndarray, gen: np.random.Generator) -> int:
-    # lean inverse-cdf draw; probs comes normalized from the model
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
-    return min(idx, probs.size - 1)
+def acceptance_ratio_t2t(listener: AgentModel, d, sign_new, sign_old):
+    """Listener-side ratio: how much better the new sign predicts its category.
+
+    Reads the unnormalized coupling column; the normalizer cancels.
+    """
+    c = listener.categories[d]
+    return _floored_ratio(listener.coupling[sign_new, c], listener.coupling[sign_old, c])
 
 
-def mh_exchange(
-    speaker: AgentModel, listener: AgentModel, d: int, rng
-) -> tuple[Utterance, bool]:
-    """One utterance about object d with Metropolis acceptance.
+def _as_objects(d) -> tuple[np.ndarray, bool]:
+    """Object indices as a 1-d array, and whether d was a single index."""
+    objects = np.asarray(d)
+    return objects.reshape(-1), objects.ndim == 0
 
-    The speaker draws a proposal from its own sign distribution; the
-    listener adopts it with probability min(1, a) against its current sign.
-    The speaker's stored sign is untouched, so the proposal distribution
-    never depends on earlier outcomes of the same speaking phase.
+
+def _draw_signs(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one sign per row of table, given one uniform per row."""
+    cum = table.cumsum(axis=1)
+    idx = (cum <= u[:, None] * cum[:, -1:]).sum(axis=1)
+    return np.minimum(idx, table.shape[1] - 1)
+
+
+def mh_exchange(speaker: AgentModel, listener: AgentModel, d, rng):
+    """Utterances about object d, or about every object of an index array d,
+    with Metropolis acceptance.
+
+    For each object the speaker draws a proposal from its own sign
+    distribution; the listener adopts it with probability min(1, a) against
+    its current sign. Objects are independent given the frozen parameters,
+    so the whole speaking phase is one call. The speaker's stored signs are
+    untouched, so the proposal distribution never depends on earlier
+    outcomes of the same speaking phase.
+
+    Each object consumes two uniforms, proposal then acceptance, so an
+    array call equals a loop of int calls on the same generator as long as
+    d holds no object twice. Returns (Utterance, accepted): scalars for an
+    int d, arrays for an array d.
     """
     gen = as_generator(rng)
-    proposed = _draw_sign(sign_distribution(speaker, d), gen)
-    current = int(listener.signs[d])
-    if listener.variant == VARIANT_H2H:
-        a = acceptance_ratio_h2h(listener, d, proposed, current)
-    else:
-        a = acceptance_ratio_t2t(listener, d, proposed, current)
-    accepted = bool(gen.random() < min(1.0, a))
-    if accepted:
-        listener.signs[d] = proposed
-    return Utterance(d, proposed), accepted
+    objects, scalar = _as_objects(d)
+    u = gen.random((objects.size, 2))
+    proposed = _draw_signs(sign_distribution(speaker, objects), u[:, 0])
+    ratio = acceptance_ratio_h2h if listener.variant == VARIANT_H2H else acceptance_ratio_t2t
+    accepted = u[:, 1] < ratio(listener, objects, proposed, listener.signs[objects])
+    listener.signs[objects[accepted]] = proposed[accepted]
+    if scalar:
+        return Utterance(d, int(proposed[0])), bool(accepted[0])
+    return Utterance(objects, proposed), accepted
 
 
-def rejection_exchange(speaker: AgentModel, listener: AgentModel, d: int, rng) -> Utterance:
-    """One utterance that the listener always rejects.
+def rejection_exchange(speaker: AgentModel, listener: AgentModel, d, rng) -> Utterance:
+    """Utterances that the listener always rejects.
 
-    The proposal is drawn exactly as in mh_exchange (keeping the random
-    streams aligned between modes) but no sign state changes anywhere, so
-    this mode degenerates to two isolated inference runs.
+    Proposals are drawn as in mh_exchange but no sign state changes
+    anywhere. The game never calls this: a phase that changes nothing and
+    draws from its own stream can be skipped without shifting any draw.
     """
     gen = as_generator(rng)
-    proposed = _draw_sign(sign_distribution(speaker, d), gen)
-    return Utterance(d, proposed)
+    objects, scalar = _as_objects(d)
+    proposed = _draw_signs(sign_distribution(speaker, objects), gen.random(objects.size))
+    if scalar:
+        return Utterance(d, int(proposed[0]))
+    return Utterance(objects, proposed)
 
 
-def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, d: int, rng) -> int:
-    """Draw one shared sign for object d from the product of both models.
+def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, d, rng):
+    """Draw one shared sign for object d, or for every object of an index
+    array d, from the product of both models.
 
     Centralized topline: requires both agents' couplings simultaneously.
+    Each object consumes one uniform. Returns an int for an int d.
     """
     if agent_a.variant != agent_b.variant:
         raise ValueError("agents disagree on the coupling variant")
     gen = as_generator(rng)
-    pa = sign_distribution(agent_a, d)
-    pb = sign_distribution(agent_b, d)
-    logw = np.log(np.maximum(pa, PROB_FLOOR)) + np.log(np.maximum(pb, PROB_FLOOR))
-    sign = _draw_sign(normalize_log_weights(logw), gen)
-    agent_a.signs[d] = sign
-    agent_b.signs[d] = sign
-    return sign
+    objects, scalar = _as_objects(d)
+    logw = np.log(np.maximum(sign_distribution(agent_a, objects), PROB_FLOOR))
+    logw += np.log(np.maximum(sign_distribution(agent_b, objects), PROB_FLOOR))
+    signs = _draw_signs(normalize_log_rows(logw), gen.random(objects.size))
+    agent_a.signs[objects] = signs
+    agent_b.signs[objects] = signs
+    if scalar:
+        return int(signs[0])
+    return signs
 
 
 def run_iteration(state: GameState, dataset: Dataset, rng: RngStream) -> GameState:
     """Advance the game by one full iteration.
 
     Order: agent A refreshes parameters and categories, A speaks about every
-    object, then agent B does the same. In GIBBS_TOPLINE the speaking phases
-    are replaced by a single joint sign pass at the end.
+    object in one mh_exchange call, then agent B does the same. ALL_REJECTION
+    has no speaking phase. In GIBBS_TOPLINE the speaking phases are replaced
+    by a single joint gibbs_word pass over every object at the end.
 
     Every phase draws from a stream derived from (iteration, agent, phase),
     so one agent's consumption never shifts the other's draws.
     """
     it = state.iteration
-    exchanging = state.mode is not CommunicationMode.GIBBS_TOPLINE
+    objects = np.arange(dataset.num_objects)
     pairs = ((state.agent_a, state.agent_b), (state.agent_b, state.agent_a))
     for speaker, listener in pairs:
         slot = _SLOT[speaker.name]
@@ -180,18 +203,12 @@ def run_iteration(state: GameState, dataset: Dataset, rng: RngStream) -> GameSta
         sample_categories(
             speaker, dataset, rng.derive(_STREAM_ITERATION, it, slot, _PHASE_CATEGORIES)
         )
-        if exchanging:
+        if state.mode is CommunicationMode.MH:
             gen = rng.derive(_STREAM_ITERATION, it, slot, _PHASE_SPEAK).generator()
-            if state.mode is CommunicationMode.MH:
-                for d in range(dataset.num_objects):
-                    mh_exchange(speaker, listener, d, gen)
-            else:
-                for d in range(dataset.num_objects):
-                    rejection_exchange(speaker, listener, d, gen)
-    if not exchanging:
+            mh_exchange(speaker, listener, objects, gen)
+    if state.mode is CommunicationMode.GIBBS_TOPLINE:
         gen = rng.derive(_STREAM_ITERATION, it, _SLOT_JOINT, _PHASE_JOINT).generator()
-        for d in range(dataset.num_objects):
-            gibbs_word(state.agent_a, state.agent_b, d, gen)
+        gibbs_word(state.agent_a, state.agent_b, objects, gen)
     state.iteration += 1
     return state
 

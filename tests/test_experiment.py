@@ -1,6 +1,7 @@
 """Tests for the grid runner, CSV reports, config parsing, and the CLI."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -13,9 +14,11 @@ import pytest
 from signgame.agents import Hyperparams, ModalityMask
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from signgame.datagen import SyntheticConfig
+import signgame.experiment as experiment
 from signgame.experiment import (
     CONDITION_MASKS,
     REFERENCE_RESULTS,
+    SUMMARY_HEADER,
     ConfigError,
     ExperimentConfig,
     compare_to_reference,
@@ -24,6 +27,7 @@ from signgame.experiment import (
     read_summary,
     run_cell,
     run_experiment,
+    run_full_grid,
 )
 
 SMALL_HYPER = Hyperparams(num_categories=4, num_signs=4)
@@ -172,6 +176,40 @@ def test_parallel_jobs_match_serial_results():
     assert parallel_summary == serial_summary
 
 
+# sha256 of the reports of run_full_grid at default sizes with trials=1,
+# iterations=5, seed=7, recorded before the speaking phase, the joint pass
+# and the emission counts became array kernels; a speedup must keep them
+GOLDEN_DIGESTS = {
+    "detail.csv": "fd0e07e4892c25890726a944aa07d3ddfc73e99c4238240abeae9bcfa8746cef",
+    "summary.csv": "5358c2ee4d3d55d411df14394100321895262d59e8ff763e914c308017ba8b23",
+}
+
+
+def test_full_grid_reports_match_golden_digests(tmp_path):
+    run_full_grid(ExperimentConfig(trials=1, iterations=5, seed=7), tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_DIGESTS}
+    assert digests == GOLDEN_DIGESTS
+
+
+def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
+    started = []
+
+    class CountedPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
+    cells = []
+    run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "parallel", progress=cells.append)
+    assert started == [2]
+    assert len(cells) == 24
+    run_full_grid(small_config(iterations=2), tmp_path / "serial")
+    assert started == [2]
+    for name in ("detail.csv", "summary.csv"):
+        assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 def test_full_grid_configs_enumerate_24_cells():
     cells = full_grid_configs(small_config())
     assert len(cells) == 24
@@ -244,6 +282,54 @@ def test_cli_run_compare_and_exit_codes(tmp_path, capsys):
     )
     assert main(["compare", "--in", str(tmp_path / "missing")]) == EXIT_IO
     capsys.readouterr()
+
+
+def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    blocks = {**SMALL_FILE_BLOCKS, "hyperparams": {**SMALL_FILE_BLOCKS["hyperparams"], "emission_concentration": {"v": 0.01}}}
+    cfg_path.write_text(json.dumps({**blocks, "trials": 1, "iterations": 2}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert parse_config(None, cfg_path).hyper.emission_concentration == {"v": 0.01, "s": 0.001, "h": 0.001}
+    capsys.readouterr()
+
+    cfg_path.write_text(json.dumps({"hyperparams": {"emission_concentration": {"v": -1}}}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    cfg_path.write_text(json.dumps({"hyperparams": {"emission_concentration": 0.01}}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "emission_concentration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, needle",
+    [
+        ({"trials": 2.7}, "trials"),
+        ({"iterations": True}, "iterations"),
+        ({"seed": 1.5}, "seed"),
+        ({"jobs": False}, "jobs"),
+    ],
+)
+def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, needle):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_config_accepts_integral_floats(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 2.0}))
+    assert parse_config(None, cfg_path).trials == 2
+
+
+def test_cli_compare_names_the_missing_column(tmp_path, capsys):
+    (tmp_path / "summary.csv").write_text("variant,method\nh2h,mh\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
+    assert "'condition'" in capsys.readouterr().err
+
+    (tmp_path / "summary.csv").write_text(",".join(SUMMARY_HEADER) + "\nh2h,mh,one,,,,,,\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
+    assert "line 2" in capsys.readouterr().err
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -1,11 +1,14 @@
 """Tests for the exchange protocols: acceptance ratios, sign chains, toplines."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+import signgame.game as game
 from conftest import frozen_agent, tv_distance
-from signgame.agents import Hyperparams, ModalityMask
+from signgame.agents import Hyperparams, ModalityMask, init_agent, sign_distribution
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.game import (
     CommunicationMode,
@@ -16,7 +19,7 @@ from signgame.game import (
     rejection_exchange,
     run_game,
 )
-from signgame.stochastic import RngStream
+from signgame.stochastic import PROB_FLOOR, RngStream, normalize_log_weights
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -193,3 +196,177 @@ def test_run_game_rejects_bad_arguments():
         run_game("h2h", "shout", SMALL_HYPER, dataset, 2, RngStream(1))
     with pytest.raises(ValueError):
         run_game("h2h", CommunicationMode.MH, SMALL_HYPER, dataset, 0, RngStream(1))
+
+
+# Scalar reference: the per-object formulas the array kernels replace
+# (cumsum + searchsorted draw, floored log ratio, one object per call).
+
+
+def reference_sign_distribution(agent, d):
+    c = agent.categories[d]
+    if agent.variant == "h2h":
+        return agent.coupling[c]
+    col = agent.coupling[:, c]
+    return col / col.sum()
+
+
+def reference_draw(probs, gen):
+    cum = np.cumsum(probs)
+    idx = int(np.searchsorted(cum, gen.random() * cum[-1], side="right"))
+    return min(idx, probs.size - 1)
+
+
+def reference_ratio(listener, d, proposed, current):
+    c = listener.categories[d]
+    if listener.variant == "h2h":
+        p_new, p_old = listener.coupling[c, proposed], listener.coupling[c, current]
+    else:
+        p_new, p_old = listener.coupling[proposed, c], listener.coupling[current, c]
+    log_a = np.log(max(p_new, PROB_FLOOR)) - np.log(max(p_old, PROB_FLOOR))
+    return float(np.exp(log_a))
+
+
+def reference_mh(speaker, listener, d, gen):
+    proposed = reference_draw(reference_sign_distribution(speaker, d), gen)
+    current = int(listener.signs[d])
+    accepted = bool(gen.random() < min(1.0, reference_ratio(listener, d, proposed, current)))
+    if accepted:
+        listener.signs[d] = proposed
+    return proposed, accepted
+
+
+def reference_gibbs(agent_a, agent_b, d, gen):
+    pa = reference_sign_distribution(agent_a, d)
+    pb = reference_sign_distribution(agent_b, d)
+    logw = np.log(np.maximum(pa, PROB_FLOOR)) + np.log(np.maximum(pb, PROB_FLOOR))
+    sign = reference_draw(normalize_log_weights(logw), gen)
+    agent_a.signs[d] = sign
+    agent_b.signs[d] = sign
+    return sign
+
+
+KERNEL_HYPER = Hyperparams(num_categories=6, num_signs=15)
+KERNEL_DATA = SyntheticConfig(
+    num_types=6, objects_per_type=10, feature_dim=5, draws_per_modality=10, hyper=KERNEL_HYPER
+)
+
+
+def random_agents(variant, seed):
+    """Two agents with random categories, signs and couplings, some of them
+    sharply peaked so that floored probabilities and certain rejections occur."""
+    dataset = generate_dataset(KERNEL_DATA, FULL, FULL, RngStream(seed))
+    gen = RngStream(seed).derive(1).generator()
+    agents = []
+    for name in ("A", "B"):
+        agent = init_agent(variant, KERNEL_HYPER, dataset, name, RngStream(seed).derive(2, len(agents)))
+        shape = agent.coupling.shape
+        agent.coupling = gen.dirichlet(np.full(shape[1], 0.05), size=shape[0])
+        agent.coupling[0, 0] = 0.0
+        agent.categories = gen.integers(0, KERNEL_HYPER.num_categories, size=dataset.num_objects)
+        agent.signs = gen.integers(0, KERNEL_HYPER.num_signs, size=dataset.num_objects)
+        agents.append(agent)
+    return agents
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_sign_tables_and_ratios_match_scalar_reference_bitwise(variant):
+    # a last-bit difference here almost never flips a draw, so it is checked
+    # directly rather than through the drawn signs
+    agent, _ = random_agents(variant, 6)
+    agent.coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
+    objects = np.arange(agent.num_objects)
+    table = sign_distribution(agent, objects)
+    for d in objects:
+        assert table[d].tobytes() == reference_sign_distribution(agent, d).tobytes()
+    new, old = np.meshgrid(np.arange(KERNEL_HYPER.num_signs), np.arange(KERNEL_HYPER.num_signs))
+    d = np.resize(objects, new.size)
+    ratio = acceptance_ratio_h2h if variant == "h2h" else acceptance_ratio_t2t
+    batched = ratio(agent, d, new.ravel(), old.ravel())
+    expected = [reference_ratio(agent, *args) for args in zip(d, new.ravel(), old.ravel())]
+    assert batched.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mh_exchange_array_call_matches_scalar_reference(variant, seed):
+    speaker, listener = random_agents(variant, seed)
+    objects = np.arange(listener.num_objects)
+    ref_speaker, ref_listener = copy.deepcopy(speaker), copy.deepcopy(listener)
+    gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
+
+    utterance, accepted = mh_exchange(speaker, listener, objects, gen)
+    expected = [reference_mh(ref_speaker, ref_listener, d, ref_gen) for d in objects]
+
+    np.testing.assert_array_equal(utterance.object_id, objects)
+    np.testing.assert_array_equal(utterance.sign, [sign for sign, _ in expected])
+    np.testing.assert_array_equal(accepted, [ok for _, ok in expected])
+    np.testing.assert_array_equal(listener.signs, ref_listener.signs)
+    np.testing.assert_array_equal(speaker.signs, ref_speaker.signs)
+    assert 0 < accepted.sum() < objects.size
+    # both consumed exactly two uniforms per object
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gibbs_word_array_call_matches_scalar_reference(variant, seed):
+    agent_a, agent_b = random_agents(variant, seed)
+    objects = np.arange(agent_a.num_objects)
+    ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
+    gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
+
+    signs = gibbs_word(agent_a, agent_b, objects, gen)
+    expected = [reference_gibbs(ref_a, ref_b, d, ref_gen) for d in objects]
+
+    np.testing.assert_array_equal(signs, expected)
+    np.testing.assert_array_equal(agent_a.signs, ref_a.signs)
+    np.testing.assert_array_equal(agent_b.signs, ref_b.signs)
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_scalar_calls_match_scalar_reference(variant):
+    speaker, listener = random_agents(variant, 4)
+    ref_speaker, ref_listener = copy.deepcopy(speaker), copy.deepcopy(listener)
+    gen, ref_gen = RngStream(4).generator(), RngStream(4).generator()
+    for d in range(listener.num_objects):
+        utterance, accepted = mh_exchange(speaker, listener, d, gen)
+        assert (utterance.object_id, utterance.sign, accepted) == (d, *reference_mh(ref_speaker, ref_listener, d, ref_gen))
+        assert type(utterance.sign) is int and type(accepted) is bool
+        sign = gibbs_word(speaker, listener, d, gen)
+        assert sign == reference_gibbs(ref_speaker, ref_listener, d, ref_gen)
+        assert type(sign) is int
+        assert rejection_exchange(speaker, listener, d, gen).sign == reference_draw(
+            reference_sign_distribution(ref_speaker, d), ref_gen
+        )
+    np.testing.assert_array_equal(listener.signs, ref_listener.signs)
+
+
+def test_rejection_exchange_array_call_changes_no_state():
+    speaker, listener = random_agents("t2t", 5)
+    before = copy.deepcopy((speaker, listener))
+    objects = np.arange(speaker.num_objects)
+    gen, ref_gen = RngStream(5).generator(), RngStream(5).generator()
+    utterance = rejection_exchange(speaker, listener, objects, gen)
+    expected = [reference_draw(reference_sign_distribution(speaker, d), ref_gen) for d in objects]
+    np.testing.assert_array_equal(utterance.sign, expected)
+    for agent, old in zip((speaker, listener), before):
+        np.testing.assert_array_equal(agent.signs, old.signs)
+        np.testing.assert_array_equal(agent.categories, old.categories)
+
+
+@pytest.mark.parametrize("mode, calls", [("mh", {"mh_exchange": 8}), ("reject", {}), ("gibbs", {"gibbs_word": 4})])
+def test_run_iteration_makes_one_kernel_call_per_phase(monkeypatch, mode, calls):
+    seen = {}
+    for name in ("mh_exchange", "rejection_exchange", "gibbs_word"):
+        original = getattr(game, name)
+
+        def counted(*args, name=name, original=original):
+            seen[name] = seen.get(name, 0) + 1
+            np.testing.assert_array_equal(args[2], np.arange(SMALL.num_types * SMALL.objects_per_type))
+            return original(*args)
+
+        monkeypatch.setattr(game, name, counted)
+    small_game(mode, iterations=4)
+    assert seen == calls
+
