@@ -64,13 +64,14 @@ class Hyperparams:
     num_signs: int = 15
 
     def __post_init__(self):
-        if self.coupling_concentration <= 0 or self.category_concentration <= 0:
-            raise ValueError("concentrations must be positive")
+        # written so that NaN fails too
+        if not (0 < self.coupling_concentration < np.inf and 0 < self.category_concentration < np.inf):
+            raise ValueError("concentrations must be positive and finite")
         for m, b in self.emission_concentration.items():
             if m not in MODALITIES:
                 raise ValueError(f"unknown modality {m!r}")
-            if b <= 0:
-                raise ValueError(f"emission concentration for {m!r} must be positive")
+            if not 0 < b < np.inf:
+                raise ValueError(f"emission concentration for {m!r} must be positive and finite")
         if self.num_categories < 1 or self.num_signs < 1:
             raise ValueError("num_categories and num_signs must be at least 1")
 

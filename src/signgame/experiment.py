@@ -253,9 +253,10 @@ def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
 
 
 def read_summary(path) -> list[dict]:
-    """Load a summary.csv back into row dicts (floats, None for blanks).
+    """Load a summary.csv back into row dicts (floats, None for blank kappas).
 
-    Raises ReportError if a column is missing or a value does not parse.
+    Raises ReportError if a column is missing, a value does not parse, or
+    an ARI cell is blank.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -274,6 +275,10 @@ def read_summary(path) -> list[dict]:
                     row[key] = float(raw[key]) if raw[key] else None
             except (TypeError, ValueError) as exc:
                 raise ReportError(f"{path}, line {reader.line_num}: {exc}") from exc
+            # only kappa may be blank: the joint sampler has none
+            blank = [key for key in SUMMARY_HEADER if key.startswith("ari") and row[key] is None]
+            if blank:
+                raise ReportError(f"{path}, line {reader.line_num}: blank {blank[0]!r}")
             rows.append(row)
     return rows
 
@@ -333,16 +338,19 @@ def _build_hyper(block: Mapping) -> Hyperparams:
     if unknown:
         raise ConfigError(f"unknown hyperparams key {sorted(unknown)[0]!r}")
     kwargs = dict(block)
+    for key in ("num_categories", "num_signs"):
+        if key in kwargs:
+            kwargs[key] = _integer(f"hyperparams.{key}", kwargs[key])
+    for key in ("coupling_concentration", "category_concentration"):
+        if key in kwargs:
+            kwargs[key] = _number(f"hyperparams.{key}", kwargs[key])
     if "emission_concentration" in kwargs:
         given = kwargs["emission_concentration"]
         if not isinstance(given, Mapping):
             raise ConfigError("hyperparams.emission_concentration must map modalities to numbers")
         # a partial mapping overrides the defaults of the modalities it names
         merged = dict(Hyperparams().emission_concentration)
-        try:
-            merged.update({str(m): float(b) for m, b in given.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"hyperparams.emission_concentration: {exc}") from exc
+        merged.update({str(m): _number(f"hyperparams.emission_concentration.{m}", b) for m, b in given.items()})
         kwargs["emission_concentration"] = merged
     try:
         return Hyperparams(**kwargs)
@@ -355,8 +363,9 @@ def _build_synthetic(block: Mapping, hyper: Hyperparams) -> SyntheticConfig:
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown synthetic key {sorted(unknown)[0]!r}")
+    sizes = {key: _integer(f"synthetic.{key}", value) for key, value in block.items()}
     try:
-        return SyntheticConfig(hyper=hyper, **block)
+        return SyntheticConfig(hyper=hyper, **sizes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -369,6 +378,15 @@ def _integer(key: str, value) -> int:
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentConfig:
@@ -390,10 +408,13 @@ def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentCo
         for key, value in data.items():
             if key in _FLAG_KEYS:
                 merged[key] = value
-            elif key == "hyperparams":
-                hyper_block = dict(value)
-            elif key == "synthetic":
-                synthetic_block = dict(value)
+            elif key in ("hyperparams", "synthetic"):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+                if key == "hyperparams":
+                    hyper_block = value
+                else:
+                    synthetic_block = value
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     if flags:

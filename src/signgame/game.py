@@ -27,7 +27,8 @@ normalized elementwise product of the two agents' sign distributions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,15 @@ from .agents import (
 )
 from .datagen import Dataset
 from .metrics import MetricsRecord, adjusted_rand_index, kappa
-from .stochastic import PROB_FLOOR, RngStream, as_generator, normalize_log_rows
+from .stochastic import (
+    PROB_FLOOR,
+    RngStream,
+    as_generator,
+    derive_streams,
+    normalize_log_rows,
+    open_generator,
+    seed_words,
+)
 
 
 class CommunicationMode(enum.Enum):
@@ -58,6 +67,15 @@ class Utterance:
     sign: int
 
 
+class _SeedBlock(NamedTuple):
+    """Seed words of every phase stream of a run of iterations."""
+
+    rng: RngStream
+    start: int
+    # (iterations, len(_PHASE_STREAMS), 4) uint64
+    words: np.ndarray
+
+
 @dataclass
 class GameState:
     variant: str
@@ -65,6 +83,8 @@ class GameState:
     agent_a: AgentModel
     agent_b: AgentModel
     iteration: int = 0
+    # cache of _iteration_seeds for the rng the game was last advanced with
+    seed_block: _SeedBlock | None = field(default=None, repr=False, compare=False)
 
 
 # first-level stream ids under a game's base stream
@@ -80,6 +100,17 @@ _PHASE_JOINT = 3
 # agent slots for stream derivation
 _SLOT = {"A": 0, "B": 1}
 _SLOT_JOINT = 2
+
+# every (slot, phase) stream an iteration may open, and its column in a seed block
+_PHASE_STREAMS = tuple(
+    (slot, phase)
+    for slot in _SLOT.values()
+    for phase in (_PHASE_PARAMS, _PHASE_CATEGORIES, _PHASE_SPEAK)
+) + ((_SLOT_JOINT, _PHASE_JOINT),)
+_COLUMN = {key: i for i, key in enumerate(_PHASE_STREAMS)}
+
+# iterations whose phase streams are hashed in one pass
+_SEED_BLOCK = 64
 
 
 def _floored_ratio(p_new, p_old):
@@ -181,6 +212,26 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, d, rng):
     return signs
 
 
+def _iteration_seeds(state: GameState, rng: RngStream) -> np.ndarray:
+    """Seed words of the current iteration's phase streams, one row per
+    _PHASE_STREAMS entry.
+
+    Row (slot, phase) opens the generator of
+    rng.derive(_STREAM_ITERATION, iteration, slot, phase). The streams of
+    _SEED_BLOCK iterations are derived and hashed in one vectorized pass,
+    which costs a fraction of a SeedSequence per phase; the block is kept
+    on the state for the rng it was computed for.
+    """
+    it = state.iteration
+    block = state.seed_block
+    if block is None or block.rng != rng or not 0 <= it - block.start < _SEED_BLOCK:
+        slots, phases = np.array(_PHASE_STREAMS).T
+        iterations = np.arange(it, it + _SEED_BLOCK)[:, None]
+        streams = derive_streams(rng.stream, _STREAM_ITERATION, iterations, slots, phases)
+        block = state.seed_block = _SeedBlock(rng, it, seed_words(rng.seed, streams))
+    return block.words[it - block.start]
+
+
 def run_iteration(state: GameState, dataset: Dataset, rng: RngStream) -> GameState:
     """Advance the game by one full iteration.
 
@@ -192,22 +243,18 @@ def run_iteration(state: GameState, dataset: Dataset, rng: RngStream) -> GameSta
     Every phase draws from a stream derived from (iteration, agent, phase),
     so one agent's consumption never shifts the other's draws.
     """
-    it = state.iteration
+    seeds = _iteration_seeds(state, rng)
     objects = np.arange(dataset.num_objects)
     pairs = ((state.agent_a, state.agent_b), (state.agent_b, state.agent_a))
     for speaker, listener in pairs:
         slot = _SLOT[speaker.name]
-        update_parameters(
-            speaker, dataset, rng.derive(_STREAM_ITERATION, it, slot, _PHASE_PARAMS)
-        )
-        sample_categories(
-            speaker, dataset, rng.derive(_STREAM_ITERATION, it, slot, _PHASE_CATEGORIES)
-        )
+        update_parameters(speaker, dataset, open_generator(seeds[_COLUMN[slot, _PHASE_PARAMS]]))
+        sample_categories(speaker, dataset, open_generator(seeds[_COLUMN[slot, _PHASE_CATEGORIES]]))
         if state.mode is CommunicationMode.MH:
-            gen = rng.derive(_STREAM_ITERATION, it, slot, _PHASE_SPEAK).generator()
+            gen = open_generator(seeds[_COLUMN[slot, _PHASE_SPEAK]])
             mh_exchange(speaker, listener, objects, gen)
     if state.mode is CommunicationMode.GIBBS_TOPLINE:
-        gen = rng.derive(_STREAM_ITERATION, it, _SLOT_JOINT, _PHASE_JOINT).generator()
+        gen = open_generator(seeds[_COLUMN[_SLOT_JOINT, _PHASE_JOINT]])
         gibbs_word(state.agent_a, state.agent_b, objects, gen)
     state.iteration += 1
     return state
@@ -221,7 +268,12 @@ def run_game(
     iterations: int,
     rng: RngStream,
 ) -> tuple[GameState, list[MetricsRecord]]:
-    """Play a full game and record metrics at the end of every iteration."""
+    """Play a full game and record metrics at the end of every iteration.
+
+    Each iteration's categories and signs are copied aside, and every
+    iteration is scored in one batched pass after the last; scoring reads
+    the chain but never feeds back into it.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     mode = CommunicationMode(mode)
@@ -230,18 +282,21 @@ def run_game(
     agent_a = init_agent(variant, hyper, dataset, "A", rng.derive(_STREAM_INIT, _SLOT["A"]))
     agent_b = init_agent(variant, hyper, dataset, "B", rng.derive(_STREAM_INIT, _SLOT["B"]))
     state = GameState(variant=variant, mode=mode, agent_a=agent_a, agent_b=agent_b)
-    records = []
     joint_signs = mode is CommunicationMode.GIBBS_TOPLINE
-    for _ in range(iterations):
+    labels = np.min_scalar_type(max(hyper.num_categories, hyper.num_signs) - 1)
+    # (agent, iteration, object) snapshots
+    categories = np.empty((2, iterations, dataset.num_objects), dtype=labels)
+    signs = np.empty((0 if joint_signs else 2, iterations, dataset.num_objects), dtype=labels)
+    for t in range(iterations):
         run_iteration(state, dataset, rng)
-        records.append(
-            MetricsRecord(
-                iteration=state.iteration - 1,
-                ari_a=adjusted_rand_index(agent_a.categories, dataset.true_type),
-                ari_b=adjusted_rand_index(agent_b.categories, dataset.true_type),
-                kappa=None
-                if joint_signs
-                else kappa(agent_a.signs, agent_b.signs, hyper.num_signs),
-            )
-        )
+        for i, agent in enumerate((agent_a, agent_b)):
+            categories[i, t] = agent.categories
+            if not joint_signs:
+                signs[i, t] = agent.signs
+    ari = adjusted_rand_index(categories.reshape(2 * iterations, -1), dataset.true_type)
+    kappas = [None] * iterations if joint_signs else kappa(signs[0], signs[1], hyper.num_signs)
+    records = [
+        MetricsRecord(iteration=t, ari_a=ari[t], ari_b=ari[iterations + t], kappa=kappas[t])
+        for t in range(iterations)
+    ]
     return state, records

@@ -21,79 +21,104 @@ class MetricsRecord:
     kappa: float | None
 
 
-def _check_labels(x, name: str) -> np.ndarray:
+# rows of a stack scored per pass; bounds the temporaries of a long stack
+_ROWS_PER_PASS = 32
+
+
+def _check_labels(x, name: str, stack: bool = False) -> np.ndarray:
+    """Validated labels: integer arrays as given, anything else as int64."""
     x = np.asarray(x)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d label vector")
-    if np.any(x < 0) or not np.all(x == np.floor(x)):
+    if x.ndim not in ((1, 2) if stack else (1,)) or x.size == 0:
+        shape = "1-d label vector or 2-d stack of them" if stack else "1-d label vector"
+        raise ValueError(f"{name} must be a non-empty {shape}")
+    integer = x.dtype.kind in "iu"
+    # integer labels need no floor test
+    if x.min() < 0 or not (integer or np.all(x == np.floor(x))):
         raise ValueError(f"{name} must hold nonnegative integer labels")
-    return x.astype(np.int64)
+    return x if integer else x.astype(np.int64)
 
 
-def adjusted_rand_index(labels_x, labels_y) -> float:
+def _passes(rows: np.ndarray):
+    """Consecutive (≤ _ROWS_PER_PASS, n) int64 slices of a (rows, n) stack."""
+    for start in range(0, rows.shape[0], _ROWS_PER_PASS):
+        yield rows[start : start + _ROWS_PER_PASS].astype(np.int64)
+
+
+def _row_counts(labels: np.ndarray, size: int) -> np.ndarray:
+    """(rows, size) counts of each label value in each row of labels."""
+    rows = labels.shape[0]
+    labels = labels + np.arange(rows)[:, None] * size
+    return np.bincount(labels.ravel(), minlength=rows * size).reshape(rows, size)
+
+
+def _pairs(counts: np.ndarray) -> list[int]:
+    # pairs within each count, summed along the last axis, as Python ints
+    return (counts * (counts - 1) // 2).sum(axis=-1).tolist()
+
+
+def adjusted_rand_index(labels_x, labels_y):
     """Chance-corrected pairwise agreement of two partitions.
 
-    Computed from the contingency table in integer arithmetic with a single
-    final division, so small cases are exact.
+    labels_x is one labeling (n,), or a stack (rows, n) of labelings that
+    are each scored against labels_y (n,): a float for one labeling, a list
+    of floats for a stack. Contingency counts are integer sums over many
+    rows at once; the final products and division run in Python ints, so
+    the result is exact for any n.
     """
-    x = _check_labels(labels_x, "labels_x")
-    y = _check_labels(labels_y, "labels_y")
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    n = x.size
+    x = _check_labels(labels_x, "labels_x", stack=True)
+    y = _check_labels(labels_y, "labels_y").astype(np.int64)
+    n = x.shape[-1]
+    if n != y.size:
+        raise ValueError(f"length mismatch: {n} vs {y.size}")
     kx = int(x.max()) + 1
     ky = int(y.max()) + 1
-    contingency = np.bincount(x * ky + y, minlength=kx * ky).reshape(kx, ky)
-    a = contingency.sum(axis=1)
-    b = contingency.sum(axis=0)
-
-    def pairs(v):
-        return int((v * (v - 1) // 2).sum())
-
-    index = pairs(contingency)
-    row_pairs = pairs(a)
-    col_pairs = pairs(b)
     total_pairs = n * (n - 1) // 2
-    # scaled by total_pairs to stay in integers
-    numerator = total_pairs * index - row_pairs * col_pairs
-    denominator = total_pairs * (row_pairs + col_pairs) - 2 * row_pairs * col_pairs
-    if denominator == 0:
-        # both partitions all-singletons or all-one-cluster: agreement is
-        # perfect iff the groupings coincide
-        return 1.0 if np.array_equal(_canonical(x), _canonical(y)) else 0.0
-    return (2 * numerator) / denominator
+    out = []
+    for rows in _passes(x.reshape(-1, n)):
+        contingency = _row_counts(rows * ky + y, kx * ky)
+        index = _pairs(contingency)
+        contingency = contingency.reshape(-1, kx, ky)
+        row_pairs = _pairs(contingency.sum(axis=2))
+        col_pairs = _pairs(contingency.sum(axis=1))
+        for pairs_xy, pairs_x, pairs_y in zip(index, row_pairs, col_pairs):
+            # scaled by total_pairs to stay in integers
+            numerator = total_pairs * pairs_xy - pairs_x * pairs_y
+            denominator = total_pairs * (pairs_x + pairs_y) - 2 * pairs_x * pairs_y
+            # denominator = pairs_x * (total - pairs_y) + pairs_y * (total - pairs_x)
+            # is 0 only when both partitions are all singletons, both are one
+            # block, or n == 1: identical groupings, perfect agreement
+            out.append(1.0 if denominator == 0 else (2 * numerator) / denominator)
+    return out if x.ndim == 2 else out[0]
 
 
-def _canonical(labels: np.ndarray) -> np.ndarray:
-    # relabel by first appearance so identical groupings compare equal
-    _, canon = np.unique(labels, return_inverse=True)
-    order = {}
-    out = np.empty_like(canon)
-    for i, v in enumerate(canon):
-        out[i] = order.setdefault(int(v), len(order))
-    return out
-
-
-def kappa(signs_x, signs_y, num_signs: int) -> float:
+def kappa(signs_x, signs_y, num_signs: int):
     """Chance-corrected per-object sign agreement between two agents.
 
     Chance agreement is the match probability of independent draws from the
-    two agents' empirical sign frequencies.
+    two agents' empirical sign frequencies. signs_x and signs_y are one
+    pair of sign vectors (n,), or two stacks (rows, n) scored row by row:
+    a float for one pair, a list of floats for stacks.
     """
-    x = _check_labels(signs_x, "signs_x")
-    y = _check_labels(signs_y, "signs_y")
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    x = _check_labels(signs_x, "signs_x", stack=True)
+    y = _check_labels(signs_y, "signs_y", stack=True)
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if num_signs < 1 or int(x.max()) >= num_signs or int(y.max()) >= num_signs:
         raise ValueError("labels exceed num_signs")
-    n = x.size
-    observed = float(np.mean(x == y))
-    freq_x = np.bincount(x, minlength=num_signs) / n
-    freq_y = np.bincount(y, minlength=num_signs) / n
-    expected = float(freq_x @ freq_y)
-    if expected == 1.0:
-        return 1.0 if observed == 1.0 else 0.0
-    return (observed - expected) / (1.0 - expected)
+    n = x.shape[-1]
+    out = []
+    for rows_x, rows_y in zip(_passes(x.reshape(-1, n)), _passes(y.reshape(-1, n))):
+        observed = (np.count_nonzero(rows_x == rows_y, axis=1) / n).tolist()
+        freq_x = _row_counts(rows_x, num_signs) / n
+        freq_y = _row_counts(rows_y, num_signs) / n
+        for agree, fx, fy in zip(observed, freq_x, freq_y):
+            # one dot product per row keeps the summation order of a single pair
+            expected = float(fx @ fy)
+            if expected == 1.0:
+                out.append(1.0 if agree == 1.0 else 0.0)
+            else:
+                out.append((agree - expected) / (1.0 - expected))
+    return out if x.ndim == 2 else out[0]
 
 
 # verbal scale for kappa values, used to annotate comparison reports

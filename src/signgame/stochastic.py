@@ -7,6 +7,7 @@ reproducible from a single integer seed. Sub-streams are derived by value
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -17,6 +18,17 @@ PROB_FLOOR = 1e-300
 SUM_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+# numpy's SeedSequence mixing constants (32-bit words, pool size 4)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
 
 
 class DegenerateDistributionError(ValueError):
@@ -29,6 +41,120 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    # _splitmix64 on a uint64 array; array arithmetic wraps modulo 2**64
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def derive_streams(stream: int, *ids) -> np.ndarray:
+    """Stream ids of RngStream(seed, stream).derive(*ids) for id arrays.
+
+    The ids broadcast against each other; the result is a uint64 array of
+    their broadcast shape.
+    """
+    ids = np.broadcast_arrays(*ids)
+    shape = ids[0].shape if ids else ()
+    # 1-d lanes keep numpy in array arithmetic, which wraps silently
+    s = np.full(int(np.prod(shape)), stream & _MASK64, dtype=np.uint64)
+    for v in ids:
+        s = _splitmix64_array(s ^ _splitmix64_array(v.astype(np.uint64).reshape(-1)))
+    return s.reshape(shape)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[int]:
+    # the running multiplier of SeedSequence's hash after each of n calls
+    out = [init]
+    for _ in range(n):
+        out.append((out[-1] * mult) & _MASK32)
+    return out
+
+
+# hashmix is called 16 times while the seed fills and stirs the pool and
+# four times per 32-bit word of the stream id; generate_state(4, uint64)
+# hashes eight pool words
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 24)
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _hashmix(value, call: int):
+    value = (value ^ _HASH_A[call]) * _HASH_A[call + 1] & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def seed_words(seed: int, streams) -> np.ndarray:
+    """PCG64 seed words of RngStream(seed, s).generator() for every stream id s.
+
+    A vectorized port of numpy's SeedSequence(entropy=seed,
+    spawn_key=(s,)).generate_state(4, np.uint64). The assembled entropy is
+    the seed's two 32-bit halves padded with zeros to the pool size, then
+    the stream id's one word (s < 2**32) or two words. The first part is
+    the same for every stream, so it is mixed once in Python ints and only
+    the stream words are mixed per element. The result has the shape of
+    streams plus a trailing axis of four uint64 words; open_generator turns
+    a row into the stream's generator.
+    """
+    seed &= _MASK64
+    pool = [_hashmix(word, i) for i, word in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    # uint64 lanes hold 32-bit words; every product is masked back to 32
+    # bits. 1-d lanes keep numpy in array arithmetic, which wraps silently.
+    shape = np.shape(streams)
+    flat = np.asarray(streams, dtype=np.uint64).reshape(-1)
+    words = (flat & np.uint64(_MASK32), flat >> np.uint64(32))
+    mixer = [np.full(flat.shape, v, dtype=np.uint64) for v in pool]
+    for w, word in enumerate(words):
+        mixed = [_mix(mixer[dst], _hashmix(word, call + 4 * w + dst)) for dst in range(_POOL_SIZE)]
+        # the high word exists only for stream ids of 2**32 and above
+        mixer = mixed if w == 0 else [np.where(word != 0, m, old) for m, old in zip(mixed, mixer)]
+    state = np.empty((flat.size, 2 * _POOL_SIZE), dtype=np.uint64)
+    for i in range(2 * _POOL_SIZE):
+        value = (mixer[i % _POOL_SIZE] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
+        state[:, i] = value ^ (value >> _XSHIFT)
+    # pairs of little-endian 32-bit words form each 64-bit word
+    return (state[:, 0::2] | (state[:, 1::2] << np.uint64(32))).reshape(shape + (_POOL_SIZE,))
+
+
+@cache
+def _seed_words_type() -> type:
+    # numpy.random loads on first use; subclassing its ISeedSequence here
+    # rather than at import keeps it out of start-ups that never draw
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A seed sequence whose state is already hashed (see seed_words)."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            # PCG64 asks for exactly these: four uint64 words
+            return self.words
+
+    return SeedWords
+
+
+def open_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator of a stream from its four seed words (see seed_words).
+
+    Equal to RngStream(seed, s).generator() when words is seed_words(seed, s),
+    without hashing a SeedSequence.
+    """
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
 
 
 @dataclass(frozen=True)
@@ -95,7 +221,11 @@ def _log_gamma_draws(shape: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """
     boost = gen.standard_gamma(shape + 1.0)
     u = gen.random(shape.shape)
-    return np.log(np.maximum(boost, PROB_FLOOR)) + np.log1p(-u) / shape
+    logg = np.log(np.maximum(boost, PROB_FLOOR, out=boost), out=boost)
+    tail = np.log1p(np.negative(u, out=u), out=u)
+    tail /= shape
+    logg += tail
+    return logg
 
 
 def sample_dirichlet(alpha, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -107,13 +237,16 @@ def sample_dirichlet(alpha, rng: RngStream | np.random.Generator) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size == 0:
         raise ValueError("alpha must be a non-empty 1-d vector")
-    if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
+    # a NaN fails both comparisons
+    if not (alpha.min() > 0 and alpha.max() < np.inf):
         raise ValueError("alpha entries must be positive and finite")
     gen = as_generator(rng)
-    logg = _log_gamma_draws(alpha, gen)
-    p = np.exp(logg - _logsumexp(logg))
-    p = np.maximum(p, PROB_FLOOR)
-    return p / p.sum()
+    p = _log_gamma_draws(alpha, gen)
+    p -= _logsumexp(p)
+    np.exp(p, out=p)
+    np.maximum(p, PROB_FLOOR, out=p)
+    p /= p.sum()
+    return p
 
 
 def sample_dirichlet_rows(alpha: np.ndarray, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -121,14 +254,16 @@ def sample_dirichlet_rows(alpha: np.ndarray, rng: RngStream | np.random.Generato
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 2 or alpha.size == 0:
         raise ValueError("alpha must be a non-empty 2-d matrix")
-    if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
+    # a NaN fails both comparisons
+    if not (alpha.min() > 0 and alpha.max() < np.inf):
         raise ValueError("alpha entries must be positive and finite")
     gen = as_generator(rng)
-    logg = _log_gamma_draws(alpha, gen)
-    logg -= logg.max(axis=1, keepdims=True)
-    p = np.exp(logg)
-    p = np.maximum(p, PROB_FLOOR)
-    return p / p.sum(axis=1, keepdims=True)
+    p = _log_gamma_draws(alpha, gen)
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    np.maximum(p, PROB_FLOOR, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def sample_categorical(p, rng: RngStream | np.random.Generator, size: int | None = None):
@@ -190,9 +325,10 @@ def normalize_log_weights(logw) -> np.ndarray:
     logw = np.asarray(logw, dtype=float)
     if logw.ndim != 1 or logw.size == 0:
         raise ValueError("log-weights must be a non-empty 1-d vector")
-    if np.any(np.isnan(logw)):
-        raise ValueError("log-weights contain NaN")
+    # max propagates NaN, so the maximum shows whether any entry is NaN
     m = logw.max()
+    if np.isnan(m):
+        raise ValueError("log-weights contain NaN")
     if m == -np.inf:
         raise DegenerateDistributionError("all log-weights are -inf")
     p = np.exp(logw - m)
@@ -204,10 +340,14 @@ def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
     logw = np.asarray(logw, dtype=float)
     if logw.ndim != 2 or logw.size == 0:
         raise ValueError("log-weights must be a non-empty 2-d matrix")
-    if np.any(np.isnan(logw)):
-        raise ValueError("log-weights contain NaN")
+    # max and min propagate NaN: a NaN entry makes the smallest row maximum NaN
     m = logw.max(axis=1, keepdims=True)
-    if np.any(m == -np.inf):
+    lowest = m.min()
+    if np.isnan(lowest):
+        raise ValueError("log-weights contain NaN")
+    if lowest == -np.inf:
         raise DegenerateDistributionError("a row of log-weights is entirely -inf")
-    p = np.exp(logw - m)
-    return p / p.sum(axis=1, keepdims=True)
+    p = logw - m
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p

@@ -372,3 +372,20 @@ def test_single_agent_fit_recovers_types_on_most_seeds():
         if adjusted_rand_index(agent.categories, data.true_type) >= 0.75:
             wins += 1
     assert wins >= 8
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"coupling_concentration": float("inf")},
+        {"coupling_concentration": float("nan")},
+        {"category_concentration": float("nan")},
+        {"category_concentration": 0.0},
+        {"emission_concentration": {"v": float("inf")}},
+        {"emission_concentration": {"s": float("nan")}},
+        {"emission_concentration": {"h": -1.0}},
+    ],
+)
+def test_hyperparams_reject_non_finite_or_non_positive_concentrations(kwargs):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Hyperparams(**kwargs)

@@ -15,6 +15,7 @@ from signgame.agents import Hyperparams, ModalityMask
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from signgame.datagen import SyntheticConfig
 import signgame.experiment as experiment
+import signgame.game as game
 from signgame.experiment import (
     CONDITION_MASKS,
     REFERENCE_RESULTS,
@@ -191,6 +192,24 @@ def test_full_grid_reports_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
+# sha256 of the reports of the full grid with trials=1, iterations=70,
+# seed=11 on 5 types x 4 objects, recorded before the phase streams were
+# hashed in blocks of game._SEED_BLOCK iterations and the metrics batched
+# per trial; the run crosses a block boundary
+GOLDEN_BLOCK_DIGESTS = {
+    "detail.csv": "0c4f92f73c1f05c0104237bc6bbfca44536bca160bb2ae1699f622c1d6a9c7b3",
+    "summary.csv": "b69ce98aaf11e5d89b3cd66ef6330c6c5d7b58153c5ad5806eb8a8d39119e26d",
+}
+
+
+def test_full_grid_across_a_seed_block_matches_golden_digests(tmp_path):
+    cfg = ExperimentConfig(trials=1, iterations=70, seed=11, synthetic=SyntheticConfig(num_types=5, objects_per_type=4))
+    assert game._SEED_BLOCK < cfg.iterations
+    run_full_grid(cfg, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_BLOCK_DIGESTS}
+    assert digests == GOLDEN_BLOCK_DIGESTS
+
+
 def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     started = []
 
@@ -316,6 +335,43 @@ def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, ne
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "payload, needle",
+    [
+        ({"hyperparams": 5}, "hyperparams"),
+        ({"synthetic": 5}, "synthetic"),
+        ({"synthetic": {"num_types": 2.5}}, "synthetic.num_types"),
+        ({"synthetic": {"feature_dim": True}}, "synthetic.feature_dim"),
+        ({"hyperparams": {"num_signs": 15.5}}, "hyperparams.num_signs"),
+        ({"hyperparams": {"coupling_concentration": "x"}}, "hyperparams.coupling_concentration"),
+        ({"hyperparams": {"emission_concentration": {"s": [1]}}}, "hyperparams.emission_concentration.s"),
+    ],
+)
+def test_cli_rejects_malformed_blocks(tmp_path, capsys, payload, needle):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        '{"coupling_concentration": 1e999}',
+        '{"category_concentration": NaN}',
+        '{"emission_concentration": {"h": Infinity}}',
+    ],
+)
+def test_cli_rejects_non_finite_concentrations(tmp_path, capsys, block):
+    cfg_path = tmp_path / "cfg.json"
+    # Python's json reads 1e999 as inf and NaN/Infinity as the floats
+    cfg_path.write_text('{"hyperparams": ' + block + "}")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_config_accepts_integral_floats(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"trials": 2.0}))
@@ -330,6 +386,20 @@ def test_cli_compare_names_the_missing_column(tmp_path, capsys):
     (tmp_path / "summary.csv").write_text(",".join(SUMMARY_HEADER) + "\nh2h,mh,one,,,,,,\n")
     assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["ari_a_mean", "ari_a_sd", "ari_b_mean", "ari_b_sd"])
+def test_cli_compare_names_a_blank_ari_column(tmp_path, capsys, column):
+    values = dict(zip(SUMMARY_HEADER, ["h2h", "mh", "1", "0.8", "0.1", "0.7", "0.1", "0.9", "0.05"]))
+    values[column] = ""
+    (tmp_path / "summary.csv").write_text(",".join(SUMMARY_HEADER) + "\n" + ",".join(values.values()) + "\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
+    assert repr(column) in capsys.readouterr().err
+    # a blank kappa is the joint sampler's and still compares
+    values[column], values["kappa_mean"], values["kappa_sd"] = "0.5", "", ""
+    (tmp_path / "summary.csv").write_text(",".join(SUMMARY_HEADER) + "\n" + ",".join(values.values()) + "\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_OK
+    assert "| h2h | mh | 1 |" in capsys.readouterr().out
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -8,7 +8,14 @@ import pytest
 
 import signgame.game as game
 from conftest import frozen_agent, tv_distance
-from signgame.agents import Hyperparams, ModalityMask, init_agent, sign_distribution
+from signgame.agents import (
+    Hyperparams,
+    ModalityMask,
+    init_agent,
+    sample_categories,
+    sign_distribution,
+    update_parameters,
+)
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.game import (
     CommunicationMode,
@@ -17,9 +24,12 @@ from signgame.game import (
     gibbs_word,
     mh_exchange,
     rejection_exchange,
+    GameState,
     run_game,
+    run_iteration,
 )
-from signgame.stochastic import PROB_FLOOR, RngStream, normalize_log_weights
+from signgame.metrics import adjusted_rand_index, kappa
+from signgame.stochastic import PROB_FLOOR, RngStream, normalize_log_weights, open_generator
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -370,3 +380,60 @@ def test_run_iteration_makes_one_kernel_call_per_phase(monkeypatch, mode, calls)
     small_game(mode, iterations=4)
     assert seen == calls
 
+
+
+def test_iteration_seeds_open_every_phase_stream_across_blocks():
+    # every (iteration, slot, phase) row of the cached seed blocks opens
+    # rng.derive(_STREAM_ITERATION, iteration, slot, phase).generator(); a
+    # second rng in between must not be served from the first one's block
+    rngs = (RngStream(2**40 + 9, 5), RngStream(3))
+    state = GameState("h2h", CommunicationMode.MH, None, None)
+    for it in range(2 * game._SEED_BLOCK + 3):
+        for rng in rngs if it % 29 == 0 else rngs[:1]:
+            state.iteration = it
+            seeds = game._iteration_seeds(state, rng)
+            assert seeds.shape == (len(game._PHASE_STREAMS), 4)
+            for (slot, phase), words in zip(game._PHASE_STREAMS, seeds):
+                expect = rng.derive(game._STREAM_ITERATION, it, slot, phase).generator()
+                assert open_generator(words).bit_generator.state == expect.bit_generator.state
+
+
+def reference_game(variant, mode, dataset, iterations, rng):
+    """The game loop with one SeedSequence-hashed stream per phase and
+    scalar metrics after every iteration."""
+    agents = [init_agent(variant, SMALL_HYPER, dataset, name, rng.derive(0, slot)) for slot, name in enumerate("AB")]
+    objects = np.arange(dataset.num_objects)
+    records = []
+    for it in range(iterations):
+        for slot, (speaker, listener) in enumerate((agents, agents[::-1])):
+            update_parameters(speaker, dataset, rng.derive(1, it, slot, 0))
+            sample_categories(speaker, dataset, rng.derive(1, it, slot, 1))
+            if mode == "mh":
+                mh_exchange(speaker, listener, objects, rng.derive(1, it, slot, 2).generator())
+        if mode == "gibbs":
+            gibbs_word(*agents, objects, rng.derive(1, it, 2, 3).generator())
+        a, b = agents
+        records.append(
+            (
+                it,
+                adjusted_rand_index(a.categories, dataset.true_type),
+                adjusted_rand_index(b.categories, dataset.true_type),
+                None if mode == "gibbs" else kappa(a.signs, b.signs, SMALL_HYPER.num_signs),
+            )
+        )
+    return agents, records
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+@pytest.mark.parametrize("mode", ["mh", "reject", "gibbs"])
+def test_run_game_across_seed_blocks_matches_per_phase_streams(variant, mode):
+    iterations = game._SEED_BLOCK + 2
+    dataset = generate_dataset(SMALL, FULL, FULL, RngStream(8))
+    rng = RngStream(2**33 + 1, 12)
+    state, records = run_game(variant, mode, SMALL_HYPER, dataset, iterations, rng)
+    agents, expect = reference_game(variant, mode, dataset, iterations, rng)
+    assert [(r.iteration, r.ari_a, r.ari_b, r.kappa) for r in records] == expect
+    for agent, ref in zip((state.agent_a, state.agent_b), agents):
+        np.testing.assert_array_equal(agent.categories, ref.categories)
+        np.testing.assert_array_equal(agent.signs, ref.signs)
+        np.testing.assert_array_equal(agent.coupling, ref.coupling)

@@ -95,6 +95,105 @@ def test_kappa_matches_frequency_sums_on_random_instances():
         )
 
 
+def scalar_ari(x, y):
+    """One pair at a time: Python-int pair counts and one final division,
+    with the groupings compared when the denominator vanishes."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    n = x.size
+    table = {}
+    for a, b in zip(x.tolist(), y.tolist()):
+        table[a, b] = table.get((a, b), 0) + 1
+
+    def pairs(counts):
+        return sum(c * (c - 1) // 2 for c in counts)
+
+    index = pairs(table.values())
+    row_pairs = pairs(np.bincount(x).tolist())
+    col_pairs = pairs(np.bincount(y).tolist())
+    total_pairs = n * (n - 1) // 2
+    numerator = total_pairs * index - row_pairs * col_pairs
+    denominator = total_pairs * (row_pairs + col_pairs) - 2 * row_pairs * col_pairs
+    if denominator == 0:
+        first_x = {v: i for i, v in reversed(list(enumerate(x.tolist())))}
+        first_y = {v: i for i, v in reversed(list(enumerate(y.tolist())))}
+        same = [first_x[v] for v in x.tolist()] == [first_y[v] for v in y.tolist()]
+        return 1.0 if same else 0.0
+    return (2 * numerator) / denominator
+
+
+def scalar_kappa(x, y, num_signs):
+    """One pair at a time, with numpy's mean, bincount and dot."""
+    x, y = np.asarray(x), np.asarray(y)
+    observed = float(np.mean(x == y))
+    freq_x = np.bincount(x, minlength=num_signs) / x.size
+    freq_y = np.bincount(y, minlength=num_signs) / x.size
+    expected = float(freq_x @ freq_y)
+    if expected == 1.0:
+        return 1.0 if observed == 1.0 else 0.0
+    return (observed - expected) / (1.0 - expected)
+
+
+def test_stacked_ari_equals_the_scalar_formula_row_by_row():
+    gen = np.random.default_rng(17)
+    for n in (1, 2, 3, 7, 40):
+        rows = gen.integers(0, int(gen.integers(1, 6)), size=(30, n))
+        rows[0] = gen.permutation(n)
+        rows[1] = 3
+        # random truth, then the two truths that give rows 0 and 1 a zero
+        # denominator: all singletons and one block
+        for truth in (gen.integers(0, 4, size=n), np.arange(n), np.zeros(n, dtype=int)):
+            got = adjusted_rand_index(rows, truth)
+            assert got == [scalar_ari(row, truth) for row in rows]
+            assert got == [adjusted_rand_index(row, truth) for row in rows]
+    assert type(adjusted_rand_index(rows[0], truth)) is float
+
+
+def test_stacked_ari_is_exact_beyond_float_integers():
+    # the scaled numerator total_pairs * pairs_xy reaches ~1e17 here, so
+    # float64 products would round; rows agree with truth on a prefix
+    n = 50_000
+    total_pairs = n * (n - 1) // 2
+    assert total_pairs**2 > 2**53
+    gen = np.random.default_rng(5)
+    truth = gen.integers(0, 15, size=n)
+    rows = gen.integers(0, 15, size=(20, n))
+    for row, prefix in zip(rows, np.linspace(0, n, rows.shape[0]).astype(int)):
+        row[:prefix] = truth[:prefix]
+    assert adjusted_rand_index(rows, truth) == [scalar_ari(row, truth) for row in rows]
+
+
+def test_stacked_kappa_equals_the_scalar_formula_row_by_row():
+    gen = np.random.default_rng(23)
+    for n, num_signs in ((1, 1), (2, 3), (9, 4), (150, 15)):
+        x = gen.integers(0, num_signs, size=(25, n))
+        y = gen.integers(0, num_signs, size=(25, n))
+        # chance agreement 1: one shared sign, then one sign each
+        x[0] = y[0] = num_signs - 1
+        x[1], y[1] = 0, num_signs - 1
+        y[2] = x[2]
+        got = kappa(x, y, num_signs)
+        assert got == [scalar_kappa(a, b, num_signs) for a, b in zip(x, y)]
+        assert got == [kappa(a, b, num_signs) for a, b in zip(x, y)]
+    assert type(kappa(x[3], y[3], num_signs)) is float
+
+
+def test_stacked_metrics_validate_their_rows():
+    with pytest.raises(ValueError, match="2-d stack"):
+        adjusted_rand_index([[[0, 1]]], [0, 1])
+    with pytest.raises(ValueError, match="1-d label vector"):
+        adjusted_rand_index([[0, 1]], [[0, 1]])
+    with pytest.raises(ValueError, match="length mismatch"):
+        adjusted_rand_index([[0, 1]], [0, 1, 2])
+    with pytest.raises(ValueError, match="nonnegative"):
+        adjusted_rand_index([[0, -1]], [0, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        kappa([[0.5, 1]], [[0, 1]], 2)
+    with pytest.raises(ValueError, match="length mismatch"):
+        kappa([[0, 1]], [[0, 1], [1, 0]], 2)
+    with pytest.raises(ValueError, match="num_signs"):
+        kappa([[0, 2]], [[0, 1]], 2)
+
+
 @st.composite
 def labeling_pairs(draw):
     n = draw(st.integers(min_value=2, max_value=12))

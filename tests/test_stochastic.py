@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from signgame.stochastic import (
     DegenerateDistributionError,
     RngStream,
+    derive_streams,
     log_multinomial_weight,
     normalize_log_rows,
     normalize_log_weights,
@@ -19,6 +20,8 @@ from signgame.stochastic import (
     sample_dirichlet,
     sample_dirichlet_rows,
     sample_multinomial,
+    open_generator,
+    seed_words,
 )
 
 
@@ -37,6 +40,51 @@ def test_rng_stream_derive_folds():
     # distinct derivation paths should not collide in practice
     ids = {base.derive(i, j).stream for i in range(50) for j in range(50)}
     assert len(ids) == 2500
+
+
+# seeds whose entropy takes one word, two words, and the extremes of each
+TABLE_SEEDS = (0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, -5)
+
+
+def test_seed_words_open_the_generators_of_random_stream_ids():
+    gen = np.random.default_rng(99)
+    per_seed = 1200
+    checked = 0
+    for seed in TABLE_SEEDS:
+        wide = gen.integers(0, 2**64, size=per_seed // 2, dtype=np.uint64)
+        narrow = gen.integers(0, 2**32, size=per_seed // 2, dtype=np.uint64)
+        edges = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+        streams = np.concatenate([edges, wide, narrow])
+        words = seed_words(seed, streams)
+        assert words.shape == (streams.size, 4) and words.dtype == np.uint64
+        for stream, row in zip(streams.tolist(), words):
+            expect = RngStream(seed, stream).generator().bit_generator.state
+            assert open_generator(row).bit_generator.state == expect, (seed, stream)
+            checked += 1
+    assert checked >= 10_000
+
+
+def test_open_generator_draws_like_the_stream_generator():
+    stream = RngStream(123).derive(1, 250, 1, 2)
+    ours = open_generator(seed_words(stream.seed, stream.stream))
+    theirs = stream.generator()
+    assert np.array_equal(ours.random(64), theirs.random(64))
+    assert np.array_equal(ours.standard_gamma(np.full(8, 0.5)), theirs.standard_gamma(np.full(8, 0.5)))
+
+
+def test_derive_streams_broadcasts_like_derive():
+    base = RngStream(5, 2**63 + 11)
+    iterations = np.arange(40)[:, None]
+    slots, phases = np.array([0, 0, 1, 2]), np.array([0, 2, 1, 3])
+    table = derive_streams(base.stream, 1, iterations, slots, phases)
+    assert table.shape == (40, 4) and table.dtype == np.uint64
+    pairs = list(zip(slots.tolist(), phases.tolist()))
+    expect = [[base.derive(1, it, sl, ph).stream for sl, ph in pairs] for it in range(40)]
+    assert table.tolist() == expect
+    gen = np.random.default_rng(3)
+    ids = gen.integers(0, 2**64, size=(500, 3), dtype=np.uint64)
+    table = derive_streams(base.stream, ids[:, 0], ids[:, 1], ids[:, 2])
+    assert table.tolist() == [base.derive(*row).stream for row in ids.tolist()]
 
 
 def test_sample_dirichlet_is_valid_distribution():
