@@ -5,85 +5,9 @@ observations while exchanging discrete signs for the observed objects
 through a Metropolis-Hastings naming game.  The package provides the two
 coupling variants (sign as shared parent, sign as shared child), an
 all-rejection baseline, a joint-sampling topline, evaluation metrics, and
-a seeded experiment grid with CSV reporting.
+a seeded experiment grid with CSV reporting. The layers are imported as
+submodules: signgame.experiment, .game, .agents, .datagen, .metrics,
+.stochastic and .cli.
 """
 
-from .agents import (
-    AgentModel,
-    Hyperparams,
-    ModalityMask,
-    MODALITIES,
-    VARIANT_H2H,
-    VARIANT_T2T,
-    init_agent,
-    sample_categories,
-    sign_distribution,
-    update_parameters,
-)
-from .datagen import Dataset, SyntheticConfig, dataset_from_json, dataset_to_json, generate_dataset
-from .experiment import (
-    CONDITION_MASKS,
-    ConfigError,
-    ExperimentConfig,
-    REFERENCE_RESULTS,
-    compare_to_reference,
-    parse_config,
-    run_experiment,
-    run_full_grid,
-    run_trial,
-)
-from .game import (
-    CommunicationMode,
-    GameState,
-    Utterance,
-    gibbs_word,
-    mh_exchange,
-    rejection_exchange,
-    run_game,
-    run_iteration,
-)
-from .metrics import MetricsRecord, adjusted_rand_index, kappa, kappa_band, summarize
-from .stochastic import RngStream
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentModel",
-    "CommunicationMode",
-    "CONDITION_MASKS",
-    "ConfigError",
-    "Dataset",
-    "ExperimentConfig",
-    "GameState",
-    "Hyperparams",
-    "MetricsRecord",
-    "MODALITIES",
-    "ModalityMask",
-    "REFERENCE_RESULTS",
-    "RngStream",
-    "SyntheticConfig",
-    "Utterance",
-    "VARIANT_H2H",
-    "VARIANT_T2T",
-    "adjusted_rand_index",
-    "compare_to_reference",
-    "dataset_from_json",
-    "dataset_to_json",
-    "generate_dataset",
-    "gibbs_word",
-    "init_agent",
-    "kappa",
-    "kappa_band",
-    "mh_exchange",
-    "parse_config",
-    "rejection_exchange",
-    "run_experiment",
-    "run_full_grid",
-    "run_game",
-    "run_iteration",
-    "run_trial",
-    "sample_categories",
-    "sign_distribution",
-    "summarize",
-    "update_parameters",
-]

@@ -116,10 +116,6 @@ class AgentModel:
     signs: np.ndarray
     category_weights: np.ndarray | None = None
 
-    @property
-    def num_objects(self) -> int:
-        return self.categories.size
-
 
 def init_agent(
     variant: str,

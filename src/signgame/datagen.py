@@ -8,7 +8,6 @@ histograms are independent draws.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +41,6 @@ class SyntheticConfig:
         if not self.modalities or set(self.modalities) - set(MODALITIES):
             raise ValueError(f"modalities must be a non-empty subset of {MODALITIES}")
 
-    @property
-    def num_objects(self) -> int:
-        return self.num_types * self.objects_per_type
-
 
 @dataclass
 class Dataset:
@@ -56,7 +51,7 @@ class Dataset:
     masks: dict
     config: SyntheticConfig
     # per-modality (num_types, feature_dim) generating emissions; kept for
-    # diagnostics and tests, never serialized
+    # diagnostics and tests, never read by the agents
     true_emissions: dict | None = None
 
     @property
@@ -104,66 +99,4 @@ def generate_dataset(
         masks=masks,
         config=config,
         true_emissions=true_emissions,
-    )
-
-
-def dataset_to_json(dataset: Dataset) -> str:
-    """Serialize everything except the generating emissions, stable key order."""
-    config = dataset.config
-    payload = {
-        "true_type": dataset.true_type.tolist(),
-        "observations": {
-            name: {m: obs.tolist() for m, obs in sorted(per_agent.items())}
-            for name, per_agent in sorted(dataset.observations.items())
-        },
-        "mask": {name: list(mask.ordered) for name, mask in sorted(dataset.masks.items())},
-        "config": {
-            "num_types": config.num_types,
-            "objects_per_type": config.objects_per_type,
-            "feature_dim": config.feature_dim,
-            "draws_per_modality": config.draws_per_modality,
-            "modalities": list(config.modalities),
-            "hyperparams": {
-                "coupling_concentration": config.hyper.coupling_concentration,
-                "emission_concentration": dict(
-                    sorted(config.hyper.emission_concentration.items())
-                ),
-                "category_concentration": config.hyper.category_concentration,
-                "num_categories": config.hyper.num_categories,
-                "num_signs": config.hyper.num_signs,
-            },
-        },
-    }
-    return json.dumps(payload)
-
-
-def dataset_from_json(text: str) -> Dataset:
-    payload = json.loads(text)
-    raw_cfg = payload["config"]
-    raw_hyper = raw_cfg["hyperparams"]
-    hyper = Hyperparams(
-        coupling_concentration=raw_hyper["coupling_concentration"],
-        emission_concentration=dict(raw_hyper["emission_concentration"]),
-        category_concentration=raw_hyper["category_concentration"],
-        num_categories=raw_hyper["num_categories"],
-        num_signs=raw_hyper["num_signs"],
-    )
-    config = SyntheticConfig(
-        num_types=raw_cfg["num_types"],
-        objects_per_type=raw_cfg["objects_per_type"],
-        feature_dim=raw_cfg["feature_dim"],
-        draws_per_modality=raw_cfg["draws_per_modality"],
-        modalities=tuple(raw_cfg["modalities"]),
-        hyper=hyper,
-    )
-    observations = {
-        name: {m: np.asarray(obs, dtype=np.int64) for m, obs in per_agent.items()}
-        for name, per_agent in payload["observations"].items()
-    }
-    masks = {name: ModalityMask.of(*names) for name, names in payload["mask"].items()}
-    return Dataset(
-        true_type=np.asarray(payload["true_type"], dtype=np.int64),
-        observations=observations,
-        masks=masks,
-        config=config,
     )

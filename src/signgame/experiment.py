@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -371,22 +372,21 @@ def _build_synthetic(block: Mapping, hyper: Hyperparams) -> SyntheticConfig:
 
 
 def _integer(key: str, value) -> int:
-    # int() would truncate 2.7 to 2 and read true as 1
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    # int() would truncate 2.7 to 2, read true as 1 and parse "2"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    return int(value)
 
 
 def _number(key: str, value) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{key} must be finite, got a value beyond float range") from None
 
 
 def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentConfig:

@@ -176,21 +176,6 @@ def mh_exchange(speaker: AgentModel, listener: AgentModel, d, rng):
     return Utterance(objects, proposed), accepted
 
 
-def rejection_exchange(speaker: AgentModel, listener: AgentModel, d, rng) -> Utterance:
-    """Utterances that the listener always rejects.
-
-    Proposals are drawn as in mh_exchange but no sign state changes
-    anywhere. The game never calls this: a phase that changes nothing and
-    draws from its own stream can be skipped without shifting any draw.
-    """
-    gen = as_generator(rng)
-    objects, scalar = _as_objects(d)
-    proposed = _draw_signs(sign_distribution(speaker, objects), gen.random(objects.size))
-    if scalar:
-        return Utterance(d, int(proposed[0]))
-    return Utterance(objects, proposed)
-
-
 def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, d, rng):
     """Draw one shared sign for object d, or for every object of an index
     array d, from the product of both models.

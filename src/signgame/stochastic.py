@@ -14,9 +14,6 @@ import numpy as np
 # Probabilities are floored before any log so that log-weights stay finite.
 PROB_FLOOR = 1e-300
 
-# Tolerance for "sums to one" checks on probability vectors.
-SUM_TOL = 1e-9
-
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
@@ -190,29 +187,6 @@ def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def validate_prob_vector(p, name: str = "p") -> np.ndarray:
-    """Check a finite nonnegative vector that sums to one within SUM_TOL."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{name} has non-finite entries")
-    if np.any(p < 0):
-        raise ValueError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > SUM_TOL:
-        raise ValueError(f"{name} sums to {p.sum()!r}, expected 1 within {SUM_TOL}")
-    return p
-
-
-def validate_counts(obs, name: str = "obs") -> np.ndarray:
-    obs = np.asarray(obs)
-    if obs.ndim != 1 or obs.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d count vector")
-    if np.any(obs < 0) or not np.all(obs == np.floor(obs)):
-        raise ValueError(f"{name} must hold nonnegative integers")
-    return obs.astype(np.int64)
-
-
 def _log_gamma_draws(shape: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """log of Gamma(shape) draws, elementwise, safe for tiny shapes.
 
@@ -266,18 +240,6 @@ def sample_dirichlet_rows(alpha: np.ndarray, rng: RngStream | np.random.Generato
     return p
 
 
-def sample_categorical(p, rng: RngStream | np.random.Generator, size: int | None = None):
-    """Draw an index (or `size` indices) from a categorical distribution."""
-    p = validate_prob_vector(p)
-    gen = as_generator(rng)
-    cum = np.cumsum(p)
-    cum[-1] = 1.0
-    if size is None:
-        return int(np.searchsorted(cum, gen.random(), side="right"))
-    idx = np.searchsorted(cum, gen.random(size), side="right")
-    return np.minimum(idx, p.size - 1)
-
-
 def sample_categorical_rows(probs: np.ndarray, rng: RngStream | np.random.Generator) -> np.ndarray:
     """One categorical draw per row of a row-stochastic matrix."""
     gen = as_generator(rng)
@@ -288,55 +250,18 @@ def sample_categorical_rows(probs: np.ndarray, rng: RngStream | np.random.Genera
     return np.minimum(idx, probs.shape[1] - 1)
 
 
-def sample_multinomial(n: int, p, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Distribute n draws over categories; counts sum to n exactly."""
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    p = validate_prob_vector(p)
-    gen = as_generator(rng)
-    return gen.multinomial(int(n), p / p.sum())
-
-
-def log_multinomial_weight(obs, p) -> float:
-    """Log-likelihood of a count vector under category probabilities p.
-
-    The multinomial coefficient is omitted: it is constant across mixture
-    components for a fixed observation, so it cancels in every comparison
-    this package makes.
-    """
-    obs = validate_counts(obs)
-    p = validate_prob_vector(p)
-    if obs.size != p.size:
-        raise ValueError(f"length mismatch: obs has {obs.size}, p has {p.size}")
-    return float(obs @ np.log(np.maximum(p, PROB_FLOOR)))
-
-
 def _logsumexp(logw: np.ndarray) -> float:
     m = logw.max()
     return float(m + np.log(np.exp(logw - m).sum()))
 
 
-def normalize_log_weights(logw) -> np.ndarray:
-    """Turn unnormalized log-weights into a probability vector.
+def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
+    """Turn each row of a matrix of unnormalized log-weights into a
+    probability vector.
 
     Stable for spreads up to hundreds of thousands of nats: entries far
-    below the maximum underflow to zero instead of poisoning the sum.
+    below their row's maximum underflow to zero instead of poisoning the sum.
     """
-    logw = np.asarray(logw, dtype=float)
-    if logw.ndim != 1 or logw.size == 0:
-        raise ValueError("log-weights must be a non-empty 1-d vector")
-    # max propagates NaN, so the maximum shows whether any entry is NaN
-    m = logw.max()
-    if np.isnan(m):
-        raise ValueError("log-weights contain NaN")
-    if m == -np.inf:
-        raise DegenerateDistributionError("all log-weights are -inf")
-    p = np.exp(logw - m)
-    return p / p.sum()
-
-
-def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
-    """Row-wise normalize_log_weights for a matrix of log-weights."""
     logw = np.asarray(logw, dtype=float)
     if logw.ndim != 2 or logw.size == 0:
         raise ValueError("log-weights must be a non-empty 2-d matrix")

@@ -14,7 +14,7 @@ from signgame.agents import (
     sign_distribution,
     update_parameters,
 )
-from signgame.stochastic import sample_categorical
+from signgame.stochastic import sample_categorical_rows
 
 
 def frozen_agent(variant, weights, name="A"):
@@ -87,7 +87,7 @@ def solo_gibbs_fit(agent, dataset, iterations, rng):
         step = rng.derive(it)
         update_parameters(agent, dataset, step.derive(0))
         sample_categories(agent, dataset, step.derive(1))
-        gen = step.derive(2).generator()
-        for d in range(dataset.num_objects):
-            agent.signs[d] = sample_categorical(sign_distribution(agent, d), gen)
+        objects = np.arange(dataset.num_objects)
+        # one uniform per object, in object order
+        agent.signs = sample_categorical_rows(sign_distribution(agent, objects), step.derive(2))
     return agent

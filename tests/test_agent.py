@@ -1,6 +1,8 @@
 """Tests for one agent's state: conjugate updates and category draws."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -11,6 +13,7 @@ from signgame.agents import (
     Hyperparams,
     ModalityMask,
     init_agent,
+    observation_log_likelihood,
     posterior_concentrations,
     sample_categories,
     sample_categories_h2h,
@@ -304,6 +307,26 @@ def test_sign_distribution_t2t_normalizes_column():
     # equal rows reduce to a uniform sign distribution
     agent.coupling = np.full((3, 2), 0.5)
     np.testing.assert_allclose(sign_distribution(agent, 0), np.full(3, 1 / 3))
+
+
+def test_observation_log_likelihood_hand_values():
+    # hand-computed: an empty histogram, counts on one feature, a fair split
+    agent = tiny_agent("t2t", [[1.0, 1.0]], [[0.5, 0.5], [0.9, 0.1]], [0, 0, 0])
+    ll = observation_log_likelihood(agent, tiny_dataset([[0, 0], [2, 0], [1, 1]]))
+    assert ll.shape == (3, 2)
+    assert ll[0].tolist() == [0.0, 0.0]
+    assert math.isclose(ll[1, 1], 2 * math.log(0.9), rel_tol=1e-12)
+    assert math.isclose(ll[2, 0], 2 * math.log(0.5), rel_tol=1e-12)
+
+
+def test_observation_log_likelihood_floors_zero_probability():
+    agent = tiny_agent("t2t", [[1.0]], [[1.0, 0.0]], [0, 0], num_categories=1)
+    ll = observation_log_likelihood(agent, tiny_dataset([[3, 0], [0, 1]]))
+    # a zero-probability feature with zero count contributes nothing
+    assert ll[0, 0] == 0.0
+    # with a positive count it contributes the floored log, still finite
+    assert np.isfinite(ll[1, 0])
+    assert ll[1, 0] < -600
 
 
 def test_masked_modalities_contribute_nothing():

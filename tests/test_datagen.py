@@ -1,4 +1,4 @@
-"""Tests for synthetic dataset generation and serialization."""
+"""Tests for synthetic dataset generation."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,13 +6,7 @@ import pytest
 
 from conftest import solo_gibbs_fit
 from signgame.agents import Hyperparams, ModalityMask, init_agent
-from signgame.datagen import (
-    Dataset,
-    SyntheticConfig,
-    dataset_from_json,
-    dataset_to_json,
-    generate_dataset,
-)
+from signgame.datagen import SyntheticConfig, generate_dataset
 from signgame.metrics import adjusted_rand_index
 from signgame.stochastic import RngStream
 
@@ -106,25 +100,6 @@ def test_config_validation():
         SyntheticConfig(draws_per_modality=0)
     with pytest.raises(ValueError):
         SyntheticConfig(modalities=("v", "x"))
-
-
-def test_json_round_trip():
-    data = make_dataset(seed=3, mask_b=ModalityMask.of("v", "s"))
-    text = dataset_to_json(data)
-    assert "true_emissions" not in text
-    clone = dataset_from_json(text)
-    assert isinstance(clone, Dataset)
-    assert np.array_equal(clone.true_type, data.true_type)
-    assert clone.config == data.config
-    assert clone.masks == data.masks
-    for name in ("A", "B"):
-        assert sorted(clone.observations[name]) == sorted(data.observations[name])
-        for m in data.observations[name]:
-            assert np.array_equal(clone.observations[name][m], data.observations[name][m])
-    assert clone.true_emissions is None
-    # stable serialization: dumping twice gives the same bytes
-    assert dataset_to_json(data) == text
-    assert dataset_to_json(clone) == text
 
 
 def test_single_modality_fit_recovers_planted_types():

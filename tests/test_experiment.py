@@ -1,6 +1,7 @@
 """Tests for the grid runner, CSV reports, config parsing, and the CLI."""
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -325,6 +326,8 @@ def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, c
         ({"iterations": True}, "iterations"),
         ({"seed": 1.5}, "seed"),
         ({"jobs": False}, "jobs"),
+        ({"trials": "2", "iterations": "1"}, "trials"),
+        ({"seed": "0"}, "seed"),
     ],
 )
 def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, needle):
@@ -345,6 +348,10 @@ def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, ne
         ({"hyperparams": {"num_signs": 15.5}}, "hyperparams.num_signs"),
         ({"hyperparams": {"coupling_concentration": "x"}}, "hyperparams.coupling_concentration"),
         ({"hyperparams": {"emission_concentration": {"s": [1]}}}, "hyperparams.emission_concentration.s"),
+        ({"synthetic": {"num_types": "2"}}, "synthetic.num_types"),
+        ({"hyperparams": {"num_signs": "4"}}, "hyperparams.num_signs"),
+        ({"hyperparams": {"coupling_concentration": "0.05"}}, "hyperparams.coupling_concentration"),
+        ({"hyperparams": {"emission_concentration": {"v": "0.01"}}}, "hyperparams.emission_concentration.v"),
     ],
 )
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, payload, needle):
@@ -361,6 +368,7 @@ def test_cli_rejects_malformed_blocks(tmp_path, capsys, payload, needle):
         '{"coupling_concentration": 1e999}',
         '{"category_concentration": NaN}',
         '{"emission_concentration": {"h": Infinity}}',
+        pytest.param('{"coupling_concentration": 1' + "0" * 400 + "}", id="integer-beyond-float-range"),
     ],
 )
 def test_cli_rejects_non_finite_concentrations(tmp_path, capsys, block):
@@ -441,3 +449,87 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "kappa --" in proc.stdout
     assert (out / "summary.csv").exists()
+
+
+# Functions that no run, full or compare command enters in this process,
+# each with the reason it still exists.
+UNPROFILED = {
+    "signgame.experiment._trial_worker": "runs only inside pool workers (--jobs > 1), out of this process's profiler",
+}
+
+PROFILED_COMMANDS = r"""
+import json, sys
+entered = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(record)
+from signgame.cli import main
+config, out, result = sys.argv[1:]
+codes = [
+    main(["run", "--config", config, "--out", out + "/run"]),
+    main(["full", "--config", config, "--out", out + "/full"]),
+    main(["compare", "--in", out + "/full"]),
+]
+sys.setprofile(None)
+with open(result, "w") as fh:
+    json.dump({"codes": codes, "entered": sorted(entered)}, fh)
+"""
+
+
+def package_functions():
+    """{(file, first line): dotted name} of every def in src/signgame/*.py,
+    nested functions and methods included; a decorated def starts at its
+    first decorator, as its code object does."""
+    found = {}
+    for path in sorted((REPO_ROOT / "src" / "signgame").glob("*.py")):
+        module = "signgame." + path.stem
+
+        def visit(node, prefix, path=path):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = f"{prefix}.{child.name}"
+                    if not isinstance(child, ast.ClassDef):
+                        first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                        found[os.path.realpath(path), first] = name
+                    visit(child, name)
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), module)
+    return found
+
+
+def test_cli_commands_enter_every_package_function(tmp_path):
+    # a function that no command reaches is dead code: delete it, or list it
+    # in UNPROFILED with the reason it must stay
+    cfg_path = tmp_path / "cfg.json"
+    blocks = {
+        "hyperparams": {
+            **SMALL_FILE_BLOCKS["hyperparams"],
+            "coupling_concentration": 0.05,
+            "category_concentration": 0.05,
+            "emission_concentration": {"v": 0.01},
+        },
+        "synthetic": SMALL_FILE_BLOCKS["synthetic"],
+    }
+    cfg_path.write_text(json.dumps({**blocks, "trials": 2, "iterations": 2}))
+    result = tmp_path / "entered.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROFILED_COMMANDS, str(cfg_path), str(tmp_path / "out"), str(result)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(result.read_text())
+    assert report["codes"] == [EXIT_OK] * 3
+    entered = {(os.path.realpath(path), line) for path, line in report["entered"]}
+    functions = package_functions()
+    assert set(UNPROFILED) <= set(functions.values())
+    never = sorted(name for key, name in functions.items() if key not in entered and name not in UNPROFILED)
+    assert never == [], f"never entered by run, full or compare: {never}"

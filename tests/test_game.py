@@ -23,13 +23,12 @@ from signgame.game import (
     acceptance_ratio_t2t,
     gibbs_word,
     mh_exchange,
-    rejection_exchange,
     GameState,
     run_game,
     run_iteration,
 )
 from signgame.metrics import adjusted_rand_index, kappa
-from signgame.stochastic import PROB_FLOOR, RngStream, normalize_log_weights, open_generator
+from signgame.stochastic import PROB_FLOOR, RngStream, open_generator
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -90,19 +89,6 @@ def test_mh_exchange_never_accepts_against_certain_listener():
         assert utterance.sign == 1
         assert not accepted
         assert listener.signs[0] == 0
-
-
-def test_rejection_exchange_is_a_complete_no_op_on_state():
-    speaker = frozen_agent("h2h", ROW_A, "A")
-    listener = frozen_agent("h2h", ROW_B, "B")
-    gen = RngStream(9).generator()
-    seen = set()
-    for _ in range(100):
-        seen.add(rejection_exchange(speaker, listener, 0, gen).sign)
-    assert speaker.signs[0] == 0
-    assert listener.signs[0] == 0
-    # the utterances themselves still come from the speaker's distribution
-    assert seen.issuperset({0, 1})
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
@@ -249,7 +235,8 @@ def reference_gibbs(agent_a, agent_b, d, gen):
     pa = reference_sign_distribution(agent_a, d)
     pb = reference_sign_distribution(agent_b, d)
     logw = np.log(np.maximum(pa, PROB_FLOOR)) + np.log(np.maximum(pb, PROB_FLOOR))
-    sign = reference_draw(normalize_log_weights(logw), gen)
+    p = np.exp(logw - logw.max())
+    sign = reference_draw(p / p.sum(), gen)
     agent_a.signs[d] = sign
     agent_b.signs[d] = sign
     return sign
@@ -284,7 +271,7 @@ def test_sign_tables_and_ratios_match_scalar_reference_bitwise(variant):
     # directly rather than through the drawn signs
     agent, _ = random_agents(variant, 6)
     agent.coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
-    objects = np.arange(agent.num_objects)
+    objects = np.arange(agent.categories.size)
     table = sign_distribution(agent, objects)
     for d in objects:
         assert table[d].tobytes() == reference_sign_distribution(agent, d).tobytes()
@@ -300,7 +287,7 @@ def test_sign_tables_and_ratios_match_scalar_reference_bitwise(variant):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_mh_exchange_array_call_matches_scalar_reference(variant, seed):
     speaker, listener = random_agents(variant, seed)
-    objects = np.arange(listener.num_objects)
+    objects = np.arange(listener.categories.size)
     ref_speaker, ref_listener = copy.deepcopy(speaker), copy.deepcopy(listener)
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
 
@@ -321,7 +308,7 @@ def test_mh_exchange_array_call_matches_scalar_reference(variant, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gibbs_word_array_call_matches_scalar_reference(variant, seed):
     agent_a, agent_b = random_agents(variant, seed)
-    objects = np.arange(agent_a.num_objects)
+    objects = np.arange(agent_a.categories.size)
     ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
 
@@ -339,36 +326,20 @@ def test_scalar_calls_match_scalar_reference(variant):
     speaker, listener = random_agents(variant, 4)
     ref_speaker, ref_listener = copy.deepcopy(speaker), copy.deepcopy(listener)
     gen, ref_gen = RngStream(4).generator(), RngStream(4).generator()
-    for d in range(listener.num_objects):
+    for d in range(listener.categories.size):
         utterance, accepted = mh_exchange(speaker, listener, d, gen)
         assert (utterance.object_id, utterance.sign, accepted) == (d, *reference_mh(ref_speaker, ref_listener, d, ref_gen))
         assert type(utterance.sign) is int and type(accepted) is bool
         sign = gibbs_word(speaker, listener, d, gen)
         assert sign == reference_gibbs(ref_speaker, ref_listener, d, ref_gen)
         assert type(sign) is int
-        assert rejection_exchange(speaker, listener, d, gen).sign == reference_draw(
-            reference_sign_distribution(ref_speaker, d), ref_gen
-        )
     np.testing.assert_array_equal(listener.signs, ref_listener.signs)
-
-
-def test_rejection_exchange_array_call_changes_no_state():
-    speaker, listener = random_agents("t2t", 5)
-    before = copy.deepcopy((speaker, listener))
-    objects = np.arange(speaker.num_objects)
-    gen, ref_gen = RngStream(5).generator(), RngStream(5).generator()
-    utterance = rejection_exchange(speaker, listener, objects, gen)
-    expected = [reference_draw(reference_sign_distribution(speaker, d), ref_gen) for d in objects]
-    np.testing.assert_array_equal(utterance.sign, expected)
-    for agent, old in zip((speaker, listener), before):
-        np.testing.assert_array_equal(agent.signs, old.signs)
-        np.testing.assert_array_equal(agent.categories, old.categories)
 
 
 @pytest.mark.parametrize("mode, calls", [("mh", {"mh_exchange": 8}), ("reject", {}), ("gibbs", {"gibbs_word": 4})])
 def test_run_iteration_makes_one_kernel_call_per_phase(monkeypatch, mode, calls):
     seen = {}
-    for name in ("mh_exchange", "rejection_exchange", "gibbs_word"):
+    for name in ("mh_exchange", "gibbs_word"):
         original = getattr(game, name)
 
         def counted(*args, name=name, original=original):

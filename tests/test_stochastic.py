@@ -12,14 +12,10 @@ from signgame.stochastic import (
     DegenerateDistributionError,
     RngStream,
     derive_streams,
-    log_multinomial_weight,
     normalize_log_rows,
-    normalize_log_weights,
-    sample_categorical,
     sample_categorical_rows,
     sample_dirichlet,
     sample_dirichlet_rows,
-    sample_multinomial,
     open_generator,
     seed_words,
 )
@@ -155,21 +151,28 @@ def test_sample_dirichlet_rows_matches_row_draws():
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
 
+def categorical_draws(p, gen, size, chunk=100_000):
+    """size draws from p through sample_categorical_rows, one row per draw,
+    in chunks that keep the cumulative sums small."""
+    p = np.asarray(p, dtype=float)
+    rows = [np.broadcast_to(p, (min(chunk, size - start), p.size)) for start in range(0, size, chunk)]
+    return np.concatenate([sample_categorical_rows(r, gen) for r in rows])
+
+
 def test_sample_categorical_degenerate():
     gen = RngStream(seed=0).generator()
-    for _ in range(100):
-        assert sample_categorical([1.0, 0.0], gen) == 0
+    assert np.all(categorical_draws([1.0, 0.0], gen, 100) == 0)
 
 
 def test_sample_categorical_fair_coin_frequency():
-    draws = sample_categorical([0.5, 0.5], RngStream(seed=11), size=1_000_000)
+    draws = categorical_draws([0.5, 0.5], RngStream(seed=11).generator(), 1_000_000)
     freq = np.mean(draws == 0)
     assert 0.498 <= freq <= 0.502
 
 
 def test_sample_categorical_total_variation():
     p = np.array([0.2, 0.3, 0.5])
-    draws = sample_categorical(p, RngStream(seed=13), size=1_000_000)
+    draws = categorical_draws(p, RngStream(seed=13).generator(), 1_000_000)
     emp = np.bincount(draws, minlength=3) / draws.size
     assert 0.5 * np.abs(emp - p).sum() < 0.005
 
@@ -177,19 +180,9 @@ def test_sample_categorical_total_variation():
 def test_sample_categorical_20dim_total_variation():
     gen = RngStream(seed=17).generator()
     p = sample_dirichlet(np.ones(20), gen)
-    draws = sample_categorical(p, gen, size=1_000_000)
+    draws = categorical_draws(p, gen, 1_000_000)
     emp = np.bincount(draws, minlength=20) / draws.size
     assert 0.5 * np.abs(emp - p).sum() < 0.005
-
-
-def test_sample_categorical_rejects_invalid():
-    gen = RngStream(seed=0).generator()
-    with pytest.raises(ValueError):
-        sample_categorical([0.5, 0.6], gen)
-    with pytest.raises(ValueError):
-        sample_categorical([], gen)
-    with pytest.raises(ValueError):
-        sample_categorical([1.5, -0.5], gen)
 
 
 def test_sample_categorical_rows_agrees_with_marginals():
@@ -199,66 +192,24 @@ def test_sample_categorical_rows_agrees_with_marginals():
     assert np.all(idx[1::2] == 2)
 
 
-def test_sample_multinomial_conserves_total():
-    gen = RngStream(seed=19).generator()
-    for n in (0, 1, 20, 1000):
-        counts = sample_multinomial(n, [0.2, 0.3, 0.5], gen)
-        assert counts.sum() == n
-        assert np.all(counts >= 0)
-
-
-def test_sample_multinomial_degenerate():
-    counts = sample_multinomial(7, [0.0, 1.0], RngStream(seed=0))
-    assert counts.tolist() == [0, 7]
-
-
-def test_sample_multinomial_law_of_large_numbers():
-    counts = sample_multinomial(1_000_000, [0.25, 0.75], RngStream(seed=23))
-    assert np.max(np.abs(counts / 1e6 - np.array([0.25, 0.75]))) < 2e-3
-
-
-def test_log_multinomial_weight_examples():
-    # hand-computed: empty observation, single-feature counts, fair split
-    assert log_multinomial_weight([0, 0], [0.5, 0.5]) == 0.0
-    assert math.isclose(
-        log_multinomial_weight([2, 0], [0.9, 0.1]), 2 * math.log(0.9), rel_tol=1e-12
-    )
-    assert math.isclose(
-        log_multinomial_weight([1, 1], [0.5, 0.5]), 2 * math.log(0.5), rel_tol=1e-12
-    )
-
-
-def test_log_multinomial_weight_floors_zero_probability():
-    # a zero-probability feature with zero count contributes nothing
-    assert log_multinomial_weight([3, 0], [1.0, 0.0]) == 0.0
-    # with a positive count it contributes the floored log, still finite
-    v = log_multinomial_weight([0, 1], [1.0, 0.0])
-    assert np.isfinite(v)
-    assert v < -600
-
-
-def test_log_multinomial_weight_validates():
-    with pytest.raises(ValueError):
-        log_multinomial_weight([1, -1], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        log_multinomial_weight([1, 0, 0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        log_multinomial_weight([1.5, 0.5], [0.5, 0.5])
+def normalize_one_row(logw):
+    """normalize_log_rows on a single row of log-weights."""
+    return normalize_log_rows(np.asarray(logw, dtype=float).reshape(1, -1))[0]
 
 
 def test_normalize_log_weights_examples():
-    assert np.allclose(normalize_log_weights([0.0, 0.0]), [0.5, 0.5])
+    assert np.allclose(normalize_one_row([0.0, 0.0]), [0.5, 0.5])
     assert np.allclose(
-        normalize_log_weights([math.log(1.0), math.log(3.0)]), [0.25, 0.75]
+        normalize_one_row([math.log(1.0), math.log(3.0)]), [0.25, 0.75]
     )
     # heavily shifted weights keep their ratios
     assert np.allclose(
-        normalize_log_weights([-1e4, -1e4 + math.log(2.0)]), [1 / 3, 2 / 3]
+        normalize_one_row([-1e4, -1e4 + math.log(2.0)]), [1 / 3, 2 / 3]
     )
 
 
 def test_normalize_log_weights_extreme_spread():
-    p = normalize_log_weights([0.0, -1e5])
+    p = normalize_one_row([0.0, -1e5])
     assert p[0] == 1.0
     assert p[1] == 0.0
 
@@ -272,8 +223,8 @@ def test_normalize_log_weights_extreme_spread():
 @example(logw=[0.0, 0.032], shift=65536.0)
 def test_normalize_log_weights_shift_invariant(logw, shift):
     logw = np.array(logw)
-    base = normalize_log_weights(logw)
-    shifted = normalize_log_weights(logw + shift)
+    base = normalize_one_row(logw)
+    shifted = normalize_one_row(logw + shift)
     # Adding the shift rounds each entry by up to half a spacing at the
     # shifted magnitude, so differences of entries move by up to one
     # spacing, and p_i = exp(y_i) / sum_j exp(y_j) then moves by at most
@@ -285,17 +236,20 @@ def test_normalize_log_weights_shift_invariant(logw, shift):
 
 def test_normalize_log_weights_errors():
     with pytest.raises(DegenerateDistributionError):
-        normalize_log_weights([-np.inf, -np.inf])
+        normalize_one_row([-np.inf, -np.inf])
     with pytest.raises(ValueError):
-        normalize_log_weights([0.0, np.nan])
+        normalize_one_row([0.0, np.nan])
     with pytest.raises(ValueError):
-        normalize_log_weights([])
+        normalize_one_row([])
+    with pytest.raises(ValueError):
+        normalize_log_rows(np.zeros(3))
 
 
 def test_normalize_log_rows_matches_vector_version():
     logw = np.array([[0.0, math.log(3.0)], [-50.0, -50.0]])
     rows = normalize_log_rows(logw)
-    assert np.allclose(rows[0], normalize_log_weights(logw[0]))
+    assert rows[0].tolist() == normalize_one_row(logw[0]).tolist()
+    assert np.allclose(rows[0], [0.25, 0.75])
     assert np.allclose(rows[1], [0.5, 0.5])
     with pytest.raises(DegenerateDistributionError):
         normalize_log_rows(np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
