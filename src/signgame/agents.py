@@ -26,10 +26,8 @@ import numpy as np
 from .stochastic import (
     PROB_FLOOR,
     RngStream,
-    as_generator,
     normalize_log_rows,
     sample_categorical_rows,
-    sample_dirichlet,
     sample_dirichlet_rows,
 )
 
@@ -176,14 +174,15 @@ def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> dict:
 
 
 def update_parameters(agent: AgentModel, dataset: "Dataset", rng) -> None:
-    """Resample all parameter fields from their conditional posteriors."""
-    gen = as_generator(rng)
+    """Resample all parameter fields from their conditional posteriors in one
+    Dirichlet pass; the category weights are a one-row block."""
     conc = posterior_concentrations(agent, dataset)
+    draws = dict(zip(conc, sample_dirichlet_rows([np.atleast_2d(a) for a in conc.values()], rng)))
     if agent.variant == VARIANT_H2H:
-        agent.category_weights = sample_dirichlet(conc["category_weights"], gen)
-    agent.coupling = sample_dirichlet_rows(conc["coupling"], gen)
+        agent.category_weights = draws["category_weights"][0]
+    agent.coupling = draws["coupling"]
     for m in agent.mask.ordered:
-        agent.emissions[m] = sample_dirichlet_rows(conc[f"emissions.{m}"], gen)
+        agent.emissions[m] = draws[f"emissions.{m}"]
 
 
 def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndarray:
@@ -199,52 +198,36 @@ def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndar
     return ll
 
 
-def sample_categories_h2h(agent: AgentModel, dataset: "Dataset", rng) -> np.ndarray:
-    """Redraw every category assignment from its exact h2h conditional.
+def category_log_prior(agent: AgentModel) -> np.ndarray:
+    """(num_objects, num_categories) log prior of each object's category
+    given its current sign.
 
-    Weights combine the category prior, the observation likelihood of each
-    modality, and the probability that the category emits the object's
-    current sign.
+    h2h: the category weights times the probability that the category emits
+    the sign. t2t: the coupling row over categories that the sign selects.
     """
-    if agent.variant != VARIANT_H2H:
-        raise ValueError(f"agent {agent.name!r} is {agent.variant!r}, not h2h")
-    logw = observation_log_likelihood(agent, dataset)
-    logw += np.log(np.maximum(agent.category_weights, PROB_FLOOR))[None, :]
-    logw += np.log(np.maximum(agent.coupling, PROB_FLOOR))[:, agent.signs].T
-    agent.categories = sample_categorical_rows(normalize_log_rows(logw), rng)
-    return agent.categories
-
-
-def sample_categories_t2t(agent: AgentModel, dataset: "Dataset", rng) -> np.ndarray:
-    """Redraw every category assignment from its exact t2t conditional.
-
-    The object's current sign selects a prior row over categories, which is
-    combined with the observation likelihood of each modality.
-    """
-    if agent.variant != VARIANT_T2T:
-        raise ValueError(f"agent {agent.name!r} is {agent.variant!r}, not t2t")
-    logw = observation_log_likelihood(agent, dataset)
-    logw += np.log(np.maximum(agent.coupling, PROB_FLOOR))[agent.signs]
-    agent.categories = sample_categorical_rows(normalize_log_rows(logw), rng)
-    return agent.categories
+    log_coupling = np.log(np.maximum(agent.coupling, PROB_FLOOR))
+    if agent.variant == VARIANT_H2H:
+        return np.log(np.maximum(agent.category_weights, PROB_FLOOR)) + log_coupling[:, agent.signs].T
+    return log_coupling[agent.signs]
 
 
 def sample_categories(agent: AgentModel, dataset: "Dataset", rng) -> np.ndarray:
-    if agent.variant == VARIANT_H2H:
-        return sample_categories_h2h(agent, dataset, rng)
-    return sample_categories_t2t(agent, dataset, rng)
+    """Redraw every category assignment from its exact conditional given the
+    parameters, the observations and the current signs."""
+    logw = observation_log_likelihood(agent, dataset) + category_log_prior(agent)
+    agent.categories = sample_categorical_rows(normalize_log_rows(logw), rng)
+    return agent.categories
 
 
-def sign_distribution(agent: AgentModel, d) -> np.ndarray:
-    """The agent's current distribution over signs for object d.
+def sign_table(agent: AgentModel, d) -> np.ndarray:
+    """Unnormalized weights over signs for object d.
 
     d is one object index (a vector is returned) or an index array (one
-    row per object). h2h reads the coupling row of the object's category.
-    t2t inverts the coupling under a uniform sign prior, which is a
-    normalized column.
+    row per object). h2h reads the coupling row of the object's category,
+    t2t its coupling column: the likelihood of the category under each
+    sign, which a uniform sign prior turns into the sign posterior. Every
+    reader draws or takes ratios within a row, so the row's normalizer
+    never matters.
     """
     c = agent.categories[d]
-    if agent.variant == VARIANT_H2H:
-        return agent.coupling[c]
-    cols = agent.coupling.T[c]
-    return cols / cols.sum(axis=-1, keepdims=True)
+    return agent.coupling[c] if agent.variant == VARIANT_H2H else agent.coupling.T[c]

@@ -77,7 +77,7 @@ def generate_dataset(
         conc = np.full(
             (config.num_types, config.feature_dim), config.hyper.emission_concentration[m]
         )
-        true_emissions[m] = sample_dirichlet_rows(conc, rng.derive(_STREAM_EMISSIONS, mi))
+        (true_emissions[m],) = sample_dirichlet_rows([conc], rng.derive(_STREAM_EMISSIONS, mi))
 
     true_type = np.repeat(np.arange(config.num_types), config.objects_per_type)
     masks = dict(zip(AGENT_NAMES, (mask_a, mask_b)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -140,14 +141,21 @@ def _trial_worker(payload):
     return trial, run_trial(cfg, trial)
 
 
+def _workers(cfg: ExperimentConfig) -> int:
+    # a cell never has more than cfg.trials tasks in flight, and workers
+    # beyond the cores only contend; the pool forks all of them at once
+    return min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
+
+
 def run_cell(cfg: ExperimentConfig, pool: ProcessPoolExecutor | None = None) -> tuple[list[tuple], dict]:
     """All trials of one cell: detail rows (trial, iteration order) + summary.
 
-    Trials run in pool when one is given, in a pool of cfg.jobs workers
-    opened for this cell when cfg.jobs > 1, and in this process otherwise.
+    Trials run in pool when one is given, in a pool opened for this cell
+    when cfg.jobs, cfg.trials and the cores all allow more than one worker,
+    and in this process otherwise.
     """
-    if pool is None and cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as own_pool:
+    if pool is None and _workers(cfg) > 1:
+        with ProcessPoolExecutor(max_workers=_workers(cfg)) as own_pool:
             return run_cell(cfg, own_pool)
     if pool is not None:
         done = dict(pool.map(_trial_worker, [(cfg, t) for t in range(cfg.trials)]))
@@ -241,8 +249,9 @@ def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     summary row per cell."""
     detail_rows = []
     summary_rows = []
-    # one worker pool serves every cell of a parallel run
-    with ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+    # one worker pool serves every cell of a parallel run, one cell at a time
+    workers = _workers(cfg)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for cell_cfg in full_grid_configs(cfg):
             detail, summary = run_cell(cell_cfg, pool)
             detail_rows.extend(detail)

@@ -33,13 +33,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import (
-    VARIANT_H2H,
     VARIANTS,
     AgentModel,
     Hyperparams,
     init_agent,
     sample_categories,
-    sign_distribution,
+    sign_table,
     update_parameters,
 )
 from .datagen import Dataset
@@ -113,32 +112,23 @@ _COLUMN = {key: i for i, key in enumerate(_PHASE_STREAMS)}
 _SEED_BLOCK = 64
 
 
-def _floored_ratio(p_new, p_old):
-    return np.exp(np.log(np.maximum(p_new, PROB_FLOOR)) - np.log(np.maximum(p_old, PROB_FLOOR)))
-
-
-def acceptance_ratio_h2h(listener: AgentModel, d, sign_new, sign_old):
-    """Listener-side ratio: how much more readily its category emits the new sign.
-
-    d, sign_new and sign_old are scalars or equal-length arrays.
-    """
-    c = listener.categories[d]
-    return _floored_ratio(listener.coupling[c, sign_new], listener.coupling[c, sign_old])
-
-
-def acceptance_ratio_t2t(listener: AgentModel, d, sign_new, sign_old):
-    """Listener-side ratio: how much better the new sign predicts its category.
-
-    Reads the unnormalized coupling column; the normalizer cancels.
-    """
-    c = listener.categories[d]
-    return _floored_ratio(listener.coupling[sign_new, c], listener.coupling[sign_old, c])
-
-
 def _as_objects(d) -> tuple[np.ndarray, bool]:
     """Object indices as a 1-d array, and whether d was a single index."""
     objects = np.asarray(d)
     return objects.reshape(-1), objects.ndim == 0
+
+
+def acceptance_ratio(listener: AgentModel, d, sign_new, sign_old):
+    """Listener-side ratio of its floored sign weights, new sign over
+    current one; the table's per-object normalizer cancels.
+
+    d, sign_new and sign_old are scalars or equal-length arrays.
+    """
+    objects, scalar = _as_objects(d)
+    rows = np.arange(objects.size)
+    weights = np.maximum(sign_table(listener, objects), PROB_FLOOR)
+    ratio = weights[rows, sign_new] / weights[rows, sign_old]
+    return ratio[0] if scalar else ratio
 
 
 def _draw_signs(table: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -167,9 +157,8 @@ def mh_exchange(speaker: AgentModel, listener: AgentModel, d, rng):
     gen = as_generator(rng)
     objects, scalar = _as_objects(d)
     u = gen.random((objects.size, 2))
-    proposed = _draw_signs(sign_distribution(speaker, objects), u[:, 0])
-    ratio = acceptance_ratio_h2h if listener.variant == VARIANT_H2H else acceptance_ratio_t2t
-    accepted = u[:, 1] < ratio(listener, objects, proposed, listener.signs[objects])
+    proposed = _draw_signs(sign_table(speaker, objects), u[:, 0])
+    accepted = u[:, 1] < acceptance_ratio(listener, objects, proposed, listener.signs[objects])
     listener.signs[objects[accepted]] = proposed[accepted]
     if scalar:
         return Utterance(d, int(proposed[0])), bool(accepted[0])
@@ -187,8 +176,8 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, d, rng):
         raise ValueError("agents disagree on the coupling variant")
     gen = as_generator(rng)
     objects, scalar = _as_objects(d)
-    logw = np.log(np.maximum(sign_distribution(agent_a, objects), PROB_FLOOR))
-    logw += np.log(np.maximum(sign_distribution(agent_b, objects), PROB_FLOOR))
+    logw = np.log(np.maximum(sign_table(agent_a, objects), PROB_FLOOR))
+    logw += np.log(np.maximum(sign_table(agent_b, objects), PROB_FLOOR))
     signs = _draw_signs(normalize_log_rows(logw), gen.random(objects.size))
     agent_a.signs[objects] = signs
     agent_b.signs[objects] = signs

@@ -202,42 +202,33 @@ def _log_gamma_draws(shape: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return logg
 
 
-def sample_dirichlet(alpha, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Draw a probability vector from Dirichlet(alpha).
+def sample_dirichlet_rows(alphas, rng: RngStream | np.random.Generator) -> list[np.ndarray]:
+    """Draw one Dirichlet vector per row of every positive concentration
+    matrix in alphas; returns one row-stochastic matrix per block.
 
-    Entries of the result are strictly positive even when alpha is far below
-    one, where naive normalized-gamma sampling returns exact zeros.
+    All gamma variates come from one standard_gamma call and one random
+    call over the blocks' entries in order, so a one-block call draws as a
+    single matrix does. Entries are strictly positive even when alpha is
+    far below one, where naive normalized-gamma sampling returns zeros.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ValueError("alpha must be a non-empty 1-d vector")
+    alphas = [np.asarray(alpha, dtype=float) for alpha in alphas]
+    if not alphas or any(alpha.ndim != 2 or alpha.size == 0 for alpha in alphas):
+        raise ValueError("alphas must be non-empty 2-d matrices")
+    flat = np.concatenate([alpha.reshape(-1) for alpha in alphas])
     # a NaN fails both comparisons
-    if not (alpha.min() > 0 and alpha.max() < np.inf):
+    if not (flat.min() > 0 and flat.max() < np.inf):
         raise ValueError("alpha entries must be positive and finite")
-    gen = as_generator(rng)
-    p = _log_gamma_draws(alpha, gen)
-    p -= _logsumexp(p)
-    np.exp(p, out=p)
-    np.maximum(p, PROB_FLOOR, out=p)
-    p /= p.sum()
-    return p
-
-
-def sample_dirichlet_rows(alpha: np.ndarray, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Draw one Dirichlet vector per row of a positive concentration matrix."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 2 or alpha.size == 0:
-        raise ValueError("alpha must be a non-empty 2-d matrix")
-    # a NaN fails both comparisons
-    if not (alpha.min() > 0 and alpha.max() < np.inf):
-        raise ValueError("alpha entries must be positive and finite")
-    gen = as_generator(rng)
-    p = _log_gamma_draws(alpha, gen)
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    np.maximum(p, PROB_FLOOR, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    logg = _log_gamma_draws(flat, as_generator(rng))
+    ends = np.cumsum([alpha.size for alpha in alphas])
+    out = []
+    for alpha, block in zip(alphas, np.split(logg, ends[:-1])):
+        p = block.reshape(alpha.shape)
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        np.maximum(p, PROB_FLOOR, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        out.append(p)
+    return out
 
 
 def sample_categorical_rows(probs: np.ndarray, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -248,11 +239,6 @@ def sample_categorical_rows(probs: np.ndarray, rng: RngStream | np.random.Genera
     u = gen.random((probs.shape[0], 1))
     idx = (cum < u).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
-
-
-def _logsumexp(logw: np.ndarray) -> float:
-    m = logw.max()
-    return float(m + np.log(np.exp(logw - m).sum()))
 
 
 def normalize_log_rows(logw: np.ndarray) -> np.ndarray:

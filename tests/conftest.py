@@ -11,7 +11,7 @@ from signgame.agents import (
     Hyperparams,
     ModalityMask,
     sample_categories,
-    sign_distribution,
+    sign_table,
     update_parameters,
 )
 from signgame.stochastic import sample_categorical_rows
@@ -88,6 +88,7 @@ def solo_gibbs_fit(agent, dataset, iterations, rng):
         update_parameters(agent, dataset, step.derive(0))
         sample_categories(agent, dataset, step.derive(1))
         objects = np.arange(dataset.num_objects)
+        table = sign_table(agent, objects)
         # one uniform per object, in object order
-        agent.signs = sample_categorical_rows(sign_distribution(agent, objects), step.derive(2))
+        agent.signs = sample_categorical_rows(table / table.sum(axis=1, keepdims=True), step.derive(2))
     return agent

@@ -12,13 +12,12 @@ from signgame.agents import (
     AgentModel,
     Hyperparams,
     ModalityMask,
+    category_log_prior,
     init_agent,
     observation_log_likelihood,
     posterior_concentrations,
     sample_categories,
-    sample_categories_h2h,
-    sample_categories_t2t,
-    sign_distribution,
+    sign_table,
     update_parameters,
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
@@ -122,7 +121,7 @@ def test_h2h_category_conditional_hand_example():
         emissions=[[0.9, 0.1], [0.1, 0.9]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories_h2h(agent, data, RngStream(31))
+    draws = sample_categories(agent, data, RngStream(31))
     freq = float(np.mean(draws == 0))
     assert freq == pytest.approx(0.81 / 0.82, abs=5e-3)
 
@@ -136,7 +135,7 @@ def test_t2t_category_conditional_hand_example():
         emissions=[[0.9, 0.1], [0.1, 0.9]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories_t2t(agent, data, RngStream(32))
+    draws = sample_categories(agent, data, RngStream(32))
     freq = float(np.mean(draws == 0))
     assert freq == pytest.approx(0.81 / 0.82, abs=5e-3)
 
@@ -152,7 +151,7 @@ def test_uniform_parameters_give_uniform_categories():
         num_categories=3,
         category_weights=np.full(3, 1 / 3),
     )
-    draws = sample_categories_h2h(agent, data, RngStream(33))
+    draws = sample_categories(agent, data, RngStream(33))
     freqs = np.bincount(draws, minlength=3) / n
     assert np.max(np.abs(freqs - 1 / 3)) < 0.01
 
@@ -166,7 +165,7 @@ def test_sign_factor_dominates_identical_likelihoods():
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories_h2h(agent, data, RngStream(34))
+    draws = sample_categories(agent, data, RngStream(34))
     assert np.all(draws == 0)
 
 
@@ -179,20 +178,8 @@ def test_t2t_degenerate_prior_row_pins_category():
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories_t2t(agent, data, RngStream(35))
+    draws = sample_categories(agent, data, RngStream(35))
     assert np.all(draws == 0)
-
-
-def test_sample_categories_dispatches_by_variant():
-    data = tiny_dataset([[1, 1]])
-    h2h = tiny_agent("h2h", [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], [0])
-    t2t = tiny_agent("t2t", [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], [0])
-    sample_categories(h2h, data, RngStream(0))
-    sample_categories(t2t, data, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_categories_h2h(t2t, data, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_categories_t2t(h2h, data, RngStream(0))
 
 
 def test_posterior_concentrations_exact_bookkeeping():
@@ -284,7 +271,18 @@ def test_empty_category_keeps_valid_rows():
     assert np.all(agent.emissions["v"][1] > 0)
 
 
-def test_sign_distribution_h2h_reads_coupling_row():
+def test_category_log_prior_hand_values():
+    # h2h: category weight times the chance the category emits the sign
+    h2h = tiny_agent("h2h", [[0.6, 0.4], [0.3, 0.7]], [[0.5, 0.5], [0.5, 0.5]], [0, 1], category_weights=[0.25, 0.75])
+    np.testing.assert_allclose(
+        np.exp(category_log_prior(h2h)), [[0.25 * 0.6, 0.75 * 0.3], [0.25 * 0.4, 0.75 * 0.7]], rtol=1e-12
+    )
+    # t2t: the sign's row over categories
+    t2t = tiny_agent("t2t", [[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]], [1, 0, 1])
+    np.testing.assert_allclose(np.exp(category_log_prior(t2t)), [[0.2, 0.8], [0.9, 0.1], [0.2, 0.8]], rtol=1e-12)
+
+
+def test_sign_table_h2h_reads_coupling_row():
     agent = tiny_agent(
         "h2h",
         coupling=[[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]],
@@ -292,21 +290,20 @@ def test_sign_distribution_h2h_reads_coupling_row():
         signs=[0],
     )
     agent.categories = np.array([1])
-    np.testing.assert_allclose(sign_distribution(agent, 0), [0.1, 0.2, 0.7])
+    np.testing.assert_allclose(sign_table(agent, 0), [0.1, 0.2, 0.7])
 
 
-def test_sign_distribution_t2t_normalizes_column():
+def test_sign_table_t2t_reads_raw_column():
     agent = tiny_agent(
         "t2t",
         coupling=[[0.2, 0.8], [0.6, 0.4], [0.2, 0.8]],
         emissions=[[0.5, 0.5], [0.5, 0.5]],
-        signs=[0],
+        signs=[0, 0],
     )
-    agent.categories = np.array([0])
-    np.testing.assert_allclose(sign_distribution(agent, 0), [0.2, 0.6, 0.2])
-    # equal rows reduce to a uniform sign distribution
-    agent.coupling = np.full((3, 2), 0.5)
-    np.testing.assert_allclose(sign_distribution(agent, 0), np.full(3, 1 / 3))
+    agent.categories = np.array([0, 1])
+    # the column of the object's category, not normalized over signs
+    assert sign_table(agent, 0).tolist() == [0.2, 0.6, 0.2]
+    assert sign_table(agent, np.array([1, 0])).tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
 
 
 def test_observation_log_likelihood_hand_values():
@@ -370,8 +367,8 @@ def test_two_applications_leave_category_distribution_invariant():
         signs=np.zeros(n, dtype=np.int64),
         category_weights=[0.55, 0.45],
     )
-    once = np.bincount(sample_categories_h2h(agent, data, RngStream(60)), minlength=2) / n
-    twice = np.bincount(sample_categories_h2h(agent, data, RngStream(61)), minlength=2) / n
+    once = np.bincount(sample_categories(agent, data, RngStream(60)), minlength=2) / n
+    twice = np.bincount(sample_categories(agent, data, RngStream(61)), minlength=2) / n
     assert np.abs(once - twice).sum() / 2 < 0.01
     # and both match the enumerated conditional
     w0 = 0.55 * (0.8**2 * 0.2) * 0.6

@@ -1,12 +1,15 @@
 """Tests for synthetic dataset generation."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import solo_gibbs_fit
 from signgame.agents import Hyperparams, ModalityMask, init_agent
 from signgame.datagen import SyntheticConfig, generate_dataset
+from signgame.experiment import CONDITION_MASKS
 from signgame.metrics import adjusted_rand_index
 from signgame.stochastic import RngStream
 
@@ -111,3 +114,27 @@ def test_single_modality_fit_recovers_planted_types():
     agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(2025).derive(1))
     solo_gibbs_fit(agent, data, 150, RngStream(2025).derive(2))
     assert adjusted_rand_index(agent.categories, data.true_type) >= 0.6
+
+
+def dataset_digest(seed=0, trials=3):
+    """sha256 over the generating emissions and every observation array of
+    conditions 1-4 x trials at default sizes, with the grid's masks."""
+    h = hashlib.sha256()
+    for condition, (mask_a, mask_b) in sorted(CONDITION_MASKS.items()):
+        for trial in range(trials):
+            data = generate_dataset(SyntheticConfig(), mask_a, mask_b, RngStream(seed).derive(condition, trial))
+            arrays = [data.true_emissions[m] for m in sorted(data.true_emissions)]
+            arrays += [data.observations[a][m] for a in sorted(data.observations) for m in sorted(data.observations[a])]
+            for arr in arrays:
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# recorded before the agents' Dirichlet rows were drawn in one pass; the
+# datasets' one-block draw must consume the same variates in the same order
+GOLDEN_DATASET_DIGEST = "27b1236032a270ae44c22568b213026c47e779cc61b0e9587f0c832a5f64b427"
+
+
+def test_datasets_match_golden_digest():
+    assert dataset_digest() == GOLDEN_DATASET_DIGEST

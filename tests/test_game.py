@@ -13,14 +13,13 @@ from signgame.agents import (
     ModalityMask,
     init_agent,
     sample_categories,
-    sign_distribution,
+    sign_table,
     update_parameters,
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.game import (
     CommunicationMode,
-    acceptance_ratio_h2h,
-    acceptance_ratio_t2t,
+    acceptance_ratio,
     gibbs_word,
     mh_exchange,
     GameState,
@@ -49,20 +48,20 @@ def small_game(mode, variant="h2h", iterations=4, seed=21):
 
 def test_acceptance_ratio_hand_values_h2h():
     listener = frozen_agent("h2h", [0.5, 0.25, 0.25])
-    assert acceptance_ratio_h2h(listener, 0, 0, 1) == pytest.approx(2.0, rel=1e-12)
-    assert acceptance_ratio_h2h(listener, 0, 2, 2) == 1.0
+    assert acceptance_ratio(listener, 0, 0, 1) == pytest.approx(2.0, rel=1e-12)
+    assert acceptance_ratio(listener, 0, 2, 2) == 1.0
 
     skewed = frozen_agent("h2h", [0.1, 0.9])
-    assert acceptance_ratio_h2h(skewed, 0, 0, 1) == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert acceptance_ratio(skewed, 0, 0, 1) == pytest.approx(1.0 / 9.0, rel=1e-12)
 
 
 def test_acceptance_ratio_hand_values_t2t():
     listener = frozen_agent("t2t", [0.6, 0.3, 0.1])
-    assert acceptance_ratio_t2t(listener, 0, 0, 1) == pytest.approx(2.0, rel=1e-12)
+    assert acceptance_ratio(listener, 0, 0, 1) == pytest.approx(2.0, rel=1e-12)
 
     skewed = frozen_agent("t2t", [0.5, 0.45, 0.05])
-    assert acceptance_ratio_t2t(skewed, 0, 2, 0) == pytest.approx(0.1, rel=1e-12)
-    assert acceptance_ratio_t2t(skewed, 0, 1, 1) == 1.0
+    assert acceptance_ratio(skewed, 0, 2, 0) == pytest.approx(0.1, rel=1e-12)
+    assert acceptance_ratio(skewed, 0, 1, 1) == 1.0
 
 
 def test_mh_exchange_accepts_everything_against_indifferent_listener():
@@ -195,15 +194,14 @@ def test_run_game_rejects_bad_arguments():
 
 
 # Scalar reference: the per-object formulas the array kernels replace
-# (cumsum + searchsorted draw, floored log ratio, one object per call).
+# (cumsum + searchsorted draw, floored ratio, one object per call).
 
 
-def reference_sign_distribution(agent, d):
+def reference_sign_table(agent, d):
     c = agent.categories[d]
     if agent.variant == "h2h":
         return agent.coupling[c]
-    col = agent.coupling[:, c]
-    return col / col.sum()
+    return agent.coupling[:, c]
 
 
 def reference_draw(probs, gen):
@@ -218,12 +216,11 @@ def reference_ratio(listener, d, proposed, current):
         p_new, p_old = listener.coupling[c, proposed], listener.coupling[c, current]
     else:
         p_new, p_old = listener.coupling[proposed, c], listener.coupling[current, c]
-    log_a = np.log(max(p_new, PROB_FLOOR)) - np.log(max(p_old, PROB_FLOOR))
-    return float(np.exp(log_a))
+    return float(max(p_new, PROB_FLOOR) / max(p_old, PROB_FLOOR))
 
 
 def reference_mh(speaker, listener, d, gen):
-    proposed = reference_draw(reference_sign_distribution(speaker, d), gen)
+    proposed = reference_draw(reference_sign_table(speaker, d), gen)
     current = int(listener.signs[d])
     accepted = bool(gen.random() < min(1.0, reference_ratio(listener, d, proposed, current)))
     if accepted:
@@ -232,8 +229,8 @@ def reference_mh(speaker, listener, d, gen):
 
 
 def reference_gibbs(agent_a, agent_b, d, gen):
-    pa = reference_sign_distribution(agent_a, d)
-    pb = reference_sign_distribution(agent_b, d)
+    pa = reference_sign_table(agent_a, d)
+    pb = reference_sign_table(agent_b, d)
     logw = np.log(np.maximum(pa, PROB_FLOOR)) + np.log(np.maximum(pb, PROB_FLOOR))
     p = np.exp(logw - logw.max())
     sign = reference_draw(p / p.sum(), gen)
@@ -272,13 +269,12 @@ def test_sign_tables_and_ratios_match_scalar_reference_bitwise(variant):
     agent, _ = random_agents(variant, 6)
     agent.coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
     objects = np.arange(agent.categories.size)
-    table = sign_distribution(agent, objects)
+    table = sign_table(agent, objects)
     for d in objects:
-        assert table[d].tobytes() == reference_sign_distribution(agent, d).tobytes()
+        assert table[d].tobytes() == reference_sign_table(agent, d).tobytes()
     new, old = np.meshgrid(np.arange(KERNEL_HYPER.num_signs), np.arange(KERNEL_HYPER.num_signs))
     d = np.resize(objects, new.size)
-    ratio = acceptance_ratio_h2h if variant == "h2h" else acceptance_ratio_t2t
-    batched = ratio(agent, d, new.ravel(), old.ravel())
+    batched = acceptance_ratio(agent, d, new.ravel(), old.ravel())
     expected = [reference_ratio(agent, *args) for args in zip(d, new.ravel(), old.ravel())]
     assert batched.tobytes() == np.array(expected).tobytes()
 

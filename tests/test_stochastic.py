@@ -14,7 +14,6 @@ from signgame.stochastic import (
     derive_streams,
     normalize_log_rows,
     sample_categorical_rows,
-    sample_dirichlet,
     sample_dirichlet_rows,
     open_generator,
     seed_words,
@@ -83,17 +82,23 @@ def test_derive_streams_broadcasts_like_derive():
     assert table.tolist() == [base.derive(*row).stream for row in ids.tolist()]
 
 
+def dirichlet_row(alpha, rng):
+    """One Dirichlet(alpha) vector through sample_dirichlet_rows on a one-row block."""
+    (rows,) = sample_dirichlet_rows([np.reshape(alpha, (1, -1))], rng)
+    return rows[0]
+
+
 def test_sample_dirichlet_is_valid_distribution():
     rng = RngStream(seed=0)
-    p = sample_dirichlet([0.5, 1.5, 2.0], rng)
+    p = dirichlet_row([0.5, 1.5, 2.0], rng)
     assert p.shape == (3,)
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) <= 1e-9
 
 
 def test_sample_dirichlet_determinism():
-    p1 = sample_dirichlet([0.1, 0.2, 0.3], RngStream(seed=9, stream=4))
-    p2 = sample_dirichlet([0.1, 0.2, 0.3], RngStream(seed=9, stream=4))
+    p1 = dirichlet_row([0.1, 0.2, 0.3], RngStream(seed=9, stream=4))
+    p2 = dirichlet_row([0.1, 0.2, 0.3], RngStream(seed=9, stream=4))
     assert np.array_equal(p1, p2)
 
 
@@ -102,12 +107,12 @@ def test_sample_dirichlet_empirical_mean():
     alpha = np.array([3.01, 7.01])
     expect = alpha / alpha.sum()
     gen = RngStream(seed=42).generator()
-    draws = np.array([sample_dirichlet(alpha, gen) for _ in range(100_000)])
+    draws = np.array([dirichlet_row(alpha, gen) for _ in range(100_000)])
     assert np.max(np.abs(draws.mean(axis=0) - expect)) < 5e-3
 
 
 def test_sample_dirichlet_concentrated_limit():
-    p = sample_dirichlet(np.full(4, 1e9), RngStream(seed=1))
+    p = dirichlet_row(np.full(4, 1e9), RngStream(seed=1))
     assert np.max(np.abs(p - 0.25)) < 1e-3
 
 
@@ -116,7 +121,7 @@ def test_sample_dirichlet_sparse_shapes_are_near_one_hot():
     gen = RngStream(seed=7).generator()
     hits = 0
     for _ in range(500):
-        p = sample_dirichlet(np.full(20, 0.001), gen)
+        p = dirichlet_row(np.full(20, 0.001), gen)
         assert np.all(p > 0)
         if p.max() > 0.95:
             hits += 1
@@ -129,26 +134,40 @@ def test_sample_dirichlet_sparse_shapes_are_near_one_hot():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_sample_dirichlet_property_valid(alpha, seed):
-    p = sample_dirichlet(alpha, RngStream(seed=seed))
+    p = dirichlet_row(alpha, RngStream(seed=seed))
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) <= 1e-9
 
 
 def test_sample_dirichlet_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        sample_dirichlet([], RngStream(seed=0))
+        dirichlet_row([], RngStream(seed=0))
     with pytest.raises(ValueError):
-        sample_dirichlet([1.0, 0.0], RngStream(seed=0))
+        dirichlet_row([1.0, 0.0], RngStream(seed=0))
     with pytest.raises(ValueError):
-        sample_dirichlet([1.0, -2.0], RngStream(seed=0))
+        dirichlet_row([1.0, -2.0], RngStream(seed=0))
+    with pytest.raises(ValueError):
+        sample_dirichlet_rows([], RngStream(seed=0))
+    with pytest.raises(ValueError):
+        sample_dirichlet_rows([np.ones((1, 2)), np.ones(3)], RngStream(seed=0))
+    with pytest.raises(ValueError):
+        sample_dirichlet_rows([np.ones((1, 2)), np.array([[1.0, np.nan]])], RngStream(seed=0))
 
 
 def test_sample_dirichlet_rows_matches_row_draws():
     alpha = np.array([[0.001, 0.5, 3.0], [2.0, 2.0, 2.0]])
-    rows = sample_dirichlet_rows(alpha, RngStream(seed=3))
+    (rows,) = sample_dirichlet_rows([alpha], RngStream(seed=3))
     assert rows.shape == (2, 3)
     assert np.all(rows > 0)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+    # two blocks of different widths in one call, each normalized on its own rows
+    narrow, wide = np.array([0.001, 0.5, 3.0]), np.linspace(0.1, 2.0, 20)
+    blocks = sample_dirichlet_rows([np.tile(narrow, (100_000, 1)), np.tile(wide, (100_000, 1))], RngStream(seed=4))
+    for alpha, rows in zip((narrow, wide), blocks):
+        assert rows.shape == (100_000, alpha.size)
+        assert np.all(rows > 0)
+        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+        assert np.max(np.abs(rows.mean(axis=0) - alpha / alpha.sum())) < 5e-3
 
 
 def categorical_draws(p, gen, size, chunk=100_000):
@@ -179,7 +198,7 @@ def test_sample_categorical_total_variation():
 
 def test_sample_categorical_20dim_total_variation():
     gen = RngStream(seed=17).generator()
-    p = sample_dirichlet(np.ones(20), gen)
+    p = dirichlet_row(np.ones(20), gen)
     draws = categorical_draws(p, gen, 1_000_000)
     emp = np.bincount(draws, minlength=20) / draws.size
     assert 0.5 * np.abs(emp - p).sum() < 0.005
