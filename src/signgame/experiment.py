@@ -15,8 +15,9 @@ import json
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
@@ -138,34 +139,39 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
 
 def _trial_worker(payload):
     cfg, trial = payload
-    return trial, run_trial(cfg, trial)
+    return run_trial(cfg, trial)
 
 
 def _workers(cfg: ExperimentConfig) -> int:
-    # a cell never has more than cfg.trials tasks in flight, and workers
-    # beyond the cores only contend; the pool forks all of them at once
+    # a lone cell has only cfg.trials tasks, and workers beyond the cores
+    # only contend; the pool forks all of them at once
     return min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
 
 
-def run_cell(cfg: ExperimentConfig, pool: ProcessPoolExecutor | None = None) -> tuple[list[tuple], dict]:
+def _trial_records(cells: list[ExperimentConfig]):
+    """Yield each trial's records, cell by cell and trial by trial: one task
+    list, mapped by one pool when there is more than one worker, so no cell
+    waits for the slowest trial of the cell before it."""
+    tasks = [(cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials)]
+    if _workers(cells[0]) > 1:
+        with ProcessPoolExecutor(max_workers=_workers(cells[0])) as pool:
+            yield from pool.map(_trial_worker, tasks)
+    else:
+        yield from map(_trial_worker, tasks)
+
+
+def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:
     """All trials of one cell: detail rows (trial, iteration order) + summary.
 
-    Trials run in pool when one is given, in a pool opened for this cell
-    when cfg.jobs, cfg.trials and the cores all allow more than one worker,
-    and in this process otherwise.
+    The cell takes its cfg.trials per-trial records from the records
+    iterator when one is given, and runs its own trials otherwise.
     """
-    if pool is None and _workers(cfg) > 1:
-        with ProcessPoolExecutor(max_workers=_workers(cfg)) as own_pool:
-            return run_cell(cfg, own_pool)
-    if pool is not None:
-        done = dict(pool.map(_trial_worker, [(cfg, t) for t in range(cfg.trials)]))
-        per_trial = [done[t] for t in range(cfg.trials)]
-    else:
-        per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
+    with nullcontext(records) if records is not None else closing(_trial_records([cfg])) as source:
+        per_trial = list(islice(source, cfg.trials))
 
     detail = []
-    for trial, records in enumerate(per_trial):
-        for rec in records:
+    for trial, trial_records in enumerate(per_trial):
+        for rec in trial_records:
             detail.append(
                 (cfg.variant, cfg.method, cfg.condition, trial, rec.iteration, rec.ari_a, rec.ari_b, rec.kappa)
             )
@@ -249,11 +255,10 @@ def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     summary row per cell."""
     detail_rows = []
     summary_rows = []
-    # one worker pool serves every cell of a parallel run, one cell at a time
-    workers = _workers(cfg)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for cell_cfg in full_grid_configs(cfg):
-            detail, summary = run_cell(cell_cfg, pool)
+    cells = full_grid_configs(cfg)
+    with closing(_trial_records(cells)) as records:
+        for cell_cfg in cells:
+            detail, summary = run_cell(cell_cfg, records)
             detail_rows.extend(detail)
             summary_rows.append(summary)
             if progress is not None:

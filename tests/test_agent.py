@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from conftest import solo_gibbs_fit
 from signgame.agents import (
     AgentModel,
     Hyperparams,

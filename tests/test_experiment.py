@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -212,30 +213,79 @@ def test_full_grid_across_a_seed_block_matches_golden_digests(tmp_path):
 
 def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     started = []
+    mapped = []
 
     class CountedPool(experiment.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
+        def map(self, fn, *iterables, **kwargs):
+            tasks = list(iterables[0])
+            mapped.append([(c.variant, c.method, c.condition, t) for c, t in tasks])
+            return super().map(fn, tasks, **kwargs)
+
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
     cells = []
-    run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "parallel", progress=cells.append)
+    cfg = small_config(iterations=2, jobs=2)
+    run_full_grid(cfg, tmp_path / "parallel", progress=cells.append)
     assert started == [2]
     assert len(cells) == 24
+    # every trial of every cell is one task of a single map call, in report order
+    order = [(c.variant, c.method, c.condition) for c in full_grid_configs(cfg)]
+    assert mapped == [[key + (t,) for key in order for t in range(cfg.trials)]]
+    assert [(row["variant"], row["method"], row["condition"]) for row in cells] == order
     run_full_grid(small_config(iterations=2), tmp_path / "serial")
     assert started == [2]
     # a pool never has more workers than a cell has trials, nor than cores
     run_full_grid(small_config(iterations=2, jobs=5000, trials=2), tmp_path / "wide")
     run_cell(small_config(iterations=1, jobs=5000, trials=2))
     assert started == [2, 2, 2]
+    assert len(mapped) == 3
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 1)
     run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "one_core")
     assert started == [2, 2, 2]
     for run in ("parallel", "wide", "one_core"):
         for name in ("detail.csv", "summary.csv"):
             assert (tmp_path / run / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
+    failing = full_grid_configs(small_config())[10]
+    run_trial = experiment.run_trial
+
+    def fail_one_cell(cfg, trial):
+        if (cfg.variant, cfg.method, cfg.condition) == (failing.variant, failing.method, failing.condition):
+            raise RuntimeError("trial failed")
+        return run_trial(cfg, trial)
+
+    # patched before the pool forks, so the workers inherit it
+    monkeypatch.setattr(experiment, "run_trial", fail_one_cell)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+    cells = []
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_full_grid(small_config(iterations=2, jobs=2), tmp_path, progress=cells.append)
+    assert len(cells) == 10
+    assert not (tmp_path / "detail.csv").exists()
+    assert not (tmp_path / "summary.csv").exists()
+    # the pool is shut down before run_full_grid returns
+    assert multiprocessing.active_children() == []
+
+    # a failure in this process, between the cells, also closes the pool,
+    # while the traceback still holds run_full_grid's frame
+    cells = []
+
+    def stop_at_cell_5(summary):
+        if len(cells) == 5:
+            raise KeyboardInterrupt
+        cells.append(summary)
+
+    with pytest.raises(KeyboardInterrupt) as stopped:
+        run_full_grid(small_config(iterations=2, jobs=2), tmp_path, progress=stop_at_cell_5)
+    assert stopped.traceback
+    assert not (tmp_path / "detail.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_full_grid_configs_enumerate_24_cells():
@@ -461,9 +511,7 @@ def test_console_script_smoke(tmp_path):
 
 # Functions that no run, full or compare command enters in this process,
 # each with the reason it still exists.
-UNPROFILED = {
-    "signgame.experiment._trial_worker": "runs only inside pool workers (--jobs > 1), out of this process's profiler",
-}
+UNPROFILED = {}
 
 PROFILED_COMMANDS = r"""
 import json, sys

@@ -24,7 +24,6 @@ from signgame.game import (
     mh_exchange,
     GameState,
     run_game,
-    run_iteration,
 )
 from signgame.metrics import adjusted_rand_index, kappa
 from signgame.stochastic import PROB_FLOOR, RngStream, open_generator
