@@ -62,14 +62,16 @@ class Hyperparams:
     num_signs: int = 15
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (0 < self.coupling_concentration < np.inf and 0 < self.category_concentration < np.inf):
-            raise ValueError("concentrations must be positive and finite")
+        # Written so that NaN fails too. The Dirichlet draw divides
+        # log1p(-u), which is at least -53 ln 2 = -36.7, by the
+        # concentration; from PROB_FLOOR up the quotient stays finite.
+        if not (PROB_FLOOR <= self.coupling_concentration < np.inf and PROB_FLOOR <= self.category_concentration < np.inf):
+            raise ValueError(f"concentrations must be finite and at least {PROB_FLOOR:g}")
         for m, b in self.emission_concentration.items():
             if m not in MODALITIES:
                 raise ValueError(f"unknown modality {m!r}")
-            if not 0 < b < np.inf:
-                raise ValueError(f"emission concentration for {m!r} must be positive and finite")
+            if not PROB_FLOOR <= b < np.inf:
+                raise ValueError(f"emission concentration for {m!r} must be finite and at least {PROB_FLOOR:g}")
         if self.num_categories < 1 or self.num_signs < 1:
             raise ValueError("num_categories and num_signs must be at least 1")
 

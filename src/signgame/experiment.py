@@ -142,19 +142,16 @@ def _trial_worker(payload):
     return run_trial(cfg, trial)
 
 
-def _workers(cfg: ExperimentConfig) -> int:
-    # a lone cell has only cfg.trials tasks, and workers beyond the cores
-    # only contend; the pool forks all of them at once
-    return min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
-
-
 def _trial_records(cells: list[ExperimentConfig]):
     """Yield each trial's records, cell by cell and trial by trial: one task
     list, mapped by one pool when there is more than one worker, so no cell
     waits for the slowest trial of the cell before it."""
     tasks = [(cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials)]
-    if _workers(cells[0]) > 1:
-        with ProcessPoolExecutor(max_workers=_workers(cells[0])) as pool:
+    # workers beyond the tasks or the cores only contend; the pool forks
+    # all of them at once
+    workers = min(cells[0].jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_trial_worker, tasks)
     else:
         yield from map(_trial_worker, tasks)
@@ -235,6 +232,8 @@ def write_reports(out_dir: Path, detail_rows, summary_rows) -> tuple[Path, Path]
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Run one cell and write its detail/summary CSVs; returns the summary."""
+    # an unusable out_dir fails here, before any trial runs
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     detail, summary = run_cell(cfg)
     write_reports(Path(out_dir), detail, [summary])
     return summary
@@ -253,6 +252,7 @@ def full_grid_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
     """Run all 24 cells with cfg's sizes and seed; combined CSVs, one
     summary row per cell."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     detail_rows = []
     summary_rows = []
     cells = full_grid_configs(cfg)

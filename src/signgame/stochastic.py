@@ -8,11 +8,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import groupby
 
 import numpy as np
 
 # Probabilities are floored before any log so that log-weights stay finite.
 PROB_FLOOR = 1e-300
+
+# Where sample_dirichlet_rows clamps log-weights, relative to their row's
+# maximum, before exp. Any c with exp(c) < PROB_FLOOR (c < ln 1e-300 =
+# -690.78) leaves every output bit as it was: an entry below c came out of
+# exp below PROB_FLOOR and was floored to PROB_FLOOR, and exp(c) is floored
+# to the same value. With c above ln(smallest normal float) = -708.40,
+# exp(c) = 9.9e-305 is a normal float, so exp never takes numpy's slow path
+# for results that underflow to zero or to subnormals.
+EXP_CLAMP = -700.0
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -210,6 +220,7 @@ def sample_dirichlet_rows(alphas, rng: RngStream | np.random.Generator) -> list[
     call over the blocks' entries in order, so a one-block call draws as a
     single matrix does. Entries are strictly positive even when alpha is
     far below one, where naive normalized-gamma sampling returns zeros.
+    The returned matrices are views of one buffer.
     """
     alphas = [np.asarray(alpha, dtype=float) for alpha in alphas]
     if not alphas or any(alpha.ndim != 2 or alpha.size == 0 for alpha in alphas):
@@ -220,14 +231,19 @@ def sample_dirichlet_rows(alphas, rng: RngStream | np.random.Generator) -> list[
         raise ValueError("alpha entries must be positive and finite")
     logg = _log_gamma_draws(flat, as_generator(rng))
     ends = np.cumsum([alpha.size for alpha in alphas])
-    out = []
-    for alpha, block in zip(alphas, np.split(logg, ends[:-1])):
-        p = block.reshape(alpha.shape)
+    out = [logg[end - alpha.size : end].reshape(alpha.shape) for alpha, end in zip(alphas, ends)]
+    # consecutive blocks of one width are normalized as one matrix; each
+    # row's max, exp, floor and sum come out as they do block by block
+    start = 0
+    for width, run in groupby(alphas, key=lambda alpha: alpha.shape[1]):
+        stop = start + sum(alpha.size for alpha in run)
+        p = logg[start:stop].reshape(-1, width)
         p -= p.max(axis=1, keepdims=True)
+        np.maximum(p, EXP_CLAMP, out=p)
         np.exp(p, out=p)
         np.maximum(p, PROB_FLOOR, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        out.append(p)
+        start = stop
     return out
 
 

@@ -21,7 +21,7 @@ from signgame.agents import (
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.metrics import adjusted_rand_index
-from signgame.stochastic import RngStream
+from signgame.stochastic import RngStream, sample_dirichlet_rows
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -403,8 +403,17 @@ def test_single_agent_fit_recovers_types_on_most_seeds():
         {"emission_concentration": {"v": float("inf")}},
         {"emission_concentration": {"s": float("nan")}},
         {"emission_concentration": {"h": -1.0}},
+        # log1p(-u) / 1e-310 overflows to -inf and turns a Dirichlet row to NaN
+        {"emission_concentration": {"v": 1e-310}},
+        {"coupling_concentration": 1e-310},
     ],
 )
 def test_hyperparams_reject_non_finite_or_non_positive_concentrations(kwargs):
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="finite and at least 1e-300"):
         Hyperparams(**kwargs)
+
+
+def test_smallest_accepted_concentration_draws_finite_rows():
+    hyper = Hyperparams(coupling_concentration=1e-300, emission_concentration={"v": 1e-300})
+    (rows,) = sample_dirichlet_rows([np.full((50, 20), hyper.emission_concentration["v"])], RngStream(seed=1))
+    assert np.all(rows > 0) and np.allclose(rows.sum(axis=1), 1.0)

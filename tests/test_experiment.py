@@ -238,17 +238,23 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     assert [(row["variant"], row["method"], row["condition"]) for row in cells] == order
     run_full_grid(small_config(iterations=2), tmp_path / "serial")
     assert started == [2]
-    # a pool never has more workers than a cell has trials, nor than cores
+    # a pool never has more workers than cores, nor than tasks: the grid's
+    # 48 tasks fill 3 cores, a lone cell's 2 trials fill 2 workers
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 3)
     run_full_grid(small_config(iterations=2, jobs=5000, trials=2), tmp_path / "wide")
     run_cell(small_config(iterations=1, jobs=5000, trials=2))
-    assert started == [2, 2, 2]
-    assert len(mapped) == 3
+    assert started == [2, 3, 2]
+    # a one-trial grid still has 24 tasks for its pool
+    run_full_grid(small_config(iterations=2, jobs=2, trials=1), tmp_path / "one_trial")
+    assert started == [2, 3, 2, 2]
+    assert len(mapped) == 4
+    run_full_grid(small_config(iterations=2, trials=1), tmp_path / "one_trial_serial")
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 1)
     run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "one_core")
-    assert started == [2, 2, 2]
-    for run in ("parallel", "wide", "one_core"):
+    assert started == [2, 3, 2, 2]
+    for run, serial in (("parallel", "serial"), ("wide", "serial"), ("one_core", "serial"), ("one_trial", "one_trial_serial")):
         for name in ("detail.csv", "summary.csv"):
-            assert (tmp_path / run / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / run / name).read_bytes() == (tmp_path / serial / name).read_bytes()
 
 
 def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
@@ -362,6 +368,20 @@ def test_cli_run_compare_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "full"])
+def test_cli_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    def no_trial(cfg, trial):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(experiment, "run_trial", no_trial)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL_FILE_BLOCKS, "trials": 1, "iterations": 2}))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("plain file")
+    assert main([command, "--config", str(cfg_path), "--out", str(blocker)]) == EXIT_IO
+    assert "File exists" in capsys.readouterr().err
+
+
 def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     blocks = {**SMALL_FILE_BLOCKS, "hyperparams": {**SMALL_FILE_BLOCKS["hyperparams"], "emission_concentration": {"v": 0.01}}}
@@ -427,6 +447,9 @@ def test_cli_rejects_malformed_blocks(tmp_path, capsys, payload, needle):
         '{"category_concentration": NaN}',
         '{"emission_concentration": {"h": Infinity}}',
         pytest.param('{"coupling_concentration": 1' + "0" * 400 + "}", id="integer-beyond-float-range"),
+        # below 1e-300 the Dirichlet draw's log-gammas overflow to -inf
+        '{"emission_concentration": {"v": 1e-310}}',
+        '{"coupling_concentration": 1e-310}',
     ],
 )
 def test_cli_rejects_non_finite_concentrations(tmp_path, capsys, block):

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signgame.stochastic import (
+    EXP_CLAMP,
+    PROB_FLOOR,
     DegenerateDistributionError,
     RngStream,
     derive_streams,
@@ -168,6 +170,51 @@ def test_sample_dirichlet_rows_matches_row_draws():
         assert np.all(rows > 0)
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
         assert np.max(np.abs(rows.mean(axis=0) - alpha / alpha.sum())) < 5e-3
+
+
+def reference_dirichlet_rows(alphas, gen):
+    """The block-by-block normalization sample_dirichlet_rows replaced: exp
+    without a clamp, then the floor, on each block on its own."""
+    flat = np.concatenate([alpha.reshape(-1) for alpha in alphas])
+    boost = gen.standard_gamma(flat + 1.0)
+    u = gen.random(flat.shape)
+    logg = np.log(np.maximum(boost, PROB_FLOOR)) + np.log1p(-u) / flat
+    out = []
+    for alpha, block in zip(alphas, np.split(logg, np.cumsum([a.size for a in alphas])[:-1])):
+        p = block.reshape(alpha.shape)
+        p = np.maximum(np.exp(p - p.max(axis=1, keepdims=True)), PROB_FLOOR)
+        out.append(p / p.sum(axis=1, keepdims=True))
+    return out
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        pytest.param([(1, 15), (15, 15), (15, 20), (15, 20), (15, 20)], id="h2h"),
+        pytest.param([(15, 15), (15, 500), (15, 500), (15, 500)], id="t2t-wide"),
+        pytest.param([(4, 3), (6, 20), (5, 3)], id="ungrouped"),
+    ],
+)
+def test_sample_dirichlet_rows_matches_block_by_block_reference(shapes):
+    # exp(EXP_CLAMP) is floored like every smaller exp, and is normal
+    assert np.finfo(float).tiny <= np.exp(EXP_CLAMP) < PROB_FLOOR
+    gen = np.random.default_rng(5)
+    floored = 0
+    for seed in range(20):
+        # sparse posteriors: the prior concentration plus a few counts
+        alphas = [
+            gen.choice([0.001, 0.01]) + (gen.random(shape) < 0.1) * gen.integers(1, 40, size=shape)
+            for shape in shapes
+        ]
+        ours = sample_dirichlet_rows(alphas, np.random.default_rng(seed))
+        theirs = reference_dirichlet_rows(alphas, np.random.default_rng(seed))
+        assert [p.shape for p in ours] == shapes
+        for p, q in zip(ours, theirs):
+            assert np.array_equal(p, q)
+            floored += np.count_nonzero(p <= PROB_FLOOR)
+    # many entries end at the floor, where a clamp above ln(PROB_FLOOR)
+    # would change them
+    assert floored > 0
 
 
 def categorical_draws(p, gen, size, chunk=100_000):
