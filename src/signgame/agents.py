@@ -146,7 +146,7 @@ def init_agent(
         categories=gen.integers(0, hyper.num_categories, size=d),
         signs=gen.integers(0, hyper.num_signs, size=d),
     )
-    update_parameters(agent, dataset, rng.derive(_STREAM_PARAMS))
+    update_parameters(agent, dataset, rng.derive(_STREAM_PARAMS).generator())
     return agent
 
 
@@ -175,11 +175,11 @@ def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> dict:
     return out
 
 
-def update_parameters(agent: AgentModel, dataset: "Dataset", rng) -> None:
+def update_parameters(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> None:
     """Resample all parameter fields from their conditional posteriors in one
     Dirichlet pass; the category weights are a one-row block."""
     conc = posterior_concentrations(agent, dataset)
-    draws = dict(zip(conc, sample_dirichlet_rows([np.atleast_2d(a) for a in conc.values()], rng)))
+    draws = dict(zip(conc, sample_dirichlet_rows([np.atleast_2d(a) for a in conc.values()], gen)))
     if agent.variant == VARIANT_H2H:
         agent.category_weights = draws["category_weights"][0]
     agent.coupling = draws["coupling"]
@@ -213,23 +213,21 @@ def category_log_prior(agent: AgentModel) -> np.ndarray:
     return log_coupling[agent.signs]
 
 
-def sample_categories(agent: AgentModel, dataset: "Dataset", rng) -> np.ndarray:
+def sample_categories(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> np.ndarray:
     """Redraw every category assignment from its exact conditional given the
     parameters, the observations and the current signs."""
     logw = observation_log_likelihood(agent, dataset) + category_log_prior(agent)
-    agent.categories = sample_categorical_rows(normalize_log_rows(logw), rng)
+    agent.categories = sample_categorical_rows(normalize_log_rows(logw), gen)
     return agent.categories
 
 
-def sign_table(agent: AgentModel, d) -> np.ndarray:
-    """Unnormalized weights over signs for object d.
+def sign_table(agent: AgentModel) -> np.ndarray:
+    """(num_objects, num_signs) unnormalized weights over signs.
 
-    d is one object index (a vector is returned) or an index array (one
-    row per object). h2h reads the coupling row of the object's category,
-    t2t its coupling column: the likelihood of the category under each
-    sign, which a uniform sign prior turns into the sign posterior. Every
-    reader draws or takes ratios within a row, so the row's normalizer
-    never matters.
+    h2h reads the coupling row of each object's category, t2t its coupling
+    column: the likelihood of the category under each sign, which a uniform
+    sign prior turns into the sign posterior. Every reader draws or takes
+    ratios within a row, so the row's normalizer never matters.
     """
-    c = agent.categories[d]
+    c = agent.categories
     return agent.coupling[c] if agent.variant == VARIANT_H2H else agent.coupling.T[c]

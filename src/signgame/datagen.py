@@ -28,7 +28,6 @@ class SyntheticConfig:
     objects_per_type: int = 10
     feature_dim: int = 20
     draws_per_modality: int = 20
-    modalities: tuple = MODALITIES
     hyper: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class SyntheticConfig:
             raise ValueError("feature_dim must be at least 2")
         if self.draws_per_modality < 1:
             raise ValueError("draws_per_modality must be at least 1")
-        if not self.modalities or set(self.modalities) - set(MODALITIES):
-            raise ValueError(f"modalities must be a non-empty subset of {MODALITIES}")
 
 
 @dataclass
@@ -66,25 +63,19 @@ def generate_dataset(
     rng: RngStream,
 ) -> Dataset:
     """Draw a fresh dataset; masked modalities are never materialized."""
-    for mask in (mask_a, mask_b):
-        missing = set(mask.present) - set(config.modalities)
-        if missing:
-            raise ValueError(f"mask requests modalities {sorted(missing)!r} not in the config")
-
-    ordered = tuple(m for m in MODALITIES if m in config.modalities)
     true_emissions = {}
-    for mi, m in enumerate(ordered):
+    for mi, m in enumerate(MODALITIES):
         conc = np.full(
             (config.num_types, config.feature_dim), config.hyper.emission_concentration[m]
         )
-        (true_emissions[m],) = sample_dirichlet_rows([conc], rng.derive(_STREAM_EMISSIONS, mi))
+        (true_emissions[m],) = sample_dirichlet_rows([conc], rng.derive(_STREAM_EMISSIONS, mi).generator())
 
     true_type = np.repeat(np.arange(config.num_types), config.objects_per_type)
     masks = dict(zip(AGENT_NAMES, (mask_a, mask_b)))
     observations = {}
     for ai, name in enumerate(AGENT_NAMES):
         per_agent = {}
-        for mi, m in enumerate(ordered):
+        for mi, m in enumerate(MODALITIES):
             if m not in masks[name]:
                 continue
             gen = rng.derive(_STREAM_OBSERVATIONS, ai, mi).generator()

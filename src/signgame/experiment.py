@@ -270,31 +270,35 @@ def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
 def read_summary(path) -> list[dict]:
     """Load a summary.csv back into row dicts (floats, None for blank kappas).
 
-    Raises ReportError if a column is missing, a value does not parse, or
-    an ARI cell is blank.
+    Raises ReportError if the file is not UTF-8, a column is missing, a
+    value does not parse, or an ARI cell is blank.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [key for key in SUMMARY_HEADER if key not in (reader.fieldnames or ())]
-        if missing:
-            raise ReportError(f"{path}: missing column {missing[0]!r}")
-        rows = []
-        for raw in reader:
-            try:
-                row = {
-                    "variant": raw["variant"],
-                    "method": raw["method"],
-                    "condition": int(raw["condition"]),
-                }
-                for key in SUMMARY_HEADER[3:]:
-                    row[key] = float(raw[key]) if raw[key] else None
-            except (TypeError, ValueError) as exc:
-                raise ReportError(f"{path}, line {reader.line_num}: {exc}") from exc
-            # only kappa may be blank: the joint sampler has none
-            blank = [key for key in SUMMARY_HEADER if key.startswith("ari") and row[key] is None]
-            if blank:
-                raise ReportError(f"{path}, line {reader.line_num}: blank {blank[0]!r}")
-            rows.append(row)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ReportError(f"{path}: not UTF-8 text: {exc}") from exc
+    reader = csv.DictReader(lines)
+    missing = [key for key in SUMMARY_HEADER if key not in (reader.fieldnames or ())]
+    if missing:
+        raise ReportError(f"{path}: missing column {missing[0]!r}")
+    rows = []
+    for raw in reader:
+        try:
+            row = {
+                "variant": raw["variant"],
+                "method": raw["method"],
+                "condition": int(raw["condition"]),
+            }
+            for key in SUMMARY_HEADER[3:]:
+                row[key] = float(raw[key]) if raw[key] else None
+        except (TypeError, ValueError) as exc:
+            raise ReportError(f"{path}, line {reader.line_num}: {exc}") from exc
+        # only kappa may be blank: the joint sampler has none
+        blank = [key for key in SUMMARY_HEADER if key.startswith("ari") and row[key] is None]
+        if blank:
+            raise ReportError(f"{path}, line {reader.line_num}: blank {blank[0]!r}")
+        rows.append(row)
     return rows
 
 
@@ -411,7 +415,7 @@ def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentCo
     if config_file is not None:
         try:
             text = Path(config_file).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         try:
             data = json.loads(text)

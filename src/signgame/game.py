@@ -27,8 +27,7 @@ normalized elementwise product of the two agents' sign distributions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .metrics import MetricsRecord, adjusted_rand_index, kappa
 from .stochastic import (
     PROB_FLOOR,
     RngStream,
-    as_generator,
     derive_streams,
     normalize_log_rows,
     open_generator,
@@ -60,30 +58,12 @@ class CommunicationMode(enum.Enum):
     GIBBS_TOPLINE = "gibbs"
 
 
-@dataclass(frozen=True)
-class Utterance:
-    object_id: int
-    sign: int
-
-
-class _SeedBlock(NamedTuple):
-    """Seed words of every phase stream of a run of iterations."""
-
-    rng: RngStream
-    start: int
-    # (iterations, len(_PHASE_STREAMS), 4) uint64
-    words: np.ndarray
-
-
 @dataclass
 class GameState:
     variant: str
     mode: CommunicationMode
     agent_a: AgentModel
     agent_b: AgentModel
-    iteration: int = 0
-    # cache of _iteration_seeds for the rng the game was last advanced with
-    seed_block: _SeedBlock | None = field(default=None, repr=False, compare=False)
 
 
 # first-level stream ids under a game's base stream
@@ -100,7 +80,7 @@ _PHASE_JOINT = 3
 _SLOT = {"A": 0, "B": 1}
 _SLOT_JOINT = 2
 
-# every (slot, phase) stream an iteration may open, and its column in a seed block
+# every (slot, phase) stream an iteration may open, and its column in the seed table
 _PHASE_STREAMS = tuple(
     (slot, phase)
     for slot in _SLOT.values()
@@ -108,27 +88,14 @@ _PHASE_STREAMS = tuple(
 ) + ((_SLOT_JOINT, _PHASE_JOINT),)
 _COLUMN = {key: i for i, key in enumerate(_PHASE_STREAMS)}
 
-# iterations whose phase streams are hashed in one pass
-_SEED_BLOCK = 64
 
-
-def _as_objects(d) -> tuple[np.ndarray, bool]:
-    """Object indices as a 1-d array, and whether d was a single index."""
-    objects = np.asarray(d)
-    return objects.reshape(-1), objects.ndim == 0
-
-
-def acceptance_ratio(listener: AgentModel, d, sign_new, sign_old):
+def acceptance_ratio(listener: AgentModel, sign_new, sign_old) -> np.ndarray:
     """Listener-side ratio of its floored sign weights, new sign over
-    current one; the table's per-object normalizer cancels.
-
-    d, sign_new and sign_old are scalars or equal-length arrays.
-    """
-    objects, scalar = _as_objects(d)
-    rows = np.arange(objects.size)
-    weights = np.maximum(sign_table(listener, objects), PROB_FLOOR)
-    ratio = weights[rows, sign_new] / weights[rows, sign_old]
-    return ratio[0] if scalar else ratio
+    current one, for every object; the table's per-object normalizer
+    cancels. sign_new and sign_old hold one sign per object."""
+    weights = np.maximum(sign_table(listener), PROB_FLOOR)
+    rows = np.arange(weights.shape[0])
+    return weights[rows, sign_new] / weights[rows, sign_old]
 
 
 def _draw_signs(table: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -138,9 +105,9 @@ def _draw_signs(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, table.shape[1] - 1)
 
 
-def mh_exchange(speaker: AgentModel, listener: AgentModel, d, rng):
-    """Utterances about object d, or about every object of an index array d,
-    with Metropolis acceptance.
+def mh_exchange(speaker: AgentModel, listener: AgentModel, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The speaker names every object; the listener accepts each sign by
+    the Metropolis rule.
 
     For each object the speaker draws a proposal from its own sign
     distribution; the listener adopts it with probability min(1, a) against
@@ -149,65 +116,49 @@ def mh_exchange(speaker: AgentModel, listener: AgentModel, d, rng):
     untouched, so the proposal distribution never depends on earlier
     outcomes of the same speaking phase.
 
-    Each object consumes two uniforms, proposal then acceptance, so an
-    array call equals a loop of int calls on the same generator as long as
-    d holds no object twice. Returns (Utterance, accepted): scalars for an
-    int d, arrays for an array d.
+    Each object consumes two uniforms, proposal then acceptance. Returns
+    the (proposed, accepted) arrays.
     """
-    gen = as_generator(rng)
-    objects, scalar = _as_objects(d)
-    u = gen.random((objects.size, 2))
-    proposed = _draw_signs(sign_table(speaker, objects), u[:, 0])
-    accepted = u[:, 1] < acceptance_ratio(listener, objects, proposed, listener.signs[objects])
-    listener.signs[objects[accepted]] = proposed[accepted]
-    if scalar:
-        return Utterance(d, int(proposed[0])), bool(accepted[0])
-    return Utterance(objects, proposed), accepted
+    u = gen.random((listener.signs.size, 2))
+    proposed = _draw_signs(sign_table(speaker), u[:, 0])
+    accepted = u[:, 1] < acceptance_ratio(listener, proposed, listener.signs)
+    listener.signs[accepted] = proposed[accepted]
+    return proposed, accepted
 
 
-def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, d, rng):
-    """Draw one shared sign for object d, or for every object of an index
-    array d, from the product of both models.
+def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generator) -> np.ndarray:
+    """Draw one shared sign for every object from the product of both models.
 
     Centralized topline: requires both agents' couplings simultaneously.
-    Each object consumes one uniform. Returns an int for an int d.
+    Each object consumes one uniform. Returns the drawn signs.
     """
     if agent_a.variant != agent_b.variant:
         raise ValueError("agents disagree on the coupling variant")
-    gen = as_generator(rng)
-    objects, scalar = _as_objects(d)
-    logw = np.log(np.maximum(sign_table(agent_a, objects), PROB_FLOOR))
-    logw += np.log(np.maximum(sign_table(agent_b, objects), PROB_FLOOR))
-    signs = _draw_signs(normalize_log_rows(logw), gen.random(objects.size))
-    agent_a.signs[objects] = signs
-    agent_b.signs[objects] = signs
-    if scalar:
-        return int(signs[0])
+    logw = np.log(np.maximum(sign_table(agent_a), PROB_FLOOR))
+    logw += np.log(np.maximum(sign_table(agent_b), PROB_FLOOR))
+    signs = _draw_signs(normalize_log_rows(logw), gen.random(logw.shape[0]))
+    agent_a.signs[:] = signs
+    agent_b.signs[:] = signs
     return signs
 
 
-def _iteration_seeds(state: GameState, rng: RngStream) -> np.ndarray:
-    """Seed words of the current iteration's phase streams, one row per
-    _PHASE_STREAMS entry.
+def _game_seeds(rng: RngStream, iterations: int) -> np.ndarray:
+    """Seed words of every phase stream of a game, shape (iterations,
+    len(_PHASE_STREAMS), 4).
 
-    Row (slot, phase) opens the generator of
-    rng.derive(_STREAM_ITERATION, iteration, slot, phase). The streams of
-    _SEED_BLOCK iterations are derived and hashed in one vectorized pass,
-    which costs a fraction of a SeedSequence per phase; the block is kept
-    on the state for the rng it was computed for.
+    Row [t, _COLUMN[slot, phase]] opens the generator of
+    rng.derive(_STREAM_ITERATION, t, slot, phase). All streams are derived
+    and hashed in one vectorized pass, which costs a fraction of a
+    SeedSequence per phase.
     """
-    it = state.iteration
-    block = state.seed_block
-    if block is None or block.rng != rng or not 0 <= it - block.start < _SEED_BLOCK:
-        slots, phases = np.array(_PHASE_STREAMS).T
-        iterations = np.arange(it, it + _SEED_BLOCK)[:, None]
-        streams = derive_streams(rng.stream, _STREAM_ITERATION, iterations, slots, phases)
-        block = state.seed_block = _SeedBlock(rng, it, seed_words(rng.seed, streams))
-    return block.words[it - block.start]
+    slots, phases = np.array(_PHASE_STREAMS).T
+    streams = derive_streams(rng.stream, _STREAM_ITERATION, np.arange(iterations)[:, None], slots, phases)
+    return seed_words(rng.seed, streams)
 
 
-def run_iteration(state: GameState, dataset: Dataset, rng: RngStream) -> GameState:
-    """Advance the game by one full iteration.
+def run_iteration(state: GameState, dataset: Dataset, seeds: np.ndarray) -> GameState:
+    """Advance the game by one full iteration, given that iteration's rows
+    of the seed table (see _game_seeds).
 
     Order: agent A refreshes parameters and categories, A speaks about every
     object in one mh_exchange call, then agent B does the same. ALL_REJECTION
@@ -217,20 +168,15 @@ def run_iteration(state: GameState, dataset: Dataset, rng: RngStream) -> GameSta
     Every phase draws from a stream derived from (iteration, agent, phase),
     so one agent's consumption never shifts the other's draws.
     """
-    seeds = _iteration_seeds(state, rng)
-    objects = np.arange(dataset.num_objects)
     pairs = ((state.agent_a, state.agent_b), (state.agent_b, state.agent_a))
     for speaker, listener in pairs:
         slot = _SLOT[speaker.name]
         update_parameters(speaker, dataset, open_generator(seeds[_COLUMN[slot, _PHASE_PARAMS]]))
         sample_categories(speaker, dataset, open_generator(seeds[_COLUMN[slot, _PHASE_CATEGORIES]]))
         if state.mode is CommunicationMode.MH:
-            gen = open_generator(seeds[_COLUMN[slot, _PHASE_SPEAK]])
-            mh_exchange(speaker, listener, objects, gen)
+            mh_exchange(speaker, listener, open_generator(seeds[_COLUMN[slot, _PHASE_SPEAK]]))
     if state.mode is CommunicationMode.GIBBS_TOPLINE:
-        gen = open_generator(seeds[_COLUMN[_SLOT_JOINT, _PHASE_JOINT]])
-        gibbs_word(state.agent_a, state.agent_b, objects, gen)
-    state.iteration += 1
+        gibbs_word(state.agent_a, state.agent_b, open_generator(seeds[_COLUMN[_SLOT_JOINT, _PHASE_JOINT]]))
     return state
 
 
@@ -261,8 +207,9 @@ def run_game(
     # (agent, iteration, object) snapshots
     categories = np.empty((2, iterations, dataset.num_objects), dtype=labels)
     signs = np.empty((0 if joint_signs else 2, iterations, dataset.num_objects), dtype=labels)
+    seeds = _game_seeds(rng, iterations)
     for t in range(iterations):
-        run_iteration(state, dataset, rng)
+        run_iteration(state, dataset, seeds[t])
         for i, agent in enumerate((agent_a, agent_b)):
             categories[i, t] = agent.categories
             if not joint_signs:

@@ -188,15 +188,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """Accept either a stream value or an already-open generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
-
-
 def _log_gamma_draws(shape: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """log of Gamma(shape) draws, elementwise, safe for tiny shapes.
 
@@ -212,7 +203,7 @@ def _log_gamma_draws(shape: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return logg
 
 
-def sample_dirichlet_rows(alphas, rng: RngStream | np.random.Generator) -> list[np.ndarray]:
+def sample_dirichlet_rows(alphas, gen: np.random.Generator) -> list[np.ndarray]:
     """Draw one Dirichlet vector per row of every positive concentration
     matrix in alphas; returns one row-stochastic matrix per block.
 
@@ -229,7 +220,7 @@ def sample_dirichlet_rows(alphas, rng: RngStream | np.random.Generator) -> list[
     # a NaN fails both comparisons
     if not (flat.min() > 0 and flat.max() < np.inf):
         raise ValueError("alpha entries must be positive and finite")
-    logg = _log_gamma_draws(flat, as_generator(rng))
+    logg = _log_gamma_draws(flat, gen)
     ends = np.cumsum([alpha.size for alpha in alphas])
     out = [logg[end - alpha.size : end].reshape(alpha.shape) for alpha, end in zip(alphas, ends)]
     # consecutive blocks of one width are normalized as one matrix; each
@@ -247,9 +238,8 @@ def sample_dirichlet_rows(alphas, rng: RngStream | np.random.Generator) -> list[
     return out
 
 
-def sample_categorical_rows(probs: np.ndarray, rng: RngStream | np.random.Generator) -> np.ndarray:
+def sample_categorical_rows(probs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """One categorical draw per row of a row-stochastic matrix."""
-    gen = as_generator(rng)
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = 1.0
     u = gen.random((probs.shape[0], 1))

@@ -18,21 +18,23 @@ from signgame.stochastic import sample_categorical_rows
 
 
 def frozen_agent(variant, weights, name="A"):
-    """Single-category agent whose sign distribution is pinned to weights."""
-    weights = np.asarray(weights, dtype=float)
-    coupling = weights[None, :] if variant == "h2h" else weights[:, None]
+    """Agent whose sign distributions are pinned to weights: one object per
+    row of a 2-d weights, or a single object for a 1-d one, each in its own
+    category."""
+    weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    objects, num_signs = weights.shape
     return AgentModel(
         name=name,
         variant=variant,
         hyper=Hyperparams(
-            num_categories=1, num_signs=weights.size, emission_concentration={"v": 0.001}
+            num_categories=objects, num_signs=num_signs, emission_concentration={"v": 0.001}
         ),
         mask=ModalityMask.of("v"),
-        coupling=coupling,
-        emissions={"v": np.full((1, 2), 0.5)},
-        categories=np.zeros(1, dtype=np.int64),
-        signs=np.zeros(1, dtype=np.int64),
-        category_weights=np.ones(1) if variant == "h2h" else None,
+        coupling=weights if variant == "h2h" else weights.T,
+        emissions={"v": np.full((objects, 2), 0.5)},
+        categories=np.arange(objects),
+        signs=np.zeros(objects, dtype=np.int64),
+        category_weights=np.ones(objects) if variant == "h2h" else None,
     )
 
 
@@ -85,10 +87,9 @@ def solo_gibbs_fit(agent, dataset, iterations, rng):
     """
     for it in range(iterations):
         step = rng.derive(it)
-        update_parameters(agent, dataset, step.derive(0))
-        sample_categories(agent, dataset, step.derive(1))
-        objects = np.arange(dataset.num_objects)
-        table = sign_table(agent, objects)
+        update_parameters(agent, dataset, step.derive(0).generator())
+        sample_categories(agent, dataset, step.derive(1).generator())
+        table = sign_table(agent)
         # one uniform per object, in object order
-        agent.signs = sample_categorical_rows(table / table.sum(axis=1, keepdims=True), step.derive(2))
+        agent.signs = sample_categorical_rows(table / table.sum(axis=1, keepdims=True), step.derive(2).generator())
     return agent

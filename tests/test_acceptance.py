@@ -142,25 +142,31 @@ def test_criterion_5_coupling_direction_parity(grid):
 def test_criterion_6_exchange_chain_reaches_product_target():
     draws = 20
     samples = 100_000
-    worst = 0.0
     rng = RngStream(606)
+    # one chain per parameter draw, each the object of its own category in
+    # one frozen pair; rows are padded with zero-weight signs, which are
+    # never proposed
+    weights = np.zeros((2, draws, 5))
     for index in range(draws):
         gen = rng.derive(index).generator()
         size = int(gen.integers(2, 6))
-        weights_a = gen.dirichlet(np.ones(size))
-        weights_b = gen.dirichlet(np.ones(size))
-        target = weights_a * weights_b
-        target /= target.sum()
-        for variant in ("h2h", "t2t"):
-            speaker = frozen_agent(variant, weights_a, "A")
-            listener = frozen_agent(variant, weights_b, "B")
-            chain = rng.derive(index, 1).generator()
-            counts = np.zeros(size, dtype=np.int64)
-            for _ in range(samples):
-                mh_exchange(speaker, listener, 0, chain)
-                mh_exchange(listener, speaker, 0, chain)
-                counts[listener.signs[0]] += 1
-            worst = max(worst, tv_distance(counts / samples, target))
+        weights[0, index, :size] = gen.dirichlet(np.ones(size))
+        weights[1, index, :size] = gen.dirichlet(np.ones(size))
+    target = weights[0] * weights[1]
+    target /= target.sum(axis=1, keepdims=True)
+    chains = np.arange(draws)
+    worst = 0.0
+    for variant_index, variant in enumerate(("h2h", "t2t")):
+        speaker = frozen_agent(variant, weights[0], "A")
+        listener = frozen_agent(variant, weights[1], "B")
+        chain = rng.derive(draws, variant_index).generator()
+        counts = np.zeros((draws, 5), dtype=np.int64)
+        for _ in range(samples):
+            mh_exchange(speaker, listener, chain)
+            mh_exchange(listener, speaker, chain)
+            counts[chains, listener.signs] += 1
+        assert not counts[weights[1] == 0].any()
+        worst = max(worst, max(tv_distance(row / samples, p) for row, p in zip(counts, target)))
     ok = worst < 0.03
     report(
         6,
@@ -179,7 +185,7 @@ def test_criterion_7_joint_draw_matches_hand_product():
     samples = 100_000
     counts = np.zeros(3, dtype=np.int64)
     for _ in range(samples):
-        counts[gibbs_word(agent_a, agent_b, 0, gen)] += 1
+        counts[gibbs_word(agent_a, agent_b, gen)] += 1
     tv = tv_distance(counts / samples, target)
     ok = tv < 0.01
     report(7, ok, f"total variation {tv:.4f} over {samples} draws (allow < 0.01)")

@@ -120,7 +120,7 @@ def test_h2h_category_conditional_hand_example():
         emissions=[[0.9, 0.1], [0.1, 0.9]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories(agent, data, RngStream(31))
+    draws = sample_categories(agent, data, RngStream(31).generator())
     freq = float(np.mean(draws == 0))
     assert freq == pytest.approx(0.81 / 0.82, abs=5e-3)
 
@@ -134,7 +134,7 @@ def test_t2t_category_conditional_hand_example():
         emissions=[[0.9, 0.1], [0.1, 0.9]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories(agent, data, RngStream(32))
+    draws = sample_categories(agent, data, RngStream(32).generator())
     freq = float(np.mean(draws == 0))
     assert freq == pytest.approx(0.81 / 0.82, abs=5e-3)
 
@@ -150,7 +150,7 @@ def test_uniform_parameters_give_uniform_categories():
         num_categories=3,
         category_weights=np.full(3, 1 / 3),
     )
-    draws = sample_categories(agent, data, RngStream(33))
+    draws = sample_categories(agent, data, RngStream(33).generator())
     freqs = np.bincount(draws, minlength=3) / n
     assert np.max(np.abs(freqs - 1 / 3)) < 0.01
 
@@ -164,7 +164,7 @@ def test_sign_factor_dominates_identical_likelihoods():
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories(agent, data, RngStream(34))
+    draws = sample_categories(agent, data, RngStream(34).generator())
     assert np.all(draws == 0)
 
 
@@ -177,7 +177,7 @@ def test_t2t_degenerate_prior_row_pins_category():
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=np.zeros(n, dtype=np.int64),
     )
-    draws = sample_categories(agent, data, RngStream(35))
+    draws = sample_categories(agent, data, RngStream(35).generator())
     assert np.all(draws == 0)
 
 
@@ -223,7 +223,7 @@ def test_update_parameters_rows_are_distributions():
     data = full_dataset()
     for variant in ("h2h", "t2t"):
         agent = init_agent(variant, Hyperparams(), data, "A", RngStream(3))
-        update_parameters(agent, data, RngStream(4))
+        update_parameters(agent, data, RngStream(4).generator())
         if variant == "h2h":
             np.testing.assert_allclose(agent.category_weights.sum(), 1.0, atol=1e-9)
         np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
@@ -264,7 +264,7 @@ def test_empty_category_keeps_valid_rows():
         signs=[0, 0],
     )
     agent.categories = np.array([0, 0])  # category 1 empty
-    update_parameters(agent, data, RngStream(8))
+    update_parameters(agent, data, RngStream(8).generator())
     np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(agent.emissions["v"].sum(axis=1), 1.0, atol=1e-9)
     assert np.all(agent.emissions["v"][1] > 0)
@@ -289,7 +289,7 @@ def test_sign_table_h2h_reads_coupling_row():
         signs=[0],
     )
     agent.categories = np.array([1])
-    np.testing.assert_allclose(sign_table(agent, 0), [0.1, 0.2, 0.7])
+    np.testing.assert_allclose(sign_table(agent), [[0.1, 0.2, 0.7]])
 
 
 def test_sign_table_t2t_reads_raw_column():
@@ -300,9 +300,10 @@ def test_sign_table_t2t_reads_raw_column():
         signs=[0, 0],
     )
     agent.categories = np.array([0, 1])
-    # the column of the object's category, not normalized over signs
-    assert sign_table(agent, 0).tolist() == [0.2, 0.6, 0.2]
-    assert sign_table(agent, np.array([1, 0])).tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
+    # the column of each object's category, not normalized over signs
+    assert sign_table(agent).tolist() == [[0.2, 0.6, 0.2], [0.8, 0.4, 0.8]]
+    agent.categories = np.array([1, 0])
+    assert sign_table(agent).tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
 
 
 def test_observation_log_likelihood_hand_values():
@@ -345,10 +346,10 @@ def test_masked_modalities_contribute_nothing():
     one = init_agent("h2h", Hyperparams(), masked, "A", RngStream(56))
     two = init_agent("h2h", Hyperparams(), present, "A", RngStream(56))
     for _ in range(3):
-        update_parameters(one, masked, RngStream(57))
-        update_parameters(two, present, RngStream(57))
-        sample_categories(one, masked, RngStream(58))
-        sample_categories(two, present, RngStream(58))
+        update_parameters(one, masked, RngStream(57).generator())
+        update_parameters(two, present, RngStream(57).generator())
+        sample_categories(one, masked, RngStream(58).generator())
+        sample_categories(two, present, RngStream(58).generator())
     assert np.array_equal(one.categories, two.categories)
     np.testing.assert_array_equal(one.coupling, two.coupling)
     np.testing.assert_array_equal(one.emissions["v"], two.emissions["v"])
@@ -366,8 +367,8 @@ def test_two_applications_leave_category_distribution_invariant():
         signs=np.zeros(n, dtype=np.int64),
         category_weights=[0.55, 0.45],
     )
-    once = np.bincount(sample_categories(agent, data, RngStream(60)), minlength=2) / n
-    twice = np.bincount(sample_categories(agent, data, RngStream(61)), minlength=2) / n
+    once = np.bincount(sample_categories(agent, data, RngStream(60).generator()), minlength=2) / n
+    twice = np.bincount(sample_categories(agent, data, RngStream(61).generator()), minlength=2) / n
     assert np.abs(once - twice).sum() / 2 < 0.01
     # and both match the enumerated conditional
     w0 = 0.55 * (0.8**2 * 0.2) * 0.6
@@ -386,8 +387,8 @@ def test_single_agent_fit_recovers_types_on_most_seeds():
         rng = RngStream(seed).derive(2)
         for it in range(300):
             step = rng.derive(it)
-            update_parameters(agent, data, step.derive(0))
-            sample_categories(agent, data, step.derive(1))
+            update_parameters(agent, data, step.derive(0).generator())
+            sample_categories(agent, data, step.derive(1).generator())
         if adjusted_rand_index(agent.categories, data.true_type) >= 0.75:
             wins += 1
     assert wins >= 8
@@ -415,5 +416,5 @@ def test_hyperparams_reject_non_finite_or_non_positive_concentrations(kwargs):
 
 def test_smallest_accepted_concentration_draws_finite_rows():
     hyper = Hyperparams(coupling_concentration=1e-300, emission_concentration={"v": 1e-300})
-    (rows,) = sample_dirichlet_rows([np.full((50, 20), hyper.emission_concentration["v"])], RngStream(seed=1))
+    (rows,) = sample_dirichlet_rows([np.full((50, 20), hyper.emission_concentration["v"])], RngStream(seed=1).generator())
     assert np.all(rows > 0) and np.allclose(rows.sum(axis=1), 1.0)

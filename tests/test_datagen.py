@@ -57,12 +57,6 @@ def test_masked_modalities_are_absent():
     assert list(data.observations["B"]) == ["h"]
 
 
-def test_mask_outside_config_modalities_rejected():
-    config = SyntheticConfig(modalities=("v", "s"))
-    with pytest.raises(ValueError):
-        generate_dataset(config, FULL, FULL, RngStream(0))
-
-
 def test_agents_draw_independently_from_shared_emissions():
     # diffuse emissions so that independent draws cannot coincide; the
     # default near-one-hot emissions make both agents' histograms equal
@@ -101,8 +95,6 @@ def test_config_validation():
         SyntheticConfig(feature_dim=1)
     with pytest.raises(ValueError):
         SyntheticConfig(draws_per_modality=0)
-    with pytest.raises(ValueError):
-        SyntheticConfig(modalities=("v", "x"))
 
 
 def test_single_modality_fit_recovers_planted_types():

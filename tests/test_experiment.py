@@ -17,7 +17,6 @@ from signgame.agents import Hyperparams, ModalityMask
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from signgame.datagen import SyntheticConfig
 import signgame.experiment as experiment
-import signgame.game as game
 from signgame.experiment import (
     CONDITION_MASKS,
     REFERENCE_RESULTS,
@@ -195,8 +194,9 @@ def test_full_grid_reports_match_golden_digests(tmp_path):
 
 
 # sha256 of the reports of the full grid with trials=1, iterations=70,
-# seed=11 on 5 types x 4 objects, regenerated with GOLDEN_DIGESTS; the run
-# crosses a block boundary of game._SEED_BLOCK iterations
+# seed=11 on 5 types x 4 objects, regenerated with GOLDEN_DIGESTS; recorded
+# when the seed table was hashed 64 iterations at a time, so the run also
+# pins the iterations past the first 64
 GOLDEN_BLOCK_DIGESTS = {
     "detail.csv": "c6f4fbba4c2a5a6fcd2db97fa0d064711c491f382fca933296e4d90d0753260c",
     "summary.csv": "29e36ee2ce0bd4cb8109333d2b09a3e8cfeec4a0310ef476746ebcbd3278f68f",
@@ -205,7 +205,6 @@ GOLDEN_BLOCK_DIGESTS = {
 
 def test_full_grid_across_a_seed_block_matches_golden_digests(tmp_path):
     cfg = ExperimentConfig(trials=1, iterations=70, seed=11, synthetic=SyntheticConfig(num_types=5, objects_per_type=4))
-    assert game._SEED_BLOCK < cfg.iterations
     run_full_grid(cfg, tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_BLOCK_DIGESTS}
     assert digests == GOLDEN_BLOCK_DIGESTS
@@ -430,11 +429,13 @@ def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, ne
         ({"hyperparams": {"num_signs": "4"}}, "hyperparams.num_signs"),
         ({"hyperparams": {"coupling_concentration": "0.05"}}, "hyperparams.coupling_concentration"),
         ({"hyperparams": {"emission_concentration": {"v": "0.01"}}}, "hyperparams.emission_concentration.v"),
+        # raw file bytes, not a JSON payload
+        pytest.param(b"\xff\xfe{}", "utf-8", id="not-utf-8"),
     ],
 )
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, payload, needle):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(payload))
+    cfg_path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -475,6 +476,10 @@ def test_cli_compare_names_the_missing_column(tmp_path, capsys):
     (tmp_path / "summary.csv").write_text(",".join(SUMMARY_HEADER) + "\nh2h,mh,one,,,,,,\n")
     assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
     assert "line 2" in capsys.readouterr().err
+
+    (tmp_path / "summary.csv").write_bytes(",".join(SUMMARY_HEADER).encode() + b"\nh2h,mh,1,0.8,0.1,0.7,0.1,\xff,\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column", ["ari_a_mean", "ari_a_sd", "ari_b_mean", "ari_b_sd"])

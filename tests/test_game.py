@@ -22,7 +22,6 @@ from signgame.game import (
     acceptance_ratio,
     gibbs_word,
     mh_exchange,
-    GameState,
     run_game,
 )
 from signgame.metrics import adjusted_rand_index, kappa
@@ -46,21 +45,19 @@ def small_game(mode, variant="h2h", iterations=4, seed=21):
 
 
 def test_acceptance_ratio_hand_values_h2h():
-    listener = frozen_agent("h2h", [0.5, 0.25, 0.25])
-    assert acceptance_ratio(listener, 0, 0, 1) == pytest.approx(2.0, rel=1e-12)
-    assert acceptance_ratio(listener, 0, 2, 2) == 1.0
+    listener = frozen_agent("h2h", [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25]])
+    np.testing.assert_allclose(acceptance_ratio(listener, [0, 2], [1, 2]), [2.0, 1.0], rtol=1e-12)
 
     skewed = frozen_agent("h2h", [0.1, 0.9])
-    assert acceptance_ratio(skewed, 0, 0, 1) == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert acceptance_ratio(skewed, [0], [1]) == pytest.approx([1.0 / 9.0], rel=1e-12)
 
 
 def test_acceptance_ratio_hand_values_t2t():
     listener = frozen_agent("t2t", [0.6, 0.3, 0.1])
-    assert acceptance_ratio(listener, 0, 0, 1) == pytest.approx(2.0, rel=1e-12)
+    assert acceptance_ratio(listener, [0], [1]) == pytest.approx([2.0], rel=1e-12)
 
-    skewed = frozen_agent("t2t", [0.5, 0.45, 0.05])
-    assert acceptance_ratio(skewed, 0, 2, 0) == pytest.approx(0.1, rel=1e-12)
-    assert acceptance_ratio(skewed, 0, 1, 1) == 1.0
+    skewed = frozen_agent("t2t", [[0.5, 0.45, 0.05], [0.5, 0.45, 0.05]])
+    np.testing.assert_allclose(acceptance_ratio(skewed, [2, 1], [0, 1]), [0.1, 1.0], rtol=1e-12)
 
 
 def test_mh_exchange_accepts_everything_against_indifferent_listener():
@@ -69,10 +66,9 @@ def test_mh_exchange_accepts_everything_against_indifferent_listener():
     categories_before = listener.categories.copy()
     gen = RngStream(7).generator()
     for _ in range(300):
-        utterance, accepted = mh_exchange(speaker, listener, 0, gen)
-        assert accepted
-        assert utterance.object_id == 0
-        assert listener.signs[0] == utterance.sign
+        proposed, accepted = mh_exchange(speaker, listener, gen)
+        assert accepted.tolist() == [True]
+        assert listener.signs[0] == proposed[0]
     # proposals never touch the speaker's own store, and only signs move
     assert speaker.signs[0] == 0
     np.testing.assert_array_equal(listener.categories, categories_before)
@@ -83,9 +79,9 @@ def test_mh_exchange_never_accepts_against_certain_listener():
     listener = frozen_agent("h2h", [1.0, 0.0, 0.0], "B")
     gen = RngStream(8).generator()
     for _ in range(200):
-        utterance, accepted = mh_exchange(speaker, listener, 0, gen)
-        assert utterance.sign == 1
-        assert not accepted
+        proposed, accepted = mh_exchange(speaker, listener, gen)
+        assert proposed.tolist() == [1]
+        assert accepted.tolist() == [False]
         assert listener.signs[0] == 0
 
 
@@ -100,8 +96,8 @@ def test_mh_chain_reaches_product_of_sign_distributions(variant):
     burn, keep = 2000, 60000
     counts = np.zeros((2, 3), dtype=np.int64)
     for step in range(burn + keep):
-        mh_exchange(speaker, listener, 0, gen)
-        mh_exchange(listener, speaker, 0, gen)
+        mh_exchange(speaker, listener, gen)
+        mh_exchange(listener, speaker, gen)
         if step >= burn:
             counts[0, speaker.signs[0]] += 1
             counts[1, listener.signs[0]] += 1
@@ -117,7 +113,7 @@ def test_gibbs_word_draws_from_normalized_product(variant):
     n = 60000
     counts = np.zeros(3, dtype=np.int64)
     for _ in range(n):
-        counts[gibbs_word(agent_a, agent_b, 0, gen)] += 1
+        counts[gibbs_word(agent_a, agent_b, gen)] += 1
     assert tv_distance(counts / n, PRODUCT_TARGET) < 0.01
     assert agent_a.signs[0] == agent_b.signs[0]
 
@@ -126,11 +122,11 @@ def test_gibbs_word_degenerate_and_mismatch_cases():
     certain = frozen_agent("h2h", [1.0, 0.0, 0.0], "A")
     spread = frozen_agent("h2h", [0.2, 0.3, 0.5], "B")
     gen = RngStream(6).generator()
-    draws = {gibbs_word(certain, spread, 0, gen) for _ in range(400)}
+    draws = {sign for _ in range(400) for sign in gibbs_word(certain, spread, gen).tolist()}
     assert draws == {0}
 
     with pytest.raises(ValueError):
-        gibbs_word(frozen_agent("h2h", ROW_A), frozen_agent("t2t", ROW_B), 0, gen)
+        gibbs_word(frozen_agent("h2h", ROW_A), frozen_agent("t2t", ROW_B), gen)
 
 
 def test_run_game_repeats_bit_for_bit():
@@ -268,14 +264,16 @@ def test_sign_tables_and_ratios_match_scalar_reference_bitwise(variant):
     agent, _ = random_agents(variant, 6)
     agent.coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
     objects = np.arange(agent.categories.size)
-    table = sign_table(agent, objects)
+    table = sign_table(agent)
     for d in objects:
         assert table[d].tobytes() == reference_sign_table(agent, d).tobytes()
-    new, old = np.meshgrid(np.arange(KERNEL_HYPER.num_signs), np.arange(KERNEL_HYPER.num_signs))
-    d = np.resize(objects, new.size)
-    batched = acceptance_ratio(agent, d, new.ravel(), old.ravel())
-    expected = [reference_ratio(agent, *args) for args in zip(d, new.ravel(), old.ravel())]
-    assert batched.tobytes() == np.array(expected).tobytes()
+    # every (object, new, old) triple, one whole-object call per (new, old)
+    signs = range(KERNEL_HYPER.num_signs)
+    for new in signs:
+        for old in signs:
+            batched = acceptance_ratio(agent, np.full(objects.size, new), np.full(objects.size, old))
+            expected = [reference_ratio(agent, d, new, old) for d in objects]
+            assert batched.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
@@ -286,11 +284,10 @@ def test_mh_exchange_array_call_matches_scalar_reference(variant, seed):
     ref_speaker, ref_listener = copy.deepcopy(speaker), copy.deepcopy(listener)
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
 
-    utterance, accepted = mh_exchange(speaker, listener, objects, gen)
+    proposed, accepted = mh_exchange(speaker, listener, gen)
     expected = [reference_mh(ref_speaker, ref_listener, d, ref_gen) for d in objects]
 
-    np.testing.assert_array_equal(utterance.object_id, objects)
-    np.testing.assert_array_equal(utterance.sign, [sign for sign, _ in expected])
+    np.testing.assert_array_equal(proposed, [sign for sign, _ in expected])
     np.testing.assert_array_equal(accepted, [ok for _, ok in expected])
     np.testing.assert_array_equal(listener.signs, ref_listener.signs)
     np.testing.assert_array_equal(speaker.signs, ref_speaker.signs)
@@ -307,28 +304,13 @@ def test_gibbs_word_array_call_matches_scalar_reference(variant, seed):
     ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
 
-    signs = gibbs_word(agent_a, agent_b, objects, gen)
+    signs = gibbs_word(agent_a, agent_b, gen)
     expected = [reference_gibbs(ref_a, ref_b, d, ref_gen) for d in objects]
 
     np.testing.assert_array_equal(signs, expected)
     np.testing.assert_array_equal(agent_a.signs, ref_a.signs)
     np.testing.assert_array_equal(agent_b.signs, ref_b.signs)
     assert gen.random() == ref_gen.random()
-
-
-@pytest.mark.parametrize("variant", ["h2h", "t2t"])
-def test_scalar_calls_match_scalar_reference(variant):
-    speaker, listener = random_agents(variant, 4)
-    ref_speaker, ref_listener = copy.deepcopy(speaker), copy.deepcopy(listener)
-    gen, ref_gen = RngStream(4).generator(), RngStream(4).generator()
-    for d in range(listener.categories.size):
-        utterance, accepted = mh_exchange(speaker, listener, d, gen)
-        assert (utterance.object_id, utterance.sign, accepted) == (d, *reference_mh(ref_speaker, ref_listener, d, ref_gen))
-        assert type(utterance.sign) is int and type(accepted) is bool
-        sign = gibbs_word(speaker, listener, d, gen)
-        assert sign == reference_gibbs(ref_speaker, ref_listener, d, ref_gen)
-        assert type(sign) is int
-    np.testing.assert_array_equal(listener.signs, ref_listener.signs)
 
 
 @pytest.mark.parametrize("mode, calls", [("mh", {"mh_exchange": 8}), ("reject", {}), ("gibbs", {"gibbs_word": 4})])
@@ -339,7 +321,7 @@ def test_run_iteration_makes_one_kernel_call_per_phase(monkeypatch, mode, calls)
 
         def counted(*args, name=name, original=original):
             seen[name] = seen.get(name, 0) + 1
-            np.testing.assert_array_equal(args[2], np.arange(SMALL.num_types * SMALL.objects_per_type))
+            assert isinstance(args[2], np.random.Generator)
             return original(*args)
 
         monkeypatch.setattr(game, name, counted)
@@ -348,18 +330,14 @@ def test_run_iteration_makes_one_kernel_call_per_phase(monkeypatch, mode, calls)
 
 
 
-def test_iteration_seeds_open_every_phase_stream_across_blocks():
-    # every (iteration, slot, phase) row of the cached seed blocks opens
-    # rng.derive(_STREAM_ITERATION, iteration, slot, phase).generator(); a
-    # second rng in between must not be served from the first one's block
-    rngs = (RngStream(2**40 + 9, 5), RngStream(3))
-    state = GameState("h2h", CommunicationMode.MH, None, None)
-    for it in range(2 * game._SEED_BLOCK + 3):
-        for rng in rngs if it % 29 == 0 else rngs[:1]:
-            state.iteration = it
-            seeds = game._iteration_seeds(state, rng)
-            assert seeds.shape == (len(game._PHASE_STREAMS), 4)
-            for (slot, phase), words in zip(game._PHASE_STREAMS, seeds):
+def test_game_seeds_open_every_phase_stream():
+    # every (iteration, slot, phase) row of a game's seed table opens
+    # rng.derive(_STREAM_ITERATION, iteration, slot, phase).generator()
+    for rng in (RngStream(2**40 + 9, 5), RngStream(3, 2**32 + 7)):
+        seeds = game._game_seeds(rng, 130)
+        assert seeds.shape == (130, len(game._PHASE_STREAMS), 4)
+        for it, row in enumerate(seeds):
+            for (slot, phase), words in zip(game._PHASE_STREAMS, row):
                 expect = rng.derive(game._STREAM_ITERATION, it, slot, phase).generator()
                 assert open_generator(words).bit_generator.state == expect.bit_generator.state
 
@@ -368,16 +346,15 @@ def reference_game(variant, mode, dataset, iterations, rng):
     """The game loop with one SeedSequence-hashed stream per phase and
     scalar metrics after every iteration."""
     agents = [init_agent(variant, SMALL_HYPER, dataset, name, rng.derive(0, slot)) for slot, name in enumerate("AB")]
-    objects = np.arange(dataset.num_objects)
     records = []
     for it in range(iterations):
         for slot, (speaker, listener) in enumerate((agents, agents[::-1])):
-            update_parameters(speaker, dataset, rng.derive(1, it, slot, 0))
-            sample_categories(speaker, dataset, rng.derive(1, it, slot, 1))
+            update_parameters(speaker, dataset, rng.derive(1, it, slot, 0).generator())
+            sample_categories(speaker, dataset, rng.derive(1, it, slot, 1).generator())
             if mode == "mh":
-                mh_exchange(speaker, listener, objects, rng.derive(1, it, slot, 2).generator())
+                mh_exchange(speaker, listener, rng.derive(1, it, slot, 2).generator())
         if mode == "gibbs":
-            gibbs_word(*agents, objects, rng.derive(1, it, 2, 3).generator())
+            gibbs_word(*agents, rng.derive(1, it, 2, 3).generator())
         a, b = agents
         records.append(
             (
@@ -393,7 +370,7 @@ def reference_game(variant, mode, dataset, iterations, rng):
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
 @pytest.mark.parametrize("mode", ["mh", "reject", "gibbs"])
 def test_run_game_across_seed_blocks_matches_per_phase_streams(variant, mode):
-    iterations = game._SEED_BLOCK + 2
+    iterations = 66
     dataset = generate_dataset(SMALL, FULL, FULL, RngStream(8))
     rng = RngStream(2**33 + 1, 12)
     state, records = run_game(variant, mode, SMALL_HYPER, dataset, iterations, rng)

@@ -84,23 +84,22 @@ def test_derive_streams_broadcasts_like_derive():
     assert table.tolist() == [base.derive(*row).stream for row in ids.tolist()]
 
 
-def dirichlet_row(alpha, rng):
+def dirichlet_row(alpha, gen):
     """One Dirichlet(alpha) vector through sample_dirichlet_rows on a one-row block."""
-    (rows,) = sample_dirichlet_rows([np.reshape(alpha, (1, -1))], rng)
+    (rows,) = sample_dirichlet_rows([np.reshape(alpha, (1, -1))], gen)
     return rows[0]
 
 
 def test_sample_dirichlet_is_valid_distribution():
-    rng = RngStream(seed=0)
-    p = dirichlet_row([0.5, 1.5, 2.0], rng)
+    p = dirichlet_row([0.5, 1.5, 2.0], RngStream(seed=0).generator())
     assert p.shape == (3,)
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) <= 1e-9
 
 
 def test_sample_dirichlet_determinism():
-    p1 = dirichlet_row([0.1, 0.2, 0.3], RngStream(seed=9, stream=4))
-    p2 = dirichlet_row([0.1, 0.2, 0.3], RngStream(seed=9, stream=4))
+    p1 = dirichlet_row([0.1, 0.2, 0.3], RngStream(seed=9, stream=4).generator())
+    p2 = dirichlet_row([0.1, 0.2, 0.3], RngStream(seed=9, stream=4).generator())
     assert np.array_equal(p1, p2)
 
 
@@ -114,7 +113,7 @@ def test_sample_dirichlet_empirical_mean():
 
 
 def test_sample_dirichlet_concentrated_limit():
-    p = dirichlet_row(np.full(4, 1e9), RngStream(seed=1))
+    p = dirichlet_row(np.full(4, 1e9), RngStream(seed=1).generator())
     assert np.max(np.abs(p - 0.25)) < 1e-3
 
 
@@ -136,35 +135,35 @@ def test_sample_dirichlet_sparse_shapes_are_near_one_hot():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_sample_dirichlet_property_valid(alpha, seed):
-    p = dirichlet_row(alpha, RngStream(seed=seed))
+    p = dirichlet_row(alpha, RngStream(seed=seed).generator())
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) <= 1e-9
 
 
 def test_sample_dirichlet_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        dirichlet_row([], RngStream(seed=0))
+        dirichlet_row([], RngStream(seed=0).generator())
     with pytest.raises(ValueError):
-        dirichlet_row([1.0, 0.0], RngStream(seed=0))
+        dirichlet_row([1.0, 0.0], RngStream(seed=0).generator())
     with pytest.raises(ValueError):
-        dirichlet_row([1.0, -2.0], RngStream(seed=0))
+        dirichlet_row([1.0, -2.0], RngStream(seed=0).generator())
     with pytest.raises(ValueError):
-        sample_dirichlet_rows([], RngStream(seed=0))
+        sample_dirichlet_rows([], RngStream(seed=0).generator())
     with pytest.raises(ValueError):
-        sample_dirichlet_rows([np.ones((1, 2)), np.ones(3)], RngStream(seed=0))
+        sample_dirichlet_rows([np.ones((1, 2)), np.ones(3)], RngStream(seed=0).generator())
     with pytest.raises(ValueError):
-        sample_dirichlet_rows([np.ones((1, 2)), np.array([[1.0, np.nan]])], RngStream(seed=0))
+        sample_dirichlet_rows([np.ones((1, 2)), np.array([[1.0, np.nan]])], RngStream(seed=0).generator())
 
 
 def test_sample_dirichlet_rows_matches_row_draws():
     alpha = np.array([[0.001, 0.5, 3.0], [2.0, 2.0, 2.0]])
-    (rows,) = sample_dirichlet_rows([alpha], RngStream(seed=3))
+    (rows,) = sample_dirichlet_rows([alpha], RngStream(seed=3).generator())
     assert rows.shape == (2, 3)
     assert np.all(rows > 0)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
     # two blocks of different widths in one call, each normalized on its own rows
     narrow, wide = np.array([0.001, 0.5, 3.0]), np.linspace(0.1, 2.0, 20)
-    blocks = sample_dirichlet_rows([np.tile(narrow, (100_000, 1)), np.tile(wide, (100_000, 1))], RngStream(seed=4))
+    blocks = sample_dirichlet_rows([np.tile(narrow, (100_000, 1)), np.tile(wide, (100_000, 1))], RngStream(seed=4).generator())
     for alpha, rows in zip((narrow, wide), blocks):
         assert rows.shape == (100_000, alpha.size)
         assert np.all(rows > 0)
@@ -253,7 +252,7 @@ def test_sample_categorical_20dim_total_variation():
 
 def test_sample_categorical_rows_agrees_with_marginals():
     probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    idx = sample_categorical_rows(np.tile(probs, (500, 1))[:1000], RngStream(seed=5))
+    idx = sample_categorical_rows(np.tile(probs, (500, 1))[:1000], RngStream(seed=5).generator())
     assert np.all(idx[::2] == 0)
     assert np.all(idx[1::2] == 2)
 
