@@ -19,6 +19,7 @@ assignments are drawn from their exact conditionals given the parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -168,11 +169,18 @@ def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> dict:
         joint = np.bincount(w * k + c, minlength=l * k).reshape(l, k)
         out["coupling"] = hyper.coupling_concentration + joint
     # integer counts summed in float64 are exact far below 2**53
-    onehot = np.eye(k)[c]
+    onehot = _identity(k)[c]
+    obs, columns = dataset.float_observations(agent.name, agent.mask)
     for m in agent.mask.ordered:
-        obs = dataset.observations[agent.name][m]
-        out[f"emissions.{m}"] = hyper.emission_concentration[m] + onehot.T @ obs
+        out[f"emissions.{m}"] = hyper.emission_concentration[m] + onehot.T @ obs[:, columns[m]]
     return out
+
+
+@cache
+def _identity(k: int) -> np.ndarray:
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
 
 
 def update_parameters(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> None:
@@ -194,9 +202,12 @@ def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndar
     categories for a fixed object.
     """
     ll = np.zeros((dataset.num_objects, agent.hyper.num_categories))
+    obs, columns = dataset.float_observations(agent.name, agent.mask)
+    # one product per modality: a single product over every column would
+    # sum in another order, and at wide histograms it starts a second BLAS
+    # thread
     for m in agent.mask.ordered:
-        obs = dataset.observations[agent.name][m]
-        ll += obs @ np.log(np.maximum(agent.emissions[m], PROB_FLOOR)).T
+        ll += obs[:, columns[m]] @ np.log(np.maximum(agent.emissions[m], PROB_FLOOR)).T
     return ll
 
 
@@ -207,10 +218,10 @@ def category_log_prior(agent: AgentModel) -> np.ndarray:
     h2h: the category weights times the probability that the category emits
     the sign. t2t: the coupling row over categories that the sign selects.
     """
-    log_coupling = np.log(np.maximum(agent.coupling, PROB_FLOOR))
+    log_prior = np.log(np.maximum(category_signs(agent), PROB_FLOOR))[:, agent.signs].T
     if agent.variant == VARIANT_H2H:
-        return np.log(np.maximum(agent.category_weights, PROB_FLOOR)) + log_coupling[:, agent.signs].T
-    return log_coupling[agent.signs]
+        log_prior += np.log(np.maximum(agent.category_weights, PROB_FLOOR))
+    return log_prior
 
 
 def sample_categories(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> np.ndarray:
@@ -221,13 +232,19 @@ def sample_categories(agent: AgentModel, dataset: "Dataset", gen: np.random.Gene
     return agent.categories
 
 
-def sign_table(agent: AgentModel) -> np.ndarray:
-    """(num_objects, num_signs) unnormalized weights over signs.
+def category_signs(agent: AgentModel) -> np.ndarray:
+    """(num_categories, num_signs) unnormalized weights over signs, one row
+    per category.
 
-    h2h reads the coupling row of each object's category, t2t its coupling
-    column: the likelihood of the category under each sign, which a uniform
-    sign prior turns into the sign posterior. Every reader draws or takes
-    ratios within a row, so the row's normalizer never matters.
+    h2h reads the coupling rows, t2t the coupling columns: the likelihood
+    of the category under each sign, which a uniform sign prior turns into
+    the sign posterior. Every reader draws or takes ratios within a row, so
+    the row's normalizer never matters.
     """
-    c = agent.categories
-    return agent.coupling[c] if agent.variant == VARIANT_H2H else agent.coupling.T[c]
+    return agent.coupling if agent.variant == VARIANT_H2H else agent.coupling.T
+
+
+def sign_table(agent: AgentModel) -> np.ndarray:
+    """(num_objects, num_signs) unnormalized weights over signs: the
+    category_signs row of each object's category."""
+    return category_signs(agent)[agent.categories]

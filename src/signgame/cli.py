@@ -6,10 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from .agents import VARIANTS
 from .experiment import (
     CONDITION_CHOICES,
     METHOD_CHOICES,
-    VARIANT_CHOICES,
     ConfigError,
     ExperimentConfig,
     ReportError,
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one (variant, method, condition) cell")
-    run_p.add_argument("--variant", choices=VARIANT_CHOICES, default=None)
+    run_p.add_argument("--variant", choices=VARIANTS, default=None)
     run_p.add_argument("--method", choices=METHOD_CHOICES, default=None)
     run_p.add_argument("--condition", type=int, choices=CONDITION_CHOICES, default=None)
     run_p.add_argument("--config", default=None, help="JSON config file; flags override it")

@@ -21,14 +21,13 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .agents import Hyperparams, ModalityMask
+from .agents import VARIANTS, Hyperparams, ModalityMask
 from .datagen import SyntheticConfig, generate_dataset
 from .game import CommunicationMode, run_game
 from .metrics import kappa_band, summarize
 from .stochastic import RngStream
 
-VARIANT_CHOICES = ("t2t", "h2h")
-METHOD_CHOICES = ("mh", "reject", "gibbs")
+METHOD_CHOICES = tuple(mode.value for mode in CommunicationMode)
 CONDITION_CHOICES = (1, 2, 3, 4)
 
 # agent A's and agent B's observable modalities per condition
@@ -108,8 +107,8 @@ class ExperimentConfig:
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
 
     def __post_init__(self):
-        if self.variant not in VARIANT_CHOICES:
-            raise ConfigError(f"variant must be one of {VARIANT_CHOICES}, got {self.variant!r}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.method not in METHOD_CHOICES:
             raise ConfigError(f"method must be one of {METHOD_CHOICES}, got {self.method!r}")
         if self.condition not in CONDITION_CHOICES:
@@ -243,7 +242,7 @@ def full_grid_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """The 24 cells of the full grid, in deterministic report order."""
     return [
         replace(cfg, variant=variant, method=method, condition=condition)
-        for variant in VARIANT_CHOICES
+        for variant in VARIANTS
         for method in METHOD_CHOICES
         for condition in CONDITION_CHOICES
     ]

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import (
-    VARIANTS,
     AgentModel,
     Hyperparams,
+    category_signs,
     init_agent,
     sample_categories,
     sign_table,
@@ -60,7 +60,6 @@ class CommunicationMode(enum.Enum):
 
 @dataclass
 class GameState:
-    variant: str
     mode: CommunicationMode
     agent_a: AgentModel
     agent_b: AgentModel
@@ -91,18 +90,23 @@ _COLUMN = {key: i for i, key in enumerate(_PHASE_STREAMS)}
 
 def acceptance_ratio(listener: AgentModel, sign_new, sign_old) -> np.ndarray:
     """Listener-side ratio of its floored sign weights, new sign over
-    current one, for every object; the table's per-object normalizer
+    current one, for every object; the table's per-category normalizer
     cancels. sign_new and sign_old hold one sign per object."""
-    weights = np.maximum(sign_table(listener), PROB_FLOOR)
-    rows = np.arange(weights.shape[0])
-    return weights[rows, sign_new] / weights[rows, sign_old]
+    weights = np.maximum(category_signs(listener), PROB_FLOOR)
+    c = listener.categories
+    return weights[c, sign_new] / weights[c, sign_old]
 
 
-def _draw_signs(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one sign per row of table, given one uniform per row."""
-    cum = table.cumsum(axis=1)
-    idx = (cum <= u[:, None] * cum[:, -1:]).sum(axis=1)
-    return np.minimum(idx, table.shape[1] - 1)
+def _draw_signs(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one sign per row, given each row's cumulative
+    sums of nonnegative weights and one uniform per row."""
+    # the sums never decrease along a row, so the entries at or below the
+    # threshold form a prefix and the first entry above it sits at their
+    # count; a row with none above it (all weights zero, or a total so
+    # small that u * total rounds up to it) takes the last sign
+    above = cum > u[:, None] * cum[:, -1:]
+    above[:, -1] = True
+    return above.argmax(axis=1)
 
 
 def mh_exchange(speaker: AgentModel, listener: AgentModel, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +124,7 @@ def mh_exchange(speaker: AgentModel, listener: AgentModel, gen: np.random.Genera
     the (proposed, accepted) arrays.
     """
     u = gen.random((listener.signs.size, 2))
-    proposed = _draw_signs(sign_table(speaker), u[:, 0])
+    proposed = _draw_signs(category_signs(speaker).cumsum(axis=1)[speaker.categories], u[:, 0])
     accepted = u[:, 1] < acceptance_ratio(listener, proposed, listener.signs)
     listener.signs[accepted] = proposed[accepted]
     return proposed, accepted
@@ -136,7 +140,7 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generato
         raise ValueError("agents disagree on the coupling variant")
     logw = np.log(np.maximum(sign_table(agent_a), PROB_FLOOR))
     logw += np.log(np.maximum(sign_table(agent_b), PROB_FLOOR))
-    signs = _draw_signs(normalize_log_rows(logw), gen.random(logw.shape[0]))
+    signs = _draw_signs(normalize_log_rows(logw).cumsum(axis=1), gen.random(logw.shape[0]))
     agent_a.signs[:] = signs
     agent_b.signs[:] = signs
     return signs
@@ -194,14 +198,12 @@ def run_game(
     iteration is scored in one batched pass after the last; scoring reads
     the chain but never feeds back into it.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     mode = CommunicationMode(mode)
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     agent_a = init_agent(variant, hyper, dataset, "A", rng.derive(_STREAM_INIT, _SLOT["A"]))
     agent_b = init_agent(variant, hyper, dataset, "B", rng.derive(_STREAM_INIT, _SLOT["B"]))
-    state = GameState(variant=variant, mode=mode, agent_a=agent_a, agent_b=agent_b)
+    state = GameState(mode=mode, agent_a=agent_a, agent_b=agent_b)
     joint_signs = mode is CommunicationMode.GIBBS_TOPLINE
     labels = np.min_scalar_type(max(hyper.num_categories, hyper.num_signs) - 1)
     # (agent, iteration, object) snapshots

@@ -221,8 +221,10 @@ def sample_dirichlet_rows(alphas, gen: np.random.Generator) -> list[np.ndarray]:
     if not (flat.min() > 0 and flat.max() < np.inf):
         raise ValueError("alpha entries must be positive and finite")
     logg = _log_gamma_draws(flat, gen)
-    ends = np.cumsum([alpha.size for alpha in alphas])
-    out = [logg[end - alpha.size : end].reshape(alpha.shape) for alpha, end in zip(alphas, ends)]
+    out, offset = [], 0
+    for alpha in alphas:
+        out.append(logg[offset : offset + alpha.size].reshape(alpha.shape))
+        offset += alpha.size
     # consecutive blocks of one width are normalized as one matrix; each
     # row's max, exp, floor and sum come out as they do block by block
     start = 0
@@ -243,8 +245,10 @@ def sample_categorical_rows(probs: np.ndarray, gen: np.random.Generator) -> np.n
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = 1.0
     u = gen.random((probs.shape[0], 1))
-    idx = (cum < u).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+    # cum never decreases before the last column, and the last column, 1.0,
+    # is never below u < 1, so the entries below u form a prefix of the row:
+    # the first entry at or above u sits at the count of the entries below it
+    return (cum >= u).argmax(axis=1)
 
 
 def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
@@ -257,8 +261,10 @@ def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
     logw = np.asarray(logw, dtype=float)
     if logw.ndim != 2 or logw.size == 0:
         raise ValueError("log-weights must be a non-empty 2-d matrix")
-    # max and min propagate NaN: a NaN entry makes the smallest row maximum NaN
-    m = logw.max(axis=1, keepdims=True)
+    # max and min propagate NaN: a NaN entry makes the smallest row maximum NaN.
+    # max is exact in any order, and over the contiguous transpose it is one
+    # elementwise pass per column instead of one short reduction per row.
+    m = np.ascontiguousarray(logw.T).max(axis=0)[:, None]
     lowest = m.min()
     if np.isnan(lowest):
         raise ValueError("log-weights contain NaN")

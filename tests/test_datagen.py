@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import solo_gibbs_fit
-from signgame.agents import Hyperparams, ModalityMask, init_agent
-from signgame.datagen import SyntheticConfig, generate_dataset
+from signgame.agents import Hyperparams, ModalityMask, init_agent, sample_categories, update_parameters
+from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.experiment import CONDITION_MASKS
 from signgame.metrics import adjusted_rand_index
 from signgame.stochastic import RngStream
@@ -106,6 +106,50 @@ def test_single_modality_fit_recovers_planted_types():
     agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(2025).derive(1))
     solo_gibbs_fit(agent, data, 150, RngStream(2025).derive(2))
     assert adjusted_rand_index(agent.categories, data.true_type) >= 0.6
+
+
+def test_float_observations_hold_masked_in_modalities_in_canonical_order():
+    data = make_dataset(seed=3)
+    # named out of canonical order; s is in the data but masked off
+    mask = ModalityMask.of("h", "v")
+    obs, columns = data.float_observations("A", mask)
+    ints = data.observations["A"]
+    assert obs.dtype == np.float64
+    assert list(columns) == ["v", "h"]
+    assert np.array_equal(obs, np.hstack([ints["v"], ints["h"]]))
+    for m in columns:
+        assert np.array_equal(obs[:, columns[m]], ints[m])
+    assert not obs.flags.writeable
+    assert data.float_observations("A", mask)[0] is obs
+    assert data.float_observations("A", FULL)[0].shape == (data.num_objects, 3 * data.config.feature_dim)
+
+
+def test_agent_sweeps_read_one_float_matrix_per_dataset(monkeypatch):
+    full = make_dataset(seed=4)
+    # agent A is masked to v and s while the data also holds h
+    data = Dataset(
+        true_type=full.true_type,
+        observations=full.observations,
+        masks={"A": ModalityMask.of("v", "s"), "B": FULL},
+        config=full.config,
+    )
+    seen = []
+    original = Dataset.float_observations
+
+    def spy(self, agent_id, mask):
+        out = original(self, agent_id, mask)
+        seen.append((self, agent_id, out[0]))
+        return out
+
+    monkeypatch.setattr(Dataset, "float_observations", spy)
+    agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(5))
+    for it in range(3):
+        update_parameters(agent, data, RngStream(6).derive(it).generator())
+        sample_categories(agent, data, RngStream(7).derive(it).generator())
+    # init's parameter draw, then both readers in each sweep
+    assert len(seen) == 1 + 2 * 3
+    assert all(ds is data and name == "A" and matrix is seen[0][2] for ds, name, matrix in seen)
+    assert np.array_equal(seen[0][2], np.hstack([full.observations["A"]["v"], full.observations["A"]["s"]]))
 
 
 def dataset_digest(seed=0, trials=3):

@@ -11,6 +11,7 @@ from conftest import frozen_agent, tv_distance
 from signgame.agents import (
     Hyperparams,
     ModalityMask,
+    category_signs,
     init_agent,
     sample_categories,
     sign_table,
@@ -311,6 +312,60 @@ def test_gibbs_word_array_call_matches_scalar_reference(variant, seed):
     np.testing.assert_array_equal(agent_a.signs, ref_a.signs)
     np.testing.assert_array_equal(agent_b.signs, ref_b.signs)
     assert gen.random() == ref_gen.random()
+
+
+def counting_draw(table, u):
+    """The counting form of the sign draw: how many cumulative sums of each
+    row are at or below u times the row's total, clamped to the last sign."""
+    cum = table.cumsum(axis=1)
+    return np.minimum((cum <= u[:, None] * cum[:, -1:]).sum(axis=1), table.shape[1] - 1)
+
+
+# largest float below 1.0, the largest uniform a Generator returns
+U_MAX = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "weights, u",
+    [
+        # ties: a cumulative sum equal to u times the total is not above it
+        ([1.0, 1.0, 2.0], [0.25, 0.5, 0.75, U_MAX]),
+        ([0.5, 0.5], [0.5, 0.0]),
+        # u = 0 skips leading zero weights
+        ([0.0, 0.0, 3.0], [0.0, 0.5]),
+        ([2.0, 1.0], [0.0]),
+        # zero weights at the start, middle and end, and an all-zero row
+        ([0.0, 2.0, 0.0, 0.0, 3.0, 0.0], [0.0, 0.4, 0.41, 0.999, U_MAX]),
+        ([0.0, 0.0, 0.0], [0.0, 0.5, U_MAX]),
+        # a total so small that u times it rounds up to it
+        ([0.0, 5e-324, 0.0], [0.0, 0.9, U_MAX]),
+        # one column
+        ([0.7], [0.0, 0.5, U_MAX]),
+    ],
+)
+def test_draw_signs_first_index_matches_counting_edges(weights, u):
+    table = np.tile(np.asarray(weights, dtype=float), (len(u), 1))
+    u = np.asarray(u)
+    assert np.array_equal(game._draw_signs(table.cumsum(axis=1), u), counting_draw(table, u))
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_per_category_gathers_match_object_tables(variant, seed):
+    # the kernels gather per-category tables by category; the object tables
+    # they replace give the same bytes and draws
+    speaker, listener = random_agents(variant, seed)
+    table = sign_table(speaker)
+    gathered = category_signs(speaker).cumsum(axis=1)[speaker.categories]
+    assert gathered.tobytes() == table.cumsum(axis=1).tobytes()
+    u = RngStream(seed).generator().random(table.shape[0])
+    assert np.array_equal(game._draw_signs(gathered, u), counting_draw(table, u))
+
+    weights = np.maximum(sign_table(listener), PROB_FLOOR)
+    rows = np.arange(weights.shape[0])
+    new = RngStream(seed).derive(1).generator().integers(0, KERNEL_HYPER.num_signs, size=rows.size)
+    expected = weights[rows, new] / weights[rows, listener.signs]
+    assert acceptance_ratio(listener, new, listener.signs).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("mode, calls", [("mh", {"mh_exchange": 8}), ("reject", {}), ("gibbs", {"gibbs_word": 4})])

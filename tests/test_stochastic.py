@@ -257,6 +257,69 @@ def test_sample_categorical_rows_agrees_with_marginals():
     assert np.all(idx[1::2] == 2)
 
 
+class FixedUniforms:
+    """Stands in for a Generator whose random() returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def counting_categorical_rows(probs, u):
+    """The counting form of the categorical draw: how many cumulative sums,
+    the last pinned to 1.0, fall below each row's uniform."""
+    cum = np.cumsum(probs, axis=1)
+    cum[:, -1] = 1.0
+    return np.minimum((cum < u[:, None]).sum(axis=1), probs.shape[1] - 1)
+
+
+# largest float below 1.0, the largest uniform a Generator returns
+U_MAX = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "probs, u",
+    [
+        # ties: a cumulative sum equal to the uniform is not below it
+        ([0.25, 0.25, 0.5], [0.25, 0.5, 0.75, U_MAX]),
+        ([0.5, 0.5], [0.5, 0.0]),
+        # u = 0 lands on the first column, zero weight or not
+        ([0.0, 0.3, 0.7], [0.0, 0.3, 0.29, U_MAX]),
+        # zero-weight entries at the start, middle and end
+        ([0.0, 0.4, 0.0, 0.0, 0.6, 0.0], [0.0, 0.4, 0.41, 0.999, U_MAX]),
+        # cumulative sum 1.0000000000000002 before the pinned last column
+        ([0.5, 0.5000000000000002, 0.0], [0.5, 0.99, U_MAX]),
+        ([0.25, 0.7500000000000002, 0.0, 0.0], [0.0, 0.25, U_MAX]),
+        # one column
+        ([1.0], [0.0, 0.5, U_MAX]),
+    ],
+)
+def test_sample_categorical_rows_first_index_matches_counting_edges(probs, u):
+    probs = np.tile(np.asarray(probs, dtype=float), (len(u), 1))
+    u = np.asarray(u)
+    drawn = sample_categorical_rows(probs, FixedUniforms(u))
+    assert np.array_equal(drawn, counting_categorical_rows(probs, u))
+    assert drawn.dtype == counting_categorical_rows(probs, u).dtype
+
+
+def test_sample_categorical_rows_first_index_matches_counting_random():
+    gen = RngStream(seed=41).generator()
+    # sparse rows: many entries are floored to PROB_FLOOR or exactly zero
+    probs = gen.dirichlet(np.full(15, 0.05), size=4000)
+    probs[probs < 1e-3] = 0.0
+    probs[:, 0] = np.where(probs.sum(axis=1) == 0, 1.0, probs[:, 0])
+    probs /= probs.sum(axis=1, keepdims=True)
+    # half the uniforms sit exactly on a cumulative sum of their row
+    u = gen.random(probs.shape[0])
+    cum = np.cumsum(probs, axis=1)
+    on_sum = cum[np.arange(probs.shape[0]), gen.integers(0, 15, size=probs.shape[0])]
+    u[::2] = np.minimum(on_sum, U_MAX)[::2]
+    drawn = sample_categorical_rows(probs, FixedUniforms(u))
+    assert np.array_equal(drawn, counting_categorical_rows(probs, u))
+
+
 def normalize_one_row(logw):
     """normalize_log_rows on a single row of log-weights."""
     return normalize_log_rows(np.asarray(logw, dtype=float).reshape(1, -1))[0]

@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Alternating parent/change benchmark pairs from two checkouts.
+
+Runs ``perfbench/run.py`` of each checkout, one process at a time, and
+writes (or merges into) a ``BENCH_*.json`` file:
+
+    # ten untraced pairs per workload, into "workloads"
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json \\
+        --workload cell-mh --workload grid-jobs2 --workload cell-wide \\
+        --seed 1 --pairs 10 --seconds 10
+    # pairs at a seed not used while the change was written, into "cell-mh-seed-3"
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json \\
+        --workload cell-mh --seed 3 --pairs 4 --seconds 10 --section cell-mh-seed-3
+    # one traced run of every workload per side, into "traced"
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --seed 1 --seconds 3
+
+Pair i runs the parent first when i is even and the change first when i is
+odd. Workload names, metric names and each metric's better direction come
+from the change checkout's ``BENCHMARK.json``. Quartiles are the
+``statistics.quantiles`` default (exclusive method).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def _git_head(checkout: Path) -> str | None:
+    proc = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True, check=False
+    )
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip()
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` process in checkout; its parsed stdout."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    # run.py imports the package from its own checkout; an inherited
+    # PYTHONPATH would put another checkout's package on its setup path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}")
+    out = json.loads(lines[-1])
+    out["digests"] = [line.split(": ", 1)[1] for line in lines if line.startswith("digest ")]
+    out["absent"] = [line.split("absent names: ", 1)[1] for line in lines if "absent names: " in line]
+    out["machine"] = next((json.loads(line[len("machine ") :]) for line in lines if line.startswith("machine ")), None)
+    return out
+
+
+def summarize(pairs: list[dict], better: dict) -> dict:
+    """Per metric: both medians, their ratio, the parent's interquartile
+    range and how many pairs the change won (ties count for neither)."""
+    out = {}
+    for name, direction in better.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
+        sign = -1.0 if direction == "lower" else 1.0
+        out[name] = {
+            "parent_median": round(statistics.median(parent), 6),
+            "change_median": round(statistics.median(change), 6),
+            "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
+            "parent_iqr": round(q3 - q1, 6),
+            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        }
+    out["failed_operations"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    out["digests_equal"] = len({p[side]["digest"] for p in pairs for side in SIDES}) == 1
+    return out
+
+
+def measure_pairs(checkouts: dict, workload: str, args, better: dict, machines: list) -> list[dict]:
+    pairs = []
+    for i in range(args.pairs):
+        pair = {"pair": i, "first": SIDES[i % 2]}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            res = run_bench(checkouts[side], workload, args.seed, args.seconds, trace=0)
+            machines.append(res["machine"])
+            row = {name: round(res["metrics"][name]["value"], 6) for name in better}
+            row.update(attempted=res["attempted"], failed=res["failed"], digest=" ".join(res["digests"]))
+            pair[side] = row
+            print(f"{workload} seed {args.seed} pair {i} {side}: " + json.dumps(row), flush=True)
+        pairs.append(pair)
+    return pairs
+
+
+def traced(checkouts: dict, args, per_layer: list[str], workloads: list[str], machines: list) -> dict:
+    """One ``--workload all`` run per side, parent first; its per-layer
+    metrics by name, workload and side."""
+    cmd = f"python3 perfbench/run.py --workload all --seed {args.seed} --seconds {args.seconds:g}"
+    section = {"command": cmd}
+    results = {side: run_bench(checkouts[side], "all", args.seed, args.seconds, trace=0) for side in SIDES}
+    machines += [results[side]["machine"] for side in SIDES]
+    section["absent_names"] = {side: results[side]["absent"] for side in SIDES}
+    for name in per_layer:
+        section[name] = {
+            w: {side: round(results[side]["metrics"][f"{w}.{name}"]["value"], 6) for side in SIDES}
+            for w in workloads
+        }
+    return section
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write or merge into")
+    parser.add_argument("--workload", action="append", default=[], help="workload to pair (repeatable)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--section", help="top-level key for one workload's pairs (default: workloads.<name>)")
+    parser.add_argument("--traced", action="store_true", help="one traced run of every workload per side")
+    parser.add_argument("--description", help="the file's description field")
+    args = parser.parse_args(argv)
+    if args.section and len(args.workload) != 1:
+        parser.error("--section takes exactly one --workload")
+    if not args.traced and (not args.workload or args.pairs < 1):
+        parser.error("give at least one --workload and one pair, or --traced")
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workload) - set(known))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; BENCHMARK.json has {known}")
+
+    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    if args.description:
+        doc["description"] = args.description
+    doc.setdefault("command", "python3 perfbench/run.py --workload <W> --seed <S> --seconds <T> --trace 0")
+    doc.setdefault("order", "pair i runs the parent first when i is even and the change first when i is odd")
+    doc["parent_commit"] = _git_head(checkouts["parent"])
+    doc.setdefault("change_commit", "the commit that adds this file")
+
+    machines = []
+    if args.traced:
+        doc["traced"] = traced(checkouts, args, [m["name"] for m in spec["per_layer"]], known, machines)
+    for workload in args.workload:
+        pairs = measure_pairs(checkouts, workload, args, better, machines)
+        record = {
+            "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+            "summary": summarize(pairs, better),
+            "pairs": pairs,
+        }
+        if args.section:
+            doc[args.section] = record
+        else:
+            doc.setdefault("workloads", {})[workload] = record
+    if "host" not in doc and machines[0]:
+        note = "timings rescaled by perfbench's reference kernel (HostClock)"
+        doc["host"] = {**machines[0], "note": note}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
