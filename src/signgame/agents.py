@@ -228,7 +228,8 @@ def sample_categories(agent: AgentModel, dataset: "Dataset", gen: np.random.Gene
     """Redraw every category assignment from its exact conditional given the
     parameters, the observations and the current signs."""
     logw = observation_log_likelihood(agent, dataset) + category_log_prior(agent)
-    agent.categories = sample_categorical_rows(normalize_log_rows(logw), gen)
+    cum = normalize_log_rows(logw).cumsum(axis=1)
+    agent.categories = sample_categorical_rows(cum, gen.random(cum.shape[0]))
     return agent.categories
 
 
@@ -242,9 +243,3 @@ def category_signs(agent: AgentModel) -> np.ndarray:
     the row's normalizer never matters.
     """
     return agent.coupling if agent.variant == VARIANT_H2H else agent.coupling.T
-
-
-def sign_table(agent: AgentModel) -> np.ndarray:
-    """(num_objects, num_signs) unnormalized weights over signs: the
-    category_signs row of each object's category."""
-    return category_signs(agent)[agent.categories]

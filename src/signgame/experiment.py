@@ -118,6 +118,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs!r}")
+        # RngStream keeps a seed's low 64 bits: a wider range would alias runs
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:

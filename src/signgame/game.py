@@ -37,7 +37,6 @@ from .agents import (
     category_signs,
     init_agent,
     sample_categories,
-    sign_table,
     update_parameters,
 )
 from .datagen import Dataset
@@ -48,6 +47,7 @@ from .stochastic import (
     derive_streams,
     normalize_log_rows,
     open_generator,
+    sample_categorical_rows,
     seed_words,
 )
 
@@ -97,18 +97,6 @@ def acceptance_ratio(listener: AgentModel, sign_new, sign_old) -> np.ndarray:
     return weights[c, sign_new] / weights[c, sign_old]
 
 
-def _draw_signs(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one sign per row, given each row's cumulative
-    sums of nonnegative weights and one uniform per row."""
-    # the sums never decrease along a row, so the entries at or below the
-    # threshold form a prefix and the first entry above it sits at their
-    # count; a row with none above it (all weights zero, or a total so
-    # small that u * total rounds up to it) takes the last sign
-    above = cum > u[:, None] * cum[:, -1:]
-    above[:, -1] = True
-    return above.argmax(axis=1)
-
-
 def mh_exchange(speaker: AgentModel, listener: AgentModel, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The speaker names every object; the listener accepts each sign by
     the Metropolis rule.
@@ -124,7 +112,7 @@ def mh_exchange(speaker: AgentModel, listener: AgentModel, gen: np.random.Genera
     the (proposed, accepted) arrays.
     """
     u = gen.random((listener.signs.size, 2))
-    proposed = _draw_signs(category_signs(speaker).cumsum(axis=1)[speaker.categories], u[:, 0])
+    proposed = sample_categorical_rows(category_signs(speaker).cumsum(axis=1)[speaker.categories], u[:, 0])
     accepted = u[:, 1] < acceptance_ratio(listener, proposed, listener.signs)
     listener.signs[accepted] = proposed[accepted]
     return proposed, accepted
@@ -138,9 +126,9 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generato
     """
     if agent_a.variant != agent_b.variant:
         raise ValueError("agents disagree on the coupling variant")
-    logw = np.log(np.maximum(sign_table(agent_a), PROB_FLOOR))
-    logw += np.log(np.maximum(sign_table(agent_b), PROB_FLOOR))
-    signs = _draw_signs(normalize_log_rows(logw).cumsum(axis=1), gen.random(logw.shape[0]))
+    logw = np.log(np.maximum(category_signs(agent_a), PROB_FLOOR))[agent_a.categories]
+    logw += np.log(np.maximum(category_signs(agent_b), PROB_FLOOR))[agent_b.categories]
+    signs = sample_categorical_rows(normalize_log_rows(logw).cumsum(axis=1), gen.random(logw.shape[0]))
     agent_a.signs[:] = signs
     agent_b.signs[:] = signs
     return signs

@@ -15,11 +15,11 @@ import numpy as np
 # Probabilities are floored before any log so that log-weights stay finite.
 PROB_FLOOR = 1e-300
 
-# Where sample_dirichlet_rows clamps log-weights, relative to their row's
+# Where normalize_log_rows clamps log-weights, relative to their row's
 # maximum, before exp. Any c with exp(c) < PROB_FLOOR (c < ln 1e-300 =
-# -690.78) leaves every output bit as it was: an entry below c came out of
-# exp below PROB_FLOOR and was floored to PROB_FLOOR, and exp(c) is floored
-# to the same value. With c above ln(smallest normal float) = -708.40,
+# -690.78) gives the same output: an entry below c comes out of exp below
+# PROB_FLOOR and is floored to PROB_FLOOR, and exp(c) is floored to the
+# same value. With c above ln(smallest normal float) = -708.40,
 # exp(c) = 9.9e-305 is a normal float, so exp never takes numpy's slow path
 # for results that underflow to zero or to subnormals.
 EXP_CLAMP = -700.0
@@ -42,20 +42,14 @@ class DegenerateDistributionError(ValueError):
     """All probability mass vanished; nothing can be drawn."""
 
 
-def _splitmix64(x: int) -> int:
-    # splitmix64 finalizer; bijective on 64-bit ints.
+def _splitmix64(x):
+    # splitmix64 finalizer; bijective on 64-bit ints. x is a Python int or
+    # a 1-d uint64 array, whose arithmetic wraps silently; the masks keep
+    # Python ints to 64 bits and leave array words as they are.
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    # _splitmix64 on a uint64 array; array arithmetic wraps modulo 2**64
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def derive_streams(stream: int, *ids) -> np.ndarray:
@@ -69,7 +63,7 @@ def derive_streams(stream: int, *ids) -> np.ndarray:
     # 1-d lanes keep numpy in array arithmetic, which wraps silently
     s = np.full(int(np.prod(shape)), stream & _MASK64, dtype=np.uint64)
     for v in ids:
-        s = _splitmix64_array(s ^ _splitmix64_array(v.astype(np.uint64).reshape(-1)))
+        s = _splitmix64(s ^ _splitmix64(v.astype(np.uint64).reshape(-1)))
     return s.reshape(shape)
 
 
@@ -230,33 +224,30 @@ def sample_dirichlet_rows(alphas, gen: np.random.Generator) -> list[np.ndarray]:
     start = 0
     for width, run in groupby(alphas, key=lambda alpha: alpha.shape[1]):
         stop = start + sum(alpha.size for alpha in run)
-        p = logg[start:stop].reshape(-1, width)
-        p -= p.max(axis=1, keepdims=True)
-        np.maximum(p, EXP_CLAMP, out=p)
-        np.exp(p, out=p)
-        np.maximum(p, PROB_FLOOR, out=p)
-        p /= p.sum(axis=1, keepdims=True)
+        normalize_log_rows(logg[start:stop].reshape(-1, width))
         start = stop
     return out
 
 
-def sample_categorical_rows(probs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a row-stochastic matrix."""
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = 1.0
-    u = gen.random((probs.shape[0], 1))
-    # cum never decreases before the last column, and the last column, 1.0,
-    # is never below u < 1, so the entries below u form a prefix of the row:
-    # the first entry at or above u sits at the count of the entries below it
-    return (cum >= u).argmax(axis=1)
+def sample_categorical_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one index per row, given each row's cumulative
+    sums of nonnegative weights and one uniform per row."""
+    # the sums never decrease along a row, so the entries at or below the
+    # threshold form a prefix and the first entry above it sits at their
+    # count; a row with none above it (all weights zero, or a total so
+    # small that u * total rounds up to it) takes the last index
+    above = cum > u[:, None] * cum[:, -1:]
+    above[:, -1] = True
+    return above.argmax(axis=1)
 
 
 def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
     """Turn each row of a matrix of unnormalized log-weights into a
-    probability vector.
+    probability vector, in place; returns the matrix.
 
     Stable for spreads up to hundreds of thousands of nats: entries far
-    below their row's maximum underflow to zero instead of poisoning the sum.
+    below their row's maximum are clamped at EXP_CLAMP and floored at
+    PROB_FLOOR instead of poisoning the sum.
     """
     logw = np.asarray(logw, dtype=float)
     if logw.ndim != 2 or logw.size == 0:
@@ -270,7 +261,9 @@ def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
         raise ValueError("log-weights contain NaN")
     if lowest == -np.inf:
         raise DegenerateDistributionError("a row of log-weights is entirely -inf")
-    p = logw - m
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    logw -= m
+    np.maximum(logw, EXP_CLAMP, out=logw)
+    np.exp(logw, out=logw)
+    np.maximum(logw, PROB_FLOOR, out=logw)
+    logw /= logw.sum(axis=1, keepdims=True)
+    return logw

@@ -10,8 +10,8 @@ from signgame.agents import (
     AgentModel,
     Hyperparams,
     ModalityMask,
+    category_signs,
     sample_categories,
-    sign_table,
     update_parameters,
 )
 from signgame.stochastic import sample_categorical_rows
@@ -36,6 +36,13 @@ def frozen_agent(variant, weights, name="A"):
         signs=np.zeros(objects, dtype=np.int64),
         category_weights=np.ones(objects) if variant == "h2h" else None,
     )
+
+
+def counting_draw(cum, u):
+    """The counting form of the categorical draw: how many cumulative sums
+    of each row are at or below u times the row's total, clamped to the
+    last index."""
+    return np.minimum((cum <= u[:, None] * cum[:, -1:]).sum(axis=1), cum.shape[1] - 1)
 
 
 def tv_distance(p, q):
@@ -89,7 +96,7 @@ def solo_gibbs_fit(agent, dataset, iterations, rng):
         step = rng.derive(it)
         update_parameters(agent, dataset, step.derive(0).generator())
         sample_categories(agent, dataset, step.derive(1).generator())
-        table = sign_table(agent)
+        cum = category_signs(agent).cumsum(axis=1)[agent.categories]
         # one uniform per object, in object order
-        agent.signs = sample_categorical_rows(table / table.sum(axis=1, keepdims=True), step.derive(2).generator())
+        agent.signs = sample_categorical_rows(cum, step.derive(2).generator().random(cum.shape[0]))
     return agent

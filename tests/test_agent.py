@@ -7,21 +7,23 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import signgame.agents as agents
 from signgame.agents import (
     AgentModel,
     Hyperparams,
     ModalityMask,
     category_log_prior,
+    category_signs,
     init_agent,
     observation_log_likelihood,
     posterior_concentrations,
     sample_categories,
-    sign_table,
     update_parameters,
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.metrics import adjusted_rand_index
-from signgame.stochastic import RngStream, sample_dirichlet_rows
+from signgame.game import run_game
+from signgame.stochastic import RngStream, sample_categorical_rows, sample_dirichlet_rows
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -281,7 +283,7 @@ def test_category_log_prior_hand_values():
     np.testing.assert_allclose(np.exp(category_log_prior(t2t)), [[0.2, 0.8], [0.9, 0.1], [0.2, 0.8]], rtol=1e-12)
 
 
-def test_sign_table_h2h_reads_coupling_row():
+def test_category_signs_h2h_reads_coupling_row():
     agent = tiny_agent(
         "h2h",
         coupling=[[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]],
@@ -289,10 +291,10 @@ def test_sign_table_h2h_reads_coupling_row():
         signs=[0],
     )
     agent.categories = np.array([1])
-    np.testing.assert_allclose(sign_table(agent), [[0.1, 0.2, 0.7]])
+    np.testing.assert_allclose(category_signs(agent)[agent.categories], [[0.1, 0.2, 0.7]])
 
 
-def test_sign_table_t2t_reads_raw_column():
+def test_category_signs_t2t_reads_raw_column():
     agent = tiny_agent(
         "t2t",
         coupling=[[0.2, 0.8], [0.6, 0.4], [0.2, 0.8]],
@@ -301,9 +303,9 @@ def test_sign_table_t2t_reads_raw_column():
     )
     agent.categories = np.array([0, 1])
     # the column of each object's category, not normalized over signs
-    assert sign_table(agent).tolist() == [[0.2, 0.6, 0.2], [0.8, 0.4, 0.8]]
+    assert category_signs(agent)[agent.categories].tolist() == [[0.2, 0.6, 0.2], [0.8, 0.4, 0.8]]
     agent.categories = np.array([1, 0])
-    assert sign_table(agent).tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
+    assert category_signs(agent)[agent.categories].tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
 
 
 def test_observation_log_likelihood_hand_values():
@@ -375,6 +377,42 @@ def test_two_applications_leave_category_distribution_invariant():
     w1 = 0.45 * (0.4**2 * 0.6) * 0.3
     exact = np.array([w0, w1]) / (w0 + w1)
     assert np.abs(once - exact).sum() / 2 < 0.01
+
+
+def pinned_draw(cum, u):
+    """The category draw before the threshold scaled with the row total:
+    the first cumulative sum at or above u, with the last sum pinned to 1.0."""
+    cum = cum.copy()
+    cum[:, -1] = 1.0
+    return (cum >= u[:, None]).argmax(axis=1)
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_category_draws_match_the_pinned_rule_on_game_conditionals(monkeypatch, variant):
+    # a normalized row sums to 1 within a few ulps, so scaling u by the total
+    # and breaking ties the other way can move a draw only when u lies
+    # within a few ulps of a cumulative sum
+    captured = []
+
+    def capture(cum, u):
+        captured.append(cum.copy())
+        return sample_categorical_rows(cum, u)
+
+    monkeypatch.setattr(agents, "sample_categorical_rows", capture)
+    hyper = Hyperparams(num_categories=6, num_signs=6)
+    config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=2, hyper=hyper)
+    dataset = generate_dataset(config, FULL, ModalityMask.of("v"), RngStream(1))
+    run_game(variant, "mh", hyper, dataset, 20, RngStream(2))
+    cum = np.concatenate(captured)
+    assert cum.shape == (2 * 20 * dataset.num_objects, 6)
+    # conditionals away from one-hot, where a threshold falls inside a row
+    assert np.mean(np.diff(cum, axis=1, prepend=0.0).max(axis=1) < 0.99) > 0.1
+    gen = np.random.default_rng(3)
+    draws = 0
+    while draws < 200_000:
+        u = gen.random(cum.shape[0])
+        assert np.array_equal(sample_categorical_rows(cum, u), pinned_draw(cum, u))
+        draws += u.size
 
 
 def test_single_agent_fit_recovers_types_on_most_seeds():

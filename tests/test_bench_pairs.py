@@ -1,7 +1,8 @@
-"""Tests for the pair summary of tools/bench_pairs.py (no benchmark runs)."""
+"""Tests for tools/bench_pairs.py: its pair summary and exit status (no benchmark runs)."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,37 @@ def test_summarize_reports_failures_and_digest_mismatch():
     out = bench_pairs.summarize(pairs, {"wall_s": "lower"})
     assert out["failed_operations"] == {"parent": 0, "change": 2}
     assert not out["digests_equal"]
+
+
+@pytest.mark.parametrize(
+    "digest, failed, status",
+    [("d", 0, 0), ("other", 0, 1), ("d", 3, 1)],
+    ids=["sound", "digest-differs", "change-failed"],
+)
+def test_main_exits_1_naming_workloads_with_unequal_digests_or_failures(tmp_path, monkeypatch, capsys, digest, failed, status):
+    spec = {
+        "workloads": [{"name": "cell-mh"}, {"name": "cell-wide"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower"}],
+        "per_layer": [],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        change = checkout == tmp_path.resolve() and workload == "cell-wide"
+        return {
+            "metrics": {"wall_s": {"value": 1.0}},
+            "attempted": 5,
+            "failed": failed if change else 0,
+            "digests": [digest if change else "d"],
+            "machine": {"cpu": "test"},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--workload", "cell-mh", "--workload", "cell-wide", "--pairs", "2"]
+    assert bench_pairs.main(argv) == status
+    # the file is written either way
+    assert set(json.loads(out.read_text())["workloads"]) == {"cell-mh", "cell-wide"}
+    err = capsys.readouterr().err
+    assert ("cell-wide" in err) == bool(status)
+    assert "cell-mh" not in err

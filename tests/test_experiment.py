@@ -405,6 +405,9 @@ def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, c
         ({"jobs": False}, "jobs"),
         ({"trials": "2", "iterations": "1"}, "trials"),
         ({"seed": "0"}, "seed"),
+        # outside the 64 bits a seed keeps, where -1 would run as 2**64 - 1
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
     ],
 )
 def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, needle):

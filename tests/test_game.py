@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import signgame.game as game
-from conftest import frozen_agent, tv_distance
+from conftest import counting_draw, frozen_agent, tv_distance
 from signgame.agents import (
     Hyperparams,
     ModalityMask,
     category_signs,
     init_agent,
     sample_categories,
-    sign_table,
     update_parameters,
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
@@ -26,7 +25,7 @@ from signgame.game import (
     run_game,
 )
 from signgame.metrics import adjusted_rand_index, kappa
-from signgame.stochastic import PROB_FLOOR, RngStream, open_generator
+from signgame.stochastic import PROB_FLOOR, RngStream, open_generator, sample_categorical_rows
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -193,7 +192,7 @@ def test_run_game_rejects_bad_arguments():
 # (cumsum + searchsorted draw, floored ratio, one object per call).
 
 
-def reference_sign_table(agent, d):
+def reference_object_signs(agent, d):
     c = agent.categories[d]
     if agent.variant == "h2h":
         return agent.coupling[c]
@@ -216,7 +215,7 @@ def reference_ratio(listener, d, proposed, current):
 
 
 def reference_mh(speaker, listener, d, gen):
-    proposed = reference_draw(reference_sign_table(speaker, d), gen)
+    proposed = reference_draw(reference_object_signs(speaker, d), gen)
     current = int(listener.signs[d])
     accepted = bool(gen.random() < min(1.0, reference_ratio(listener, d, proposed, current)))
     if accepted:
@@ -225,8 +224,8 @@ def reference_mh(speaker, listener, d, gen):
 
 
 def reference_gibbs(agent_a, agent_b, d, gen):
-    pa = reference_sign_table(agent_a, d)
-    pb = reference_sign_table(agent_b, d)
+    pa = reference_object_signs(agent_a, d)
+    pb = reference_object_signs(agent_b, d)
     logw = np.log(np.maximum(pa, PROB_FLOOR)) + np.log(np.maximum(pb, PROB_FLOOR))
     p = np.exp(logw - logw.max())
     sign = reference_draw(p / p.sum(), gen)
@@ -259,15 +258,15 @@ def random_agents(variant, seed):
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
-def test_sign_tables_and_ratios_match_scalar_reference_bitwise(variant):
+def test_object_signs_and_ratios_match_scalar_reference_bitwise(variant):
     # a last-bit difference here almost never flips a draw, so it is checked
     # directly rather than through the drawn signs
     agent, _ = random_agents(variant, 6)
     agent.coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
     objects = np.arange(agent.categories.size)
-    table = sign_table(agent)
+    table = category_signs(agent)[agent.categories]
     for d in objects:
-        assert table[d].tobytes() == reference_sign_table(agent, d).tobytes()
+        assert table[d].tobytes() == reference_object_signs(agent, d).tobytes()
     # every (object, new, old) triple, one whole-object call per (new, old)
     signs = range(KERNEL_HYPER.num_signs)
     for new in signs:
@@ -314,13 +313,6 @@ def test_gibbs_word_array_call_matches_scalar_reference(variant, seed):
     assert gen.random() == ref_gen.random()
 
 
-def counting_draw(table, u):
-    """The counting form of the sign draw: how many cumulative sums of each
-    row are at or below u times the row's total, clamped to the last sign."""
-    cum = table.cumsum(axis=1)
-    return np.minimum((cum <= u[:, None] * cum[:, -1:]).sum(axis=1), table.shape[1] - 1)
-
-
 # largest float below 1.0, the largest uniform a Generator returns
 U_MAX = 1.0 - 2.0**-53
 
@@ -344,9 +336,10 @@ U_MAX = 1.0 - 2.0**-53
     ],
 )
 def test_draw_signs_first_index_matches_counting_edges(weights, u):
-    table = np.tile(np.asarray(weights, dtype=float), (len(u), 1))
+    # the sign draw the kernels make, on unnormalized sign weights
+    cum = np.tile(np.asarray(weights, dtype=float), (len(u), 1)).cumsum(axis=1)
     u = np.asarray(u)
-    assert np.array_equal(game._draw_signs(table.cumsum(axis=1), u), counting_draw(table, u))
+    assert np.array_equal(game.sample_categorical_rows(cum, u), counting_draw(cum, u))
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
@@ -355,17 +348,23 @@ def test_per_category_gathers_match_object_tables(variant, seed):
     # the kernels gather per-category tables by category; the object tables
     # they replace give the same bytes and draws
     speaker, listener = random_agents(variant, seed)
-    table = sign_table(speaker)
+    table = category_signs(speaker)[speaker.categories]
     gathered = category_signs(speaker).cumsum(axis=1)[speaker.categories]
     assert gathered.tobytes() == table.cumsum(axis=1).tobytes()
     u = RngStream(seed).generator().random(table.shape[0])
-    assert np.array_equal(game._draw_signs(gathered, u), counting_draw(table, u))
+    assert np.array_equal(sample_categorical_rows(gathered, u), counting_draw(table.cumsum(axis=1), u))
 
-    weights = np.maximum(sign_table(listener), PROB_FLOOR)
+    weights = np.maximum(category_signs(listener)[listener.categories], PROB_FLOOR)
     rows = np.arange(weights.shape[0])
     new = RngStream(seed).derive(1).generator().integers(0, KERNEL_HYPER.num_signs, size=rows.size)
     expected = weights[rows, new] / weights[rows, listener.signs]
     assert acceptance_ratio(listener, new, listener.signs).tobytes() == expected.tobytes()
+
+    # gibbs_word's two log tables: floored and logged per category, then gathered
+    for agent in (speaker, listener):
+        gathered = np.log(np.maximum(category_signs(agent), PROB_FLOOR))[agent.categories]
+        objects = np.log(np.maximum(category_signs(agent)[agent.categories], PROB_FLOOR))
+        assert gathered.tobytes() == objects.tobytes()
 
 
 @pytest.mark.parametrize("mode, calls", [("mh", {"mh_exchange": 8}), ("reject", {}), ("gibbs", {"gibbs_word": 4})])

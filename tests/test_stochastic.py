@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import counting_draw
 from signgame.stochastic import (
     EXP_CLAMP,
     PROB_FLOOR,
@@ -219,9 +220,9 @@ def test_sample_dirichlet_rows_matches_block_by_block_reference(shapes):
 def categorical_draws(p, gen, size, chunk=100_000):
     """size draws from p through sample_categorical_rows, one row per draw,
     in chunks that keep the cumulative sums small."""
-    p = np.asarray(p, dtype=float)
-    rows = [np.broadcast_to(p, (min(chunk, size - start), p.size)) for start in range(0, size, chunk)]
-    return np.concatenate([sample_categorical_rows(r, gen) for r in rows])
+    cum = np.cumsum(np.asarray(p, dtype=float))
+    rows = [np.broadcast_to(cum, (min(chunk, size - start), cum.size)) for start in range(0, size, chunk)]
+    return np.concatenate([sample_categorical_rows(r, gen.random(r.shape[0])) for r in rows])
 
 
 def test_sample_categorical_degenerate():
@@ -251,45 +252,28 @@ def test_sample_categorical_20dim_total_variation():
 
 
 def test_sample_categorical_rows_agrees_with_marginals():
-    probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    idx = sample_categorical_rows(np.tile(probs, (500, 1))[:1000], RngStream(seed=5).generator())
+    cum = np.tile(np.cumsum([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], axis=1), (500, 1))
+    idx = sample_categorical_rows(cum, RngStream(seed=5).generator().random(cum.shape[0]))
     assert np.all(idx[::2] == 0)
     assert np.all(idx[1::2] == 2)
-
-
-class FixedUniforms:
-    """Stands in for a Generator whose random() returns the given uniforms."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, shape):
-        return self.u.reshape(shape)
-
-
-def counting_categorical_rows(probs, u):
-    """The counting form of the categorical draw: how many cumulative sums,
-    the last pinned to 1.0, fall below each row's uniform."""
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = 1.0
-    return np.minimum((cum < u[:, None]).sum(axis=1), probs.shape[1] - 1)
 
 
 # largest float below 1.0, the largest uniform a Generator returns
 U_MAX = 1.0 - 2.0**-53
 
 
+# rows of nonnegative weights; they need not sum to one
 @pytest.mark.parametrize(
     "probs, u",
     [
-        # ties: a cumulative sum equal to the uniform is not below it
+        # ties: a cumulative sum equal to u times the total is not above it
         ([0.25, 0.25, 0.5], [0.25, 0.5, 0.75, U_MAX]),
         ([0.5, 0.5], [0.5, 0.0]),
-        # u = 0 lands on the first column, zero weight or not
+        # u = 0 skips leading zero weights
         ([0.0, 0.3, 0.7], [0.0, 0.3, 0.29, U_MAX]),
-        # zero-weight entries at the start, middle and end
+        # zero weights at the start, middle and end
         ([0.0, 0.4, 0.0, 0.0, 0.6, 0.0], [0.0, 0.4, 0.41, 0.999, U_MAX]),
-        # cumulative sum 1.0000000000000002 before the pinned last column
+        # a total of 1.0000000000000002, which scales the threshold
         ([0.5, 0.5000000000000002, 0.0], [0.5, 0.99, U_MAX]),
         ([0.25, 0.7500000000000002, 0.0, 0.0], [0.0, 0.25, U_MAX]),
         # one column
@@ -297,11 +281,11 @@ U_MAX = 1.0 - 2.0**-53
     ],
 )
 def test_sample_categorical_rows_first_index_matches_counting_edges(probs, u):
-    probs = np.tile(np.asarray(probs, dtype=float), (len(u), 1))
+    cum = np.tile(np.cumsum(probs), (len(u), 1))
     u = np.asarray(u)
-    drawn = sample_categorical_rows(probs, FixedUniforms(u))
-    assert np.array_equal(drawn, counting_categorical_rows(probs, u))
-    assert drawn.dtype == counting_categorical_rows(probs, u).dtype
+    drawn = sample_categorical_rows(cum, u)
+    assert np.array_equal(drawn, counting_draw(cum, u))
+    assert drawn.dtype == counting_draw(cum, u).dtype
 
 
 def test_sample_categorical_rows_first_index_matches_counting_random():
@@ -311,18 +295,19 @@ def test_sample_categorical_rows_first_index_matches_counting_random():
     probs[probs < 1e-3] = 0.0
     probs[:, 0] = np.where(probs.sum(axis=1) == 0, 1.0, probs[:, 0])
     probs /= probs.sum(axis=1, keepdims=True)
-    # half the uniforms sit exactly on a cumulative sum of their row
+    # half the uniforms put the threshold on, or within rounding of, a
+    # cumulative sum of their row
     u = gen.random(probs.shape[0])
     cum = np.cumsum(probs, axis=1)
-    on_sum = cum[np.arange(probs.shape[0]), gen.integers(0, 15, size=probs.shape[0])]
+    on_sum = cum[np.arange(probs.shape[0]), gen.integers(0, 15, size=probs.shape[0])] / cum[:, -1]
     u[::2] = np.minimum(on_sum, U_MAX)[::2]
-    drawn = sample_categorical_rows(probs, FixedUniforms(u))
-    assert np.array_equal(drawn, counting_categorical_rows(probs, u))
+    drawn = sample_categorical_rows(cum, u)
+    assert np.array_equal(drawn, counting_draw(cum, u))
 
 
 def normalize_one_row(logw):
-    """normalize_log_rows on a single row of log-weights."""
-    return normalize_log_rows(np.asarray(logw, dtype=float).reshape(1, -1))[0]
+    """normalize_log_rows on a copy of a single row of log-weights."""
+    return normalize_log_rows(np.array(logw, dtype=float).reshape(1, -1))[0]
 
 
 def test_normalize_log_weights_examples():
@@ -339,7 +324,8 @@ def test_normalize_log_weights_examples():
 def test_normalize_log_weights_extreme_spread():
     p = normalize_one_row([0.0, -1e5])
     assert p[0] == 1.0
-    assert p[1] == 0.0
+    # floored, not zero: every entry stays drawable and has a finite log
+    assert p[1] == PROB_FLOOR
 
 
 @settings(max_examples=80, deadline=None)
@@ -375,7 +361,10 @@ def test_normalize_log_weights_errors():
 
 def test_normalize_log_rows_matches_vector_version():
     logw = np.array([[0.0, math.log(3.0)], [-50.0, -50.0]])
-    rows = normalize_log_rows(logw)
+    given = logw.copy()
+    rows = normalize_log_rows(given)
+    # normalized in place
+    assert rows is given
     assert rows[0].tolist() == normalize_one_row(logw[0]).tolist()
     assert np.allclose(rows[0], [0.25, 0.75])
     assert np.allclose(rows[1], [0.5, 0.5])

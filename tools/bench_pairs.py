@@ -18,6 +18,10 @@ Pair i runs the parent first when i is even and the change first when i is
 odd. Workload names, metric names and each metric's better direction come
 from the change checkout's ``BENCHMARK.json``. Quartiles are the
 ``statistics.quantiles`` default (exclusive method).
+
+The exit status is 1, after the file is written, when a workload's digests
+differ between runs or the change failed any operation; stderr names those
+workloads.
 """
 from __future__ import annotations
 
@@ -145,14 +149,17 @@ def main(argv=None) -> int:
     doc["parent_commit"] = _git_head(checkouts["parent"])
     doc.setdefault("change_commit", "the commit that adds this file")
 
-    machines = []
+    machines, unsound = [], []
     if args.traced:
         doc["traced"] = traced(checkouts, args, [m["name"] for m in spec["per_layer"]], known, machines)
     for workload in args.workload:
         pairs = measure_pairs(checkouts, workload, args, better, machines)
+        summary = summarize(pairs, better)
+        if not summary["digests_equal"] or summary["failed_operations"]["change"]:
+            unsound.append(workload)
         record = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} --seconds {args.seconds:g} --trace 0",
-            "summary": summarize(pairs, better),
+            "summary": summary,
             "pairs": pairs,
         }
         if args.section:
@@ -163,6 +170,9 @@ def main(argv=None) -> int:
         note = "timings rescaled by perfbench's reference kernel (HostClock)"
         doc["host"] = {**machines[0], "note": note}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    if unsound:
+        print(f"digests differ or the change failed operations on: {', '.join(unsound)}", file=sys.stderr)
+        return 1
     return 0
 
 
