@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -73,6 +74,9 @@ class Hyperparams:
                 raise ValueError(f"unknown modality {m!r}")
             if not PROB_FLOOR <= b < np.inf:
                 raise ValueError(f"emission concentration for {m!r} must be finite and at least {PROB_FLOOR:g}")
+        # modalities the mapping does not name keep the default
+        filled = {**_default_emission_concentration(), **self.emission_concentration}
+        object.__setattr__(self, "emission_concentration", filled)
         if self.num_categories < 1 or self.num_signs < 1:
             raise ValueError("num_categories and num_signs must be at least 1")
 
@@ -82,6 +86,9 @@ class ModalityMask:
     """The subset of modalities an agent can observe."""
 
     present: frozenset
+    # canonical order so that float accumulation is reproducible; set once
+    # here, since every parameter step reads it
+    ordered: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.present:
@@ -89,15 +96,11 @@ class ModalityMask:
         unknown = set(self.present) - set(MODALITIES)
         if unknown:
             raise ValueError(f"unknown modalities {sorted(unknown)!r}")
+        object.__setattr__(self, "ordered", tuple(m for m in MODALITIES if m in self.present))
 
     @classmethod
     def of(cls, *names: str) -> "ModalityMask":
         return cls(frozenset(names))
-
-    @property
-    def ordered(self) -> tuple:
-        # canonical order so that float accumulation is reproducible
-        return tuple(m for m in MODALITIES if m in self.present)
 
     def __contains__(self, name: str) -> bool:
         return name in self.present
@@ -105,17 +108,47 @@ class ModalityMask:
 
 @dataclass
 class AgentModel:
-    """Mutable inference state of one agent."""
+    """Mutable inference state of one agent.
+
+    The parameters live in one flat vector, one row-major block after
+    another in the order and shapes that shapes lists: h2h's 1 x K category
+    weights and K x L coupling, or t2t's L x K coupling, then one K x bins[m]
+    emission block per observed modality in mask.ordered order. prior holds
+    the blocks' prior concentrations in that layout. install_parameters
+    sets category_weights, coupling and emissions as views of a drawn
+    vector, and the log_ fields as views of its floored logs.
+    """
 
     name: str
     variant: str
     hyper: Hyperparams
     mask: ModalityMask
-    coupling: np.ndarray
-    emissions: dict
+    bins: Mapping[str, int]
     categories: np.ndarray
     signs: np.ndarray
-    category_weights: np.ndarray | None = None
+    shapes: tuple = field(init=False)
+    slices: tuple = field(init=False)
+    prior: np.ndarray = field(init=False)
+    category_weights: np.ndarray | None = field(default=None, init=False)
+    coupling: np.ndarray | None = field(default=None, init=False)
+    emissions: dict = field(default_factory=dict, init=False)
+    log_category_weights: np.ndarray | None = field(default=None, init=False)
+    log_coupling: np.ndarray | None = field(default=None, init=False)
+    log_emissions: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self):
+        hyper = self.hyper
+        k, l = hyper.num_categories, hyper.num_signs
+        if self.variant == VARIANT_H2H:
+            blocks = [((1, k), hyper.category_concentration), ((k, l), hyper.coupling_concentration)]
+        else:
+            blocks = [((l, k), hyper.coupling_concentration)]
+        blocks += [((k, self.bins[m]), hyper.emission_concentration[m]) for m in self.mask.ordered]
+        self.shapes = tuple(shape for shape, _ in blocks)
+        sizes = [rows * width for rows, width in self.shapes]
+        self.slices = tuple(slice(stop - size, stop) for stop, size in zip(accumulate(sizes), sizes))
+        self.prior = np.repeat([conc for _, conc in blocks], sizes)
+        self.prior.flags.writeable = False
 
 
 def init_agent(
@@ -142,8 +175,7 @@ def init_agent(
         variant=variant,
         hyper=hyper,
         mask=mask,
-        coupling=np.empty(0),
-        emissions={},
+        bins={m: dataset.observations[agent_id][m].shape[1] for m in mask.ordered},
         categories=gen.integers(0, hyper.num_categories, size=d),
         signs=gen.integers(0, hyper.num_signs, size=d),
     )
@@ -151,29 +183,33 @@ def init_agent(
     return agent
 
 
-def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> dict:
-    """Dirichlet parameters of every conditional posterior, given assignments.
+def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> np.ndarray:
+    """Dirichlet parameters of every conditional posterior, given the
+    assignments: one flat vector in the agent's layout (see AgentModel).
 
     Exposed separately from update_parameters so the count bookkeeping can
     be checked exactly.
     """
-    hyper = agent.hyper
-    k, l = hyper.num_categories, hyper.num_signs
+    k, l = agent.hyper.num_categories, agent.hyper.num_signs
     c, w = agent.categories, agent.signs
-    out = {}
+    conc = np.empty(agent.prior.size)
     if agent.variant == VARIANT_H2H:
-        out["category_weights"] = hyper.category_concentration + np.bincount(c, minlength=k)
-        joint = np.bincount(c * l + w, minlength=k * l).reshape(k, l)
-        out["coupling"] = hyper.coupling_concentration + joint
+        weights, coupling, *emissions = agent.slices
+        conc[weights] = np.bincount(c, minlength=k)
+        conc[coupling] = np.bincount(c * l + w, minlength=k * l)
     else:
-        joint = np.bincount(w * k + c, minlength=l * k).reshape(l, k)
-        out["coupling"] = hyper.coupling_concentration + joint
+        coupling, *emissions = agent.slices
+        conc[coupling] = np.bincount(w * k + c, minlength=l * k)
     # integer counts summed in float64 are exact far below 2**53
     onehot = _identity(k)[c]
     obs, columns = dataset.float_observations(agent.name, agent.mask)
-    for m in agent.mask.ordered:
-        out[f"emissions.{m}"] = hyper.emission_concentration[m] + onehot.T @ obs[:, columns[m]]
-    return out
+    # one product per modality: a single product over every column starts
+    # a second BLAS thread at wide histograms
+    for m, block in zip(agent.mask.ordered, emissions):
+        np.matmul(onehot.T, obs[:, columns[m]], out=conc[block].reshape(k, -1))
+    # count + prior is bitwise prior + count
+    conc += agent.prior
+    return conc
 
 
 @cache
@@ -183,16 +219,36 @@ def _identity(k: int) -> np.ndarray:
     return eye
 
 
-def update_parameters(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> None:
-    """Resample all parameter fields from their conditional posteriors in one
-    Dirichlet pass; the category weights are a one-row block."""
-    conc = posterior_concentrations(agent, dataset)
-    draws = dict(zip(conc, sample_dirichlet_rows([np.atleast_2d(a) for a in conc.values()], gen)))
+def install_parameters(agent: AgentModel, probs: np.ndarray) -> None:
+    """Make probs, a flat vector in the agent's layout (see AgentModel), the
+    agent's parameters.
+
+    The parameter fields become views of probs, and the log_ fields views
+    of one buffer of its logs floored at PROB_FLOOR. This is the one place
+    the parameters are floored and logged; every log-space reader reads
+    these views.
+    """
+    if probs.shape != agent.prior.shape:
+        raise ValueError(f"expected {agent.prior.size} parameters in the agent's layout, got shape {probs.shape}")
+    logs = np.maximum(probs, PROB_FLOOR)
+    np.log(logs, out=logs)
+    blocks = zip(agent.slices, agent.shapes)
     if agent.variant == VARIANT_H2H:
-        agent.category_weights = draws["category_weights"][0]
-    agent.coupling = draws["coupling"]
-    for m in agent.mask.ordered:
-        agent.emissions[m] = draws[f"emissions.{m}"]
+        s, _ = next(blocks)
+        agent.category_weights, agent.log_category_weights = probs[s], logs[s]
+    s, shape = next(blocks)
+    agent.coupling, agent.log_coupling = probs[s].reshape(shape), logs[s].reshape(shape)
+    agent.emissions, agent.log_emissions = {}, {}
+    for m, (s, shape) in zip(agent.mask.ordered, blocks):
+        agent.emissions[m] = probs[s].reshape(shape)
+        agent.log_emissions[m] = logs[s].reshape(shape)
+
+
+def update_parameters(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> None:
+    """Resample every parameter block from its conditional posterior in one
+    Dirichlet pass over the agent's flat layout."""
+    conc = posterior_concentrations(agent, dataset)
+    install_parameters(agent, sample_dirichlet_rows(conc, agent.shapes, gen))
 
 
 def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndarray:
@@ -201,13 +257,14 @@ def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndar
     Multinomial coefficients are omitted; they are constant across
     categories for a fixed object.
     """
-    ll = np.zeros((dataset.num_objects, agent.hyper.num_categories))
     obs, columns = dataset.float_observations(agent.name, agent.mask)
     # one product per modality: a single product over every column would
     # sum in another order, and at wide histograms it starts a second BLAS
     # thread
-    for m in agent.mask.ordered:
-        ll += obs[:, columns[m]] @ np.log(np.maximum(agent.emissions[m], PROB_FLOOR)).T
+    first, *rest = agent.mask.ordered
+    ll = obs[:, columns[first]] @ agent.log_emissions[first].T
+    for m in rest:
+        ll += obs[:, columns[m]] @ agent.log_emissions[m].T
     return ll
 
 
@@ -218,28 +275,30 @@ def category_log_prior(agent: AgentModel) -> np.ndarray:
     h2h: the category weights times the probability that the category emits
     the sign. t2t: the coupling row over categories that the sign selects.
     """
-    log_prior = np.log(np.maximum(category_signs(agent), PROB_FLOOR))[:, agent.signs].T
+    log_prior = category_signs(agent, log=True).T[agent.signs]
     if agent.variant == VARIANT_H2H:
-        log_prior += np.log(np.maximum(agent.category_weights, PROB_FLOOR))
+        log_prior += agent.log_category_weights
     return log_prior
 
 
 def sample_categories(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> np.ndarray:
     """Redraw every category assignment from its exact conditional given the
     parameters, the observations and the current signs."""
-    logw = observation_log_likelihood(agent, dataset) + category_log_prior(agent)
+    logw = observation_log_likelihood(agent, dataset)
+    logw += category_log_prior(agent)
     cum = normalize_log_rows(logw).cumsum(axis=1)
     agent.categories = sample_categorical_rows(cum, gen.random(cum.shape[0]))
     return agent.categories
 
 
-def category_signs(agent: AgentModel) -> np.ndarray:
+def category_signs(agent: AgentModel, log: bool = False) -> np.ndarray:
     """(num_categories, num_signs) unnormalized weights over signs, one row
-    per category.
+    per category; with log, their floored logs.
 
     h2h reads the coupling rows, t2t the coupling columns: the likelihood
     of the category under each sign, which a uniform sign prior turns into
     the sign posterior. Every reader draws or takes ratios within a row, so
     the row's normalizer never matters.
     """
-    return agent.coupling if agent.variant == VARIANT_H2H else agent.coupling.T
+    table = agent.log_coupling if log else agent.coupling
+    return table if agent.variant == VARIANT_H2H else table.T

@@ -87,10 +87,10 @@ def generate_dataset(
     """Draw a fresh dataset; masked modalities are never materialized."""
     true_emissions = {}
     for mi, m in enumerate(MODALITIES):
-        conc = np.full(
-            (config.num_types, config.feature_dim), config.hyper.emission_concentration[m]
-        )
-        (true_emissions[m],) = sample_dirichlet_rows([conc], rng.derive(_STREAM_EMISSIONS, mi).generator())
+        shape = (config.num_types, config.feature_dim)
+        conc = np.full(shape[0] * shape[1], config.hyper.emission_concentration[m])
+        gen = rng.derive(_STREAM_EMISSIONS, mi).generator()
+        true_emissions[m] = sample_dirichlet_rows(conc, [shape], gen).reshape(shape)
 
     true_type = np.repeat(np.arange(config.num_types), config.objects_per_type)
     masks = dict(zip(AGENT_NAMES, (mask_a, mask_b)))

@@ -144,6 +144,14 @@ def _trial_worker(payload):
     return run_trial(cfg, trial)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, which taskset and cpusets shrink, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _trial_records(cells: list[ExperimentConfig]):
     """Yield each trial's records, cell by cell and trial by trial: one task
     list, mapped by one pool when there is more than one worker, so no cell
@@ -151,7 +159,7 @@ def _trial_records(cells: list[ExperimentConfig]):
     tasks = [(cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials)]
     # workers beyond the tasks or the cores only contend; the pool forks
     # all of them at once
-    workers = min(cells[0].jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(cells[0].jobs, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_trial_worker, tasks)
@@ -369,10 +377,9 @@ def _build_hyper(block: Mapping) -> Hyperparams:
         given = kwargs["emission_concentration"]
         if not isinstance(given, Mapping):
             raise ConfigError("hyperparams.emission_concentration must map modalities to numbers")
-        # a partial mapping overrides the defaults of the modalities it names
-        merged = dict(Hyperparams().emission_concentration)
-        merged.update({str(m): _number(f"hyperparams.emission_concentration.{m}", b) for m, b in given.items()})
-        kwargs["emission_concentration"] = merged
+        kwargs["emission_concentration"] = {
+            str(m): _number(f"hyperparams.emission_concentration.{m}", b) for m, b in given.items()
+        }
     try:
         return Hyperparams(**kwargs)
     except ValueError as exc:

@@ -126,8 +126,8 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generato
     """
     if agent_a.variant != agent_b.variant:
         raise ValueError("agents disagree on the coupling variant")
-    logw = np.log(np.maximum(category_signs(agent_a), PROB_FLOOR))[agent_a.categories]
-    logw += np.log(np.maximum(category_signs(agent_b), PROB_FLOOR))[agent_b.categories]
+    logw = category_signs(agent_a, log=True)[agent_a.categories]
+    logw += category_signs(agent_b, log=True)[agent_b.categories]
     signs = sample_categorical_rows(normalize_log_rows(logw).cumsum(axis=1), gen.random(logw.shape[0]))
     agent_a.signs[:] = signs
     agent_b.signs[:] = signs

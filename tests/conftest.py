@@ -11,10 +11,20 @@ from signgame.agents import (
     Hyperparams,
     ModalityMask,
     category_signs,
+    install_parameters,
     sample_categories,
     update_parameters,
 )
 from signgame.stochastic import sample_categorical_rows
+
+
+def install_blocks(agent, coupling, emissions, category_weights=None):
+    """Hand-set parameters, installed through install_parameters as one
+    flat vector in the agent's layout; returns the agent."""
+    blocks = [category_weights] if agent.variant == "h2h" else []
+    blocks += [coupling] + [emissions[m] for m in agent.mask.ordered]
+    install_parameters(agent, np.concatenate([np.ravel(np.asarray(b, dtype=float)) for b in blocks]))
+    return agent
 
 
 def frozen_agent(variant, weights, name="A"):
@@ -23,18 +33,22 @@ def frozen_agent(variant, weights, name="A"):
     category."""
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     objects, num_signs = weights.shape
-    return AgentModel(
+    agent = AgentModel(
         name=name,
         variant=variant,
         hyper=Hyperparams(
             num_categories=objects, num_signs=num_signs, emission_concentration={"v": 0.001}
         ),
         mask=ModalityMask.of("v"),
-        coupling=weights if variant == "h2h" else weights.T,
-        emissions={"v": np.full((objects, 2), 0.5)},
+        bins={"v": 2},
         categories=np.arange(objects),
         signs=np.zeros(objects, dtype=np.int64),
-        category_weights=np.ones(objects) if variant == "h2h" else None,
+    )
+    return install_blocks(
+        agent,
+        coupling=weights if variant == "h2h" else weights.T,
+        emissions={"v": np.full((objects, 2), 0.5)},
+        category_weights=np.ones(objects),
     )
 
 

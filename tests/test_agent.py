@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import signgame.agents as agents
+from conftest import install_blocks
 from signgame.agents import (
     AgentModel,
     Hyperparams,
@@ -23,7 +24,7 @@ from signgame.agents import (
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.metrics import adjusted_rand_index
 from signgame.game import run_game
-from signgame.stochastic import RngStream, sample_categorical_rows, sample_dirichlet_rows
+from signgame.stochastic import PROB_FLOOR, RngStream, sample_categorical_rows, sample_dirichlet_rows
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -46,6 +47,7 @@ def tiny_dataset(histograms, name="A", modality="v"):
 def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_weights=None):
     """An agent with pinned parameters for enumerable category draws."""
     coupling = np.asarray(coupling, dtype=float)
+    emissions = np.asarray(emissions, dtype=float)
     num_signs = coupling.shape[1] if variant == "h2h" else coupling.shape[0]
     signs = np.asarray(signs, dtype=np.int64)
     agent = AgentModel(
@@ -57,17 +59,23 @@ def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_w
             emission_concentration={"v": 0.001},
         ),
         mask=ModalityMask.of("v"),
-        coupling=coupling,
-        emissions={"v": np.asarray(emissions, dtype=float)},
+        bins={"v": emissions.shape[1]},
         categories=np.zeros(signs.size, dtype=np.int64),
         signs=signs,
-        category_weights=None
-        if variant == "t2t"
-        else np.asarray(
-            category_weights if category_weights is not None else np.full(num_categories, 1.0 / num_categories)
-        ),
     )
-    return agent
+    if category_weights is None:
+        category_weights = np.full(num_categories, 1.0 / num_categories)
+    return install_blocks(agent, coupling, {"v": emissions}, category_weights)
+
+
+def blocks(agent, flat):
+    """A flat vector in the agent's layout, split into its named blocks."""
+    names = ["category_weights"] if agent.variant == "h2h" else []
+    names += ["coupling"] + [f"emissions.{m}" for m in agent.mask.ordered]
+    out = {name: flat[s].reshape(shape) for name, s, shape in zip(names, agent.slices, agent.shapes)}
+    if agent.variant == "h2h":
+        out["category_weights"] = out["category_weights"][0]
+    return out
 
 
 def test_init_agent_ranges_and_determinism():
@@ -192,7 +200,7 @@ def test_posterior_concentrations_exact_bookkeeping():
         signs=[0, 2, 2, 1],
     )
     agent.categories = np.array([0, 0, 1, 1])
-    conc = posterior_concentrations(agent, data)
+    conc = blocks(agent, posterior_concentrations(agent, data))
     gamma = agent.hyper.category_concentration
     alpha = agent.hyper.coupling_concentration
     beta = agent.hyper.emission_concentration["v"]
@@ -213,12 +221,38 @@ def test_posterior_concentrations_t2t_orientation():
         signs=[0, 2, 2, 1],
     )
     agent.categories = np.array([0, 0, 1, 1])
-    conc = posterior_concentrations(agent, data)
+    conc = blocks(agent, posterior_concentrations(agent, data))
     alpha = agent.hyper.coupling_concentration
     np.testing.assert_array_equal(
         conc["coupling"],
         [[alpha + 1, alpha], [alpha, alpha + 1], [alpha + 1, alpha + 1]],
     )
+
+
+@pytest.mark.parametrize(
+    "variant, mask",
+    [("h2h", FULL), ("t2t", FULL), ("h2h", ModalityMask.of("s", "h"))],
+    ids=["h2h", "t2t", "h2h-masked"],
+)
+def test_log_views_are_the_floored_logs_of_the_parameters(variant, mask):
+    data = generate_dataset(SyntheticConfig(), mask, FULL, RngStream(5))
+    agent = init_agent(variant, Hyperparams(), data, "A", RngStream(6))
+    assert sorted(agent.log_emissions) == sorted(mask.present)
+    floored = 0
+    for step in range(4):
+        if step:
+            sample_categories(agent, data, RngStream(7).derive(step, 0).generator())
+            update_parameters(agent, data, RngStream(7).derive(step, 1).generator())
+        pairs = [(agent.coupling, agent.log_coupling)]
+        pairs += [(agent.emissions[m], agent.log_emissions[m]) for m in mask.ordered]
+        if variant == "h2h":
+            pairs.append((agent.category_weights, agent.log_category_weights))
+        for probs, logs in pairs:
+            assert logs.shape == probs.shape
+            assert logs.tobytes() == np.log(np.maximum(probs, PROB_FLOOR)).tobytes()
+            floored += np.count_nonzero(probs < PROB_FLOOR)
+    # some entries sit below the floor, so the floor is exercised
+    assert floored > 0
 
 
 def test_update_parameters_rows_are_distributions():
@@ -245,7 +279,7 @@ def test_category_weight_posterior_mean_matches_conjugacy():
         signs=np.zeros(10, dtype=np.int64),
     )
     agent.categories = np.array([0] * 3 + [1] * 7)
-    conc = posterior_concentrations(agent, data)
+    conc = blocks(agent, posterior_concentrations(agent, data))
     np.testing.assert_allclose(conc["category_weights"], [3.01, 7.01])
 
     total = np.zeros(2)
@@ -454,5 +488,6 @@ def test_hyperparams_reject_non_finite_or_non_positive_concentrations(kwargs):
 
 def test_smallest_accepted_concentration_draws_finite_rows():
     hyper = Hyperparams(coupling_concentration=1e-300, emission_concentration={"v": 1e-300})
-    (rows,) = sample_dirichlet_rows([np.full((50, 20), hyper.emission_concentration["v"])], RngStream(seed=1).generator())
+    alpha = np.full(50 * 20, hyper.emission_concentration["v"])
+    rows = sample_dirichlet_rows(alpha, [(50, 20)], RngStream(seed=1).generator()).reshape(50, 20)
     assert np.all(rows > 0) and np.allclose(rows.sum(axis=1), 1.0)

@@ -14,6 +14,10 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
+WALL = {"better": "lower", "bound": 0.25}
+RATE = {"better": "higher", "bound": 0.25}
+
+
 def side(wall, rate, digest="d", failed=0):
     return {"wall_s": wall, "iter_per_s": rate, "failed": failed, "digest": digest}
 
@@ -21,7 +25,7 @@ def side(wall, rate, digest="d", failed=0):
 def test_summarize_counts_wins_by_direction_and_uses_exclusive_quartiles():
     walls = [(1.0, 0.9), (2.0, 2.0), (3.0, 2.5), (4.0, 4.5), (5.0, 4.0)]
     pairs = [{"parent": side(p, 1 / p), "change": side(c, 1 / c)} for p, c in walls]
-    out = bench_pairs.summarize(pairs, {"wall_s": "lower", "iter_per_s": "higher"})
+    out = bench_pairs.summarize(pairs, {"wall_s": WALL, "iter_per_s": RATE})
     wall = out["wall_s"]
     assert (wall["parent_median"], wall["change_median"]) == (3.0, 2.5)
     assert wall["change_over_parent"] == pytest.approx(2.5 / 3.0, abs=1e-4)
@@ -34,25 +38,57 @@ def test_summarize_counts_wins_by_direction_and_uses_exclusive_quartiles():
     assert out["digests_equal"]
 
 
+def test_summarize_flags_bounds_and_shown_gains_by_direction():
+    # ten pairs: the change wins nine; parent quartiles 2.0 and 2.625
+    parent = [1.0, 2.0, 2.0, 2.0, 2.0, 2.5, 2.5, 2.5, 3.0, 3.0]
+    change = [1.1] + [1.0] * 9
+    pairs = [{"parent": side(p, 1 / p), "change": side(c, 1 / c)} for p, c in zip(parent, change)]
+    out = bench_pairs.summarize(pairs, {"wall_s": WALL, "iter_per_s": RATE})
+    for name in ("wall_s", "iter_per_s"):
+        assert out[name]["bound"] == 0.25
+        assert out[name]["change_better_pairs"] == 9
+        assert not out[name]["worse_than_bound"]
+    # medians 2.25 -> 1.0: the gap of 1.25 beats the wall IQR of 0.625
+    assert out["wall_s"]["parent_iqr"] == pytest.approx(0.625)
+    assert out["wall_s"]["gain_shown"]
+    # rates 0.444 -> 1.0: the gap beats the IQR too
+    assert out["iter_per_s"]["gain_shown"]
+    # eight wins in ten show no gain, however large the gap
+    eight = [{"parent": side(p, 1 / p), "change": side(c, 1 / c)} for p, c in zip(parent, [1.1, 2.1] + [1.0] * 8)]
+    assert not bench_pairs.summarize(eight, {"wall_s": WALL})["wall_s"]["gain_shown"]
+    # nine wins whose median gap is inside the parent's IQR show none either
+    close = [{"parent": side(p, 1 / p), "change": side(p - 0.01, 1 / (p - 0.01))} for p in parent]
+    close[0]["change"] = side(1.5, 1 / 1.5)
+    summary = bench_pairs.summarize(close, {"wall_s": WALL})["wall_s"]
+    assert summary["change_better_pairs"] == 9 and not summary["gain_shown"]
+    # 30% slower wall time and a 30% lower rate are past a 25% bound; 20% is not
+    for factor, worse in ((1.3, True), (1.2, False)):
+        slow = [{"parent": side(1.0, 1.0), "change": side(factor, 2.0 - factor)} for _ in range(3)]
+        out = bench_pairs.summarize(slow, {"wall_s": WALL, "iter_per_s": RATE})
+        assert out["wall_s"]["worse_than_bound"] is worse
+        assert out["iter_per_s"]["worse_than_bound"] is worse
+        assert not out["wall_s"]["gain_shown"]
+
+
 def test_summarize_reports_failures_and_digest_mismatch():
     pairs = [
         {"parent": side(1.0, 1.0), "change": side(1.0, 1.0, failed=2)},
         {"parent": side(1.0, 1.0), "change": side(1.0, 1.0, digest="other")},
     ]
-    out = bench_pairs.summarize(pairs, {"wall_s": "lower"})
+    out = bench_pairs.summarize(pairs, {"wall_s": WALL})
     assert out["failed_operations"] == {"parent": 0, "change": 2}
     assert not out["digests_equal"]
 
 
 @pytest.mark.parametrize(
-    "digest, failed, status",
-    [("d", 0, 0), ("other", 0, 1), ("d", 3, 1)],
-    ids=["sound", "digest-differs", "change-failed"],
+    "digest, failed, wall, status",
+    [("d", 0, 1.0, 0), ("other", 0, 1.0, 1), ("d", 3, 1.0, 1), ("d", 0, 1.3, 1)],
+    ids=["sound", "digest-differs", "change-failed", "metric-worse"],
 )
-def test_main_exits_1_naming_workloads_with_unequal_digests_or_failures(tmp_path, monkeypatch, capsys, digest, failed, status):
+def test_main_exits_1_naming_workloads_with_unequal_digests_or_failures(tmp_path, monkeypatch, capsys, digest, failed, wall, status):
     spec = {
         "workloads": [{"name": "cell-mh"}, {"name": "cell-wide"}],
-        "end_to_end": [{"name": "wall_s", "better": "lower"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
         "per_layer": [],
     }
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
@@ -60,7 +96,7 @@ def test_main_exits_1_naming_workloads_with_unequal_digests_or_failures(tmp_path
     def fake_run(checkout, workload, seed, seconds, trace):
         change = checkout == tmp_path.resolve() and workload == "cell-wide"
         return {
-            "metrics": {"wall_s": {"value": 1.0}},
+            "metrics": {"wall_s": {"value": wall if change else 1.0}},
             "attempted": 5,
             "failed": failed if change else 0,
             "digests": [digest if change else "d"],
@@ -76,3 +112,5 @@ def test_main_exits_1_naming_workloads_with_unequal_digests_or_failures(tmp_path
     err = capsys.readouterr().err
     assert ("cell-wide" in err) == bool(status)
     assert "cell-mh" not in err
+    # a 30% slower median is past wall_s's 25% bound
+    assert ("cell-wide (wall_s)" in err) == (wall > 1.0)

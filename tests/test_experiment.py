@@ -225,7 +225,7 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
             return super().map(fn, tasks, **kwargs)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
     cells = []
     cfg = small_config(iterations=2, jobs=2)
     run_full_grid(cfg, tmp_path / "parallel", progress=cells.append)
@@ -239,7 +239,7 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     assert started == [2]
     # a pool never has more workers than cores, nor than tasks: the grid's
     # 48 tasks fill 3 cores, a lone cell's 2 trials fill 2 workers
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(3)))
     run_full_grid(small_config(iterations=2, jobs=5000, trials=2), tmp_path / "wide")
     run_cell(small_config(iterations=1, jobs=5000, trials=2))
     assert started == [2, 3, 2]
@@ -248,12 +248,35 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     assert started == [2, 3, 2, 2]
     assert len(mapped) == 4
     run_full_grid(small_config(iterations=2, trials=1), tmp_path / "one_trial_serial")
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(1)))
     run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "one_core")
     assert started == [2, 3, 2, 2]
     for run, serial in (("parallel", "serial"), ("wide", "serial"), ("one_core", "serial"), ("one_trial", "one_trial_serial")):
         for name in ("detail.csv", "summary.csv"):
             assert (tmp_path / run / name).read_bytes() == (tmp_path / serial / name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the platform has no CPU affinity")
+def test_grid_pinned_to_one_cpu_starts_no_pool(tmp_path, monkeypatch):
+    started = []
+
+    class CountedPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
+    run_full_grid(small_config(iterations=2), tmp_path / "serial")
+    # as taskset -c would: the machine keeps its cores, this process may use one
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "pinned")
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert started == []
+    for name in ("detail.csv", "summary.csv"):
+        assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
@@ -267,7 +290,7 @@ def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
 
     # patched before the pool forks, so the workers inherit it
     monkeypatch.setattr(experiment, "run_trial", fail_one_cell)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
     cells = []
     with pytest.raises(RuntimeError, match="trial failed"):
         run_full_grid(small_config(iterations=2, jobs=2), tmp_path, progress=cells.append)
@@ -379,6 +402,16 @@ def test_cli_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch, 
     blocker.write_text("plain file")
     assert main([command, "--config", str(cfg_path), "--out", str(blocker)]) == EXIT_IO
     assert "File exists" in capsys.readouterr().err
+
+
+def test_library_partial_emission_concentration_keeps_the_other_defaults():
+    hyper = Hyperparams(num_categories=4, num_signs=4, emission_concentration={"v": 0.1})
+    assert hyper.emission_concentration == {"v": 0.1, "s": 0.001, "h": 0.001}
+    # the dataset draws every modality's true emissions, so a partial
+    # mapping without the defaults ended in a KeyError there
+    synth = SyntheticConfig(num_types=4, objects_per_type=5, feature_dim=8, draws_per_modality=10, hyper=hyper)
+    records = experiment.run_trial(small_config(hyper=hyper, synthetic=synth, iterations=2), 0)
+    assert [r.iteration for r in records] == [0, 1]
 
 
 def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import signgame.game as game
-from conftest import counting_draw, frozen_agent, tv_distance
+from conftest import counting_draw, frozen_agent, install_blocks, tv_distance
 from signgame.agents import (
     Hyperparams,
     ModalityMask,
@@ -249,8 +249,9 @@ def random_agents(variant, seed):
     for name in ("A", "B"):
         agent = init_agent(variant, KERNEL_HYPER, dataset, name, RngStream(seed).derive(2, len(agents)))
         shape = agent.coupling.shape
-        agent.coupling = gen.dirichlet(np.full(shape[1], 0.05), size=shape[0])
-        agent.coupling[0, 0] = 0.0
+        coupling = gen.dirichlet(np.full(shape[1], 0.05), size=shape[0])
+        coupling[0, 0] = 0.0
+        install_blocks(agent, coupling, agent.emissions, agent.category_weights)
         agent.categories = gen.integers(0, KERNEL_HYPER.num_categories, size=dataset.num_objects)
         agent.signs = gen.integers(0, KERNEL_HYPER.num_signs, size=dataset.num_objects)
         agents.append(agent)
@@ -262,7 +263,8 @@ def test_object_signs_and_ratios_match_scalar_reference_bitwise(variant):
     # a last-bit difference here almost never flips a draw, so it is checked
     # directly rather than through the drawn signs
     agent, _ = random_agents(variant, 6)
-    agent.coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
+    coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
+    install_blocks(agent, coupling, agent.emissions, agent.category_weights)
     objects = np.arange(agent.categories.size)
     table = category_signs(agent)[agent.categories]
     for d in objects:

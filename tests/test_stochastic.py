@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import signgame.stochastic as stochastic
 from conftest import counting_draw
 from signgame.stochastic import (
     EXP_CLAMP,
@@ -87,8 +88,8 @@ def test_derive_streams_broadcasts_like_derive():
 
 def dirichlet_row(alpha, gen):
     """One Dirichlet(alpha) vector through sample_dirichlet_rows on a one-row block."""
-    (rows,) = sample_dirichlet_rows([np.reshape(alpha, (1, -1))], gen)
-    return rows[0]
+    alpha = np.asarray(alpha, dtype=float)
+    return sample_dirichlet_rows(alpha, [(1, alpha.size)], gen)
 
 
 def test_sample_dirichlet_is_valid_distribution():
@@ -149,24 +150,35 @@ def test_sample_dirichlet_rejects_bad_alpha():
     with pytest.raises(ValueError):
         dirichlet_row([1.0, -2.0], RngStream(seed=0).generator())
     with pytest.raises(ValueError):
-        sample_dirichlet_rows([], RngStream(seed=0).generator())
+        sample_dirichlet_rows(np.ones(0), [], RngStream(seed=0).generator())
+    # sizes that disagree with the shapes, empty blocks, a 2-d vector
     with pytest.raises(ValueError):
-        sample_dirichlet_rows([np.ones((1, 2)), np.ones(3)], RngStream(seed=0).generator())
+        sample_dirichlet_rows(np.ones(5), [(1, 2), (1, 2)], RngStream(seed=0).generator())
     with pytest.raises(ValueError):
-        sample_dirichlet_rows([np.ones((1, 2)), np.array([[1.0, np.nan]])], RngStream(seed=0).generator())
+        sample_dirichlet_rows(np.ones(2), [(1, 2), (0, 3)], RngStream(seed=0).generator())
+    with pytest.raises(ValueError):
+        sample_dirichlet_rows(np.ones((2, 2)), [(2, 2)], RngStream(seed=0).generator())
+    with pytest.raises(ValueError):
+        sample_dirichlet_rows(np.array([1.0, 1.0, 1.0, np.nan]), [(1, 2), (1, 2)], RngStream(seed=0).generator())
 
 
 def test_sample_dirichlet_rows_matches_row_draws():
-    alpha = np.array([[0.001, 0.5, 3.0], [2.0, 2.0, 2.0]])
-    (rows,) = sample_dirichlet_rows([alpha], RngStream(seed=3).generator())
-    assert rows.shape == (2, 3)
+    alpha = np.array([0.001, 0.5, 3.0, 2.0, 2.0, 2.0])
+    rows = sample_dirichlet_rows(alpha, [(2, 3)], RngStream(seed=3).generator())
+    assert rows.shape == (6,)
+    rows = rows.reshape(2, 3)
     assert np.all(rows > 0)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
     # two blocks of different widths in one call, each normalized on its own rows
     narrow, wide = np.array([0.001, 0.5, 3.0]), np.linspace(0.1, 2.0, 20)
-    blocks = sample_dirichlet_rows([np.tile(narrow, (100_000, 1)), np.tile(wide, (100_000, 1))], RngStream(seed=4).generator())
+    flat = sample_dirichlet_rows(
+        np.concatenate([np.tile(narrow, 100_000), np.tile(wide, 100_000)]),
+        [(100_000, narrow.size), (100_000, wide.size)],
+        RngStream(seed=4).generator(),
+    )
+    blocks = np.split(flat, [100_000 * narrow.size])
     for alpha, rows in zip((narrow, wide), blocks):
-        assert rows.shape == (100_000, alpha.size)
+        rows = rows.reshape(100_000, alpha.size)
         assert np.all(rows > 0)
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
         assert np.max(np.abs(rows.mean(axis=0) - alpha / alpha.sum())) < 5e-3
@@ -206,12 +218,12 @@ def test_sample_dirichlet_rows_matches_block_by_block_reference(shapes):
             gen.choice([0.001, 0.01]) + (gen.random(shape) < 0.1) * gen.integers(1, 40, size=shape)
             for shape in shapes
         ]
-        ours = sample_dirichlet_rows(alphas, np.random.default_rng(seed))
+        flat = np.concatenate([alpha.reshape(-1) for alpha in alphas])
+        ours = sample_dirichlet_rows(flat, shapes, np.random.default_rng(seed))
         theirs = reference_dirichlet_rows(alphas, np.random.default_rng(seed))
-        assert [p.shape for p in ours] == shapes
-        for p, q in zip(ours, theirs):
-            assert np.array_equal(p, q)
-            floored += np.count_nonzero(p <= PROB_FLOOR)
+        assert ours.shape == flat.shape
+        assert np.array_equal(ours, np.concatenate([q.reshape(-1) for q in theirs]))
+        floored += np.count_nonzero(ours <= PROB_FLOOR)
     # many entries end at the floor, where a clamp above ln(PROB_FLOOR)
     # would change them
     assert floored > 0
@@ -370,3 +382,22 @@ def test_normalize_log_rows_matches_vector_version():
     assert np.allclose(rows[1], [0.5, 0.5])
     with pytest.raises(DegenerateDistributionError):
         normalize_log_rows(np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
+
+
+@pytest.mark.parametrize("width", [2, 48, 63, 64, 65, 500])
+def test_normalize_log_rows_row_max_forms_agree_bitwise(width, monkeypatch):
+    gen = np.random.default_rng(width)
+    logw = gen.normal(scale=300.0, size=(150, width))
+    logw[::7, 1::3] = -np.inf
+    default = normalize_log_rows(logw.copy())
+    nan, dead = logw.copy(), logw.copy()
+    nan[3, width // 2] = np.nan
+    dead[5] = -np.inf
+    # every width through the direct row max, then every width through the transpose
+    for wide_row in (1, 10**9):
+        monkeypatch.setattr(stochastic, "WIDE_ROW", wide_row)
+        assert normalize_log_rows(logw.copy()).tobytes() == default.tobytes()
+        with pytest.raises(ValueError, match="NaN"):
+            normalize_log_rows(nan.copy())
+        with pytest.raises(DegenerateDistributionError):
+            normalize_log_rows(dead.copy())

@@ -15,13 +15,19 @@ writes (or merges into) a ``BENCH_*.json`` file:
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --seed 1 --seconds 3
 
 Pair i runs the parent first when i is even and the change first when i is
-odd. Workload names, metric names and each metric's better direction come
-from the change checkout's ``BENCHMARK.json``. Quartiles are the
+odd. Workload names, metric names and each metric's better direction and
+bound come from the change checkout's ``BENCHMARK.json``. Quartiles are the
 ``statistics.quantiles`` default (exclusive method).
 
+Each workload's summary gives, per end-to-end metric, the ``BENCHMARK.json``
+bound, whether the change's median is worse than the parent's by more than
+it (``worse_than_bound``), and ``gain_shown``: the change won at least nine
+pairs in ten and its median beats the parent's by more than the parent's
+interquartile range.
+
 The exit status is 1, after the file is written, when a workload's digests
-differ between runs or the change failed any operation; stderr names those
-workloads.
+differ between runs, the change failed any operation, or a metric is worse
+than its bound; stderr names those workloads (and the metrics).
 """
 from __future__ import annotations
 
@@ -63,35 +69,47 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return out
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
+def summarize(pairs: list[dict], metrics: dict) -> dict:
     """Per metric: both medians, their ratio, the parent's interquartile
-    range and how many pairs the change won (ties count for neither)."""
+    range, how many pairs the change won (ties count for neither), and the
+    metric's bound with the two verdicts the module docstring describes.
+
+    metrics maps each metric name to its BENCHMARK.json entry: its better
+    direction and its bound as a fraction of the parent median.
+    """
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
-        sign = -1.0 if direction == "lower" else 1.0
+        sign = -1.0 if spec["better"] == "lower" else 1.0
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        # how far the change's median is better than the parent's
+        gap = sign * (change_median - parent_median)
         out[name] = {
-            "parent_median": round(statistics.median(parent), 6),
-            "change_median": round(statistics.median(change), 6),
-            "change_over_parent": round(statistics.median(change) / statistics.median(parent), 4),
+            "parent_median": round(parent_median, 6),
+            "change_median": round(change_median, 6),
+            "change_over_parent": round(change_median / parent_median, 4),
             "parent_iqr": round(q3 - q1, 6),
-            "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_better_pairs": wins,
+            "bound": spec["bound"],
+            "worse_than_bound": gap < -spec["bound"] * parent_median,
+            "gain_shown": 10 * wins >= 9 * len(pairs) and gap > q3 - q1,
         }
     out["failed_operations"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     out["digests_equal"] = len({p[side]["digest"] for p in pairs for side in SIDES}) == 1
     return out
 
 
-def measure_pairs(checkouts: dict, workload: str, args, better: dict, machines: list) -> list[dict]:
+def measure_pairs(checkouts: dict, workload: str, args, metrics: dict, machines: list) -> list[dict]:
     pairs = []
     for i in range(args.pairs):
         pair = {"pair": i, "first": SIDES[i % 2]}
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             res = run_bench(checkouts[side], workload, args.seed, args.seconds, trace=0)
             machines.append(res["machine"])
-            row = {name: round(res["metrics"][name]["value"], 6) for name in better}
+            row = {name: round(res["metrics"][name]["value"], 6) for name in metrics}
             row.update(attempted=res["attempted"], failed=res["failed"], digest=" ".join(res["digests"]))
             pair[side] = row
             print(f"{workload} seed {args.seed} pair {i} {side}: " + json.dumps(row), flush=True)
@@ -135,7 +153,7 @@ def main(argv=None) -> int:
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     known = [w["name"] for w in spec["workloads"]]
     unknown = sorted(set(args.workload) - set(known))
     if unknown:
@@ -149,14 +167,17 @@ def main(argv=None) -> int:
     doc["parent_commit"] = _git_head(checkouts["parent"])
     doc.setdefault("change_commit", "the commit that adds this file")
 
-    machines, unsound = [], []
+    machines, unsound, worse = [], [], []
     if args.traced:
         doc["traced"] = traced(checkouts, args, [m["name"] for m in spec["per_layer"]], known, machines)
     for workload in args.workload:
-        pairs = measure_pairs(checkouts, workload, args, better, machines)
-        summary = summarize(pairs, better)
+        pairs = measure_pairs(checkouts, workload, args, metrics, machines)
+        summary = summarize(pairs, metrics)
         if not summary["digests_equal"] or summary["failed_operations"]["change"]:
             unsound.append(workload)
+        beyond = [name for name in metrics if summary[name]["worse_than_bound"]]
+        if beyond:
+            worse.append(f"{workload} ({', '.join(beyond)})")
         record = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} --seconds {args.seconds:g} --trace 0",
             "summary": summary,
@@ -172,8 +193,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     if unsound:
         print(f"digests differ or the change failed operations on: {', '.join(unsound)}", file=sys.stderr)
-        return 1
-    return 0
+    if worse:
+        print(f"metrics worse than their bound on: {'; '.join(worse)}", file=sys.stderr)
+    return 1 if unsound or worse else 0
 
 
 if __name__ == "__main__":
