@@ -112,18 +112,19 @@ class AgentModel:
 
     The parameters live in one flat vector, one row-major block after
     another in the order and shapes that shapes lists: h2h's 1 x K category
-    weights and K x L coupling, or t2t's L x K coupling, then one K x bins[m]
-    emission block per observed modality in mask.ordered order. prior holds
-    the blocks' prior concentrations in that layout. install_parameters
-    sets category_weights, coupling and emissions as views of a drawn
-    vector, and the log_ fields as views of its floored logs.
+    weights and K x L coupling, or t2t's L x K coupling, then an M x K x
+    bins stack of emission blocks, one per observed modality in
+    mask.ordered order. prior holds the blocks' prior concentrations in
+    that layout. install_parameters sets category_weights, coupling and
+    emissions as views of a drawn vector, and the log_ fields as views of
+    its floored logs.
     """
 
     name: str
     variant: str
     hyper: Hyperparams
     mask: ModalityMask
-    bins: Mapping[str, int]
+    bins: int
     categories: np.ndarray
     signs: np.ndarray
     shapes: tuple = field(init=False)
@@ -131,10 +132,10 @@ class AgentModel:
     prior: np.ndarray = field(init=False)
     category_weights: np.ndarray | None = field(default=None, init=False)
     coupling: np.ndarray | None = field(default=None, init=False)
-    emissions: dict = field(default_factory=dict, init=False)
+    emissions: np.ndarray | None = field(default=None, init=False)
     log_category_weights: np.ndarray | None = field(default=None, init=False)
     log_coupling: np.ndarray | None = field(default=None, init=False)
-    log_emissions: dict = field(default_factory=dict, init=False)
+    log_emissions: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         hyper = self.hyper
@@ -143,7 +144,7 @@ class AgentModel:
             blocks = [((1, k), hyper.category_concentration), ((k, l), hyper.coupling_concentration)]
         else:
             blocks = [((l, k), hyper.coupling_concentration)]
-        blocks += [((k, self.bins[m]), hyper.emission_concentration[m]) for m in self.mask.ordered]
+        blocks += [((k, self.bins), hyper.emission_concentration[m]) for m in self.mask.ordered]
         self.shapes = tuple(shape for shape, _ in blocks)
         sizes = [rows * width for rows, width in self.shapes]
         self.slices = tuple(slice(stop - size, stop) for stop, size in zip(accumulate(sizes), sizes))
@@ -167,6 +168,9 @@ def init_agent(
     for m in mask.ordered:
         if m not in dataset.observations[agent_id]:
             raise ValueError(f"agent {agent_id!r} is masked to {m!r} but the dataset lacks it")
+    bins = {m: dataset.observations[agent_id][m].shape[1] for m in mask.ordered}
+    if len(set(bins.values())) > 1:
+        raise ValueError(f"agent {agent_id!r} observes modalities with different bin counts: {bins}")
 
     d = dataset.num_objects
     gen = rng.derive(_STREAM_ASSIGN).generator()
@@ -175,7 +179,7 @@ def init_agent(
         variant=variant,
         hyper=hyper,
         mask=mask,
-        bins={m: dataset.observations[agent_id][m].shape[1] for m in mask.ordered},
+        bins=bins[mask.ordered[0]],
         categories=gen.integers(0, hyper.num_categories, size=d),
         signs=gen.integers(0, hyper.num_signs, size=d),
     )
@@ -194,19 +198,17 @@ def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> np.ndarra
     c, w = agent.categories, agent.signs
     conc = np.empty(agent.prior.size)
     if agent.variant == VARIANT_H2H:
-        weights, coupling, *emissions = agent.slices
+        weights, coupling, *_ = agent.slices
         conc[weights] = np.bincount(c, minlength=k)
         conc[coupling] = np.bincount(c * l + w, minlength=k * l)
     else:
-        coupling, *emissions = agent.slices
+        coupling = agent.slices[0]
         conc[coupling] = np.bincount(w * k + c, minlength=l * k)
-    # integer counts summed in float64 are exact far below 2**53
-    onehot = _identity(k)[c]
-    obs, columns = dataset.float_observations(agent.name, agent.mask)
-    # one product per modality: a single product over every column starts
+    # integer counts summed in float64 are exact far below 2**53; one BLAS
+    # product per modality, as one over all modalities side by side starts
     # a second BLAS thread at wide histograms
-    for m, block in zip(agent.mask.ordered, emissions):
-        np.matmul(onehot.T, obs[:, columns[m]], out=conc[block].reshape(k, -1))
+    obs = dataset.float_observations(agent.name, agent.mask)
+    np.matmul(_identity(k)[c].T, obs, out=conc[coupling.stop :].reshape(obs.shape[0], k, agent.bins))
     # count + prior is bitwise prior + count
     conc += agent.prior
     return conc
@@ -238,10 +240,8 @@ def install_parameters(agent: AgentModel, probs: np.ndarray) -> None:
         agent.category_weights, agent.log_category_weights = probs[s], logs[s]
     s, shape = next(blocks)
     agent.coupling, agent.log_coupling = probs[s].reshape(shape), logs[s].reshape(shape)
-    agent.emissions, agent.log_emissions = {}, {}
-    for m, (s, shape) in zip(agent.mask.ordered, blocks):
-        agent.emissions[m] = probs[s].reshape(shape)
-        agent.log_emissions[m] = logs[s].reshape(shape)
+    # the emission blocks, all of the last block's shape, follow the coupling
+    agent.emissions, agent.log_emissions = (v[s.stop :].reshape(-1, *agent.shapes[-1]) for v in (probs, logs))
 
 
 def update_parameters(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> None:
@@ -257,15 +257,10 @@ def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndar
     Multinomial coefficients are omitted; they are constant across
     categories for a fixed object.
     """
-    obs, columns = dataset.float_observations(agent.name, agent.mask)
-    # one product per modality: a single product over every column would
-    # sum in another order, and at wide histograms it starts a second BLAS
-    # thread
-    first, *rest = agent.mask.ordered
-    ll = obs[:, columns[first]] @ agent.log_emissions[first].T
-    for m in rest:
-        ll += obs[:, columns[m]] @ agent.log_emissions[m].T
-    return ll
+    obs = dataset.float_observations(agent.name, agent.mask)
+    # one BLAS product per modality, added in mask.ordered order: one over
+    # all modalities side by side sums in another order
+    return np.matmul(obs, agent.log_emissions.transpose(0, 2, 1)).sum(axis=0)
 
 
 def category_log_prior(agent: AgentModel) -> np.ndarray:

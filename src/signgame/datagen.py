@@ -50,31 +50,25 @@ class Dataset:
     # per-modality (num_types, feature_dim) generating emissions; kept for
     # diagnostics and tests, never read by the agents
     true_emissions: dict | None = None
-    # float_observations' matrices, by (agent, mask)
+    # float_observations' stacks, by (agent, mask)
     _float_observations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_objects(self) -> int:
         return self.true_type.size
 
-    def float_observations(self, agent_id: str, mask: ModalityMask) -> tuple[np.ndarray, dict]:
+    def float_observations(self, agent_id: str, mask: ModalityMask) -> np.ndarray:
         """The agent's histograms of the modalities in mask as one float64
-        (num_objects, total bins) matrix, side by side in mask.ordered
-        order, and each modality's column slice of it.
+        (modalities, num_objects, bins) stack, in mask.ordered order.
 
         Built on first use and kept, so the agents' products never cast the
         int counts again; the observations must not change after that.
         """
         key = (agent_id, mask)
         if key not in self._float_observations:
-            blocks = [self.observations[agent_id][m] for m in mask.ordered]
-            columns, start = {}, 0
-            for m, block in zip(mask.ordered, blocks):
-                columns[m] = slice(start, start + block.shape[1])
-                start += block.shape[1]
-            matrix = np.concatenate(blocks, axis=1, dtype=np.float64)
-            matrix.flags.writeable = False
-            self._float_observations[key] = (matrix, columns)
+            stack = np.stack([self.observations[agent_id][m] for m in mask.ordered], dtype=np.float64)
+            stack.flags.writeable = False
+            self._float_observations[key] = stack
         return self._float_observations[key]
 
 

@@ -94,7 +94,8 @@ class ReportError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One grid cell plus the shared sizes, concentrations, and seed."""
+    """One grid cell plus the shared sizes, concentrations (for the data
+    too: synthetic's own hyper is not read), and seed."""
 
     variant: str = "h2h"
     method: str = "mh"
@@ -127,7 +128,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """Play one seeded trial of a cell; returns its per-iteration metrics."""
     trial_rng = RngStream(cfg.seed).derive(cfg.condition, trial)
     mask_a, mask_b = CONDITION_MASKS[cfg.condition]
-    dataset = generate_dataset(cfg.synthetic, mask_a, mask_b, trial_rng.derive(_STREAM_DATA))
+    synthetic = replace(cfg.synthetic, hyper=cfg.hyper)
+    dataset = generate_dataset(synthetic, mask_a, mask_b, trial_rng.derive(_STREAM_DATA))
     _, records = run_game(
         cfg.variant,
         CommunicationMode(cfg.method),

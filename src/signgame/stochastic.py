@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -25,12 +24,6 @@ PROB_FLOOR = 1e-300
 # exp(c) = 9.9e-305 is a normal float, so exp never takes numpy's slow path
 # for results that underflow to zero or to subnormals.
 EXP_CLAMP = -700.0
-
-# Rows at least this wide take their maximum directly; narrower rows take
-# it from the contiguous transpose, one elementwise pass per column, which
-# is faster than one short reduction per row only up to about 48-64
-# columns (150 rows, 2-core Xeon, numpy 2.4).
-WIDE_ROW = 64
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -217,24 +210,13 @@ def sample_dirichlet_rows(alpha: np.ndarray, shapes, gen: np.random.Generator) -
     naive normalized-gamma sampling returns zeros.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if (
-        alpha.ndim != 1
-        or min(map(min, shapes), default=0) < 1
-        or alpha.size != sum(rows * width for rows, width in shapes)
-    ):
+    shapes = tuple(map(tuple, shapes))
+    if alpha.ndim != 1 or alpha.size != _row_layout(shapes)[0]:
         raise ValueError("alpha must be a flat vector of non-empty (rows, width) blocks")
     # a NaN fails both comparisons
     if not (alpha.min() > 0 and alpha.max() < np.inf):
         raise ValueError("alpha entries must be positive and finite")
-    logg = _log_gamma_draws(alpha, gen)
-    # consecutive blocks of one width are normalized as one matrix; each
-    # row's max, exp, floor and sum come out as they do block by block
-    start = 0
-    for width, run in groupby(shapes, key=itemgetter(1)):
-        stop = start + width * sum(rows for rows, _ in run)
-        normalize_log_rows(logg[start:stop].reshape(-1, width))
-        start = stop
-    return logg
+    return normalize_log_rows(_log_gamma_draws(alpha, gen), shapes)
 
 
 def sample_categorical_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -249,31 +231,58 @@ def sample_categorical_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return above.argmax(axis=1)
 
 
-def normalize_log_rows(logw: np.ndarray) -> np.ndarray:
-    """Turn each row of a matrix of unnormalized log-weights into a
-    probability vector, in place; returns the matrix.
+@cache
+def _row_layout(shapes: tuple) -> tuple[int, np.ndarray, np.ndarray, tuple]:
+    """Size of a flat vector of row-major (rows, width) blocks, each row's
+    offset and width, and (start, stop, width) of each run of one width; a
+    simulation meets few layouts, so the cache stays small."""
+    if not shapes or min(map(min, shapes)) < 1:
+        raise ValueError("a block layout needs at least one block, and every block a row and a column")
+    widths = np.repeat([width for _, width in shapes], [rows for rows, _ in shapes])
+    starts = np.cumsum(widths) - widths
+    starts.flags.writeable = widths.flags.writeable = False
+    runs, stop = [], 0
+    for width, run in groupby(shapes, key=lambda shape: shape[1]):
+        start, stop = stop, stop + width * sum(rows for rows, _ in run)
+        runs.append((start, stop, width))
+    return stop, starts, widths, tuple(runs)
+
+
+def normalize_log_rows(values: np.ndarray, shapes=None) -> np.ndarray:
+    """Turn every row of unnormalized log-weights into a probability
+    vector, in place; returns values. values holds row-major (rows, width)
+    blocks one after another in the shapes that shapes lists, or without
+    shapes one 2-d matrix; every step but the row sums runs once over all.
 
     Stable for spreads up to hundreds of thousands of nats: entries far
     below their row's maximum are clamped at EXP_CLAMP and floored at
     PROB_FLOOR instead of poisoning the sum.
     """
-    logw = np.asarray(logw, dtype=float)
-    if logw.ndim != 2 or logw.size == 0:
-        raise ValueError("log-weights must be a non-empty 2-d matrix")
-    # max and min propagate NaN: a NaN entry makes the smallest row maximum
-    # NaN. max is exact in any order, so both forms give the same bytes.
-    if logw.shape[1] >= WIDE_ROW:
-        m = logw.max(axis=1)[:, None]
-    else:
-        m = np.ascontiguousarray(logw.T).max(axis=0)[:, None]
+    # contiguous, so that the flat view below writes through to values
+    values = np.ascontiguousarray(values, dtype=float)
+    if shapes is None:
+        if values.ndim != 2:
+            raise ValueError("log-weights without a block layout must be a 2-d matrix")
+        shapes = (values.shape,)
+    size, starts, widths, runs = _row_layout(tuple(map(tuple, shapes)))
+    if values.size != size:
+        raise ValueError(f"expected {size} log-weights in the block layout, got {values.size}")
+    flat = values.reshape(-1)
+    # max is exact in any order, and propagates NaN: a NaN entry makes the
+    # smallest row maximum NaN
+    m = np.maximum.reduceat(flat, starts)
     lowest = m.min()
     if math.isnan(lowest):
         raise ValueError("log-weights contain NaN")
     if lowest == -np.inf:
         raise DegenerateDistributionError("a row of log-weights is entirely -inf")
-    logw -= m
-    np.maximum(logw, EXP_CLAMP, out=logw)
-    np.exp(logw, out=logw)
-    np.maximum(logw, PROB_FLOOR, out=logw)
-    logw /= logw.sum(axis=1, keepdims=True)
-    return logw
+    flat -= np.repeat(m, widths)
+    np.maximum(flat, EXP_CLAMP, out=flat)
+    np.exp(flat, out=flat)
+    np.maximum(flat, PROB_FLOOR, out=flat)
+    # a row sum over a run of equal widths is numpy's pairwise sum of the
+    # row, which np.add.reduceat, summing in sequence, does not match
+    for start, stop, width in runs:
+        rows = flat[start:stop].reshape(-1, width)
+        rows /= rows.sum(axis=1, keepdims=True)
+    return values

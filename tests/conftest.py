@@ -20,9 +20,11 @@ from signgame.stochastic import sample_categorical_rows
 
 def install_blocks(agent, coupling, emissions, category_weights=None):
     """Hand-set parameters, installed through install_parameters as one
-    flat vector in the agent's layout; returns the agent."""
+    flat vector in the agent's layout; returns the agent. emissions holds
+    one (categories, bins) block per observed modality, in mask.ordered
+    order."""
     blocks = [category_weights] if agent.variant == "h2h" else []
-    blocks += [coupling] + [emissions[m] for m in agent.mask.ordered]
+    blocks += [coupling, emissions]
     install_parameters(agent, np.concatenate([np.ravel(np.asarray(b, dtype=float)) for b in blocks]))
     return agent
 
@@ -40,14 +42,14 @@ def frozen_agent(variant, weights, name="A"):
             num_categories=objects, num_signs=num_signs, emission_concentration={"v": 0.001}
         ),
         mask=ModalityMask.of("v"),
-        bins={"v": 2},
+        bins=2,
         categories=np.arange(objects),
         signs=np.zeros(objects, dtype=np.int64),
     )
     return install_blocks(
         agent,
         coupling=weights if variant == "h2h" else weights.T,
-        emissions={"v": np.full((objects, 2), 0.5)},
+        emissions=[np.full((objects, 2), 0.5)],
         category_weights=np.ones(objects),
     )
 

@@ -59,13 +59,13 @@ def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_w
             emission_concentration={"v": 0.001},
         ),
         mask=ModalityMask.of("v"),
-        bins={"v": emissions.shape[1]},
+        bins=emissions.shape[1],
         categories=np.zeros(signs.size, dtype=np.int64),
         signs=signs,
     )
     if category_weights is None:
         category_weights = np.full(num_categories, 1.0 / num_categories)
-    return install_blocks(agent, coupling, {"v": emissions}, category_weights)
+    return install_blocks(agent, coupling, [emissions], category_weights)
 
 
 def blocks(agent, flat):
@@ -87,7 +87,7 @@ def test_init_agent_ranges_and_determinism():
     assert agent.signs.min() >= 0 and agent.signs.max() < 15
     assert agent.category_weights.shape == (15,)
     assert agent.coupling.shape == (15, 15)
-    assert sorted(agent.emissions) == ["h", "s", "v"]
+    assert agent.emissions.shape == (3, 15, 20)
 
     again = init_agent("h2h", Hyperparams(), data, "A", RngStream(9))
     assert np.array_equal(agent.categories, again.categories)
@@ -105,6 +105,18 @@ def test_init_agent_validation():
         init_agent("x2x", Hyperparams(), data, "A", RngStream(0))
     with pytest.raises(ValueError):
         init_agent("h2h", Hyperparams(), data, "C", RngStream(0))
+
+
+def test_init_agent_rejects_modalities_of_different_bin_counts():
+    gen = np.random.default_rng(0)
+    data = Dataset(
+        true_type=np.zeros(4, dtype=np.int64),
+        observations={"A": {"v": gen.integers(0, 3, size=(4, 8)), "s": gen.integers(0, 3, size=(4, 5))}},
+        masks={"A": ModalityMask.of("v", "s")},
+        config=SyntheticConfig(feature_dim=8),
+    )
+    with pytest.raises(ValueError, match=r"agent 'A'.*'v': 8, 's': 5"):
+        init_agent("h2h", Hyperparams(), data, "A", RngStream(0))
 
 
 def test_initial_categories_uniform_over_seeds():
@@ -237,14 +249,14 @@ def test_posterior_concentrations_t2t_orientation():
 def test_log_views_are_the_floored_logs_of_the_parameters(variant, mask):
     data = generate_dataset(SyntheticConfig(), mask, FULL, RngStream(5))
     agent = init_agent(variant, Hyperparams(), data, "A", RngStream(6))
-    assert sorted(agent.log_emissions) == sorted(mask.present)
+    assert agent.log_emissions.shape == (len(mask.present), 15, 20)
     floored = 0
     for step in range(4):
         if step:
             sample_categories(agent, data, RngStream(7).derive(step, 0).generator())
             update_parameters(agent, data, RngStream(7).derive(step, 1).generator())
         pairs = [(agent.coupling, agent.log_coupling)]
-        pairs += [(agent.emissions[m], agent.log_emissions[m]) for m in mask.ordered]
+        pairs.append((agent.emissions, agent.log_emissions))
         if variant == "h2h":
             pairs.append((agent.category_weights, agent.log_category_weights))
         for probs, logs in pairs:
@@ -263,9 +275,9 @@ def test_update_parameters_rows_are_distributions():
         if variant == "h2h":
             np.testing.assert_allclose(agent.category_weights.sum(), 1.0, atol=1e-9)
         np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
-        for m in ("v", "s", "h"):
-            np.testing.assert_allclose(agent.emissions[m].sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(agent.emissions[m] > 0)
+        assert agent.emissions.shape == (3, 15, 20)
+        np.testing.assert_allclose(agent.emissions.sum(axis=2), 1.0, atol=1e-9)
+        assert np.all(agent.emissions > 0)
 
 
 def test_category_weight_posterior_mean_matches_conjugacy():
@@ -302,8 +314,8 @@ def test_empty_category_keeps_valid_rows():
     agent.categories = np.array([0, 0])  # category 1 empty
     update_parameters(agent, data, RngStream(8).generator())
     np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(agent.emissions["v"].sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(agent.emissions["v"][1] > 0)
+    np.testing.assert_allclose(agent.emissions[0].sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(agent.emissions[0, 1] > 0)
 
 
 def test_category_log_prior_hand_values():
@@ -340,6 +352,53 @@ def test_category_signs_t2t_reads_raw_column():
     assert category_signs(agent)[agent.categories].tolist() == [[0.2, 0.6, 0.2], [0.8, 0.4, 0.8]]
     agent.categories = np.array([1, 0])
     assert category_signs(agent)[agent.categories].tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
+
+
+def side_by_side(agent, dataset):
+    """The agent's histograms side by side in one float matrix, and each
+    modality's column slice of it."""
+    blocks = [dataset.observations[agent.name][m] for m in agent.mask.ordered]
+    stops = np.cumsum([block.shape[1] for block in blocks])
+    columns = [slice(stop - block.shape[1], stop) for stop, block in zip(stops, blocks)]
+    return np.concatenate(blocks, axis=1, dtype=np.float64), columns
+
+
+def reference_emission_counts(agent, dataset):
+    """The per-modality count loop the stacked product replaced: one
+    (K, bins) product per modality over its columns."""
+    obs, columns = side_by_side(agent, dataset)
+    onehot = np.eye(agent.hyper.num_categories)[agent.categories]
+    return np.stack([onehot.T @ obs[:, cols] for cols in columns])
+
+
+def reference_observation_log_likelihood(agent, dataset):
+    """The per-modality likelihood loop the stacked product replaced: one
+    product per modality, added in mask.ordered order."""
+    obs, columns = side_by_side(agent, dataset)
+    first, *rest = zip(columns, agent.log_emissions)
+    ll = obs[:, first[0]] @ first[1].T
+    for cols, log_emission in rest:
+        ll += obs[:, cols] @ log_emission.T
+    return ll
+
+
+@pytest.mark.parametrize("bins", [8, 20, 500])
+@pytest.mark.parametrize("names", [("h",), ("v", "s"), ("v", "s", "h")], ids=["1", "2", "3"])
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_stacked_counts_and_likelihood_match_per_modality_loops_bitwise(variant, names, bins):
+    mask = ModalityMask.of(*names)
+    config = SyntheticConfig(num_types=6, objects_per_type=5, feature_dim=bins, draws_per_modality=bins)
+    data = generate_dataset(config, mask, FULL, RngStream(bins))
+    agent = init_agent(variant, Hyperparams(num_categories=6, num_signs=6), data, "A", RngStream(1))
+    for step in range(4):
+        conc = posterior_concentrations(agent, data)
+        # the emission blocks end the layout
+        counts = reference_emission_counts(agent, data).reshape(-1)
+        assert np.array_equal(conc[-counts.size :], agent.prior[-counts.size :] + counts)
+        ll = observation_log_likelihood(agent, data)
+        assert np.array_equal(ll, reference_observation_log_likelihood(agent, data))
+        update_parameters(agent, data, RngStream(2).derive(step, 0).generator())
+        sample_categories(agent, data, RngStream(2).derive(step, 1).generator())
 
 
 def test_observation_log_likelihood_hand_values():
@@ -388,7 +447,7 @@ def test_masked_modalities_contribute_nothing():
         sample_categories(two, present, RngStream(58).generator())
     assert np.array_equal(one.categories, two.categories)
     np.testing.assert_array_equal(one.coupling, two.coupling)
-    np.testing.assert_array_equal(one.emissions["v"], two.emissions["v"])
+    np.testing.assert_array_equal(one.emissions, two.emissions)
 
 
 def test_two_applications_leave_category_distribution_invariant():

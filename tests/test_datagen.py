@@ -112,16 +112,14 @@ def test_float_observations_hold_masked_in_modalities_in_canonical_order():
     data = make_dataset(seed=3)
     # named out of canonical order; s is in the data but masked off
     mask = ModalityMask.of("h", "v")
-    obs, columns = data.float_observations("A", mask)
+    obs = data.float_observations("A", mask)
     ints = data.observations["A"]
     assert obs.dtype == np.float64
-    assert list(columns) == ["v", "h"]
-    assert np.array_equal(obs, np.hstack([ints["v"], ints["h"]]))
-    for m in columns:
-        assert np.array_equal(obs[:, columns[m]], ints[m])
-    assert not obs.flags.writeable
-    assert data.float_observations("A", mask)[0] is obs
-    assert data.float_observations("A", FULL)[0].shape == (data.num_objects, 3 * data.config.feature_dim)
+    assert obs.shape == (2, data.num_objects, data.config.feature_dim)
+    assert np.array_equal(obs[0], ints["v"]) and np.array_equal(obs[1], ints["h"])
+    assert obs.flags.c_contiguous and not obs.flags.writeable
+    assert data.float_observations("A", mask) is obs
+    assert data.float_observations("A", FULL).shape == (3, data.num_objects, data.config.feature_dim)
 
 
 def test_agent_sweeps_read_one_float_matrix_per_dataset(monkeypatch):
@@ -138,7 +136,7 @@ def test_agent_sweeps_read_one_float_matrix_per_dataset(monkeypatch):
 
     def spy(self, agent_id, mask):
         out = original(self, agent_id, mask)
-        seen.append((self, agent_id, out[0]))
+        seen.append((self, agent_id, out))
         return out
 
     monkeypatch.setattr(Dataset, "float_observations", spy)
@@ -148,8 +146,8 @@ def test_agent_sweeps_read_one_float_matrix_per_dataset(monkeypatch):
         sample_categories(agent, data, RngStream(7).derive(it).generator())
     # init's parameter draw, then both readers in each sweep
     assert len(seen) == 1 + 2 * 3
-    assert all(ds is data and name == "A" and matrix is seen[0][2] for ds, name, matrix in seen)
-    assert np.array_equal(seen[0][2], np.hstack([full.observations["A"]["v"], full.observations["A"]["s"]]))
+    assert all(ds is data and name == "A" and stack is seen[0][2] for ds, name, stack in seen)
+    assert np.array_equal(seen[0][2], np.stack([full.observations["A"]["v"], full.observations["A"]["s"]]))
 
 
 def dataset_digest(seed=0, trials=3):

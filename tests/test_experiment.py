@@ -15,7 +15,7 @@ import pytest
 
 from signgame.agents import Hyperparams, ModalityMask
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from signgame.datagen import SyntheticConfig
+from signgame.datagen import SyntheticConfig, generate_dataset
 import signgame.experiment as experiment
 from signgame.experiment import (
     CONDITION_MASKS,
@@ -404,14 +404,22 @@ def test_cli_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch, 
     assert "File exists" in capsys.readouterr().err
 
 
-def test_library_partial_emission_concentration_keeps_the_other_defaults():
+def test_library_partial_emission_concentration_keeps_the_other_defaults(monkeypatch):
     hyper = Hyperparams(num_categories=4, num_signs=4, emission_concentration={"v": 0.1})
     assert hyper.emission_concentration == {"v": 0.1, "s": 0.001, "h": 0.001}
     # the dataset draws every modality's true emissions, so a partial
-    # mapping without the defaults ended in a KeyError there
-    synth = SyntheticConfig(num_types=4, objects_per_type=5, feature_dim=8, draws_per_modality=10, hyper=hyper)
-    records = experiment.run_trial(small_config(hyper=hyper, synthetic=synth, iterations=2), 0)
+    # mapping without the defaults ended in a KeyError there; the cell's
+    # hyper reaches the data although synthetic holds other concentrations
+    drawn = []
+
+    def spy(config, *args):
+        drawn.append(config.hyper)
+        return generate_dataset(config, *args)
+
+    monkeypatch.setattr(experiment, "generate_dataset", spy)
+    records = experiment.run_trial(small_config(hyper=hyper, iterations=2), 0)
     assert [r.iteration for r in records] == [0, 1]
+    assert drawn == [hyper]
 
 
 def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, capsys):

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import signgame.agents as agents
+import signgame.game as game
 import signgame.stochastic as stochastic
 from conftest import counting_draw
+from signgame.agents import Hyperparams, ModalityMask
+from signgame.datagen import SyntheticConfig, generate_dataset
 from signgame.stochastic import (
     EXP_CLAMP,
     PROB_FLOOR,
@@ -220,9 +224,13 @@ def test_sample_dirichlet_rows_matches_block_by_block_reference(shapes):
         ]
         flat = np.concatenate([alpha.reshape(-1) for alpha in alphas])
         ours = sample_dirichlet_rows(flat, shapes, np.random.default_rng(seed))
-        theirs = reference_dirichlet_rows(alphas, np.random.default_rng(seed))
+        theirs = np.concatenate([q.reshape(-1) for q in reference_dirichlet_rows(alphas, np.random.default_rng(seed))])
         assert ours.shape == flat.shape
-        assert np.array_equal(ours, np.concatenate([q.reshape(-1) for q in theirs]))
+        assert np.array_equal(ours, theirs)
+        # the flat normalizer on its own, on the sampler's log-gamma draws
+        logg = stochastic._log_gamma_draws(flat, np.random.default_rng(seed))
+        assert normalize_log_rows(logg, shapes) is logg
+        assert np.array_equal(logg, theirs)
         floored += np.count_nonzero(ours <= PROB_FLOOR)
     # many entries end at the floor, where a clamp above ln(PROB_FLOOR)
     # would change them
@@ -384,20 +392,69 @@ def test_normalize_log_rows_matches_vector_version():
         normalize_log_rows(np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
 
 
+def reference_normalize_2d(logw, transposed):
+    """The one-matrix normalizer the flat one replaced, with its row maxima
+    taken directly or from the contiguous transpose."""
+    logw = logw.copy()
+    m = np.ascontiguousarray(logw.T).max(axis=0)[:, None] if transposed else logw.max(axis=1)[:, None]
+    logw -= m
+    np.maximum(logw, EXP_CLAMP, out=logw)
+    np.exp(logw, out=logw)
+    np.maximum(logw, PROB_FLOOR, out=logw)
+    logw /= logw.sum(axis=1, keepdims=True)
+    return logw
+
+
 @pytest.mark.parametrize("width", [2, 48, 63, 64, 65, 500])
-def test_normalize_log_rows_row_max_forms_agree_bitwise(width, monkeypatch):
+def test_normalize_log_rows_row_max_forms_agree_bitwise(width):
+    # the row maxima from np.maximum.reduceat give the bytes of both
+    # row-max forms of the one-matrix normalizer, in the one-block matrix
+    # form and in the flat form
     gen = np.random.default_rng(width)
     logw = gen.normal(scale=300.0, size=(150, width))
     logw[::7, 1::3] = -np.inf
-    default = normalize_log_rows(logw.copy())
+    for transposed in (False, True):
+        expect = reference_normalize_2d(logw, transposed).tobytes()
+        assert normalize_log_rows(logw.copy()).tobytes() == expect
+        assert normalize_log_rows(logw.reshape(-1).copy(), [logw.shape]).tobytes() == expect
     nan, dead = logw.copy(), logw.copy()
     nan[3, width // 2] = np.nan
     dead[5] = -np.inf
-    # every width through the direct row max, then every width through the transpose
-    for wide_row in (1, 10**9):
-        monkeypatch.setattr(stochastic, "WIDE_ROW", wide_row)
-        assert normalize_log_rows(logw.copy()).tobytes() == default.tobytes()
+    for shapes in (None, [logw.shape], [(3, width), (147, width)]):
         with pytest.raises(ValueError, match="NaN"):
-            normalize_log_rows(nan.copy())
+            normalize_log_rows(nan.copy(), shapes)
         with pytest.raises(DegenerateDistributionError):
-            normalize_log_rows(dead.copy())
+            normalize_log_rows(dead.copy(), shapes)
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_normalize_log_rows_one_block_matches_2d_normalizer_on_game_conditionals(monkeypatch, variant):
+    # the category conditionals and joint sign weights of real games, both
+    # (objects, K) single blocks
+    captured = []
+
+    def capture(logw, shapes=None):
+        captured.append(logw.copy())
+        return normalize_log_rows(logw, shapes)
+
+    monkeypatch.setattr(agents, "normalize_log_rows", capture)
+    monkeypatch.setattr(game, "normalize_log_rows", capture)
+    hyper = Hyperparams(num_categories=6, num_signs=6)
+    config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=5, hyper=hyper)
+    dataset = generate_dataset(config, ModalityMask.of("v", "s", "h"), ModalityMask.of("h"), RngStream(1))
+    for mode in ("mh", "gibbs"):
+        game.run_game(variant, mode, hyper, dataset, 10, RngStream(2))
+    assert len(captured) == 2 * 10 * 2 + 10
+    for logw in captured:
+        expect = reference_normalize_2d(logw, transposed=True)
+        assert normalize_log_rows(logw.copy()).tobytes() == expect.tobytes()
+        assert normalize_log_rows(logw.copy(), [logw.shape]).tobytes() == expect.tobytes()
+
+
+def test_normalize_log_rows_rejects_a_mismatched_layout():
+    with pytest.raises(ValueError):
+        normalize_log_rows(np.zeros(5), [(1, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        normalize_log_rows(np.zeros(4), [(2, 2), (0, 3)])
+    with pytest.raises(ValueError):
+        normalize_log_rows(np.zeros(4), [])
