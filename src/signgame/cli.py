@@ -65,15 +65,10 @@ def _summary_line(summary: dict) -> str:
     )
 
 
-def _config_from_args(args: argparse.Namespace, cell_flags: bool) -> ExperimentConfig:
-    flags = {
-        "trials": args.trials,
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "jobs": args.jobs,
-    }
-    if cell_flags:
-        flags.update(variant=args.variant, method=args.method, condition=args.condition)
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    # every other parsed argument is a config key; parse_config names an
+    # unknown one and drops the flags left unset
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config", "out")}
     return parse_config(flags, args.config)
 
 
@@ -81,11 +76,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _config_from_args(args, cell_flags=True)
+            cfg = _config_from_args(args)
             summary = run_experiment(cfg, Path(args.out))
             print(_summary_line(summary))
         elif args.command == "full":
-            cfg = _config_from_args(args, cell_flags=False)
+            cfg = _config_from_args(args)
             run_full_grid(cfg, Path(args.out), progress=lambda s: print(_summary_line(s), flush=True))
         elif args.command == "compare":
             rows = read_summary(Path(args.in_dir) / "summary.csv")

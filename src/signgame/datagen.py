@@ -28,7 +28,6 @@ class SyntheticConfig:
     objects_per_type: int = 10
     feature_dim: int = 20
     draws_per_modality: int = 20
-    hyper: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self):
         if self.num_types < 1 or self.objects_per_type < 1:
@@ -74,15 +73,17 @@ class Dataset:
 
 def generate_dataset(
     config: SyntheticConfig,
+    hyper: Hyperparams,
     mask_a: ModalityMask,
     mask_b: ModalityMask,
     rng: RngStream,
 ) -> Dataset:
-    """Draw a fresh dataset; masked modalities are never materialized."""
+    """Draw a fresh dataset, its true emissions from hyper's emission
+    concentrations; masked modalities are never materialized."""
     true_emissions = {}
     for mi, m in enumerate(MODALITIES):
         shape = (config.num_types, config.feature_dim)
-        conc = np.full(shape[0] * shape[1], config.hyper.emission_concentration[m])
+        conc = np.full(shape[0] * shape[1], hyper.emission_concentration[m])
         gen = rng.derive(_STREAM_EMISSIONS, mi).generator()
         true_emissions[m] = sample_dirichlet_rows(conc, [shape], gen).reshape(shape)
 

@@ -16,7 +16,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Mapping
@@ -95,7 +95,7 @@ class ReportError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One grid cell plus the shared sizes, concentrations (for the data
-    too: synthetic's own hyper is not read), and seed."""
+    too), and seed."""
 
     variant: str = "h2h"
     method: str = "mh"
@@ -128,8 +128,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """Play one seeded trial of a cell; returns its per-iteration metrics."""
     trial_rng = RngStream(cfg.seed).derive(cfg.condition, trial)
     mask_a, mask_b = CONDITION_MASKS[cfg.condition]
-    synthetic = replace(cfg.synthetic, hyper=cfg.hyper)
-    dataset = generate_dataset(synthetic, mask_a, mask_b, trial_rng.derive(_STREAM_DATA))
+    dataset = generate_dataset(cfg.synthetic, cfg.hyper, mask_a, mask_b, trial_rng.derive(_STREAM_DATA))
     _, records = run_game(
         cfg.variant,
         CommunicationMode(cfg.method),
@@ -242,15 +241,6 @@ def write_reports(out_dir: Path, detail_rows, summary_rows) -> tuple[Path, Path]
     return detail_path, summary_path
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    """Run one cell and write its detail/summary CSVs; returns the summary."""
-    # an unusable out_dir fails here, before any trial runs
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    detail, summary = run_cell(cfg)
-    write_reports(Path(out_dir), detail, [summary])
-    return summary
-
-
 def full_grid_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """The 24 cells of the full grid, in deterministic report order."""
     return [
@@ -261,13 +251,13 @@ def full_grid_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     ]
 
 
-def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
-    """Run all 24 cells with cfg's sizes and seed; combined CSVs, one
-    summary row per cell."""
+def _run_cells(cells: list[ExperimentConfig], out_dir, progress=None) -> list[dict]:
+    """Run the cells' trials as one task list and write their combined CSVs;
+    one summary row per cell, each passed to progress as it completes."""
+    # an unusable out_dir fails here, before any trial runs
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     detail_rows = []
     summary_rows = []
-    cells = full_grid_configs(cfg)
     with closing(_trial_records(cells)) as records:
         for cell_cfg in cells:
             detail, summary = run_cell(cell_cfg, records)
@@ -277,6 +267,17 @@ def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
                 progress(summary)
     write_reports(Path(out_dir), detail_rows, summary_rows)
     return summary_rows
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
+    """Run one cell and write its detail/summary CSVs; returns the summary."""
+    return _run_cells([cfg], out_dir)[0]
+
+
+def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
+    """Run all 24 cells with cfg's sizes and seed; combined CSVs, one
+    summary row per cell."""
+    return _run_cells(full_grid_configs(cfg), out_dir, progress)
 
 
 def read_summary(path) -> list[dict]:
@@ -354,52 +355,6 @@ def compare_to_reference(summary_rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FLAG_KEYS = ("variant", "method", "condition", "trials", "iterations", "seed", "jobs")
-
-
-def _build_hyper(block: Mapping) -> Hyperparams:
-    allowed = {
-        "coupling_concentration",
-        "emission_concentration",
-        "category_concentration",
-        "num_categories",
-        "num_signs",
-    }
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown hyperparams key {sorted(unknown)[0]!r}")
-    kwargs = dict(block)
-    for key in ("num_categories", "num_signs"):
-        if key in kwargs:
-            kwargs[key] = _integer(f"hyperparams.{key}", kwargs[key])
-    for key in ("coupling_concentration", "category_concentration"):
-        if key in kwargs:
-            kwargs[key] = _number(f"hyperparams.{key}", kwargs[key])
-    if "emission_concentration" in kwargs:
-        given = kwargs["emission_concentration"]
-        if not isinstance(given, Mapping):
-            raise ConfigError("hyperparams.emission_concentration must map modalities to numbers")
-        kwargs["emission_concentration"] = {
-            str(m): _number(f"hyperparams.emission_concentration.{m}", b) for m, b in given.items()
-        }
-    try:
-        return Hyperparams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_synthetic(block: Mapping, hyper: Hyperparams) -> SyntheticConfig:
-    allowed = {"num_types", "objects_per_type", "feature_dim", "draws_per_modality"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown synthetic key {sorted(unknown)[0]!r}")
-    sizes = {key: _integer(f"synthetic.{key}", value) for key, value in block.items()}
-    try:
-        return SyntheticConfig(hyper=hyper, **sizes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _integer(key: str, value) -> int:
     # int() would truncate 2.7 to 2, read true as 1 and parse "2"
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
@@ -418,11 +373,44 @@ def _number(key: str, value) -> float:
         raise ConfigError(f"{key} must be finite, got a value beyond float range") from None
 
 
+def _build(cls, block, where: str, **given):
+    """cls from a config block whose keys are cls's fields (less those in
+    given, which fill themselves); each value is checked against the type of
+    its field's default, and where prefixes the key paths in messages."""
+    if not isinstance(block, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    defaults = {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+        if f.name not in given
+    }
+    unknown = set(block) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {where or 'config'} key {sorted(unknown)[0]!r}")
+    kwargs = dict(given)
+    for key, value in block.items():
+        path = f"{where}.{key}" if where else key
+        default = defaults[key]
+        if isinstance(default, Mapping):
+            # the one mapping field, emission_concentration, is per modality
+            if not isinstance(value, Mapping):
+                raise ConfigError(f"{path} must map modalities to numbers")
+            value = {str(m): _number(f"{path}.{m}", b) for m, b in value.items()}
+        elif isinstance(default, int):
+            value = _integer(path, value)
+        elif isinstance(default, float):
+            value = _number(path, value)
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentConfig:
-    """Merge defaults, an optional JSON file, and flag overrides."""
-    merged = {}
-    hyper_block = {}
-    synthetic_block = {}
+    """Merge defaults, an optional JSON file, and flag overrides (None
+    flags are not given)."""
+    data = {}
     if config_file is not None:
         try:
             text = Path(config_file).read_text(encoding="utf-8")
@@ -434,28 +422,7 @@ def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentCo
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, value in data.items():
-            if key in _FLAG_KEYS:
-                merged[key] = value
-            elif key in ("hyperparams", "synthetic"):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-                if key == "hyperparams":
-                    hyper_block = value
-                else:
-                    synthetic_block = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    if flags:
-        for key, value in flags.items():
-            if value is None:
-                continue
-            if key not in _FLAG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-    for key in ("condition", "trials", "iterations", "seed", "jobs"):
-        if key in merged:
-            merged[key] = _integer(key, merged[key])
-    hyper = _build_hyper(hyper_block)
-    synthetic = _build_synthetic(synthetic_block, hyper)
-    return ExperimentConfig(hyper=hyper, synthetic=synthetic, **merged)
+    hyper = _build(Hyperparams, data.pop("hyperparams", {}), "hyperparams")
+    synthetic = _build(SyntheticConfig, data.pop("synthetic", {}), "synthetic")
+    data.update((key, value) for key, value in (flags or {}).items() if value is not None)
+    return _build(ExperimentConfig, data, "", hyper=hyper, synthetic=synthetic)

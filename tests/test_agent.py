@@ -30,7 +30,7 @@ FULL = ModalityMask.of("v", "s", "h")
 
 
 def full_dataset(seed=0):
-    return generate_dataset(SyntheticConfig(), FULL, FULL, RngStream(seed))
+    return generate_dataset(SyntheticConfig(), Hyperparams(), FULL, FULL, RngStream(seed))
 
 
 def tiny_dataset(histograms, name="A", modality="v"):
@@ -247,7 +247,7 @@ def test_posterior_concentrations_t2t_orientation():
     ids=["h2h", "t2t", "h2h-masked"],
 )
 def test_log_views_are_the_floored_logs_of_the_parameters(variant, mask):
-    data = generate_dataset(SyntheticConfig(), mask, FULL, RngStream(5))
+    data = generate_dataset(SyntheticConfig(), Hyperparams(), mask, FULL, RngStream(5))
     agent = init_agent(variant, Hyperparams(), data, "A", RngStream(6))
     assert agent.log_emissions.shape == (len(mask.present), 15, 20)
     floored = 0
@@ -388,7 +388,7 @@ def reference_observation_log_likelihood(agent, dataset):
 def test_stacked_counts_and_likelihood_match_per_modality_loops_bitwise(variant, names, bins):
     mask = ModalityMask.of(*names)
     config = SyntheticConfig(num_types=6, objects_per_type=5, feature_dim=bins, draws_per_modality=bins)
-    data = generate_dataset(config, mask, FULL, RngStream(bins))
+    data = generate_dataset(config, Hyperparams(), mask, FULL, RngStream(bins))
     agent = init_agent(variant, Hyperparams(num_categories=6, num_signs=6), data, "A", RngStream(1))
     for step in range(4):
         conc = posterior_concentrations(agent, data)
@@ -424,7 +424,7 @@ def test_observation_log_likelihood_floors_zero_probability():
 def test_masked_modalities_contribute_nothing():
     config = SyntheticConfig()
     rng = RngStream(55)
-    full = generate_dataset(config, FULL, FULL, rng)
+    full = generate_dataset(config, Hyperparams(), FULL, FULL, rng)
     # same draws, but agent A is masked to v only: drop the extra matrices
     masked = Dataset(
         true_type=full.true_type,
@@ -493,8 +493,8 @@ def test_category_draws_match_the_pinned_rule_on_game_conditionals(monkeypatch, 
 
     monkeypatch.setattr(agents, "sample_categorical_rows", capture)
     hyper = Hyperparams(num_categories=6, num_signs=6)
-    config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=2, hyper=hyper)
-    dataset = generate_dataset(config, FULL, ModalityMask.of("v"), RngStream(1))
+    config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=2)
+    dataset = generate_dataset(config, hyper, FULL, ModalityMask.of("v"), RngStream(1))
     run_game(variant, "mh", hyper, dataset, 20, RngStream(2))
     cum = np.concatenate(captured)
     assert cum.shape == (2 * 20 * dataset.num_objects, 6)

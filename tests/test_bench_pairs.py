@@ -114,3 +114,39 @@ def test_main_exits_1_naming_workloads_with_unequal_digests_or_failures(tmp_path
     assert "cell-mh" not in err
     # a 30% slower median is past wall_s's 25% bound
     assert ("cell-wide (wall_s)" in err) == (wall > 1.0)
+
+
+def test_traced_runs_pairs_per_side_in_alternating_order_and_records_the_spread(tmp_path, monkeypatch):
+    spec = {
+        "workloads": [{"name": "cell-mh"}, {"name": "cell-wide"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "game.exchange.self_s"}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    order = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "change" if checkout == tmp_path.resolve() else "parent"
+        order.append(side)
+        # the side's k-th run, counting from 1, reads k (parent) or 10 k (change) on cell-mh
+        k = order.count(side)
+        scale = 10 if side == "change" else 1
+        return {
+            "metrics": {"cell-mh.game.exchange.self_s": {"value": scale * k}, "cell-wide.game.exchange.self_s": {"value": 0.5}},
+            "absent": ["none", "none"],
+            "machine": {"cpu": "test"},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--traced", "--pairs", "3"]) == 0
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    section = json.loads(out.read_text())["traced"]
+    assert section["runs_per_side"] == 3
+    assert section["absent_names"] == {"parent": ["none"], "change": ["none"]}
+    layer = section["game.exchange.self_s"]
+    assert layer["cell-mh"] == {
+        "parent": {"median": 2, "min": 1, "max": 3},
+        "change": {"median": 20, "min": 10, "max": 30},
+    }
+    assert layer["cell-wide"]["change"] == {"median": 0.5, "min": 0.5, "max": 0.5}

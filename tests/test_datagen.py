@@ -16,9 +16,9 @@ from signgame.stochastic import RngStream
 FULL = ModalityMask.of("v", "s", "h")
 
 
-def make_dataset(seed=0, mask_a=FULL, mask_b=FULL, config=None):
+def make_dataset(seed=0, mask_a=FULL, mask_b=FULL, config=None, hyper=None):
     config = config or SyntheticConfig()
-    return generate_dataset(config, mask_a, mask_b, RngStream(seed))
+    return generate_dataset(config, hyper or Hyperparams(), mask_a, mask_b, RngStream(seed))
 
 
 def test_default_dataset_shape():
@@ -61,7 +61,7 @@ def test_agents_draw_independently_from_shared_emissions():
     # diffuse emissions so that independent draws cannot coincide; the
     # default near-one-hot emissions make both agents' histograms equal
     hyper = Hyperparams(emission_concentration={"v": 1.0, "s": 1.0, "h": 1.0})
-    data = make_dataset(seed=7, config=SyntheticConfig(hyper=hyper))
+    data = make_dataset(seed=7, hyper=hyper)
     a = data.observations["A"]["v"]
     b = data.observations["B"]["v"]
     # same generating emissions make the histograms correlated...
@@ -102,7 +102,7 @@ def test_single_modality_fit_recovers_planted_types():
     # reasonable clustering even without any communication
     mask = ModalityMask.of("v")
     config = SyntheticConfig()
-    data = generate_dataset(config, mask, mask, RngStream(2025))
+    data = generate_dataset(config, Hyperparams(), mask, mask, RngStream(2025))
     agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(2025).derive(1))
     solo_gibbs_fit(agent, data, 150, RngStream(2025).derive(2))
     assert adjusted_rand_index(agent.categories, data.true_type) >= 0.6
@@ -156,7 +156,7 @@ def dataset_digest(seed=0, trials=3):
     h = hashlib.sha256()
     for condition, (mask_a, mask_b) in sorted(CONDITION_MASKS.items()):
         for trial in range(trials):
-            data = generate_dataset(SyntheticConfig(), mask_a, mask_b, RngStream(seed).derive(condition, trial))
+            data = generate_dataset(SyntheticConfig(), Hyperparams(), mask_a, mask_b, RngStream(seed).derive(condition, trial))
             arrays = [data.true_emissions[m] for m in sorted(data.true_emissions)]
             arrays += [data.observations[a][m] for a in sorted(data.observations) for m in sorted(data.observations[a])]
             for arr in arrays:

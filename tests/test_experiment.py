@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -34,7 +35,7 @@ from signgame.experiment import (
 
 SMALL_HYPER = Hyperparams(num_categories=4, num_signs=4)
 SMALL_SYNTH = SyntheticConfig(
-    num_types=4, objects_per_type=5, feature_dim=8, draws_per_modality=10, hyper=SMALL_HYPER
+    num_types=4, objects_per_type=5, feature_dim=8, draws_per_modality=10
 )
 
 
@@ -82,7 +83,6 @@ def test_parse_config_reads_nested_blocks(tmp_path):
     cfg = parse_config(None, path)
     assert cfg.hyper.num_categories == 4
     assert cfg.synthetic.num_types == 4
-    assert cfg.synthetic.hyper is cfg.hyper
 
 
 @pytest.mark.parametrize(
@@ -409,12 +409,12 @@ def test_library_partial_emission_concentration_keeps_the_other_defaults(monkeyp
     assert hyper.emission_concentration == {"v": 0.1, "s": 0.001, "h": 0.001}
     # the dataset draws every modality's true emissions, so a partial
     # mapping without the defaults ended in a KeyError there; the cell's
-    # hyper reaches the data although synthetic holds other concentrations
+    # hyper reaches the data
     drawn = []
 
-    def spy(config, *args):
-        drawn.append(config.hyper)
-        return generate_dataset(config, *args)
+    def spy(config, hyper, *args):
+        drawn.append(hyper)
+        return generate_dataset(config, hyper, *args)
 
     monkeypatch.setattr(experiment, "generate_dataset", spy)
     records = experiment.run_trial(small_config(hyper=hyper, iterations=2), 0)
@@ -510,6 +510,47 @@ def test_parse_config_accepts_integral_floats(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"trials": 2.0}))
     assert parse_config(None, cfg_path).trials == 2
+
+
+# every config key a file may hold: (JSON block or None for the top level, field)
+SCHEMA_KEYS = [
+    (block, f.name)
+    for block, cls in (("hyperparams", Hyperparams), ("synthetic", SyntheticConfig), (None, ExperimentConfig))
+    for f in dataclasses.fields(cls)
+    if f.name not in ("hyper", "synthetic")
+]
+# non-default values of the string fields; numbers and mappings are doubled
+OTHER_CHOICE = {"variant": "t2t", "method": "gibbs"}
+
+
+def _schema_payload(block, key, value):
+    return {key: value} if block is None else {block: {key: value}}
+
+
+def _schema_holder(cfg, block):
+    """The object that a block's keys land on."""
+    return {"hyperparams": cfg.hyper, "synthetic": cfg.synthetic, None: cfg}[block]
+
+
+@pytest.mark.parametrize("block, key", SCHEMA_KEYS, ids=[f"{b or 'top'}.{k}" for b, k in SCHEMA_KEYS])
+def test_every_dataclass_field_is_a_config_key(tmp_path, capsys, block, key):
+    default = getattr(_schema_holder(ExperimentConfig(), block), key)
+    if isinstance(default, str):
+        value = OTHER_CHOICE[key]
+    elif isinstance(default, dict):
+        value = {m: 2 * b for m, b in default.items()}
+    else:
+        value = 2 * default + 1 if isinstance(default, int) else 2 * default
+    assert value != default
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_schema_payload(block, key, value)))
+    assert getattr(_schema_holder(parse_config(None, cfg_path), block), key) == value
+
+    # a string is never a number, a mapping or one of the string choices
+    cfg_path.write_text(json.dumps(_schema_payload(block, key, "1")))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert (f"{block}.{key}" if block else key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_compare_names_the_missing_column(tmp_path, capsys):

@@ -40,7 +40,7 @@ SMALL_HYPER = Hyperparams(num_categories=4, num_signs=4)
 
 
 def small_game(mode, variant="h2h", iterations=4, seed=21):
-    dataset = generate_dataset(SMALL, FULL, FULL, RngStream(seed))
+    dataset = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(seed))
     return run_game(variant, mode, SMALL_HYPER, dataset, iterations, RngStream(seed + 100))
 
 
@@ -154,8 +154,8 @@ def test_all_rejection_keeps_signs_at_initialization():
 
 
 def test_all_rejection_isolates_the_listener_from_the_speaker():
-    base = generate_dataset(SMALL, FULL, FULL, RngStream(3))
-    other = generate_dataset(SMALL, FULL, FULL, RngStream(4))
+    base = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(3))
+    other = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(4))
     swapped = Dataset(
         true_type=base.true_type,
         observations={"A": other.observations["A"], "B": base.observations["B"]},
@@ -179,7 +179,7 @@ def test_gibbs_topline_keeps_one_shared_sign_vector():
 
 
 def test_run_game_rejects_bad_arguments():
-    dataset = generate_dataset(SMALL, FULL, FULL, RngStream(0))
+    dataset = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(0))
     with pytest.raises(ValueError):
         run_game("sideways", CommunicationMode.MH, SMALL_HYPER, dataset, 2, RngStream(1))
     with pytest.raises(ValueError):
@@ -236,14 +236,14 @@ def reference_gibbs(agent_a, agent_b, d, gen):
 
 KERNEL_HYPER = Hyperparams(num_categories=6, num_signs=15)
 KERNEL_DATA = SyntheticConfig(
-    num_types=6, objects_per_type=10, feature_dim=5, draws_per_modality=10, hyper=KERNEL_HYPER
+    num_types=6, objects_per_type=10, feature_dim=5, draws_per_modality=10
 )
 
 
 def random_agents(variant, seed):
     """Two agents with random categories, signs and couplings, some of them
     sharply peaked so that floored probabilities and certain rejections occur."""
-    dataset = generate_dataset(KERNEL_DATA, FULL, FULL, RngStream(seed))
+    dataset = generate_dataset(KERNEL_DATA, KERNEL_HYPER, FULL, FULL, RngStream(seed))
     gen = RngStream(seed).derive(1).generator()
     agents = []
     for name in ("A", "B"):
@@ -427,7 +427,7 @@ def reference_game(variant, mode, dataset, iterations, rng):
 @pytest.mark.parametrize("mode", ["mh", "reject", "gibbs"])
 def test_run_game_across_seed_blocks_matches_per_phase_streams(variant, mode):
     iterations = 66
-    dataset = generate_dataset(SMALL, FULL, FULL, RngStream(8))
+    dataset = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(8))
     rng = RngStream(2**33 + 1, 12)
     state, records = run_game(variant, mode, SMALL_HYPER, dataset, iterations, rng)
     agents, expect = reference_game(variant, mode, dataset, iterations, rng)

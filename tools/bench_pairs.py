@@ -11,13 +11,15 @@ writes (or merges into) a ``BENCH_*.json`` file:
     # pairs at a seed not used while the change was written, into "cell-mh-seed-3"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json \\
         --workload cell-mh --seed 3 --pairs 4 --seconds 10 --section cell-mh-seed-3
-    # one traced run of every workload per side, into "traced"
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --seed 1 --seconds 3
+    # three traced runs of every workload per side, into "traced"
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --pairs 3 --seed 1 --seconds 3
 
 Pair i runs the parent first when i is even and the change first when i is
-odd. Workload names, metric names and each metric's better direction and
-bound come from the change checkout's ``BENCHMARK.json``. Quartiles are the
-``statistics.quantiles`` default (exclusive method).
+odd; so does traced run i. A traced per-layer figure is the median over
+the runs of its side, with their min and max. Workload names, metric names
+and each metric's better direction and bound come from the change
+checkout's ``BENCHMARK.json``. Quartiles are the ``statistics.quantiles``
+default (exclusive method).
 
 Each workload's summary gives, per end-to-end metric, the ``BENCHMARK.json``
 bound, whether the change's median is worse than the parent's by more than
@@ -117,17 +119,27 @@ def measure_pairs(checkouts: dict, workload: str, args, metrics: dict, machines:
     return pairs
 
 
+def _spread(values: list[float]) -> dict:
+    return {key: round(fn(values), 6) for key, fn in (("median", statistics.median), ("min", min), ("max", max))}
+
+
 def traced(checkouts: dict, args, per_layer: list[str], workloads: list[str], machines: list) -> dict:
-    """One ``--workload all`` run per side, parent first; its per-layer
-    metrics by name, workload and side."""
+    """args.pairs ``--workload all`` runs per side in alternating order; each
+    per-layer metric by name, workload and side as its median, min and max
+    over the side's runs."""
     cmd = f"python3 perfbench/run.py --workload all --seed {args.seed} --seconds {args.seconds:g}"
-    section = {"command": cmd}
-    results = {side: run_bench(checkouts[side], "all", args.seed, args.seconds, trace=0) for side in SIDES}
-    machines += [results[side]["machine"] for side in SIDES]
-    section["absent_names"] = {side: results[side]["absent"] for side in SIDES}
+    section = {"command": cmd, "runs_per_side": args.pairs}
+    results = {side: [] for side in SIDES}
+    for i in range(args.pairs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            res = run_bench(checkouts[side], "all", args.seed, args.seconds, trace=0)
+            machines.append(res["machine"])
+            results[side].append(res)
+            print(f"traced seed {args.seed} run {i} {side}: absent names {res['absent']}", flush=True)
+    section["absent_names"] = {side: sorted({a for res in results[side] for a in res["absent"]}) for side in SIDES}
     for name in per_layer:
         section[name] = {
-            w: {side: round(results[side]["metrics"][f"{w}.{name}"]["value"], 6) for side in SIDES}
+            w: {side: _spread([res["metrics"][f"{w}.{name}"]["value"] for res in results[side]]) for side in SIDES}
             for w in workloads
         }
     return section
@@ -143,13 +155,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--section", help="top-level key for one workload's pairs (default: workloads.<name>)")
-    parser.add_argument("--traced", action="store_true", help="one traced run of every workload per side")
+    parser.add_argument("--traced", action="store_true", help="--pairs traced runs of every workload per side")
     parser.add_argument("--description", help="the file's description field")
     args = parser.parse_args(argv)
     if args.section and len(args.workload) != 1:
         parser.error("--section takes exactly one --workload")
-    if not args.traced and (not args.workload or args.pairs < 1):
-        parser.error("give at least one --workload and one pair, or --traced")
+    if args.pairs < 1 or not (args.workload or args.traced):
+        parser.error("give at least one pair, and at least one --workload or --traced")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
