@@ -47,6 +47,16 @@ _STREAM_ASSIGN = 0
 _STREAM_PARAMS = 1
 
 
+def check_sizes(config, **least: int) -> None:
+    """Raise ValueError naming the first of config's size fields, given with
+    their least values, that lies outside [least, 2**63): sizes index
+    numpy's int64 arrays and bound its integer draws."""
+    for name, low in least.items():
+        value = getattr(config, name)
+        if not low <= value < 2**63:
+            raise ValueError(f"{name} must be in [{low}, 2**63), got {value!r}")
+
+
 def _default_emission_concentration() -> dict[str, float]:
     return {m: 0.001 for m in MODALITIES}
 
@@ -77,8 +87,7 @@ class Hyperparams:
         # modalities the mapping does not name keep the default
         filled = {**_default_emission_concentration(), **self.emission_concentration}
         object.__setattr__(self, "emission_concentration", filled)
-        if self.num_categories < 1 or self.num_signs < 1:
-            raise ValueError("num_categories and num_signs must be at least 1")
+        check_sizes(self, num_categories=1, num_signs=1)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,11 @@ def main(argv=None) -> int:
     except ReportError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # sizes within their ranges whose arrays exceed the memory there is
+        detail = f": {exc}" if str(exc) else ""
+        print(f"config error: the sizes need more memory than there is{detail}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import MODALITIES, Hyperparams, ModalityMask
+from .agents import MODALITIES, Hyperparams, ModalityMask, check_sizes
 from .stochastic import RngStream, sample_dirichlet_rows
 
 AGENT_NAMES = ("A", "B")
@@ -30,12 +30,7 @@ class SyntheticConfig:
     draws_per_modality: int = 20
 
     def __post_init__(self):
-        if self.num_types < 1 or self.objects_per_type < 1:
-            raise ValueError("num_types and objects_per_type must be at least 1")
-        if self.feature_dim < 2:
-            raise ValueError("feature_dim must be at least 2")
-        if self.draws_per_modality < 1:
-            raise ValueError("draws_per_modality must be at least 1")
+        check_sizes(self, num_types=1, objects_per_type=1, feature_dim=2, draws_per_modality=1)
 
 
 @dataclass

@@ -14,14 +14,13 @@ import csv
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .agents import VARIANTS, Hyperparams, ModalityMask
+from .agents import VARIANTS, Hyperparams, ModalityMask, check_sizes
 from .datagen import SyntheticConfig, generate_dataset
 from .game import CommunicationMode, run_game
 from .metrics import kappa_band, summarize
@@ -114,11 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"method must be one of {METHOD_CHOICES}, got {self.method!r}")
         if self.condition not in CONDITION_CHOICES:
             raise ConfigError(f"condition must be in {CONDITION_CHOICES}, got {self.condition!r}")
-        for key in ("trials", "iterations"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs!r}")
+        try:
+            check_sizes(self, trials=1, iterations=1, jobs=1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # RngStream keeps a seed's low 64 bits: a wider range would alias runs
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
@@ -143,6 +141,27 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list:
 def _trial_worker(payload):
     cfg, trial = payload
     return run_trial(cfg, trial)
+
+
+class ProcessPoolExecutor:
+    """concurrent.futures.ProcessPoolExecutor as the grid uses it, a context
+    manager with map, whose modules load when the first pool starts: they
+    cost start-up time that a serial run never needs."""
+
+    def __init__(self, max_workers):
+        from concurrent.futures import ProcessPoolExecutor as Pool
+
+        self._pool = Pool(max_workers=max_workers)
+
+    def __enter__(self):
+        self._pool.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._pool.__exit__(*exc_info)
+
+    def map(self, fn, *iterables, **kwargs):
+        return self._pool.map(fn, *iterables, **kwargs)
 
 
 def _usable_cpus() -> int:

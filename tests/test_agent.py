@@ -23,8 +23,14 @@ from signgame.agents import (
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.metrics import adjusted_rand_index
-from signgame.game import run_game
-from signgame.stochastic import PROB_FLOOR, RngStream, sample_categorical_rows, sample_dirichlet_rows
+from signgame.game import acceptance_ratio, run_game
+from signgame.stochastic import (
+    PROB_FLOOR,
+    RngStream,
+    normalize_log_rows,
+    sample_categorical_rows,
+    sample_dirichlet_rows,
+)
 
 FULL = ModalityMask.of("v", "s", "h")
 
@@ -550,3 +556,62 @@ def test_smallest_accepted_concentration_draws_finite_rows():
     alpha = np.full(50 * 20, hyper.emission_concentration["v"])
     rows = sample_dirichlet_rows(alpha, [(50, 20)], RngStream(seed=1).generator()).reshape(50, 20)
     assert np.all(rows > 0) and np.allclose(rows.sum(axis=1), 1.0)
+
+
+def frozen_pair(sign_marginal, seed=7):
+    """An h2h and a t2t agent over one dataset, with equal emissions,
+    categories and signs, whose couplings share one joint p(c, w) with the
+    given sign marginal: h2h holds pi_c = p(c) and theta[c, w] = p(w | c),
+    t2t holds theta_t[w, c] = p(c | w), which is L * p(c, w) for a uniform
+    marginal."""
+    rng = np.random.default_rng(seed)
+    k, bins, n = 3, 5, 12
+    sign_marginal = np.asarray(sign_marginal, dtype=float)
+    weights = rng.random((k, sign_marginal.size)) + 0.1
+    joint = weights / weights.sum(axis=0) * sign_marginal
+    category_marginal = joint.sum(axis=1)
+    emissions = [rng.dirichlet(np.ones(bins), k)]
+    data = tiny_dataset(rng.integers(0, 6, (n, bins)))
+    categories, signs = rng.integers(0, k, n), rng.integers(0, sign_marginal.size, n)
+    pair = []
+    for variant, coupling in (
+        ("h2h", joint / category_marginal[:, None]),
+        ("t2t", (joint / sign_marginal).T),
+    ):
+        agent = AgentModel(
+            name="A",
+            variant=variant,
+            hyper=Hyperparams(num_categories=k, num_signs=sign_marginal.size),
+            mask=ModalityMask.of("v"),
+            bins=bins,
+            categories=categories.copy(),
+            signs=signs.copy(),
+        )
+        pair.append(install_blocks(agent, coupling, emissions, category_marginal))
+    return pair, data
+
+
+def category_conditionals(agent, data):
+    return normalize_log_rows(observation_log_likelihood(agent, data) + category_log_prior(agent))
+
+
+def normalized_sign_rows(agent):
+    rows = category_signs(agent)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def test_frozen_variants_differ_only_through_the_sign_marginal():
+    # with a uniform sign marginal the two couplings are one model: every
+    # category draw, sign draw and acceptance agrees
+    (h2h, t2t), data = frozen_pair(np.full(4, 0.25))
+    np.testing.assert_allclose(category_conditionals(h2h, data), category_conditionals(t2t, data), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(normalized_sign_rows(h2h), normalized_sign_rows(t2t), rtol=0, atol=1e-12)
+    proposed = (h2h.signs + 1) % 4
+    np.testing.assert_allclose(
+        acceptance_ratio(h2h, proposed, h2h.signs), acceptance_ratio(t2t, proposed, t2t.signs), rtol=1e-12
+    )
+    # control: the category conditionals still agree, but t2t's sign rows
+    # divide by a marginal that is no longer flat
+    (h2h, t2t), data = frozen_pair([0.4, 0.3, 0.2, 0.1])
+    np.testing.assert_allclose(category_conditionals(h2h, data), category_conditionals(t2t, data), rtol=0, atol=1e-12)
+    assert np.abs(normalized_sign_rows(h2h) - normalized_sign_rows(t2t)).max() > 0.1

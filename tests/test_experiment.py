@@ -449,6 +449,16 @@ def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, c
         # outside the 64 bits a seed keeps, where -1 would run as 2**64 - 1
         ({"seed": -1}, "seed"),
         ({"seed": 2**64}, "seed"),
+        # sizes index int64 arrays and bound int64 draws
+        ({"hyperparams": {"num_categories": 10**20}}, "num_categories"),
+        ({"hyperparams": {"num_signs": 2**63}}, "num_signs"),
+        ({"synthetic": {"num_types": 10**20}}, "num_types"),
+        ({"synthetic": {"objects_per_type": 2**63}}, "objects_per_type"),
+        ({"synthetic": {"feature_dim": 2**63}}, "feature_dim"),
+        ({"synthetic": {"draws_per_modality": 2**63}}, "draws_per_modality"),
+        ({"trials": 2**63}, "trials"),
+        ({"iterations": 2**63}, "iterations"),
+        ({"jobs": 2**63}, "jobs"),
     ],
 )
 def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, needle):
@@ -457,6 +467,24 @@ def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, ne
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# sizes below 2**63 whose first allocation, over 2**57 bytes, exceeds any
+# address space, so that no overcommit lets it succeed
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"synthetic": {"feature_dim": 2**55}},
+        {"hyperparams": {"num_signs": 2**54}},
+        {"iterations": 2**52},
+    ],
+)
+def test_cli_maps_exhausted_memory_to_a_config_error(tmp_path, capsys, payload):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -584,6 +612,14 @@ def test_cli_compare_names_a_blank_ari_column(tmp_path, capsys, column):
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def checkout_env():
+    """The environment with this checkout's sources first on PYTHONPATH, so
+    a child interpreter (or an installed script) runs this tree's code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def console_script_command(name):
     """Command that runs the console script `name` declared in pyproject.toml.
 
@@ -605,21 +641,54 @@ def test_console_script_smoke(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**SMALL_FILE_BLOCKS, "trials": 1, "iterations": 2}))
     out = tmp_path / "out"
-    # this checkout's sources come first, so an installed script runs this tree's code
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         console_script_command("signgame")
         + ["run", "--method", "gibbs", "--config", str(cfg_path), "--out", str(out)],
         capture_output=True,
         text=True,
-        env=env,
+        env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "kappa --" in proc.stdout
     assert (out / "summary.csv").exists()
+
+
+POOL_IMPORTS = r"""
+import json, os, sys
+from signgame.cli import main
+config, out = sys.argv[1:]
+pool_modules = ("concurrent.futures", "multiprocessing")
+loaded = []
+codes = [
+    main(["run", "--config", config, "--out", out + "/serial"]),
+    main(["full", "--config", config, "--out", out + "/full"]),
+]
+loaded.append([m for m in pool_modules if m in sys.modules])
+# two usable CPUs, so that --jobs 2 starts a pool on a one-core host too
+os.sched_getaffinity = lambda pid: {0, 1}
+codes.append(main(["run", "--config", config, "--jobs", "2", "--out", out + "/jobs2"]))
+loaded.append([m for m in pool_modules if m in sys.modules])
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_serial_runs_never_import_the_process_pool(tmp_path):
+    # the pool's modules cost start-up time; only a run that starts a pool loads them
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SMALL_FILE_BLOCKS, "trials": 2, "iterations": 2}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_IMPORTS, str(cfg_path), str(out)],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [EXIT_OK] * 3
+    assert report["loaded"] == [[], ["concurrent.futures", "multiprocessing"]]
+    for name in ("detail.csv", "summary.csv"):
+        assert (out / "jobs2" / name).read_bytes() == (out / "serial" / name).read_bytes()
 
 
 # Functions that no run, full or compare command enters in this process,
@@ -627,7 +696,7 @@ def test_console_script_smoke(tmp_path):
 UNPROFILED = {}
 
 PROFILED_COMMANDS = r"""
-import json, sys
+import json, os, sys
 entered = set()
 
 def record(frame, event, arg):
@@ -637,8 +706,11 @@ def record(frame, event, arg):
 sys.setprofile(record)
 from signgame.cli import main
 config, out, result = sys.argv[1:]
+# two usable CPUs, so that --jobs 2 starts a pool on a one-core host too
+os.sched_getaffinity = lambda pid: {0, 1}
 codes = [
     main(["run", "--config", config, "--out", out + "/run"]),
+    main(["run", "--config", config, "--jobs", "2", "--out", out + "/run_jobs2"]),
     main(["full", "--config", config, "--out", out + "/full"]),
     main(["compare", "--in", out + "/full"]),
 ]
@@ -686,17 +758,15 @@ def test_cli_commands_enter_every_package_function(tmp_path):
     }
     cfg_path.write_text(json.dumps({**blocks, "trials": 2, "iterations": 2}))
     result = tmp_path / "entered.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", PROFILED_COMMANDS, str(cfg_path), str(tmp_path / "out"), str(result)],
         capture_output=True,
         text=True,
-        env=env,
+        env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(result.read_text())
-    assert report["codes"] == [EXIT_OK] * 3
+    assert report["codes"] == [EXIT_OK] * 4
     entered = {(os.path.realpath(path), line) for path, line in report["entered"]}
     functions = package_functions()
     assert set(UNPROFILED) <= set(functions.values())
