@@ -111,9 +111,6 @@ class ModalityMask:
     def of(cls, *names: str) -> "ModalityMask":
         return cls(frozenset(names))
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.present
-
 
 @dataclass
 class AgentModel:
@@ -174,13 +171,6 @@ def init_agent(
     if agent_id not in dataset.observations:
         raise ValueError(f"dataset has no observations for agent {agent_id!r}")
     mask = dataset.masks[agent_id]
-    for m in mask.ordered:
-        if m not in dataset.observations[agent_id]:
-            raise ValueError(f"agent {agent_id!r} is masked to {m!r} but the dataset lacks it")
-    bins = {m: dataset.observations[agent_id][m].shape[1] for m in mask.ordered}
-    if len(set(bins.values())) > 1:
-        raise ValueError(f"agent {agent_id!r} observes modalities with different bin counts: {bins}")
-
     d = dataset.num_objects
     gen = rng.derive(_STREAM_ASSIGN).generator()
     agent = AgentModel(
@@ -188,7 +178,7 @@ def init_agent(
         variant=variant,
         hyper=hyper,
         mask=mask,
-        bins=bins[mask.ordered[0]],
+        bins=dataset.observations[agent_id].shape[2],
         categories=gen.integers(0, hyper.num_categories, size=d),
         signs=gen.integers(0, hyper.num_signs, size=d),
     )
@@ -216,7 +206,7 @@ def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> np.ndarra
     # integer counts summed in float64 are exact far below 2**53; one BLAS
     # product per modality, as one over all modalities side by side starts
     # a second BLAS thread at wide histograms
-    obs = dataset.float_observations(agent.name, agent.mask)
+    obs = dataset.observations[agent.name]
     np.matmul(_identity(k)[c].T, obs, out=conc[coupling.stop :].reshape(obs.shape[0], k, agent.bins))
     # count + prior is bitwise prior + count
     conc += agent.prior
@@ -266,7 +256,7 @@ def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndar
     Multinomial coefficients are omitted; they are constant across
     categories for a fixed object.
     """
-    obs = dataset.float_observations(agent.name, agent.mask)
+    obs = dataset.observations[agent.name]
     # one BLAS product per modality, added in mask.ordered order: one over
     # all modalities side by side sums in another order
     return np.matmul(obs, agent.log_emissions.transpose(0, 2, 1)).sum(axis=0)

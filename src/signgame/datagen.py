@@ -8,7 +8,7 @@ histograms are independent draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,35 +35,23 @@ class SyntheticConfig:
 
 @dataclass
 class Dataset:
-    """Observations for both agents plus the generating ground truth."""
+    """Observations for both agents plus the generating ground truth.
+
+    observations[agent] is the agent's histograms of the modalities in its
+    mask as one read-only float64 (modalities, num_objects, bins) stack, in
+    mask.ordered order: the agents' products read it as it is.
+    """
 
     true_type: np.ndarray
     observations: dict
     masks: dict
-    config: SyntheticConfig
     # per-modality (num_types, feature_dim) generating emissions; kept for
     # diagnostics and tests, never read by the agents
     true_emissions: dict | None = None
-    # float_observations' stacks, by (agent, mask)
-    _float_observations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_objects(self) -> int:
         return self.true_type.size
-
-    def float_observations(self, agent_id: str, mask: ModalityMask) -> np.ndarray:
-        """The agent's histograms of the modalities in mask as one float64
-        (modalities, num_objects, bins) stack, in mask.ordered order.
-
-        Built on first use and kept, so the agents' products never cast the
-        int counts again; the observations must not change after that.
-        """
-        key = (agent_id, mask)
-        if key not in self._float_observations:
-            stack = np.stack([self.observations[agent_id][m] for m in mask.ordered], dtype=np.float64)
-            stack.flags.writeable = False
-            self._float_observations[key] = stack
-        return self._float_observations[key]
 
 
 def generate_dataset(
@@ -86,20 +74,13 @@ def generate_dataset(
     masks = dict(zip(AGENT_NAMES, (mask_a, mask_b)))
     observations = {}
     for ai, name in enumerate(AGENT_NAMES):
-        per_agent = {}
-        for mi, m in enumerate(MODALITIES):
-            if m not in masks[name]:
-                continue
-            gen = rng.derive(_STREAM_OBSERVATIONS, ai, mi).generator()
-            per_agent[m] = gen.multinomial(
-                config.draws_per_modality, true_emissions[m][true_type]
-            )
-        observations[name] = per_agent
+        ordered = masks[name].ordered
+        stack = np.empty((len(ordered), true_type.size, config.feature_dim))
+        # each modality keeps its own stream; masked ones are never drawn
+        for row, m in zip(stack, ordered):
+            gen = rng.derive(_STREAM_OBSERVATIONS, ai, MODALITIES.index(m)).generator()
+            row[:] = gen.multinomial(config.draws_per_modality, true_emissions[m][true_type])
+        stack.flags.writeable = False
+        observations[name] = stack
 
-    return Dataset(
-        true_type=true_type,
-        observations=observations,
-        masks=masks,
-        config=config,
-        true_emissions=true_emissions,
-    )
+    return Dataset(true_type=true_type, observations=observations, masks=masks, true_emissions=true_emissions)

@@ -20,7 +20,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .agents import VARIANTS, Hyperparams, ModalityMask, check_sizes
+from .agents import MODALITIES, VARIANTS, Hyperparams, ModalityMask, check_sizes
 from .datagen import SyntheticConfig, generate_dataset
 from .game import CommunicationMode, run_game
 from .metrics import kappa_band, summarize
@@ -120,6 +120,24 @@ class ExperimentConfig:
         # RngStream keeps a seed's low 64 bits: a wider range would alias runs
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
+        # each size is in range alone, but the products that shape a trial's
+        # widest arrays, at up to 8 bytes an element, must stay below the
+        # 2**63 bytes numpy can size
+        s, h = self.synthetic, self.hyper
+        objects = s.num_types * s.objects_per_type
+        m = len(MODALITIES)
+        widest = {
+            "modalities x num_types x objects_per_type x max(feature_dim, num_categories, num_signs)": (
+                m * objects * max(s.feature_dim, h.num_categories, h.num_signs)
+            ),
+            "num_categories x max(num_categories, 1 + num_signs + modalities x feature_dim)": (
+                h.num_categories * max(h.num_categories, 1 + h.num_signs + m * s.feature_dim)
+            ),
+            "agents x iterations x num_types x objects_per_type": 2 * self.iterations * objects,
+        }
+        for shape, elements in widest.items():
+            if 8 * elements >= 2**63:
+                raise ConfigError(f"an array of {shape} elements would span 2**63 bytes or more")
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:

@@ -2,8 +2,9 @@
 
 Criteria 1-5 compare grid-cell summaries at the default sizes (10 trials of
 300 iterations, seed 0) against the target result bands, so the session
-fixture below is expensive: it runs the fourteen cells the criteria touch,
-a few minutes in total. Criteria 6-9 are self-contained oracles.
+fixture below is the expensive part: it runs the fourteen cells the
+criteria touch as one task list over two workers, about 12 s on two cores.
+Criteria 6-9 are self-contained oracles.
 
 Each test prints one `criterion N: PASS/FAIL (...)` line with the measured
 numbers; the same text is the assertion message on failure.
@@ -19,7 +20,7 @@ from conftest import (
     kappa_by_frequency_sums,
     tv_distance,
 )
-from signgame.experiment import ExperimentConfig, run_cell, run_experiment
+from signgame.experiment import ExperimentConfig, _run_cells, run_experiment
 from signgame.game import gibbs_word, mh_exchange
 from signgame.metrics import adjusted_rand_index, kappa
 from signgame.stochastic import RngStream
@@ -43,14 +44,18 @@ CELLS = (
 
 
 @pytest.fixture(scope="session")
-def grid():
-    """Summary rows for every cell the criteria touch, at default sizes."""
-    out = {}
-    for variant, method, condition in CELLS:
-        cfg = ExperimentConfig(variant=variant, method=method, condition=condition)
-        _, summary = run_cell(cfg)
-        out[(variant, method, condition)] = summary
-    return out
+def grid(tmp_path_factory):
+    """Summary rows for every cell the criteria touch, at default sizes.
+
+    Summaries are byte-identical across job counts, so two workers read
+    the same numbers as a serial run.
+    """
+    cells = [
+        ExperimentConfig(variant=variant, method=method, condition=condition, jobs=2)
+        for variant, method, condition in CELLS
+    ]
+    summaries = _run_cells(cells, tmp_path_factory.mktemp("acceptance"))
+    return dict(zip(CELLS, summaries))
 
 
 def report(number, ok, detail):

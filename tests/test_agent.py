@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import signgame.agents as agents
-from conftest import install_blocks
+from conftest import install_blocks, solo_gibbs_fit
 from signgame.agents import (
     AgentModel,
     Hyperparams,
@@ -16,6 +16,7 @@ from signgame.agents import (
     category_log_prior,
     category_signs,
     init_agent,
+    install_parameters,
     observation_log_likelihood,
     posterior_concentrations,
     sample_categories,
@@ -41,12 +42,12 @@ def full_dataset(seed=0):
 
 def tiny_dataset(histograms, name="A", modality="v"):
     """A hand-built dataset holding one modality for one agent."""
-    histograms = np.asarray(histograms, dtype=np.int64)
+    stack = np.asarray(histograms, dtype=np.float64)[None]
+    stack.flags.writeable = False
     return Dataset(
-        true_type=np.zeros(len(histograms), dtype=np.int64),
-        observations={name: {modality: histograms}},
+        true_type=np.zeros(stack.shape[1], dtype=np.int64),
+        observations={name: stack},
         masks={name: ModalityMask.of(modality)},
-        config=SyntheticConfig(feature_dim=histograms.shape[1]),
     )
 
 
@@ -111,18 +112,6 @@ def test_init_agent_validation():
         init_agent("x2x", Hyperparams(), data, "A", RngStream(0))
     with pytest.raises(ValueError):
         init_agent("h2h", Hyperparams(), data, "C", RngStream(0))
-
-
-def test_init_agent_rejects_modalities_of_different_bin_counts():
-    gen = np.random.default_rng(0)
-    data = Dataset(
-        true_type=np.zeros(4, dtype=np.int64),
-        observations={"A": {"v": gen.integers(0, 3, size=(4, 8)), "s": gen.integers(0, 3, size=(4, 5))}},
-        masks={"A": ModalityMask.of("v", "s")},
-        config=SyntheticConfig(feature_dim=8),
-    )
-    with pytest.raises(ValueError, match=r"agent 'A'.*'v': 8, 's': 5"):
-        init_agent("h2h", Hyperparams(), data, "A", RngStream(0))
 
 
 def test_initial_categories_uniform_over_seeds():
@@ -363,7 +352,7 @@ def test_category_signs_t2t_reads_raw_column():
 def side_by_side(agent, dataset):
     """The agent's histograms side by side in one float matrix, and each
     modality's column slice of it."""
-    blocks = [dataset.observations[agent.name][m] for m in agent.mask.ordered]
+    blocks = list(dataset.observations[agent.name])
     stops = np.cumsum([block.shape[1] for block in blocks])
     columns = [slice(stop - block.shape[1], stop) for stop, block in zip(stops, blocks)]
     return np.concatenate(blocks, axis=1, dtype=np.float64), columns
@@ -429,28 +418,22 @@ def test_observation_log_likelihood_floors_zero_probability():
 
 def test_masked_modalities_contribute_nothing():
     config = SyntheticConfig()
-    rng = RngStream(55)
-    full = generate_dataset(config, Hyperparams(), FULL, FULL, rng)
-    # same draws, but agent A is masked to v only: drop the extra matrices
-    masked = Dataset(
+    full = generate_dataset(config, Hyperparams(), FULL, FULL, RngStream(55))
+    # same draws, but agent A is masked to v only: its stack is full's v row
+    masked = generate_dataset(config, Hyperparams(), ModalityMask.of("v"), FULL, RngStream(55))
+    assert np.array_equal(masked.observations["A"], full.observations["A"][:1])
+    row = Dataset(
         true_type=full.true_type,
-        observations={"A": {"v": full.observations["A"]["v"]}, "B": full.observations["B"]},
-        masks={"A": ModalityMask.of("v"), "B": full.masks["B"]},
-        config=config,
-    )
-    present = Dataset(
-        true_type=full.true_type,
-        observations=full.observations,  # s and h present but masked off
-        masks={"A": ModalityMask.of("v"), "B": full.masks["B"]},
-        config=config,
+        observations={"A": full.observations["A"][:1]},
+        masks={"A": ModalityMask.of("v")},
     )
     one = init_agent("h2h", Hyperparams(), masked, "A", RngStream(56))
-    two = init_agent("h2h", Hyperparams(), present, "A", RngStream(56))
+    two = init_agent("h2h", Hyperparams(), row, "A", RngStream(56))
     for _ in range(3):
         update_parameters(one, masked, RngStream(57).generator())
-        update_parameters(two, present, RngStream(57).generator())
+        update_parameters(two, row, RngStream(57).generator())
         sample_categories(one, masked, RngStream(58).generator())
-        sample_categories(two, present, RngStream(58).generator())
+        sample_categories(two, row, RngStream(58).generator())
     assert np.array_equal(one.categories, two.categories)
     np.testing.assert_array_equal(one.coupling, two.coupling)
     np.testing.assert_array_equal(one.emissions, two.emissions)
@@ -615,3 +598,107 @@ def test_frozen_variants_differ_only_through_the_sign_marginal():
     (h2h, t2t), data = frozen_pair([0.4, 0.3, 0.2, 0.1])
     np.testing.assert_allclose(category_conditionals(h2h, data), category_conditionals(t2t, data), rtol=0, atol=1e-12)
     assert np.abs(normalized_sign_rows(h2h) - normalized_sign_rows(t2t)).max() > 0.1
+
+
+# one-step Geweke test: a model small enough that 10,000 replicas run in
+# seconds, with every concentration 1.0 so that no parameter nears the floor
+GEWEKE_HYPER = Hyperparams(
+    coupling_concentration=1.0,
+    emission_concentration={"v": 1.0},
+    category_concentration=1.0,
+    num_categories=2,
+    num_signs=3,
+)
+GEWEKE_OBJECTS, GEWEKE_BINS, GEWEKE_DRAWS = 4, 3, 3
+
+
+def draw_rows(probs, gen):
+    """One index per row of probs' last axis, by the inverse CDF."""
+    u = gen.random(probs.shape[:-1])[..., None]
+    return np.minimum((u >= probs.cumsum(axis=-1)).sum(axis=-1), probs.shape[-1] - 1)
+
+
+def prior_replicas(variant, replicas, gen):
+    """Independent draws from the variant's joint prior: flat parameter
+    vectors in the agent's layout, categories, signs and histograms.
+
+    h2h: pi, theta, phi; then c ~ pi, w ~ theta[c], x ~ Mult(phi[c]).
+    t2t: theta, phi; then w uniform, c ~ theta[w], x ~ Mult(phi[c]).
+    """
+    h = GEWEKE_HYPER
+    k, l, d = h.num_categories, h.num_signs, GEWEKE_OBJECTS
+    rows = np.arange(replicas)[:, None]
+    phi = gen.dirichlet(np.full(GEWEKE_BINS, h.emission_concentration["v"]), size=(replicas, k))
+    if variant == "h2h":
+        pi = gen.dirichlet(np.full(k, h.category_concentration), size=replicas)
+        theta = gen.dirichlet(np.full(l, h.coupling_concentration), size=(replicas, k))
+        c = draw_rows(np.repeat(pi[:, None], d, axis=1), gen)
+        w = draw_rows(theta[rows, c], gen)
+        blocks = [pi, theta, phi]
+    else:
+        theta = gen.dirichlet(np.full(k, h.coupling_concentration), size=(replicas, l))
+        w = gen.integers(0, l, size=(replicas, d))
+        c = draw_rows(theta[rows, w], gen)
+        blocks = [theta, phi]
+    x = gen.multinomial(GEWEKE_DRAWS, phi[rows, c])
+    flat = np.concatenate([b.reshape(replicas, -1) for b in blocks], axis=1)
+    return flat, c, w, x
+
+
+def geweke_statistics(variant, replicas, seed):
+    """z scores of the replicas' statistics after one solo Gibbs sweep
+    against their prior values, by name."""
+    h = GEWEKE_HYPER
+    k, l, b = h.num_categories, h.num_signs, GEWEKE_BINS
+    alpha, beta, gamma = h.coupling_concentration, h.emission_concentration["v"], h.category_concentration
+    flat, c, w, x = prior_replicas(variant, replicas, RngStream(seed).generator())
+    mask = ModalityMask.of("v")
+    sweep = RngStream(seed).derive(1)
+    c0, w0, same_c, same_w = (np.empty(replicas, dtype=np.int64) for _ in range(4))
+    theta00, phi00 = np.empty(replicas), np.empty(replicas)
+    for i in range(replicas):
+        agent = AgentModel(name="A", variant=variant, hyper=h, mask=mask, bins=b, categories=c[i], signs=w[i])
+        install_parameters(agent, flat[i])
+        stack = x[i][None].astype(np.float64)
+        data = Dataset(true_type=np.zeros(GEWEKE_OBJECTS, dtype=np.int64), observations={"A": stack}, masks={"A": mask})
+        solo_gibbs_fit(agent, data, 1, sweep.derive(i))
+        c0[i], w0[i] = agent.categories[0], agent.signs[0]
+        same_c[i], same_w[i] = agent.categories[0] == agent.categories[1], agent.signs[0] == agent.signs[1]
+        theta00[i], phi00[i] = agent.coupling[0, 0], agent.emissions[0, 0, 0]
+
+    def mean_z(values, expected):
+        return (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(replicas))
+
+    def share_z(hits, p):
+        return (hits.mean() - p) / math.sqrt(p * (1 - p) / replicas)
+
+    # a symmetric prior makes (c0, w0) uniform in both variants
+    counts = np.bincount(c0 * l + w0, minlength=k * l)
+    df = k * l - 1
+    chi_square = float(((counts - replicas / (k * l)) ** 2).sum() / (replicas / (k * l)))
+    # a coupling row has n entries: signs in h2h, categories in t2t
+    n = l if variant == "h2h" else k
+    # P(c0 = c1) and P(w0 = w1) under the prior
+    if variant == "h2h":
+        p_c = (gamma + 1) / (k * gamma + 1)
+        p_w = p_c * (alpha + 1) / (l * alpha + 1) + (1 - p_c) / l
+    else:
+        p_w = 1 / l
+        p_c = p_w * (alpha + 1) / (k * alpha + 1) + (1 - p_w) / k
+    return {
+        "(c0, w0)": (chi_square - df) / math.sqrt(2 * df),
+        "theta00": mean_z(theta00, 1 / n),
+        "theta00^2": mean_z(theta00**2, (alpha + 1) / (n * (n * alpha + 1))),
+        "phi00": mean_z(phi00, 1 / b),
+        "phi00^2": mean_z(phi00**2, (beta + 1) / (b * (b * beta + 1))),
+        "c0 = c1": share_z(same_c, p_c),
+        "w0 = w1": share_z(same_w, p_w),
+    }
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_one_gibbs_sweep_keeps_the_joint_prior(variant):
+    # replicas drawn from the joint prior keep its law through one sweep of
+    # parameters, categories and signs (Geweke, JASA 99:799-804, 2004)
+    z = geweke_statistics(variant, 10_000, seed={"h2h": 1, "t2t": 2}[variant])
+    assert max(abs(v) for v in z.values()) < 4, z

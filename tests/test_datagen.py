@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import solo_gibbs_fit
-from signgame.agents import Hyperparams, ModalityMask, init_agent, sample_categories, update_parameters
-from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
+from signgame.agents import Hyperparams, ModalityMask, init_agent
+from signgame.datagen import SyntheticConfig, generate_dataset
 from signgame.experiment import CONDITION_MASKS
 from signgame.metrics import adjusted_rand_index
 from signgame.stochastic import RngStream
@@ -27,12 +27,10 @@ def test_default_dataset_shape():
     assert data.true_type.shape == (150,)
     assert np.array_equal(np.bincount(data.true_type), np.full(15, 10))
     for name in ("A", "B"):
-        assert sorted(data.observations[name]) == ["h", "s", "v"]
-        for obs in data.observations[name].values():
-            assert obs.shape == (150, 20)
-            assert obs.dtype.kind == "i"
-            assert np.all(obs.sum(axis=1) == 20)
-            assert np.all(obs >= 0)
+        obs = data.observations[name]
+        assert obs.shape == (3, 150, 20)
+        assert np.all(obs.sum(axis=2) == 20)
+        assert np.all(obs >= 0)
 
 
 def test_same_seed_reproduces_dataset():
@@ -40,21 +38,22 @@ def test_same_seed_reproduces_dataset():
     second = make_dataset(seed=42)
     assert np.array_equal(first.true_type, second.true_type)
     for name in ("A", "B"):
-        for m in first.observations[name]:
-            assert np.array_equal(first.observations[name][m], second.observations[name][m])
+        assert np.array_equal(first.observations[name], second.observations[name])
     for m in first.true_emissions:
         assert np.array_equal(first.true_emissions[m], second.true_emissions[m])
     different = make_dataset(seed=43)
-    assert not np.array_equal(first.observations["A"]["v"], different.observations["A"]["v"])
+    assert not np.array_equal(first.observations["A"][0], different.observations["A"][0])
 
 
 def test_masked_modalities_are_absent():
+    full = make_dataset()
     data = make_dataset(mask_b=ModalityMask.of("v"))
-    assert sorted(data.observations["A"]) == ["h", "s", "v"]
-    assert list(data.observations["B"]) == ["v"]
+    assert data.observations["A"].shape[0] == 3
+    assert data.observations["B"].shape[0] == 1
+    assert np.array_equal(data.observations["B"][0], full.observations["B"][0])
     data = make_dataset(mask_a=ModalityMask.of("v", "s"), mask_b=ModalityMask.of("h"))
-    assert sorted(data.observations["A"]) == ["s", "v"]
-    assert list(data.observations["B"]) == ["h"]
+    assert np.array_equal(data.observations["A"], full.observations["A"][:2])
+    assert np.array_equal(data.observations["B"], full.observations["B"][2:])
 
 
 def test_agents_draw_independently_from_shared_emissions():
@@ -62,8 +61,8 @@ def test_agents_draw_independently_from_shared_emissions():
     # default near-one-hot emissions make both agents' histograms equal
     hyper = Hyperparams(emission_concentration={"v": 1.0, "s": 1.0, "h": 1.0})
     data = make_dataset(seed=7, hyper=hyper)
-    a = data.observations["A"]["v"]
-    b = data.observations["B"]["v"]
+    a = data.observations["A"][0]
+    b = data.observations["B"][0]
     # same generating emissions make the histograms correlated...
     corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
     assert corr > 0.3
@@ -73,13 +72,13 @@ def test_agents_draw_independently_from_shared_emissions():
 
 def test_same_type_objects_share_generating_emissions():
     data = make_dataset(seed=11)
-    for m, emissions in data.true_emissions.items():
+    for obs, (m, emissions) in zip(data.observations["A"], data.true_emissions.items()):
         assert emissions.shape == (15, 20)
         assert np.all(emissions > 0)
         np.testing.assert_allclose(emissions.sum(axis=1), 1.0, atol=1e-9)
         summed = np.zeros((15, 20))
         for t in range(15):
-            members = data.observations["A"][m][data.true_type == t]
+            members = obs[data.true_type == t]
             summed[t] = members.sum(axis=0)
         # sparse emissions concentrate nearly all mass on one bin, and the
         # pooled counts of each type follow that same bin
@@ -109,45 +108,21 @@ def test_single_modality_fit_recovers_planted_types():
 
 
 def test_float_observations_hold_masked_in_modalities_in_canonical_order():
-    data = make_dataset(seed=3)
-    # named out of canonical order; s is in the data but masked off
+    config = SyntheticConfig()
+    # named out of canonical order
     mask = ModalityMask.of("h", "v")
-    obs = data.float_observations("A", mask)
-    ints = data.observations["A"]
+    data = make_dataset(seed=3, mask_a=mask)
+    full = make_dataset(seed=3)
+    obs = data.observations["A"]
     assert obs.dtype == np.float64
-    assert obs.shape == (2, data.num_objects, data.config.feature_dim)
-    assert np.array_equal(obs[0], ints["v"]) and np.array_equal(obs[1], ints["h"])
+    assert obs.shape == (2, data.num_objects, config.feature_dim)
     assert obs.flags.c_contiguous and not obs.flags.writeable
-    assert data.float_observations("A", mask) is obs
-    assert data.float_observations("A", FULL).shape == (3, data.num_objects, data.config.feature_dim)
-
-
-def test_agent_sweeps_read_one_float_matrix_per_dataset(monkeypatch):
-    full = make_dataset(seed=4)
-    # agent A is masked to v and s while the data also holds h
-    data = Dataset(
-        true_type=full.true_type,
-        observations=full.observations,
-        masks={"A": ModalityMask.of("v", "s"), "B": FULL},
-        config=full.config,
-    )
-    seen = []
-    original = Dataset.float_observations
-
-    def spy(self, agent_id, mask):
-        out = original(self, agent_id, mask)
-        seen.append((self, agent_id, out))
-        return out
-
-    monkeypatch.setattr(Dataset, "float_observations", spy)
-    agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(5))
-    for it in range(3):
-        update_parameters(agent, data, RngStream(6).derive(it).generator())
-        sample_categories(agent, data, RngStream(7).derive(it).generator())
-    # init's parameter draw, then both readers in each sweep
-    assert len(seen) == 1 + 2 * 3
-    assert all(ds is data and name == "A" and stack is seen[0][2] for ds, name, stack in seen)
-    assert np.array_equal(seen[0][2], np.stack([full.observations["A"]["v"], full.observations["A"]["s"]]))
+    # mask.ordered order, each row the modality's own draw
+    assert mask.ordered == ("v", "h")
+    assert np.array_equal(obs[0], full.observations["A"][0]) and np.array_equal(obs[1], full.observations["A"][2])
+    # integer-valued histograms of draws_per_modality counts
+    assert np.array_equal(obs, np.round(obs))
+    assert np.all(obs.sum(axis=2) == config.draws_per_modality)
 
 
 def dataset_digest(seed=0, trials=3):
@@ -158,7 +133,10 @@ def dataset_digest(seed=0, trials=3):
         for trial in range(trials):
             data = generate_dataset(SyntheticConfig(), Hyperparams(), mask_a, mask_b, RngStream(seed).derive(condition, trial))
             arrays = [data.true_emissions[m] for m in sorted(data.true_emissions)]
-            arrays += [data.observations[a][m] for a in sorted(data.observations) for m in sorted(data.observations[a])]
+            # each (agent, modality) histogram as the int64 array it was drawn as
+            for a in sorted(data.observations):
+                rows = dict(zip(data.masks[a].ordered, data.observations[a]))
+                arrays += [rows[m].astype(np.int64) for m in sorted(rows)]
             for arr in arrays:
                 h.update(f"{arr.dtype.str}{arr.shape}".encode())
                 h.update(np.ascontiguousarray(arr).tobytes())

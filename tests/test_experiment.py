@@ -459,6 +459,12 @@ def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, c
         ({"trials": 2**63}, "trials"),
         ({"iterations": 2**63}, "iterations"),
         ({"jobs": 2**63}, "jobs"),
+        # each size in range, but an array they shape spans 2**63 bytes or more
+        ({"synthetic": {"feature_dim": 2**62}}, "feature_dim"),
+        ({"synthetic": {"num_types": 2**62}}, "num_types"),
+        ({"synthetic": {"objects_per_type": 2**62}}, "objects_per_type"),
+        ({"hyperparams": {"num_categories": 2**62}}, "num_categories"),
+        ({"iterations": 2**62}, "iterations"),
     ],
 )
 def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, needle):
@@ -470,13 +476,16 @@ def test_cli_rejects_booleans_and_fractional_sizes(tmp_path, capsys, payload, ne
 
 
 # sizes below 2**63 whose first allocation, over 2**57 bytes, exceeds any
-# address space, so that no overcommit lets it succeed
+# address space, so that no overcommit lets it succeed; the first three
+# also shape an array of 2**63 bytes or more, which the config rejects
+# before any allocation, and the last reaches the allocation
 @pytest.mark.parametrize(
     "payload",
     [
         {"synthetic": {"feature_dim": 2**55}},
         {"hyperparams": {"num_signs": 2**54}},
         {"iterations": 2**52},
+        {"synthetic": {"feature_dim": 2**54, "objects_per_type": 1}},
     ],
 )
 def test_cli_maps_exhausted_memory_to_a_config_error(tmp_path, capsys, payload):

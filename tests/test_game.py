@@ -160,7 +160,6 @@ def test_all_rejection_isolates_the_listener_from_the_speaker():
         true_type=base.true_type,
         observations={"A": other.observations["A"], "B": base.observations["B"]},
         masks=base.masks,
-        config=base.config,
     )
     rng = RngStream(77)
     mode = CommunicationMode.ALL_REJECTION
