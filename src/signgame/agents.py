@@ -123,14 +123,15 @@ class AgentModel:
     mask.ordered order. prior holds the blocks' prior concentrations in
     that layout. install_parameters sets category_weights, coupling and
     emissions as views of a drawn vector, and the log_ fields as views of
-    its floored logs.
+    its floored logs. observations is the agent's own read-only float64
+    (M, objects, bins) stack, the dataset's array itself, and the only
+    data its kernels read.
     """
 
-    name: str
     variant: str
     hyper: Hyperparams
     mask: ModalityMask
-    bins: int
+    observations: np.ndarray
     categories: np.ndarray
     signs: np.ndarray
     shapes: tuple = field(init=False)
@@ -150,7 +151,7 @@ class AgentModel:
             blocks = [((1, k), hyper.category_concentration), ((k, l), hyper.coupling_concentration)]
         else:
             blocks = [((l, k), hyper.coupling_concentration)]
-        blocks += [((k, self.bins), hyper.emission_concentration[m]) for m in self.mask.ordered]
+        blocks += [((k, self.observations.shape[2]), hyper.emission_concentration[m]) for m in self.mask.ordered]
         self.shapes = tuple(shape for shape, _ in blocks)
         sizes = [rows * width for rows, width in self.shapes]
         self.slices = tuple(slice(stop - size, stop) for stop, size in zip(accumulate(sizes), sizes))
@@ -165,28 +166,26 @@ def init_agent(
     agent_id: str,
     rng: RngStream,
 ) -> AgentModel:
-    """Build an agent with uniform random assignments and posterior-drawn parameters."""
+    """Build an agent on its own share of dataset, with uniform random assignments and posterior-drawn parameters."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if agent_id not in dataset.observations:
         raise ValueError(f"dataset has no observations for agent {agent_id!r}")
-    mask = dataset.masks[agent_id]
     d = dataset.num_objects
     gen = rng.derive(_STREAM_ASSIGN).generator()
     agent = AgentModel(
-        name=agent_id,
         variant=variant,
         hyper=hyper,
-        mask=mask,
-        bins=dataset.observations[agent_id].shape[2],
+        mask=dataset.masks[agent_id],
+        observations=dataset.observations[agent_id],
         categories=gen.integers(0, hyper.num_categories, size=d),
         signs=gen.integers(0, hyper.num_signs, size=d),
     )
-    update_parameters(agent, dataset, rng.derive(_STREAM_PARAMS).generator())
+    update_parameters(agent, rng.derive(_STREAM_PARAMS).generator())
     return agent
 
 
-def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> np.ndarray:
+def posterior_concentrations(agent: AgentModel) -> np.ndarray:
     """Dirichlet parameters of every conditional posterior, given the
     assignments: one flat vector in the agent's layout (see AgentModel).
 
@@ -206,8 +205,8 @@ def posterior_concentrations(agent: AgentModel, dataset: "Dataset") -> np.ndarra
     # integer counts summed in float64 are exact far below 2**53; one BLAS
     # product per modality, as one over all modalities side by side starts
     # a second BLAS thread at wide histograms
-    obs = dataset.observations[agent.name]
-    np.matmul(_identity(k)[c].T, obs, out=conc[coupling.stop :].reshape(obs.shape[0], k, agent.bins))
+    obs = agent.observations
+    np.matmul(_identity(k)[c].T, obs, out=conc[coupling.stop :].reshape(obs.shape[0], k, obs.shape[2]))
     # count + prior is bitwise prior + count
     conc += agent.prior
     return conc
@@ -243,23 +242,22 @@ def install_parameters(agent: AgentModel, probs: np.ndarray) -> None:
     agent.emissions, agent.log_emissions = (v[s.stop :].reshape(-1, *agent.shapes[-1]) for v in (probs, logs))
 
 
-def update_parameters(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> None:
+def update_parameters(agent: AgentModel, gen: np.random.Generator) -> None:
     """Resample every parameter block from its conditional posterior in one
     Dirichlet pass over the agent's flat layout."""
-    conc = posterior_concentrations(agent, dataset)
+    conc = posterior_concentrations(agent)
     install_parameters(agent, sample_dirichlet_rows(conc, agent.shapes, gen))
 
 
-def observation_log_likelihood(agent: AgentModel, dataset: "Dataset") -> np.ndarray:
+def observation_log_likelihood(agent: AgentModel) -> np.ndarray:
     """(num_objects, num_categories) log-likelihood of each object's counts.
 
     Multinomial coefficients are omitted; they are constant across
     categories for a fixed object.
     """
-    obs = dataset.observations[agent.name]
     # one BLAS product per modality, added in mask.ordered order: one over
     # all modalities side by side sums in another order
-    return np.matmul(obs, agent.log_emissions.transpose(0, 2, 1)).sum(axis=0)
+    return np.matmul(agent.observations, agent.log_emissions.transpose(0, 2, 1)).sum(axis=0)
 
 
 def category_log_prior(agent: AgentModel) -> np.ndarray:
@@ -275,10 +273,10 @@ def category_log_prior(agent: AgentModel) -> np.ndarray:
     return log_prior
 
 
-def sample_categories(agent: AgentModel, dataset: "Dataset", gen: np.random.Generator) -> np.ndarray:
+def sample_categories(agent: AgentModel, gen: np.random.Generator) -> np.ndarray:
     """Redraw every category assignment from its exact conditional given the
     parameters, the observations and the current signs."""
-    logw = observation_log_likelihood(agent, dataset)
+    logw = observation_log_likelihood(agent)
     logw += category_log_prior(agent)
     cum = normalize_log_rows(logw).cumsum(axis=1)
     agent.categories = sample_categorical_rows(cum, gen.random(cum.shape[0]))

@@ -39,7 +39,7 @@ class Dataset:
 
     observations[agent] is the agent's histograms of the modalities in its
     mask as one read-only float64 (modalities, num_objects, bins) stack, in
-    mask.ordered order: the agents' products read it as it is.
+    mask.ordered order: init_agent hands that very array to the agent.
     """
 
     true_type: np.ndarray

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import os
 from contextlib import closing, nullcontext
@@ -321,33 +322,37 @@ def read_summary(path) -> list[dict]:
     """Load a summary.csv back into row dicts (floats, None for blank kappas).
 
     Raises ReportError if the file is not UTF-8, a column is missing, a
-    value does not parse, or an ARI cell is blank.
+    row's field count differs from the header's, a value does not parse or
+    is not finite, or an ARI cell is blank.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ReportError(f"{path}: not UTF-8 text: {exc}") from exc
-    reader = csv.DictReader(lines)
-    missing = [key for key in SUMMARY_HEADER if key not in (reader.fieldnames or ())]
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    missing = [key for key in SUMMARY_HEADER if key not in header]
     if missing:
         raise ReportError(f"{path}: missing column {missing[0]!r}")
     rows = []
-    for raw in reader:
+    for fields in filter(None, reader):  # a blank line holds no row
+        where = f"{path}, line {reader.line_num}"
+        if len(fields) != len(header):
+            raise ReportError(f"{where}: {len(fields)} fields where the header has {len(header)}")
+        raw = dict(zip(header, fields))
         try:
-            row = {
-                "variant": raw["variant"],
-                "method": raw["method"],
-                "condition": int(raw["condition"]),
-            }
+            row = {"variant": raw["variant"], "method": raw["method"], "condition": int(raw["condition"])}
             for key in SUMMARY_HEADER[3:]:
                 row[key] = float(raw[key]) if raw[key] else None
-        except (TypeError, ValueError) as exc:
-            raise ReportError(f"{path}, line {reader.line_num}: {exc}") from exc
+                if row[key] is not None and not math.isfinite(row[key]):
+                    raise ValueError(f"{key} is {raw[key]!r}, not a finite number")
+        except ValueError as exc:
+            raise ReportError(f"{where}: {exc}") from exc
         # only kappa may be blank: the joint sampler has none
         blank = [key for key in SUMMARY_HEADER if key.startswith("ari") and row[key] is None]
         if blank:
-            raise ReportError(f"{path}, line {reader.line_num}: blank {blank[0]!r}")
+            raise ReportError(f"{where}: blank {blank[0]!r}")
         rows.append(row)
     return rows
 
@@ -359,7 +364,6 @@ def compare_to_reference(summary_rows) -> str:
         "ARI B measured | ARI B published | diff | kappa measured | kappa published | diff |",
         "|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
-    count = 0
     for row in summary_rows:
         key = (row["variant"], row["method"], row["condition"])
         reference = REFERENCE_RESULTS.get(key)
@@ -386,8 +390,7 @@ def compare_to_reference(summary_rows) -> str:
                 f"{abs(measured_k - ref_k):.3f}",
             ]
         lines.append("| " + " | ".join(cells) + " |")
-        count += 1
-    if count == 0:
+    if len(lines) == 2:  # the header alone
         return "No grid cells with published counterparts.\n"
     return "\n".join(lines) + "\n"
 

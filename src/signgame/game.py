@@ -75,14 +75,13 @@ _PHASE_CATEGORIES = 1
 _PHASE_SPEAK = 2
 _PHASE_JOINT = 3
 
-# agent slots for stream derivation
-_SLOT = {"A": 0, "B": 1}
+# stream slots: agent A is 0 and agent B 1, the order of a pass's speakers
 _SLOT_JOINT = 2
 
 # every (slot, phase) stream an iteration may open, and its column in the seed table
 _PHASE_STREAMS = tuple(
     (slot, phase)
-    for slot in _SLOT.values()
+    for slot in (0, 1)
     for phase in (_PHASE_PARAMS, _PHASE_CATEGORIES, _PHASE_SPEAK)
 ) + ((_SLOT_JOINT, _PHASE_JOINT),)
 _COLUMN = {key: i for i, key in enumerate(_PHASE_STREAMS)}
@@ -148,7 +147,7 @@ def _game_seeds(rng: RngStream, iterations: int) -> np.ndarray:
     return seed_words(rng.seed, streams)
 
 
-def run_iteration(state: GameState, dataset: Dataset, seeds: np.ndarray) -> GameState:
+def run_iteration(state: GameState, seeds: np.ndarray) -> GameState:
     """Advance the game by one full iteration, given that iteration's rows
     of the seed table (see _game_seeds).
 
@@ -161,10 +160,9 @@ def run_iteration(state: GameState, dataset: Dataset, seeds: np.ndarray) -> Game
     so one agent's consumption never shifts the other's draws.
     """
     pairs = ((state.agent_a, state.agent_b), (state.agent_b, state.agent_a))
-    for speaker, listener in pairs:
-        slot = _SLOT[speaker.name]
-        update_parameters(speaker, dataset, open_generator(seeds[_COLUMN[slot, _PHASE_PARAMS]]))
-        sample_categories(speaker, dataset, open_generator(seeds[_COLUMN[slot, _PHASE_CATEGORIES]]))
+    for slot, (speaker, listener) in enumerate(pairs):
+        update_parameters(speaker, open_generator(seeds[_COLUMN[slot, _PHASE_PARAMS]]))
+        sample_categories(speaker, open_generator(seeds[_COLUMN[slot, _PHASE_CATEGORIES]]))
         if state.mode is CommunicationMode.MH:
             mh_exchange(speaker, listener, open_generator(seeds[_COLUMN[slot, _PHASE_SPEAK]]))
     if state.mode is CommunicationMode.GIBBS_TOPLINE:
@@ -189,8 +187,8 @@ def run_game(
     mode = CommunicationMode(mode)
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    agent_a = init_agent(variant, hyper, dataset, "A", rng.derive(_STREAM_INIT, _SLOT["A"]))
-    agent_b = init_agent(variant, hyper, dataset, "B", rng.derive(_STREAM_INIT, _SLOT["B"]))
+    agent_a = init_agent(variant, hyper, dataset, "A", rng.derive(_STREAM_INIT, 0))
+    agent_b = init_agent(variant, hyper, dataset, "B", rng.derive(_STREAM_INIT, 1))
     state = GameState(mode=mode, agent_a=agent_a, agent_b=agent_b)
     joint_signs = mode is CommunicationMode.GIBBS_TOPLINE
     labels = np.min_scalar_type(max(hyper.num_categories, hyper.num_signs) - 1)
@@ -199,7 +197,7 @@ def run_game(
     signs = np.empty((0 if joint_signs else 2, iterations, dataset.num_objects), dtype=labels)
     seeds = _game_seeds(rng, iterations)
     for t in range(iterations):
-        run_iteration(state, dataset, seeds[t])
+        run_iteration(state, seeds[t])
         for i, agent in enumerate((agent_a, agent_b)):
             categories[i, t] = agent.categories
             if not joint_signs:

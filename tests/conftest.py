@@ -29,20 +29,19 @@ def install_blocks(agent, coupling, emissions, category_weights=None):
     return agent
 
 
-def frozen_agent(variant, weights, name="A"):
+def frozen_agent(variant, weights):
     """Agent whose sign distributions are pinned to weights: one object per
     row of a 2-d weights, or a single object for a 1-d one, each in its own
-    category."""
+    category, over a zero one-modality stack."""
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     objects, num_signs = weights.shape
     agent = AgentModel(
-        name=name,
         variant=variant,
         hyper=Hyperparams(
             num_categories=objects, num_signs=num_signs, emission_concentration={"v": 0.001}
         ),
         mask=ModalityMask.of("v"),
-        bins=2,
+        observations=np.zeros((1, objects, 2)),
         categories=np.arange(objects),
         signs=np.zeros(objects, dtype=np.int64),
     )
@@ -102,7 +101,7 @@ def kappa_by_frequency_sums(x, y, num_signs):
     return (observed - expected) / (1.0 - expected)
 
 
-def solo_gibbs_fit(agent, dataset, iterations, rng):
+def solo_gibbs_fit(agent, iterations, rng):
     """Independent per-agent Gibbs sweep: parameters, categories, own signs.
 
     This is the no-communication oracle: the agent explains its own data
@@ -110,8 +109,8 @@ def solo_gibbs_fit(agent, dataset, iterations, rng):
     """
     for it in range(iterations):
         step = rng.derive(it)
-        update_parameters(agent, dataset, step.derive(0).generator())
-        sample_categories(agent, dataset, step.derive(1).generator())
+        update_parameters(agent, step.derive(0).generator())
+        sample_categories(agent, step.derive(1).generator())
         cum = category_signs(agent).cumsum(axis=1)[agent.categories]
         # one uniform per object, in object order
         agent.signs = sample_categorical_rows(cum, step.derive(2).generator().random(cum.shape[0]))

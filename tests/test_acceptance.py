@@ -162,8 +162,8 @@ def test_criterion_6_exchange_chain_reaches_product_target():
     chains = np.arange(draws)
     worst = 0.0
     for variant_index, variant in enumerate(("h2h", "t2t")):
-        speaker = frozen_agent(variant, weights[0], "A")
-        listener = frozen_agent(variant, weights[1], "B")
+        speaker = frozen_agent(variant, weights[0])
+        listener = frozen_agent(variant, weights[1])
         chain = rng.derive(draws, variant_index).generator()
         counts = np.zeros((draws, 5), dtype=np.int64)
         for _ in range(samples):
@@ -182,8 +182,8 @@ def test_criterion_6_exchange_chain_reaches_product_target():
 
 
 def test_criterion_7_joint_draw_matches_hand_product():
-    agent_a = frozen_agent("h2h", [0.7, 0.2, 0.1], "A")
-    agent_b = frozen_agent("h2h", [0.1, 0.2, 0.7], "B")
+    agent_a = frozen_agent("h2h", [0.7, 0.2, 0.1])
+    agent_b = frozen_agent("h2h", [0.1, 0.2, 0.7])
     # hand normalization of [.7,.2,.1]*[.1,.2,.7]: [0.3889, 0.2222, 0.3889]
     target = np.array([7.0, 4.0, 7.0]) / 18.0
     gen = RngStream(707).generator()

@@ -24,7 +24,7 @@ from signgame.agents import (
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.metrics import adjusted_rand_index
-from signgame.game import acceptance_ratio, run_game
+from signgame.game import CommunicationMode, GameState, _game_seeds, acceptance_ratio, run_game, run_iteration
 from signgame.stochastic import (
     PROB_FLOOR,
     RngStream,
@@ -40,25 +40,16 @@ def full_dataset(seed=0):
     return generate_dataset(SyntheticConfig(), Hyperparams(), FULL, FULL, RngStream(seed))
 
 
-def tiny_dataset(histograms, name="A", modality="v"):
-    """A hand-built dataset holding one modality for one agent."""
-    stack = np.asarray(histograms, dtype=np.float64)[None]
-    stack.flags.writeable = False
-    return Dataset(
-        true_type=np.zeros(stack.shape[1], dtype=np.int64),
-        observations={name: stack},
-        masks={name: ModalityMask.of(modality)},
-    )
-
-
-def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_weights=None):
-    """An agent with pinned parameters for enumerable category draws."""
+def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_weights=None, histograms=None):
+    """An agent with pinned parameters for enumerable category draws, over
+    one modality's histograms, one row per object (zero counts by default)."""
     coupling = np.asarray(coupling, dtype=float)
     emissions = np.asarray(emissions, dtype=float)
     num_signs = coupling.shape[1] if variant == "h2h" else coupling.shape[0]
     signs = np.asarray(signs, dtype=np.int64)
+    if histograms is None:
+        histograms = np.zeros((signs.size, emissions.shape[1]))
     agent = AgentModel(
-        name="A",
         variant=variant,
         hyper=Hyperparams(
             num_categories=num_categories,
@@ -66,7 +57,7 @@ def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_w
             emission_concentration={"v": 0.001},
         ),
         mask=ModalityMask.of("v"),
-        bins=emissions.shape[1],
+        observations=np.asarray(histograms, dtype=np.float64)[None],
         categories=np.zeros(signs.size, dtype=np.int64),
         signs=signs,
     )
@@ -95,6 +86,9 @@ def test_init_agent_ranges_and_determinism():
     assert agent.category_weights.shape == (15,)
     assert agent.coupling.shape == (15, 15)
     assert agent.emissions.shape == (3, 15, 20)
+    # the agent holds the dataset's stack itself, read-only
+    assert agent.observations is data.observations["A"]
+    assert not agent.observations.flags.writeable
 
     again = init_agent("h2h", Hyperparams(), data, "A", RngStream(9))
     assert np.array_equal(agent.categories, again.categories)
@@ -130,35 +124,34 @@ def test_h2h_category_conditional_hand_example():
     # uniform prior and sign factors cancel; the likelihood ratio alone
     # gives P(c=0) = 0.81 / 0.82
     n = 20000
-    data = tiny_dataset(np.tile([2, 0], (n, 1)))
     agent = tiny_agent(
         "h2h",
         coupling=[[0.5, 0.5], [0.5, 0.5]],
         emissions=[[0.9, 0.1], [0.1, 0.9]],
         signs=np.zeros(n, dtype=np.int64),
+        histograms=np.tile([2, 0], (n, 1)),
     )
-    draws = sample_categories(agent, data, RngStream(31).generator())
+    draws = sample_categories(agent, RngStream(31).generator())
     freq = float(np.mean(draws == 0))
     assert freq == pytest.approx(0.81 / 0.82, abs=5e-3)
 
 
 def test_t2t_category_conditional_hand_example():
     n = 20000
-    data = tiny_dataset(np.tile([2, 0], (n, 1)))
     agent = tiny_agent(
         "t2t",
         coupling=[[0.5, 0.5], [0.5, 0.5]],
         emissions=[[0.9, 0.1], [0.1, 0.9]],
         signs=np.zeros(n, dtype=np.int64),
+        histograms=np.tile([2, 0], (n, 1)),
     )
-    draws = sample_categories(agent, data, RngStream(32).generator())
+    draws = sample_categories(agent, RngStream(32).generator())
     freq = float(np.mean(draws == 0))
     assert freq == pytest.approx(0.81 / 0.82, abs=5e-3)
 
 
 def test_uniform_parameters_give_uniform_categories():
     n = 30000
-    data = tiny_dataset(np.tile([1, 1], (n, 1)))
     agent = tiny_agent(
         "h2h",
         coupling=np.full((3, 2), 0.5),
@@ -166,48 +159,49 @@ def test_uniform_parameters_give_uniform_categories():
         signs=np.zeros(n, dtype=np.int64),
         num_categories=3,
         category_weights=np.full(3, 1 / 3),
+        histograms=np.tile([1, 1], (n, 1)),
     )
-    draws = sample_categories(agent, data, RngStream(33).generator())
+    draws = sample_categories(agent, RngStream(33).generator())
     freqs = np.bincount(draws, minlength=3) / n
     assert np.max(np.abs(freqs - 1 / 3)) < 0.01
 
 
 def test_sign_factor_dominates_identical_likelihoods():
     n = 4000
-    data = tiny_dataset(np.tile([1, 1], (n, 1)))
     agent = tiny_agent(
         "h2h",
         coupling=[[1.0, 0.0], [0.0, 1.0]],
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=np.zeros(n, dtype=np.int64),
+        histograms=np.tile([1, 1], (n, 1)),
     )
-    draws = sample_categories(agent, data, RngStream(34).generator())
+    draws = sample_categories(agent, RngStream(34).generator())
     assert np.all(draws == 0)
 
 
 def test_t2t_degenerate_prior_row_pins_category():
     n = 4000
-    data = tiny_dataset(np.tile([1, 1], (n, 1)))
     agent = tiny_agent(
         "t2t",
         coupling=[[1.0, 0.0], [0.5, 0.5]],
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=np.zeros(n, dtype=np.int64),
+        histograms=np.tile([1, 1], (n, 1)),
     )
-    draws = sample_categories(agent, data, RngStream(35).generator())
+    draws = sample_categories(agent, RngStream(35).generator())
     assert np.all(draws == 0)
 
 
 def test_posterior_concentrations_exact_bookkeeping():
-    data = tiny_dataset([[1, 1], [2, 0], [0, 2], [1, 1]])
     agent = tiny_agent(
         "h2h",
         coupling=np.full((2, 3), 1 / 3),
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=[0, 2, 2, 1],
+        histograms=[[1, 1], [2, 0], [0, 2], [1, 1]],
     )
     agent.categories = np.array([0, 0, 1, 1])
-    conc = blocks(agent, posterior_concentrations(agent, data))
+    conc = blocks(agent, posterior_concentrations(agent))
     gamma = agent.hyper.category_concentration
     alpha = agent.hyper.coupling_concentration
     beta = agent.hyper.emission_concentration["v"]
@@ -220,15 +214,15 @@ def test_posterior_concentrations_exact_bookkeeping():
 
 
 def test_posterior_concentrations_t2t_orientation():
-    data = tiny_dataset([[1, 1], [2, 0], [0, 2], [1, 1]])
     agent = tiny_agent(
         "t2t",
         coupling=np.full((3, 2), 0.5),
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=[0, 2, 2, 1],
+        histograms=[[1, 1], [2, 0], [0, 2], [1, 1]],
     )
     agent.categories = np.array([0, 0, 1, 1])
-    conc = blocks(agent, posterior_concentrations(agent, data))
+    conc = blocks(agent, posterior_concentrations(agent))
     alpha = agent.hyper.coupling_concentration
     np.testing.assert_array_equal(
         conc["coupling"],
@@ -248,8 +242,8 @@ def test_log_views_are_the_floored_logs_of_the_parameters(variant, mask):
     floored = 0
     for step in range(4):
         if step:
-            sample_categories(agent, data, RngStream(7).derive(step, 0).generator())
-            update_parameters(agent, data, RngStream(7).derive(step, 1).generator())
+            sample_categories(agent, RngStream(7).derive(step, 0).generator())
+            update_parameters(agent, RngStream(7).derive(step, 1).generator())
         pairs = [(agent.coupling, agent.log_coupling)]
         pairs.append((agent.emissions, agent.log_emissions))
         if variant == "h2h":
@@ -266,7 +260,7 @@ def test_update_parameters_rows_are_distributions():
     data = full_dataset()
     for variant in ("h2h", "t2t"):
         agent = init_agent(variant, Hyperparams(), data, "A", RngStream(3))
-        update_parameters(agent, data, RngStream(4).generator())
+        update_parameters(agent, RngStream(4).generator())
         if variant == "h2h":
             np.testing.assert_allclose(agent.category_weights.sum(), 1.0, atol=1e-9)
         np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
@@ -278,36 +272,36 @@ def test_update_parameters_rows_are_distributions():
 def test_category_weight_posterior_mean_matches_conjugacy():
     # counts [3, 7] with gamma=0.01 give Dirichlet(3.01, 7.01), whose mean
     # is [0.3004..., 0.6995...]
-    data = tiny_dataset(np.ones((10, 2), dtype=np.int64))
     agent = tiny_agent(
         "h2h",
         coupling=np.full((2, 2), 0.5),
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=np.zeros(10, dtype=np.int64),
+        histograms=np.ones((10, 2), dtype=np.int64),
     )
     agent.categories = np.array([0] * 3 + [1] * 7)
-    conc = blocks(agent, posterior_concentrations(agent, data))
+    conc = blocks(agent, posterior_concentrations(agent))
     np.testing.assert_allclose(conc["category_weights"], [3.01, 7.01])
 
     total = np.zeros(2)
     draws = 30000
     gen = RngStream(77).generator()
     for _ in range(draws):
-        update_parameters(agent, data, gen)
+        update_parameters(agent, gen)
         total += agent.category_weights
     np.testing.assert_allclose(total / draws, [3.01 / 10.02, 7.01 / 10.02], atol=5e-3)
 
 
 def test_empty_category_keeps_valid_rows():
-    data = tiny_dataset([[2, 0], [0, 2]])
     agent = tiny_agent(
         "h2h",
         coupling=np.full((2, 2), 0.5),
         emissions=[[0.5, 0.5], [0.5, 0.5]],
         signs=[0, 0],
+        histograms=[[2, 0], [0, 2]],
     )
     agent.categories = np.array([0, 0])  # category 1 empty
-    update_parameters(agent, data, RngStream(8).generator())
+    update_parameters(agent, RngStream(8).generator())
     np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(agent.emissions[0].sum(axis=1), 1.0, atol=1e-9)
     assert np.all(agent.emissions[0, 1] > 0)
@@ -349,27 +343,27 @@ def test_category_signs_t2t_reads_raw_column():
     assert category_signs(agent)[agent.categories].tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
 
 
-def side_by_side(agent, dataset):
+def side_by_side(agent):
     """The agent's histograms side by side in one float matrix, and each
     modality's column slice of it."""
-    blocks = list(dataset.observations[agent.name])
+    blocks = list(agent.observations)
     stops = np.cumsum([block.shape[1] for block in blocks])
     columns = [slice(stop - block.shape[1], stop) for stop, block in zip(stops, blocks)]
     return np.concatenate(blocks, axis=1, dtype=np.float64), columns
 
 
-def reference_emission_counts(agent, dataset):
+def reference_emission_counts(agent):
     """The per-modality count loop the stacked product replaced: one
     (K, bins) product per modality over its columns."""
-    obs, columns = side_by_side(agent, dataset)
+    obs, columns = side_by_side(agent)
     onehot = np.eye(agent.hyper.num_categories)[agent.categories]
     return np.stack([onehot.T @ obs[:, cols] for cols in columns])
 
 
-def reference_observation_log_likelihood(agent, dataset):
+def reference_observation_log_likelihood(agent):
     """The per-modality likelihood loop the stacked product replaced: one
     product per modality, added in mask.ordered order."""
-    obs, columns = side_by_side(agent, dataset)
+    obs, columns = side_by_side(agent)
     first, *rest = zip(columns, agent.log_emissions)
     ll = obs[:, first[0]] @ first[1].T
     for cols, log_emission in rest:
@@ -386,20 +380,20 @@ def test_stacked_counts_and_likelihood_match_per_modality_loops_bitwise(variant,
     data = generate_dataset(config, Hyperparams(), mask, FULL, RngStream(bins))
     agent = init_agent(variant, Hyperparams(num_categories=6, num_signs=6), data, "A", RngStream(1))
     for step in range(4):
-        conc = posterior_concentrations(agent, data)
+        conc = posterior_concentrations(agent)
         # the emission blocks end the layout
-        counts = reference_emission_counts(agent, data).reshape(-1)
+        counts = reference_emission_counts(agent).reshape(-1)
         assert np.array_equal(conc[-counts.size :], agent.prior[-counts.size :] + counts)
-        ll = observation_log_likelihood(agent, data)
-        assert np.array_equal(ll, reference_observation_log_likelihood(agent, data))
-        update_parameters(agent, data, RngStream(2).derive(step, 0).generator())
-        sample_categories(agent, data, RngStream(2).derive(step, 1).generator())
+        ll = observation_log_likelihood(agent)
+        assert np.array_equal(ll, reference_observation_log_likelihood(agent))
+        update_parameters(agent, RngStream(2).derive(step, 0).generator())
+        sample_categories(agent, RngStream(2).derive(step, 1).generator())
 
 
 def test_observation_log_likelihood_hand_values():
     # hand-computed: an empty histogram, counts on one feature, a fair split
-    agent = tiny_agent("t2t", [[1.0, 1.0]], [[0.5, 0.5], [0.9, 0.1]], [0, 0, 0])
-    ll = observation_log_likelihood(agent, tiny_dataset([[0, 0], [2, 0], [1, 1]]))
+    agent = tiny_agent("t2t", [[1.0, 1.0]], [[0.5, 0.5], [0.9, 0.1]], [0, 0, 0], histograms=[[0, 0], [2, 0], [1, 1]])
+    ll = observation_log_likelihood(agent)
     assert ll.shape == (3, 2)
     assert ll[0].tolist() == [0.0, 0.0]
     assert math.isclose(ll[1, 1], 2 * math.log(0.9), rel_tol=1e-12)
@@ -407,8 +401,8 @@ def test_observation_log_likelihood_hand_values():
 
 
 def test_observation_log_likelihood_floors_zero_probability():
-    agent = tiny_agent("t2t", [[1.0]], [[1.0, 0.0]], [0, 0], num_categories=1)
-    ll = observation_log_likelihood(agent, tiny_dataset([[3, 0], [0, 1]]))
+    agent = tiny_agent("t2t", [[1.0]], [[1.0, 0.0]], [0, 0], num_categories=1, histograms=[[3, 0], [0, 1]])
+    ll = observation_log_likelihood(agent)
     # a zero-probability feature with zero count contributes nothing
     assert ll[0, 0] == 0.0
     # with a positive count it contributes the floored log, still finite
@@ -430,10 +424,10 @@ def test_masked_modalities_contribute_nothing():
     one = init_agent("h2h", Hyperparams(), masked, "A", RngStream(56))
     two = init_agent("h2h", Hyperparams(), row, "A", RngStream(56))
     for _ in range(3):
-        update_parameters(one, masked, RngStream(57).generator())
-        update_parameters(two, row, RngStream(57).generator())
-        sample_categories(one, masked, RngStream(58).generator())
-        sample_categories(two, row, RngStream(58).generator())
+        update_parameters(one, RngStream(57).generator())
+        update_parameters(two, RngStream(57).generator())
+        sample_categories(one, RngStream(58).generator())
+        sample_categories(two, RngStream(58).generator())
     assert np.array_equal(one.categories, two.categories)
     np.testing.assert_array_equal(one.coupling, two.coupling)
     np.testing.assert_array_equal(one.emissions, two.emissions)
@@ -443,16 +437,16 @@ def test_two_applications_leave_category_distribution_invariant():
     # the draw is an exact conditional, so a second application with frozen
     # parameters must not shift the distribution
     n = 100000
-    data = tiny_dataset(np.tile([2, 1], (n, 1)))
     agent = tiny_agent(
         "h2h",
         coupling=[[0.6, 0.4], [0.3, 0.7]],
         emissions=[[0.8, 0.2], [0.4, 0.6]],
         signs=np.zeros(n, dtype=np.int64),
         category_weights=[0.55, 0.45],
+        histograms=np.tile([2, 1], (n, 1)),
     )
-    once = np.bincount(sample_categories(agent, data, RngStream(60).generator()), minlength=2) / n
-    twice = np.bincount(sample_categories(agent, data, RngStream(61).generator()), minlength=2) / n
+    once = np.bincount(sample_categories(agent, RngStream(60).generator()), minlength=2) / n
+    twice = np.bincount(sample_categories(agent, RngStream(61).generator()), minlength=2) / n
     assert np.abs(once - twice).sum() / 2 < 0.01
     # and both match the enumerated conditional
     w0 = 0.55 * (0.8**2 * 0.2) * 0.6
@@ -507,8 +501,8 @@ def test_single_agent_fit_recovers_types_on_most_seeds():
         rng = RngStream(seed).derive(2)
         for it in range(300):
             step = rng.derive(it)
-            update_parameters(agent, data, step.derive(0).generator())
-            sample_categories(agent, data, step.derive(1).generator())
+            update_parameters(agent, step.derive(0).generator())
+            sample_categories(agent, step.derive(1).generator())
         if adjusted_rand_index(agent.categories, data.true_type) >= 0.75:
             wins += 1
     assert wins >= 8
@@ -542,7 +536,7 @@ def test_smallest_accepted_concentration_draws_finite_rows():
 
 
 def frozen_pair(sign_marginal, seed=7):
-    """An h2h and a t2t agent over one dataset, with equal emissions,
+    """An h2h and a t2t agent over one histogram stack, with equal emissions,
     categories and signs, whose couplings share one joint p(c, w) with the
     given sign marginal: h2h holds pi_c = p(c) and theta[c, w] = p(w | c),
     t2t holds theta_t[w, c] = p(c | w), which is L * p(c, w) for a uniform
@@ -554,7 +548,7 @@ def frozen_pair(sign_marginal, seed=7):
     joint = weights / weights.sum(axis=0) * sign_marginal
     category_marginal = joint.sum(axis=1)
     emissions = [rng.dirichlet(np.ones(bins), k)]
-    data = tiny_dataset(rng.integers(0, 6, (n, bins)))
+    stack = rng.integers(0, 6, (1, n, bins)).astype(np.float64)
     categories, signs = rng.integers(0, k, n), rng.integers(0, sign_marginal.size, n)
     pair = []
     for variant, coupling in (
@@ -562,20 +556,19 @@ def frozen_pair(sign_marginal, seed=7):
         ("t2t", (joint / sign_marginal).T),
     ):
         agent = AgentModel(
-            name="A",
             variant=variant,
             hyper=Hyperparams(num_categories=k, num_signs=sign_marginal.size),
             mask=ModalityMask.of("v"),
-            bins=bins,
+            observations=stack,
             categories=categories.copy(),
             signs=signs.copy(),
         )
         pair.append(install_blocks(agent, coupling, emissions, category_marginal))
-    return pair, data
+    return pair
 
 
-def category_conditionals(agent, data):
-    return normalize_log_rows(observation_log_likelihood(agent, data) + category_log_prior(agent))
+def category_conditionals(agent):
+    return normalize_log_rows(observation_log_likelihood(agent) + category_log_prior(agent))
 
 
 def normalized_sign_rows(agent):
@@ -586,8 +579,8 @@ def normalized_sign_rows(agent):
 def test_frozen_variants_differ_only_through_the_sign_marginal():
     # with a uniform sign marginal the two couplings are one model: every
     # category draw, sign draw and acceptance agrees
-    (h2h, t2t), data = frozen_pair(np.full(4, 0.25))
-    np.testing.assert_allclose(category_conditionals(h2h, data), category_conditionals(t2t, data), rtol=0, atol=1e-12)
+    h2h, t2t = frozen_pair(np.full(4, 0.25))
+    np.testing.assert_allclose(category_conditionals(h2h), category_conditionals(t2t), rtol=0, atol=1e-12)
     np.testing.assert_allclose(normalized_sign_rows(h2h), normalized_sign_rows(t2t), rtol=0, atol=1e-12)
     proposed = (h2h.signs + 1) % 4
     np.testing.assert_allclose(
@@ -595,8 +588,8 @@ def test_frozen_variants_differ_only_through_the_sign_marginal():
     )
     # control: the category conditionals still agree, but t2t's sign rows
     # divide by a marginal that is no longer flat
-    (h2h, t2t), data = frozen_pair([0.4, 0.3, 0.2, 0.1])
-    np.testing.assert_allclose(category_conditionals(h2h, data), category_conditionals(t2t, data), rtol=0, atol=1e-12)
+    h2h, t2t = frozen_pair([0.4, 0.3, 0.2, 0.1])
+    np.testing.assert_allclose(category_conditionals(h2h), category_conditionals(t2t), rtol=0, atol=1e-12)
     assert np.abs(normalized_sign_rows(h2h) - normalized_sign_rows(t2t)).max() > 0.1
 
 
@@ -618,12 +611,13 @@ def draw_rows(probs, gen):
     return np.minimum((u >= probs.cumsum(axis=-1)).sum(axis=-1), probs.shape[-1] - 1)
 
 
-def prior_replicas(variant, replicas, gen):
+def prior_replicas(variant, replicas, gen, signs=None):
     """Independent draws from the variant's joint prior: flat parameter
     vectors in the agent's layout, categories, signs and histograms.
 
     h2h: pi, theta, phi; then c ~ pi, w ~ theta[c], x ~ Mult(phi[c]).
-    t2t: theta, phi; then w uniform, c ~ theta[w], x ~ Mult(phi[c]).
+    t2t: theta, phi; then w uniform, c ~ theta[w], x ~ Mult(phi[c]); a
+    given (replicas, objects) signs array stands in for the uniform w.
     """
     h = GEWEKE_HYPER
     k, l, d = h.num_categories, h.num_signs, GEWEKE_OBJECTS
@@ -637,12 +631,30 @@ def prior_replicas(variant, replicas, gen):
         blocks = [pi, theta, phi]
     else:
         theta = gen.dirichlet(np.full(k, h.coupling_concentration), size=(replicas, l))
-        w = gen.integers(0, l, size=(replicas, d))
+        w = gen.integers(0, l, size=(replicas, d)) if signs is None else signs
         c = draw_rows(theta[rows, w], gen)
         blocks = [theta, phi]
     x = gen.multinomial(GEWEKE_DRAWS, phi[rows, c])
     flat = np.concatenate([b.reshape(replicas, -1) for b in blocks], axis=1)
     return flat, c, w, x
+
+
+def mean_z(values, expected):
+    """z score of the mean of values against its expected value."""
+    return (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(values.size))
+
+
+def share_z(hits, p):
+    """z score of the share of hits against its probability p."""
+    return (hits.mean() - p) / math.sqrt(p * (1 - p) / hits.size)
+
+
+def uniform_z(codes, cells):
+    """The chi-square statistic of codes against the uniform law on
+    range(cells), standardized by its mean and sd."""
+    expected = codes.size / cells
+    chi_square = float(((np.bincount(codes, minlength=cells) - expected) ** 2).sum() / expected)
+    return (chi_square - (cells - 1)) / math.sqrt(2 * (cells - 1))
 
 
 def geweke_statistics(variant, replicas, seed):
@@ -656,26 +668,15 @@ def geweke_statistics(variant, replicas, seed):
     sweep = RngStream(seed).derive(1)
     c0, w0, same_c, same_w = (np.empty(replicas, dtype=np.int64) for _ in range(4))
     theta00, phi00 = np.empty(replicas), np.empty(replicas)
+    stacks = x[:, None].astype(np.float64)
     for i in range(replicas):
-        agent = AgentModel(name="A", variant=variant, hyper=h, mask=mask, bins=b, categories=c[i], signs=w[i])
+        agent = AgentModel(variant=variant, hyper=h, mask=mask, observations=stacks[i], categories=c[i], signs=w[i])
         install_parameters(agent, flat[i])
-        stack = x[i][None].astype(np.float64)
-        data = Dataset(true_type=np.zeros(GEWEKE_OBJECTS, dtype=np.int64), observations={"A": stack}, masks={"A": mask})
-        solo_gibbs_fit(agent, data, 1, sweep.derive(i))
+        solo_gibbs_fit(agent, 1, sweep.derive(i))
         c0[i], w0[i] = agent.categories[0], agent.signs[0]
         same_c[i], same_w[i] = agent.categories[0] == agent.categories[1], agent.signs[0] == agent.signs[1]
         theta00[i], phi00[i] = agent.coupling[0, 0], agent.emissions[0, 0, 0]
 
-    def mean_z(values, expected):
-        return (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(replicas))
-
-    def share_z(hits, p):
-        return (hits.mean() - p) / math.sqrt(p * (1 - p) / replicas)
-
-    # a symmetric prior makes (c0, w0) uniform in both variants
-    counts = np.bincount(c0 * l + w0, minlength=k * l)
-    df = k * l - 1
-    chi_square = float(((counts - replicas / (k * l)) ** 2).sum() / (replicas / (k * l)))
     # a coupling row has n entries: signs in h2h, categories in t2t
     n = l if variant == "h2h" else k
     # P(c0 = c1) and P(w0 = w1) under the prior
@@ -686,7 +687,8 @@ def geweke_statistics(variant, replicas, seed):
         p_w = 1 / l
         p_c = p_w * (alpha + 1) / (k * alpha + 1) + (1 - p_w) / k
     return {
-        "(c0, w0)": (chi_square - df) / math.sqrt(2 * df),
+        # a symmetric prior makes (c0, w0) uniform in both variants
+        "(c0, w0)": uniform_z(c0 * l + w0, k * l),
         "theta00": mean_z(theta00, 1 / n),
         "theta00^2": mean_z(theta00**2, (alpha + 1) / (n * (n * alpha + 1))),
         "phi00": mean_z(phi00, 1 / b),
@@ -701,4 +703,55 @@ def test_one_gibbs_sweep_keeps_the_joint_prior(variant):
     # replicas drawn from the joint prior keep its law through one sweep of
     # parameters, categories and signs (Geweke, JASA 99:799-804, 2004)
     z = geweke_statistics(variant, 10_000, seed={"h2h": 1, "t2t": 2}[variant])
+    assert max(abs(v) for v in z.values()) < 4, z
+
+
+def joint_geweke_statistics(replicas, seed):
+    """z scores of two t2t agents' statistics after one gibbs-mode
+    run_iteration against their values under the two-agent joint prior:
+    w uniform and shared, then for each agent its own theta, phi,
+    c ~ theta[w] and x ~ Mult(phi[c])."""
+    h = GEWEKE_HYPER
+    k, l, bins = h.num_categories, h.num_signs, GEWEKE_BINS
+    alpha, beta = h.coupling_concentration, h.emission_concentration["v"]
+    gen = RngStream(seed).generator()
+    w = gen.integers(0, l, size=(replicas, GEWEKE_OBJECTS))
+    drawn = [prior_replicas("t2t", replicas, gen, signs=w) for _ in "AB"]
+    stacks = [x[:, None].astype(np.float64) for *_, x in drawn]
+    seeds = _game_seeds(RngStream(seed).derive(1), replicas)
+    mask = ModalityMask.of("v")
+    labels, values = np.empty((replicas, 5), dtype=np.int64), np.empty((replicas, 4))
+    for i in range(replicas):
+        pair = []
+        for (flat, c, _, _), stack in zip(drawn, stacks):
+            agent = AgentModel(variant="t2t", hyper=h, mask=mask, observations=stack[i], categories=c[i], signs=w[i].copy())
+            install_parameters(agent, flat[i])
+            pair.append(agent)
+        run_iteration(GameState(CommunicationMode.GIBBS_TOPLINE, *pair), seeds[i])
+        a, b = pair
+        w0 = a.signs[0]
+        labels[i] = a.categories[0], a.categories[1], b.categories[0], w0, a.signs[1]
+        values[i] = a.coupling[0, 0], a.emissions[0, 0, 0], a.coupling[w0, a.categories[0]], b.coupling[w0, b.categories[0]]
+    ca0, ca1, cb0, w0, w1 = labels.T
+    theta_a00, phi_a00, theta_a_drawn, theta_b_drawn = values.T
+    # E theta[w, c] for c ~ theta[w] is the second moment summed over a row
+    drawn_mean = (alpha + 1) / (k * alpha + 1)
+    return {
+        "(cA0, w0)": uniform_z(ca0 * l + w0, k * l),
+        "thetaA00": mean_z(theta_a00, 1 / k),
+        "thetaA00^2": mean_z(theta_a00**2, (alpha + 1) / (k * (k * alpha + 1))),
+        "phiA00": mean_z(phi_a00, 1 / bins),
+        "phiA00^2": mean_z(phi_a00**2, (beta + 1) / (bins * (bins * beta + 1))),
+        "cA0 = cB0": share_z(ca0 == cb0, 1 / k),
+        "w0 = w1": share_z(w0 == w1, 1 / l),
+        "cA0 = cA1": share_z(ca0 == ca1, drawn_mean / l + (1 - 1 / l) / k),
+        "thetaA[w0, cA0]": mean_z(theta_a_drawn, drawn_mean),
+        "thetaB[w0, cB0]": mean_z(theta_b_drawn, drawn_mean),
+    }
+
+
+def test_one_joint_gibbs_iteration_keeps_the_two_agent_prior():
+    # t2t in gibbs mode is an exact Gibbs sweep of one two-agent joint, so
+    # one run_iteration, gibbs_word included, keeps its law
+    z = joint_geweke_statistics(10_000, seed=3)
     assert max(abs(v) for v in z.values()) < 4, z

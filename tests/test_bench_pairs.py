@@ -150,3 +150,43 @@ def test_traced_runs_pairs_per_side_in_alternating_order_and_records_the_spread(
         "change": {"median": 20, "min": 10, "max": 30},
     }
     assert layer["cell-wide"]["change"] == {"median": 0.5, "min": 0.5, "max": 0.5}
+
+
+@pytest.mark.parametrize(
+    "absent, status",
+    [
+        ({"parent": "none", "change": "none"}, 0),
+        ({"parent": "game.run_iteration", "change": "none"}, 0),
+        ({"parent": "none", "change": "agents.sample_categories, game.run_iteration"}, 1),
+    ],
+    ids=["none", "parent-only", "change"],
+)
+def test_traced_exits_1_naming_names_absent_on_the_change_side(tmp_path, monkeypatch, capsys, absent, status):
+    spec = {
+        "workloads": [{"name": "cell-mh"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "game.exchange.self_s"}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "change" if checkout == tmp_path.resolve() else "parent"
+        calls.append(side)
+        # only the side's second run reports its absent names
+        names = absent[side] if calls.count(side) == 2 else "none"
+        return {
+            "metrics": {"cell-mh.game.exchange.self_s": {"value": 1.0}},
+            "absent": [names],
+            "machine": {"cpu": "test"},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--traced", "--pairs", "2"]) == status
+    # the file is written either way, with both sides' absent names
+    recorded = json.loads(out.read_text())["traced"]["absent_names"]
+    assert recorded == {side: sorted({"none", names}) for side, names in absent.items()}
+    err = capsys.readouterr().err
+    assert (err == "") == (status == 0)
+    assert ("agents.sample_categories, game.run_iteration" in err) == bool(status)

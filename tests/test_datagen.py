@@ -103,7 +103,7 @@ def test_single_modality_fit_recovers_planted_types():
     config = SyntheticConfig()
     data = generate_dataset(config, Hyperparams(), mask, mask, RngStream(2025))
     agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(2025).derive(1))
-    solo_gibbs_fit(agent, data, 150, RngStream(2025).derive(2))
+    solo_gibbs_fit(agent, 150, RngStream(2025).derive(2))
     assert adjusted_rand_index(agent.categories, data.true_type) >= 0.6
 
 

@@ -618,6 +618,27 @@ def test_cli_compare_names_a_blank_ari_column(tmp_path, capsys, column):
     assert "| h2h | mh | 1 |" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("h2h,mh,1,0.5,0.1,0.5,0.1", "7 fields where the header has 9"),
+        ("h2h,mh,1,0.5,0.1,0.5,0.1,0.9", "8 fields where the header has 9"),
+        ("h2h,mh,1,0.5,0.1,0.5,0.1,0.9,0.05,1,2", "11 fields where the header has 9"),
+        ("h2h,mh,1,nan,0.1,0.5,0.1,0.9,0.05", "ari_a_mean is 'nan', not a finite number"),
+        ("h2h,mh,1,0.5,0.1,inf,0.1,0.9,0.05", "ari_b_mean is 'inf', not a finite number"),
+        ("h2h,mh,1,0.5,0.1,0.5,0.1,-inf,0.05", "kappa_mean is '-inf', not a finite number"),
+    ],
+    ids=["7-fields", "8-fields", "11-fields", "nan-ari", "inf-ari", "inf-kappa"],
+)
+def test_cli_compare_rejects_malformed_rows(tmp_path, capsys, row, message):
+    (tmp_path / "summary.csv").write_text(",".join(SUMMARY_HEADER) + "\n" + row + "\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "line 2" in err and message in err
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -61,8 +61,8 @@ def test_acceptance_ratio_hand_values_t2t():
 
 
 def test_mh_exchange_accepts_everything_against_indifferent_listener():
-    speaker = frozen_agent("h2h", [0.2, 0.5, 0.3], "A")
-    listener = frozen_agent("h2h", [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0], "B")
+    speaker = frozen_agent("h2h", [0.2, 0.5, 0.3])
+    listener = frozen_agent("h2h", [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
     categories_before = listener.categories.copy()
     gen = RngStream(7).generator()
     for _ in range(300):
@@ -75,8 +75,8 @@ def test_mh_exchange_accepts_everything_against_indifferent_listener():
 
 
 def test_mh_exchange_never_accepts_against_certain_listener():
-    speaker = frozen_agent("h2h", [0.0, 1.0, 0.0], "A")
-    listener = frozen_agent("h2h", [1.0, 0.0, 0.0], "B")
+    speaker = frozen_agent("h2h", [0.0, 1.0, 0.0])
+    listener = frozen_agent("h2h", [1.0, 0.0, 0.0])
     gen = RngStream(8).generator()
     for _ in range(200):
         proposed, accepted = mh_exchange(speaker, listener, gen)
@@ -90,8 +90,8 @@ def test_mh_chain_reaches_product_of_sign_distributions(variant):
     # alternating exchanges with frozen parameters form, per direction, an
     # independence Metropolis chain whose stationary law is the normalized
     # product of the two sign distributions
-    speaker = frozen_agent(variant, ROW_A, "A")
-    listener = frozen_agent(variant, ROW_B, "B")
+    speaker = frozen_agent(variant, ROW_A)
+    listener = frozen_agent(variant, ROW_B)
     gen = RngStream(11).generator()
     burn, keep = 2000, 60000
     counts = np.zeros((2, 3), dtype=np.int64)
@@ -107,8 +107,8 @@ def test_mh_chain_reaches_product_of_sign_distributions(variant):
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
 def test_gibbs_word_draws_from_normalized_product(variant):
-    agent_a = frozen_agent(variant, ROW_A, "A")
-    agent_b = frozen_agent(variant, ROW_B, "B")
+    agent_a = frozen_agent(variant, ROW_A)
+    agent_b = frozen_agent(variant, ROW_B)
     gen = RngStream(5).generator()
     n = 60000
     counts = np.zeros(3, dtype=np.int64)
@@ -119,8 +119,8 @@ def test_gibbs_word_draws_from_normalized_product(variant):
 
 
 def test_gibbs_word_degenerate_and_mismatch_cases():
-    certain = frozen_agent("h2h", [1.0, 0.0, 0.0], "A")
-    spread = frozen_agent("h2h", [0.2, 0.3, 0.5], "B")
+    certain = frozen_agent("h2h", [1.0, 0.0, 0.0])
+    spread = frozen_agent("h2h", [0.2, 0.3, 0.5])
     gen = RngStream(6).generator()
     draws = {sign for _ in range(400) for sign in gibbs_word(certain, spread, gen).tolist()}
     assert draws == {0}
@@ -404,8 +404,8 @@ def reference_game(variant, mode, dataset, iterations, rng):
     records = []
     for it in range(iterations):
         for slot, (speaker, listener) in enumerate((agents, agents[::-1])):
-            update_parameters(speaker, dataset, rng.derive(1, it, slot, 0).generator())
-            sample_categories(speaker, dataset, rng.derive(1, it, slot, 1).generator())
+            update_parameters(speaker, rng.derive(1, it, slot, 0).generator())
+            sample_categories(speaker, rng.derive(1, it, slot, 1).generator())
             if mode == "mh":
                 mh_exchange(speaker, listener, rng.derive(1, it, slot, 2).generator())
         if mode == "gibbs":

@@ -28,8 +28,10 @@ pairs in ten and its median beats the parent's by more than the parent's
 interquartile range.
 
 The exit status is 1, after the file is written, when a workload's digests
-differ between runs, the change failed any operation, or a metric is worse
-than its bound; stderr names those workloads (and the metrics).
+differ between runs, the change failed any operation, a metric is worse
+than its bound, or a traced change-side run reports a traced name absent
+(its per-layer metric would then be missing); stderr names those workloads
+(and the metrics) and the absent names.
 """
 from __future__ import annotations
 
@@ -179,9 +181,10 @@ def main(argv=None) -> int:
     doc["parent_commit"] = _git_head(checkouts["parent"])
     doc.setdefault("change_commit", "the commit that adds this file")
 
-    machines, unsound, worse = [], [], []
+    machines, unsound, worse, absent = [], [], [], []
     if args.traced:
         doc["traced"] = traced(checkouts, args, [m["name"] for m in spec["per_layer"]], known, machines)
+        absent = [names for names in doc["traced"]["absent_names"]["change"] if names != "none"]
     for workload in args.workload:
         pairs = measure_pairs(checkouts, workload, args, metrics, machines)
         summary = summarize(pairs, metrics)
@@ -207,7 +210,9 @@ def main(argv=None) -> int:
         print(f"digests differ or the change failed operations on: {', '.join(unsound)}", file=sys.stderr)
     if worse:
         print(f"metrics worse than their bound on: {'; '.join(worse)}", file=sys.stderr)
-    return 1 if unsound or worse else 0
+    if absent:
+        print(f"traced names absent on the change side: {'; '.join(absent)}", file=sys.stderr)
+    return 1 if unsound or worse or absent else 0
 
 
 if __name__ == "__main__":
