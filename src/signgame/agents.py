@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from .stochastic import (
     sample_categorical_rows,
     sample_dirichlet_rows,
 )
-
-if TYPE_CHECKING:
-    from .datagen import Dataset
 
 MODALITIES = ("v", "s", "h")
 
@@ -90,28 +87,6 @@ class Hyperparams:
         check_sizes(self, num_categories=1, num_signs=1)
 
 
-@dataclass(frozen=True)
-class ModalityMask:
-    """The subset of modalities an agent can observe."""
-
-    present: frozenset
-    # canonical order so that float accumulation is reproducible; set once
-    # here, since every parameter step reads it
-    ordered: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.present:
-            raise ValueError("a modality mask cannot be empty")
-        unknown = set(self.present) - set(MODALITIES)
-        if unknown:
-            raise ValueError(f"unknown modalities {sorted(unknown)!r}")
-        object.__setattr__(self, "ordered", tuple(m for m in MODALITIES if m in self.present))
-
-    @classmethod
-    def of(cls, *names: str) -> "ModalityMask":
-        return cls(frozenset(names))
-
-
 @dataclass
 class AgentModel:
     """Mutable inference state of one agent.
@@ -120,17 +95,17 @@ class AgentModel:
     another in the order and shapes that shapes lists: h2h's 1 x K category
     weights and K x L coupling, or t2t's L x K coupling, then an M x K x
     bins stack of emission blocks, one per observed modality in
-    mask.ordered order. prior holds the blocks' prior concentrations in
+    modalities order. prior holds the blocks' prior concentrations in
     that layout. install_parameters sets category_weights, coupling and
     emissions as views of a drawn vector, and the log_ fields as views of
     its floored logs. observations is the agent's own read-only float64
     (M, objects, bins) stack, the dataset's array itself, and the only
-    data its kernels read.
+    data its kernels read; modalities names its rows in order.
     """
 
     variant: str
     hyper: Hyperparams
-    mask: ModalityMask
+    modalities: tuple
     observations: np.ndarray
     categories: np.ndarray
     signs: np.ndarray
@@ -151,7 +126,7 @@ class AgentModel:
             blocks = [((1, k), hyper.category_concentration), ((k, l), hyper.coupling_concentration)]
         else:
             blocks = [((l, k), hyper.coupling_concentration)]
-        blocks += [((k, self.observations.shape[2]), hyper.emission_concentration[m]) for m in self.mask.ordered]
+        blocks += [((k, self.observations.shape[2]), hyper.emission_concentration[m]) for m in self.modalities]
         self.shapes = tuple(shape for shape, _ in blocks)
         sizes = [rows * width for rows, width in self.shapes]
         self.slices = tuple(slice(stop - size, stop) for stop, size in zip(accumulate(sizes), sizes))
@@ -162,22 +137,22 @@ class AgentModel:
 def init_agent(
     variant: str,
     hyper: Hyperparams,
-    dataset: "Dataset",
-    agent_id: str,
+    modalities: tuple,
+    observations: np.ndarray,
     rng: RngStream,
 ) -> AgentModel:
-    """Build an agent on its own share of dataset, with uniform random assignments and posterior-drawn parameters."""
+    """Build an agent on its own observation stack, whose rows are the
+    modalities named in order, with uniform random assignments and
+    posterior-drawn parameters."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if agent_id not in dataset.observations:
-        raise ValueError(f"dataset has no observations for agent {agent_id!r}")
-    d = dataset.num_objects
+    d = observations.shape[1]
     gen = rng.derive(_STREAM_ASSIGN).generator()
     agent = AgentModel(
         variant=variant,
         hyper=hyper,
-        mask=dataset.masks[agent_id],
-        observations=dataset.observations[agent_id],
+        modalities=modalities,
+        observations=observations,
         categories=gen.integers(0, hyper.num_categories, size=d),
         signs=gen.integers(0, hyper.num_signs, size=d),
     )
@@ -255,8 +230,8 @@ def observation_log_likelihood(agent: AgentModel) -> np.ndarray:
     Multinomial coefficients are omitted; they are constant across
     categories for a fixed object.
     """
-    # one BLAS product per modality, added in mask.ordered order: one over
-    # all modalities side by side sums in another order
+    # one BLAS product per modality, added in the stack's row order: one
+    # over all modalities side by side sums in another order
     return np.matmul(agent.observations, agent.log_emissions.transpose(0, 2, 1)).sum(axis=0)
 
 

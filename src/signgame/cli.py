@@ -9,7 +9,6 @@ from pathlib import Path
 from .agents import VARIANTS
 from .experiment import (
     CONDITION_CHOICES,
-    METHOD_CHOICES,
     ConfigError,
     ExperimentConfig,
     ReportError,
@@ -19,6 +18,7 @@ from .experiment import (
     run_experiment,
     run_full_grid,
 )
+from .game import METHODS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one (variant, method, condition) cell")
     run_p.add_argument("--variant", choices=VARIANTS, default=None)
-    run_p.add_argument("--method", choices=METHOD_CHOICES, default=None)
+    run_p.add_argument("--method", choices=METHODS, default=None)
     run_p.add_argument("--condition", type=int, choices=CONDITION_CHOICES, default=None)
     run_p.add_argument("--config", default=None, help="JSON config file; flags override it")
     _add_size_flags(run_p)

@@ -3,7 +3,7 @@
 Objects come in types. Each type owns one emission distribution per modality,
 drawn once from a sparse Dirichlet, and every object of the type is a fresh
 multinomial histogram from that emission. Both agents observe the same
-underlying objects but only through their own modality masks, and their
+underlying objects but only through their own modalities, and their
 histograms are independent draws.
 """
 from __future__ import annotations
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import MODALITIES, Hyperparams, ModalityMask, check_sizes
+from .agents import MODALITIES, Hyperparams, check_sizes
 from .stochastic import RngStream, sample_dirichlet_rows
-
-AGENT_NAMES = ("A", "B")
 
 # stream ids used below generate_dataset's base stream
 _STREAM_EMISSIONS = 0
@@ -37,14 +35,15 @@ class SyntheticConfig:
 class Dataset:
     """Observations for both agents plus the generating ground truth.
 
-    observations[agent] is the agent's histograms of the modalities in its
-    mask as one read-only float64 (modalities, num_objects, bins) stack, in
-    mask.ordered order: init_agent hands that very array to the agent.
+    observations[i] is agent i's histograms of the modalities named in
+    modalities[i], as one read-only float64 (modalities, num_objects, bins)
+    stack whose rows follow that tuple: init_agent hands that very array to
+    the agent.
     """
 
     true_type: np.ndarray
-    observations: dict
-    masks: dict
+    observations: tuple
+    modalities: tuple
     # per-modality (num_types, feature_dim) generating emissions; kept for
     # diagnostics and tests, never read by the agents
     true_emissions: dict | None = None
@@ -57,12 +56,12 @@ class Dataset:
 def generate_dataset(
     config: SyntheticConfig,
     hyper: Hyperparams,
-    mask_a: ModalityMask,
-    mask_b: ModalityMask,
+    modalities: tuple,
     rng: RngStream,
 ) -> Dataset:
-    """Draw a fresh dataset, its true emissions from hyper's emission
-    concentrations; masked modalities are never materialized."""
+    """Draw a fresh dataset for two agents observing the modalities named in
+    modalities[0] and modalities[1], its true emissions from hyper's
+    emission concentrations; unobserved modalities are never materialized."""
     true_emissions = {}
     for mi, m in enumerate(MODALITIES):
         shape = (config.num_types, config.feature_dim)
@@ -71,16 +70,16 @@ def generate_dataset(
         true_emissions[m] = sample_dirichlet_rows(conc, [shape], gen).reshape(shape)
 
     true_type = np.repeat(np.arange(config.num_types), config.objects_per_type)
-    masks = dict(zip(AGENT_NAMES, (mask_a, mask_b)))
-    observations = {}
-    for ai, name in enumerate(AGENT_NAMES):
-        ordered = masks[name].ordered
-        stack = np.empty((len(ordered), true_type.size, config.feature_dim))
-        # each modality keeps its own stream; masked ones are never drawn
-        for row, m in zip(stack, ordered):
+    observations = []
+    for ai, names in enumerate(modalities):
+        stack = np.empty((len(names), true_type.size, config.feature_dim))
+        # each modality keeps its own stream; unobserved ones are never drawn
+        for row, m in zip(stack, names):
             gen = rng.derive(_STREAM_OBSERVATIONS, ai, MODALITIES.index(m)).generator()
             row[:] = gen.multinomial(config.draws_per_modality, true_emissions[m][true_type])
         stack.flags.writeable = False
-        observations[name] = stack
+        observations.append(stack)
 
-    return Dataset(true_type=true_type, observations=observations, masks=masks, true_emissions=true_emissions)
+    return Dataset(
+        true_type=true_type, observations=tuple(observations), modalities=modalities, true_emissions=true_emissions
+    )

@@ -15,27 +15,27 @@ import json
 import math
 import numbers
 import os
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
-from .agents import MODALITIES, VARIANTS, Hyperparams, ModalityMask, check_sizes
+from .agents import MODALITIES, VARIANTS, Hyperparams, check_sizes
 from .datagen import SyntheticConfig, generate_dataset
-from .game import CommunicationMode, run_game
+from .game import METHODS, run_game
 from .metrics import kappa_band, summarize
 from .stochastic import RngStream
 
-METHOD_CHOICES = tuple(mode.value for mode in CommunicationMode)
 CONDITION_CHOICES = (1, 2, 3, 4)
 
-# agent A's and agent B's observable modalities per condition
+# agent A's and agent B's observable modalities per condition, each in
+# MODALITIES order, which fixes the order the likelihood sums them in
 CONDITION_MASKS = {
-    1: (ModalityMask.of("v", "s", "h"), ModalityMask.of("v", "s", "h")),
-    2: (ModalityMask.of("v", "s", "h"), ModalityMask.of("v", "s")),
-    3: (ModalityMask.of("v", "s", "h"), ModalityMask.of("v")),
-    4: (ModalityMask.of("v", "s"), ModalityMask.of("h")),
+    1: (("v", "s", "h"), ("v", "s", "h")),
+    2: (("v", "s", "h"), ("v", "s")),
+    3: (("v", "s", "h"), ("v",)),
+    4: (("v", "s"), ("h",)),
 }
 
 DETAIL_HEADER = ("variant", "method", "condition", "trial", "iteration", "ari_a", "ari_b", "kappa")
@@ -110,8 +110,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.method not in METHOD_CHOICES:
-            raise ConfigError(f"method must be one of {METHOD_CHOICES}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.condition not in CONDITION_CHOICES:
             raise ConfigError(f"condition must be in {CONDITION_CHOICES}, got {self.condition!r}")
         try:
@@ -144,16 +144,8 @@ class ExperimentConfig:
 def run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """Play one seeded trial of a cell; returns its per-iteration metrics."""
     trial_rng = RngStream(cfg.seed).derive(cfg.condition, trial)
-    mask_a, mask_b = CONDITION_MASKS[cfg.condition]
-    dataset = generate_dataset(cfg.synthetic, cfg.hyper, mask_a, mask_b, trial_rng.derive(_STREAM_DATA))
-    _, records = run_game(
-        cfg.variant,
-        CommunicationMode(cfg.method),
-        cfg.hyper,
-        dataset,
-        cfg.iterations,
-        trial_rng.derive(_STREAM_GAME),
-    )
+    dataset = generate_dataset(cfg.synthetic, cfg.hyper, CONDITION_MASKS[cfg.condition], trial_rng.derive(_STREAM_DATA))
+    _, records = run_game(cfg.variant, cfg.method, cfg.hyper, dataset, cfg.iterations, trial_rng.derive(_STREAM_GAME))
     return records
 
 
@@ -212,8 +204,8 @@ def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:
     The cell takes its cfg.trials per-trial records from the records
     iterator when one is given, and runs its own trials otherwise.
     """
-    with nullcontext(records) if records is not None else closing(_trial_records([cfg])) as source:
-        per_trial = list(islice(source, cfg.trials))
+    # running its own generator to the end shuts down any pool it started
+    per_trial = list(_trial_records([cfg]) if records is None else islice(records, cfg.trials))
 
     detail = []
     for trial, trial_records in enumerate(per_trial):
@@ -284,7 +276,7 @@ def full_grid_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     return [
         replace(cfg, variant=variant, method=method, condition=condition)
         for variant in VARIANTS
-        for method in METHOD_CHOICES
+        for method in METHODS
         for condition in CONDITION_CHOICES
     ]
 

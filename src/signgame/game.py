@@ -8,12 +8,12 @@ own model, so neither agent ever reads the other's internals.
 
 Modes:
 
-* MH: the listener accepts with probability min(1, a), where a is the
+* "mh": the listener accepts with probability min(1, a), where a is the
   listener's probability ratio of the proposed sign to its current one.
-* ALL_REJECTION: the listener never accepts, so a speaking phase would
+* "reject": the listener never accepts, so a speaking phase would
   change no sign state at all; the game runs none, and each agent ends up
   doing isolated inference against its own randomly initialized signs.
-* GIBBS_TOPLINE: no utterances; both agents' signs are drawn jointly from
+* "gibbs": no utterances; both agents' signs are drawn jointly from
   the product of their sign distributions. This needs access to both models
   at once and serves as the centralized reference the exchange protocols
   are measured against.
@@ -26,7 +26,6 @@ normalized elementwise product of the two agents' sign distributions.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +51,12 @@ from .stochastic import (
 )
 
 
-class CommunicationMode(enum.Enum):
-    MH = "mh"
-    ALL_REJECTION = "reject"
-    GIBBS_TOPLINE = "gibbs"
+METHODS = ("mh", "reject", "gibbs")
 
 
 @dataclass
 class GameState:
-    mode: CommunicationMode
+    mode: str
     agent_a: AgentModel
     agent_b: AgentModel
 
@@ -152,8 +148,8 @@ def run_iteration(state: GameState, seeds: np.ndarray) -> GameState:
     of the seed table (see _game_seeds).
 
     Order: agent A refreshes parameters and categories, A speaks about every
-    object in one mh_exchange call, then agent B does the same. ALL_REJECTION
-    has no speaking phase. In GIBBS_TOPLINE the speaking phases are replaced
+    object in one mh_exchange call, then agent B does the same. "reject"
+    has no speaking phase. In "gibbs" the speaking phases are replaced
     by a single joint gibbs_word pass over every object at the end.
 
     Every phase draws from a stream derived from (iteration, agent, phase),
@@ -163,16 +159,16 @@ def run_iteration(state: GameState, seeds: np.ndarray) -> GameState:
     for slot, (speaker, listener) in enumerate(pairs):
         update_parameters(speaker, open_generator(seeds[_COLUMN[slot, _PHASE_PARAMS]]))
         sample_categories(speaker, open_generator(seeds[_COLUMN[slot, _PHASE_CATEGORIES]]))
-        if state.mode is CommunicationMode.MH:
+        if state.mode == "mh":
             mh_exchange(speaker, listener, open_generator(seeds[_COLUMN[slot, _PHASE_SPEAK]]))
-    if state.mode is CommunicationMode.GIBBS_TOPLINE:
+    if state.mode == "gibbs":
         gibbs_word(state.agent_a, state.agent_b, open_generator(seeds[_COLUMN[_SLOT_JOINT, _PHASE_JOINT]]))
     return state
 
 
 def run_game(
     variant: str,
-    mode: CommunicationMode,
+    mode: str,
     hyper: Hyperparams,
     dataset: Dataset,
     iterations: int,
@@ -184,13 +180,16 @@ def run_game(
     iteration is scored in one batched pass after the last; scoring reads
     the chain but never feeds back into it.
     """
-    mode = CommunicationMode(mode)
+    if mode not in METHODS:
+        raise ValueError(f"mode must be one of {METHODS}, got {mode!r}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    agent_a = init_agent(variant, hyper, dataset, "A", rng.derive(_STREAM_INIT, 0))
-    agent_b = init_agent(variant, hyper, dataset, "B", rng.derive(_STREAM_INIT, 1))
+    agent_a, agent_b = (
+        init_agent(variant, hyper, dataset.modalities[i], dataset.observations[i], rng.derive(_STREAM_INIT, i))
+        for i in (0, 1)
+    )
     state = GameState(mode=mode, agent_a=agent_a, agent_b=agent_b)
-    joint_signs = mode is CommunicationMode.GIBBS_TOPLINE
+    joint_signs = mode == "gibbs"
     labels = np.min_scalar_type(max(hyper.num_categories, hyper.num_signs) - 1)
     # (agent, iteration, object) snapshots
     categories = np.empty((2, iterations, dataset.num_objects), dtype=labels)

@@ -9,7 +9,6 @@ import numpy as np
 from signgame.agents import (
     AgentModel,
     Hyperparams,
-    ModalityMask,
     category_signs,
     install_parameters,
     sample_categories,
@@ -21,8 +20,8 @@ from signgame.stochastic import sample_categorical_rows
 def install_blocks(agent, coupling, emissions, category_weights=None):
     """Hand-set parameters, installed through install_parameters as one
     flat vector in the agent's layout; returns the agent. emissions holds
-    one (categories, bins) block per observed modality, in mask.ordered
-    order."""
+    one (categories, bins) block per observed modality, in the agent's
+    modalities order."""
     blocks = [category_weights] if agent.variant == "h2h" else []
     blocks += [coupling, emissions]
     install_parameters(agent, np.concatenate([np.ravel(np.asarray(b, dtype=float)) for b in blocks]))
@@ -40,7 +39,7 @@ def frozen_agent(variant, weights):
         hyper=Hyperparams(
             num_categories=objects, num_signs=num_signs, emission_concentration={"v": 0.001}
         ),
-        mask=ModalityMask.of("v"),
+        modalities=("v",),
         observations=np.zeros((1, objects, 2)),
         categories=np.arange(objects),
         signs=np.zeros(objects, dtype=np.int64),

@@ -12,7 +12,6 @@ from conftest import install_blocks, solo_gibbs_fit
 from signgame.agents import (
     AgentModel,
     Hyperparams,
-    ModalityMask,
     category_log_prior,
     category_signs,
     init_agent,
@@ -22,9 +21,9 @@ from signgame.agents import (
     sample_categories,
     update_parameters,
 )
-from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
+from signgame.datagen import SyntheticConfig, generate_dataset
 from signgame.metrics import adjusted_rand_index
-from signgame.game import CommunicationMode, GameState, _game_seeds, acceptance_ratio, run_game, run_iteration
+from signgame.game import GameState, _game_seeds, acceptance_ratio, run_game, run_iteration
 from signgame.stochastic import (
     PROB_FLOOR,
     RngStream,
@@ -33,11 +32,11 @@ from signgame.stochastic import (
     sample_dirichlet_rows,
 )
 
-FULL = ModalityMask.of("v", "s", "h")
+FULL = ("v", "s", "h")
 
 
 def full_dataset(seed=0):
-    return generate_dataset(SyntheticConfig(), Hyperparams(), FULL, FULL, RngStream(seed))
+    return generate_dataset(SyntheticConfig(), Hyperparams(), (FULL, FULL), RngStream(seed))
 
 
 def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_weights=None, histograms=None):
@@ -56,7 +55,7 @@ def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_w
             num_signs=num_signs,
             emission_concentration={"v": 0.001},
         ),
-        mask=ModalityMask.of("v"),
+        modalities=("v",),
         observations=np.asarray(histograms, dtype=np.float64)[None],
         categories=np.zeros(signs.size, dtype=np.int64),
         signs=signs,
@@ -69,7 +68,7 @@ def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_w
 def blocks(agent, flat):
     """A flat vector in the agent's layout, split into its named blocks."""
     names = ["category_weights"] if agent.variant == "h2h" else []
-    names += ["coupling"] + [f"emissions.{m}" for m in agent.mask.ordered]
+    names += ["coupling"] + [f"emissions.{m}" for m in agent.modalities]
     out = {name: flat[s].reshape(shape) for name, s, shape in zip(names, agent.slices, agent.shapes)}
     if agent.variant == "h2h":
         out["category_weights"] = out["category_weights"][0]
@@ -78,7 +77,7 @@ def blocks(agent, flat):
 
 def test_init_agent_ranges_and_determinism():
     data = full_dataset()
-    agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(9))
+    agent = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(9))
     assert agent.categories.shape == (150,)
     assert agent.signs.shape == (150,)
     assert agent.categories.min() >= 0 and agent.categories.max() < 15
@@ -87,15 +86,15 @@ def test_init_agent_ranges_and_determinism():
     assert agent.coupling.shape == (15, 15)
     assert agent.emissions.shape == (3, 15, 20)
     # the agent holds the dataset's stack itself, read-only
-    assert agent.observations is data.observations["A"]
+    assert agent.observations is data.observations[0]
     assert not agent.observations.flags.writeable
 
-    again = init_agent("h2h", Hyperparams(), data, "A", RngStream(9))
+    again = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(9))
     assert np.array_equal(agent.categories, again.categories)
     assert np.array_equal(agent.signs, again.signs)
     np.testing.assert_array_equal(agent.coupling, again.coupling)
 
-    t2t = init_agent("t2t", Hyperparams(), data, "B", RngStream(9))
+    t2t = init_agent("t2t", Hyperparams(), data.modalities[1], data.observations[1], RngStream(9))
     assert t2t.category_weights is None
     assert t2t.coupling.shape == (15, 15)
 
@@ -103,16 +102,14 @@ def test_init_agent_ranges_and_determinism():
 def test_init_agent_validation():
     data = full_dataset()
     with pytest.raises(ValueError):
-        init_agent("x2x", Hyperparams(), data, "A", RngStream(0))
-    with pytest.raises(ValueError):
-        init_agent("h2h", Hyperparams(), data, "C", RngStream(0))
+        init_agent("x2x", Hyperparams(), data.modalities[0], data.observations[0], RngStream(0))
 
 
 def test_initial_categories_uniform_over_seeds():
     data = full_dataset()
     counts = np.zeros(15, dtype=np.int64)
     for seed in range(100):
-        agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(seed))
+        agent = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(seed))
         counts += np.bincount(agent.categories, minlength=15)
     total = counts.sum()
     expected = total / 15
@@ -231,14 +228,14 @@ def test_posterior_concentrations_t2t_orientation():
 
 
 @pytest.mark.parametrize(
-    "variant, mask",
-    [("h2h", FULL), ("t2t", FULL), ("h2h", ModalityMask.of("s", "h"))],
+    "variant, modalities",
+    [("h2h", FULL), ("t2t", FULL), ("h2h", ("s", "h"))],
     ids=["h2h", "t2t", "h2h-masked"],
 )
-def test_log_views_are_the_floored_logs_of_the_parameters(variant, mask):
-    data = generate_dataset(SyntheticConfig(), Hyperparams(), mask, FULL, RngStream(5))
-    agent = init_agent(variant, Hyperparams(), data, "A", RngStream(6))
-    assert agent.log_emissions.shape == (len(mask.present), 15, 20)
+def test_log_views_are_the_floored_logs_of_the_parameters(variant, modalities):
+    data = generate_dataset(SyntheticConfig(), Hyperparams(), (modalities, FULL), RngStream(5))
+    agent = init_agent(variant, Hyperparams(), data.modalities[0], data.observations[0], RngStream(6))
+    assert agent.log_emissions.shape == (len(modalities), 15, 20)
     floored = 0
     for step in range(4):
         if step:
@@ -259,7 +256,7 @@ def test_log_views_are_the_floored_logs_of_the_parameters(variant, mask):
 def test_update_parameters_rows_are_distributions():
     data = full_dataset()
     for variant in ("h2h", "t2t"):
-        agent = init_agent(variant, Hyperparams(), data, "A", RngStream(3))
+        agent = init_agent(variant, Hyperparams(), data.modalities[0], data.observations[0], RngStream(3))
         update_parameters(agent, RngStream(4).generator())
         if variant == "h2h":
             np.testing.assert_allclose(agent.category_weights.sum(), 1.0, atol=1e-9)
@@ -362,7 +359,7 @@ def reference_emission_counts(agent):
 
 def reference_observation_log_likelihood(agent):
     """The per-modality likelihood loop the stacked product replaced: one
-    product per modality, added in mask.ordered order."""
+    product per modality, added in the stack's row order."""
     obs, columns = side_by_side(agent)
     first, *rest = zip(columns, agent.log_emissions)
     ll = obs[:, first[0]] @ first[1].T
@@ -375,10 +372,9 @@ def reference_observation_log_likelihood(agent):
 @pytest.mark.parametrize("names", [("h",), ("v", "s"), ("v", "s", "h")], ids=["1", "2", "3"])
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
 def test_stacked_counts_and_likelihood_match_per_modality_loops_bitwise(variant, names, bins):
-    mask = ModalityMask.of(*names)
     config = SyntheticConfig(num_types=6, objects_per_type=5, feature_dim=bins, draws_per_modality=bins)
-    data = generate_dataset(config, Hyperparams(), mask, FULL, RngStream(bins))
-    agent = init_agent(variant, Hyperparams(num_categories=6, num_signs=6), data, "A", RngStream(1))
+    data = generate_dataset(config, Hyperparams(), (names, FULL), RngStream(bins))
+    agent = init_agent(variant, Hyperparams(num_categories=6, num_signs=6), names, data.observations[0], RngStream(1))
     for step in range(4):
         conc = posterior_concentrations(agent)
         # the emission blocks end the layout
@@ -412,17 +408,12 @@ def test_observation_log_likelihood_floors_zero_probability():
 
 def test_masked_modalities_contribute_nothing():
     config = SyntheticConfig()
-    full = generate_dataset(config, Hyperparams(), FULL, FULL, RngStream(55))
+    full = generate_dataset(config, Hyperparams(), (FULL, FULL), RngStream(55))
     # same draws, but agent A is masked to v only: its stack is full's v row
-    masked = generate_dataset(config, Hyperparams(), ModalityMask.of("v"), FULL, RngStream(55))
-    assert np.array_equal(masked.observations["A"], full.observations["A"][:1])
-    row = Dataset(
-        true_type=full.true_type,
-        observations={"A": full.observations["A"][:1]},
-        masks={"A": ModalityMask.of("v")},
-    )
-    one = init_agent("h2h", Hyperparams(), masked, "A", RngStream(56))
-    two = init_agent("h2h", Hyperparams(), row, "A", RngStream(56))
+    masked = generate_dataset(config, Hyperparams(), (("v",), FULL), RngStream(55))
+    assert np.array_equal(masked.observations[0], full.observations[0][:1])
+    one = init_agent("h2h", Hyperparams(), masked.modalities[0], masked.observations[0], RngStream(56))
+    two = init_agent("h2h", Hyperparams(), ("v",), full.observations[0][:1], RngStream(56))
     for _ in range(3):
         update_parameters(one, RngStream(57).generator())
         update_parameters(two, RngStream(57).generator())
@@ -477,7 +468,7 @@ def test_category_draws_match_the_pinned_rule_on_game_conditionals(monkeypatch, 
     monkeypatch.setattr(agents, "sample_categorical_rows", capture)
     hyper = Hyperparams(num_categories=6, num_signs=6)
     config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=2)
-    dataset = generate_dataset(config, hyper, FULL, ModalityMask.of("v"), RngStream(1))
+    dataset = generate_dataset(config, hyper, (FULL, ("v",)), RngStream(1))
     run_game(variant, "mh", hyper, dataset, 20, RngStream(2))
     cum = np.concatenate(captured)
     assert cum.shape == (2 * 20 * dataset.num_objects, 6)
@@ -497,7 +488,7 @@ def test_single_agent_fit_recovers_types_on_most_seeds():
     wins = 0
     for seed in range(10):
         data = full_dataset(seed=seed)
-        agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(seed).derive(1))
+        agent = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(seed).derive(1))
         rng = RngStream(seed).derive(2)
         for it in range(300):
             step = rng.derive(it)
@@ -558,7 +549,7 @@ def frozen_pair(sign_marginal, seed=7):
         agent = AgentModel(
             variant=variant,
             hyper=Hyperparams(num_categories=k, num_signs=sign_marginal.size),
-            mask=ModalityMask.of("v"),
+            modalities=("v",),
             observations=stack,
             categories=categories.copy(),
             signs=signs.copy(),
@@ -664,13 +655,12 @@ def geweke_statistics(variant, replicas, seed):
     k, l, b = h.num_categories, h.num_signs, GEWEKE_BINS
     alpha, beta, gamma = h.coupling_concentration, h.emission_concentration["v"], h.category_concentration
     flat, c, w, x = prior_replicas(variant, replicas, RngStream(seed).generator())
-    mask = ModalityMask.of("v")
     sweep = RngStream(seed).derive(1)
     c0, w0, same_c, same_w = (np.empty(replicas, dtype=np.int64) for _ in range(4))
     theta00, phi00 = np.empty(replicas), np.empty(replicas)
     stacks = x[:, None].astype(np.float64)
     for i in range(replicas):
-        agent = AgentModel(variant=variant, hyper=h, mask=mask, observations=stacks[i], categories=c[i], signs=w[i])
+        agent = AgentModel(variant=variant, hyper=h, modalities=("v",), observations=stacks[i], categories=c[i], signs=w[i])
         install_parameters(agent, flat[i])
         solo_gibbs_fit(agent, 1, sweep.derive(i))
         c0[i], w0[i] = agent.categories[0], agent.signs[0]
@@ -719,15 +709,14 @@ def joint_geweke_statistics(replicas, seed):
     drawn = [prior_replicas("t2t", replicas, gen, signs=w) for _ in "AB"]
     stacks = [x[:, None].astype(np.float64) for *_, x in drawn]
     seeds = _game_seeds(RngStream(seed).derive(1), replicas)
-    mask = ModalityMask.of("v")
     labels, values = np.empty((replicas, 5), dtype=np.int64), np.empty((replicas, 4))
     for i in range(replicas):
         pair = []
         for (flat, c, _, _), stack in zip(drawn, stacks):
-            agent = AgentModel(variant="t2t", hyper=h, mask=mask, observations=stack[i], categories=c[i], signs=w[i].copy())
+            agent = AgentModel(variant="t2t", hyper=h, modalities=("v",), observations=stack[i], categories=c[i], signs=w[i].copy())
             install_parameters(agent, flat[i])
             pair.append(agent)
-        run_iteration(GameState(CommunicationMode.GIBBS_TOPLINE, *pair), seeds[i])
+        run_iteration(GameState("gibbs", *pair), seeds[i])
         a, b = pair
         w0 = a.signs[0]
         labels[i] = a.categories[0], a.categories[1], b.categories[0], w0, a.signs[1]

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 from conftest import solo_gibbs_fit
-from signgame.agents import Hyperparams, ModalityMask, init_agent
+from signgame.agents import Hyperparams, init_agent
 from signgame.datagen import SyntheticConfig, generate_dataset
 from signgame.experiment import CONDITION_MASKS
 from signgame.metrics import adjusted_rand_index
 from signgame.stochastic import RngStream
 
-FULL = ModalityMask.of("v", "s", "h")
+FULL = ("v", "s", "h")
 
 
-def make_dataset(seed=0, mask_a=FULL, mask_b=FULL, config=None, hyper=None):
+def make_dataset(seed=0, modalities_a=FULL, modalities_b=FULL, config=None, hyper=None):
     config = config or SyntheticConfig()
-    return generate_dataset(config, hyper or Hyperparams(), mask_a, mask_b, RngStream(seed))
+    return generate_dataset(config, hyper or Hyperparams(), (modalities_a, modalities_b), RngStream(seed))
 
 
 def test_default_dataset_shape():
@@ -26,8 +26,7 @@ def test_default_dataset_shape():
     assert data.num_objects == 150
     assert data.true_type.shape == (150,)
     assert np.array_equal(np.bincount(data.true_type), np.full(15, 10))
-    for name in ("A", "B"):
-        obs = data.observations[name]
+    for obs in data.observations:
         assert obs.shape == (3, 150, 20)
         assert np.all(obs.sum(axis=2) == 20)
         assert np.all(obs >= 0)
@@ -37,23 +36,23 @@ def test_same_seed_reproduces_dataset():
     first = make_dataset(seed=42)
     second = make_dataset(seed=42)
     assert np.array_equal(first.true_type, second.true_type)
-    for name in ("A", "B"):
-        assert np.array_equal(first.observations[name], second.observations[name])
+    for one, two in zip(first.observations, second.observations):
+        assert np.array_equal(one, two)
     for m in first.true_emissions:
         assert np.array_equal(first.true_emissions[m], second.true_emissions[m])
     different = make_dataset(seed=43)
-    assert not np.array_equal(first.observations["A"][0], different.observations["A"][0])
+    assert not np.array_equal(first.observations[0][0], different.observations[0][0])
 
 
 def test_masked_modalities_are_absent():
     full = make_dataset()
-    data = make_dataset(mask_b=ModalityMask.of("v"))
-    assert data.observations["A"].shape[0] == 3
-    assert data.observations["B"].shape[0] == 1
-    assert np.array_equal(data.observations["B"][0], full.observations["B"][0])
-    data = make_dataset(mask_a=ModalityMask.of("v", "s"), mask_b=ModalityMask.of("h"))
-    assert np.array_equal(data.observations["A"], full.observations["A"][:2])
-    assert np.array_equal(data.observations["B"], full.observations["B"][2:])
+    data = make_dataset(modalities_b=("v",))
+    assert data.observations[0].shape[0] == 3
+    assert data.observations[1].shape[0] == 1
+    assert np.array_equal(data.observations[1][0], full.observations[1][0])
+    data = make_dataset(modalities_a=("v", "s"), modalities_b=("h",))
+    assert np.array_equal(data.observations[0], full.observations[0][:2])
+    assert np.array_equal(data.observations[1], full.observations[1][2:])
 
 
 def test_agents_draw_independently_from_shared_emissions():
@@ -61,8 +60,8 @@ def test_agents_draw_independently_from_shared_emissions():
     # default near-one-hot emissions make both agents' histograms equal
     hyper = Hyperparams(emission_concentration={"v": 1.0, "s": 1.0, "h": 1.0})
     data = make_dataset(seed=7, hyper=hyper)
-    a = data.observations["A"][0]
-    b = data.observations["B"][0]
+    a = data.observations[0][0]
+    b = data.observations[1][0]
     # same generating emissions make the histograms correlated...
     corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
     assert corr > 0.3
@@ -72,7 +71,7 @@ def test_agents_draw_independently_from_shared_emissions():
 
 def test_same_type_objects_share_generating_emissions():
     data = make_dataset(seed=11)
-    for obs, (m, emissions) in zip(data.observations["A"], data.true_emissions.items()):
+    for obs, (m, emissions) in zip(data.observations[0], data.true_emissions.items()):
         assert emissions.shape == (15, 20)
         assert np.all(emissions > 0)
         np.testing.assert_allclose(emissions.sum(axis=1), 1.0, atol=1e-9)
@@ -99,43 +98,47 @@ def test_config_validation():
 def test_single_modality_fit_recovers_planted_types():
     # one agent, one modality: the planted structure alone supports a
     # reasonable clustering even without any communication
-    mask = ModalityMask.of("v")
     config = SyntheticConfig()
-    data = generate_dataset(config, Hyperparams(), mask, mask, RngStream(2025))
-    agent = init_agent("h2h", Hyperparams(), data, "A", RngStream(2025).derive(1))
+    data = generate_dataset(config, Hyperparams(), (("v",), ("v",)), RngStream(2025))
+    agent = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(2025).derive(1))
     solo_gibbs_fit(agent, 150, RngStream(2025).derive(2))
     assert adjusted_rand_index(agent.categories, data.true_type) >= 0.6
 
 
-def test_float_observations_hold_masked_in_modalities_in_canonical_order():
+def test_float_observations_follow_the_given_modality_order():
     config = SyntheticConfig()
-    # named out of canonical order
-    mask = ModalityMask.of("h", "v")
-    data = make_dataset(seed=3, mask_a=mask)
+    # named out of MODALITIES order
+    data = make_dataset(seed=3, modalities_a=("h", "v"))
     full = make_dataset(seed=3)
-    obs = data.observations["A"]
+    obs = data.observations[0]
     assert obs.dtype == np.float64
     assert obs.shape == (2, data.num_objects, config.feature_dim)
     assert obs.flags.c_contiguous and not obs.flags.writeable
-    # mask.ordered order, each row the modality's own draw
-    assert mask.ordered == ("v", "h")
-    assert np.array_equal(obs[0], full.observations["A"][0]) and np.array_equal(obs[1], full.observations["A"][2])
+    # rows in the order given, each the modality's own draw: h, then v
+    assert data.modalities[0] == ("h", "v")
+    assert np.array_equal(obs[0], full.observations[0][2]) and np.array_equal(obs[1], full.observations[0][0])
     # integer-valued histograms of draws_per_modality counts
     assert np.array_equal(obs, np.round(obs))
     assert np.all(obs.sum(axis=2) == config.draws_per_modality)
+    # the agent's emission prior blocks follow the same order
+    hyper = Hyperparams(emission_concentration={"v": 0.5, "h": 0.25})
+    agent = init_agent("h2h", hyper, data.modalities[0], obs, RngStream(4))
+    h_block, v_block = agent.slices[2:]
+    assert np.all(agent.prior[h_block] == hyper.emission_concentration["h"])
+    assert np.all(agent.prior[v_block] == hyper.emission_concentration["v"])
 
 
 def dataset_digest(seed=0, trials=3):
     """sha256 over the generating emissions and every observation array of
     conditions 1-4 x trials at default sizes, with the grid's masks."""
     h = hashlib.sha256()
-    for condition, (mask_a, mask_b) in sorted(CONDITION_MASKS.items()):
+    for condition, modalities in sorted(CONDITION_MASKS.items()):
         for trial in range(trials):
-            data = generate_dataset(SyntheticConfig(), Hyperparams(), mask_a, mask_b, RngStream(seed).derive(condition, trial))
+            data = generate_dataset(SyntheticConfig(), Hyperparams(), modalities, RngStream(seed).derive(condition, trial))
             arrays = [data.true_emissions[m] for m in sorted(data.true_emissions)]
             # each (agent, modality) histogram as the int64 array it was drawn as
-            for a in sorted(data.observations):
-                rows = dict(zip(data.masks[a].ordered, data.observations[a]))
+            for names, stack in zip(data.modalities, data.observations):
+                rows = dict(zip(names, stack))
                 arrays += [rows[m].astype(np.int64) for m in sorted(rows)]
             for arr in arrays:
                 h.update(f"{arr.dtype.str}{arr.shape}".encode())

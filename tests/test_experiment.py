@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from signgame.agents import Hyperparams, ModalityMask
+from signgame.agents import Hyperparams
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from signgame.datagen import SyntheticConfig, generate_dataset
 import signgame.experiment as experiment
@@ -116,12 +116,12 @@ def test_parse_config_rejects_missing_or_malformed_files(tmp_path):
 
 
 def test_condition_masks_are_the_published_grid():
-    vsh = ModalityMask.of("v", "s", "h")
+    vsh = ("v", "s", "h")
     assert CONDITION_MASKS == {
         1: (vsh, vsh),
-        2: (vsh, ModalityMask.of("v", "s")),
-        3: (vsh, ModalityMask.of("v")),
-        4: (ModalityMask.of("v", "s"), ModalityMask.of("h")),
+        2: (vsh, ("v", "s")),
+        3: (vsh, ("v",)),
+        4: (("v", "s"), ("h",)),
     }
 
 

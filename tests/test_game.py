@@ -10,7 +10,6 @@ import signgame.game as game
 from conftest import counting_draw, frozen_agent, install_blocks, tv_distance
 from signgame.agents import (
     Hyperparams,
-    ModalityMask,
     category_signs,
     init_agent,
     sample_categories,
@@ -18,7 +17,6 @@ from signgame.agents import (
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.game import (
-    CommunicationMode,
     acceptance_ratio,
     gibbs_word,
     mh_exchange,
@@ -27,7 +25,7 @@ from signgame.game import (
 from signgame.metrics import adjusted_rand_index, kappa
 from signgame.stochastic import PROB_FLOOR, RngStream, open_generator, sample_categorical_rows
 
-FULL = ModalityMask.of("v", "s", "h")
+FULL = ("v", "s", "h")
 
 ROW_A = np.array([0.7, 0.2, 0.1])
 ROW_B = np.array([0.1, 0.2, 0.7])
@@ -40,7 +38,7 @@ SMALL_HYPER = Hyperparams(num_categories=4, num_signs=4)
 
 
 def small_game(mode, variant="h2h", iterations=4, seed=21):
-    dataset = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(seed))
+    dataset = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(seed))
     return run_game(variant, mode, SMALL_HYPER, dataset, iterations, RngStream(seed + 100))
 
 
@@ -140,7 +138,7 @@ def test_run_game_repeats_bit_for_bit():
     np.testing.assert_array_equal(state_1.agent_a.signs, state_2.agent_a.signs)
     np.testing.assert_array_equal(state_1.agent_b.categories, state_2.agent_b.categories)
 
-    _, single = small_game(CommunicationMode.MH, iterations=1)
+    _, single = small_game("mh", iterations=1)
     assert len(single) == 1
 
 
@@ -154,15 +152,15 @@ def test_all_rejection_keeps_signs_at_initialization():
 
 
 def test_all_rejection_isolates_the_listener_from_the_speaker():
-    base = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(3))
-    other = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(4))
+    base = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(3))
+    other = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(4))
     swapped = Dataset(
         true_type=base.true_type,
-        observations={"A": other.observations["A"], "B": base.observations["B"]},
-        masks=base.masks,
+        observations=(other.observations[0], base.observations[1]),
+        modalities=base.modalities,
     )
     rng = RngStream(77)
-    mode = CommunicationMode.ALL_REJECTION
+    mode = "reject"
     state_base, _ = run_game("h2h", mode, SMALL_HYPER, base, 3, rng)
     state_swap, _ = run_game("h2h", mode, SMALL_HYPER, swapped, 3, rng)
     np.testing.assert_array_equal(state_base.agent_b.categories, state_swap.agent_b.categories)
@@ -178,13 +176,13 @@ def test_gibbs_topline_keeps_one_shared_sign_vector():
 
 
 def test_run_game_rejects_bad_arguments():
-    dataset = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(0))
+    dataset = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(0))
     with pytest.raises(ValueError):
-        run_game("sideways", CommunicationMode.MH, SMALL_HYPER, dataset, 2, RngStream(1))
+        run_game("sideways", "mh", SMALL_HYPER, dataset, 2, RngStream(1))
     with pytest.raises(ValueError):
         run_game("h2h", "shout", SMALL_HYPER, dataset, 2, RngStream(1))
     with pytest.raises(ValueError):
-        run_game("h2h", CommunicationMode.MH, SMALL_HYPER, dataset, 0, RngStream(1))
+        run_game("h2h", "mh", SMALL_HYPER, dataset, 0, RngStream(1))
 
 
 # Scalar reference: the per-object formulas the array kernels replace
@@ -242,11 +240,11 @@ KERNEL_DATA = SyntheticConfig(
 def random_agents(variant, seed):
     """Two agents with random categories, signs and couplings, some of them
     sharply peaked so that floored probabilities and certain rejections occur."""
-    dataset = generate_dataset(KERNEL_DATA, KERNEL_HYPER, FULL, FULL, RngStream(seed))
+    dataset = generate_dataset(KERNEL_DATA, KERNEL_HYPER, (FULL, FULL), RngStream(seed))
     gen = RngStream(seed).derive(1).generator()
     agents = []
-    for name in ("A", "B"):
-        agent = init_agent(variant, KERNEL_HYPER, dataset, name, RngStream(seed).derive(2, len(agents)))
+    for i in (0, 1):
+        agent = init_agent(variant, KERNEL_HYPER, dataset.modalities[i], dataset.observations[i], RngStream(seed).derive(2, i))
         shape = agent.coupling.shape
         coupling = gen.dirichlet(np.full(shape[1], 0.05), size=shape[0])
         coupling[0, 0] = 0.0
@@ -400,7 +398,10 @@ def test_game_seeds_open_every_phase_stream():
 def reference_game(variant, mode, dataset, iterations, rng):
     """The game loop with one SeedSequence-hashed stream per phase and
     scalar metrics after every iteration."""
-    agents = [init_agent(variant, SMALL_HYPER, dataset, name, rng.derive(0, slot)) for slot, name in enumerate("AB")]
+    agents = [
+        init_agent(variant, SMALL_HYPER, dataset.modalities[slot], dataset.observations[slot], rng.derive(0, slot))
+        for slot in (0, 1)
+    ]
     records = []
     for it in range(iterations):
         for slot, (speaker, listener) in enumerate((agents, agents[::-1])):
@@ -426,7 +427,7 @@ def reference_game(variant, mode, dataset, iterations, rng):
 @pytest.mark.parametrize("mode", ["mh", "reject", "gibbs"])
 def test_run_game_across_seed_blocks_matches_per_phase_streams(variant, mode):
     iterations = 66
-    dataset = generate_dataset(SMALL, Hyperparams(), FULL, FULL, RngStream(8))
+    dataset = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(8))
     rng = RngStream(2**33 + 1, 12)
     state, records = run_game(variant, mode, SMALL_HYPER, dataset, iterations, rng)
     agents, expect = reference_game(variant, mode, dataset, iterations, rng)

@@ -12,7 +12,7 @@ import signgame.agents as agents
 import signgame.game as game
 import signgame.stochastic as stochastic
 from conftest import counting_draw
-from signgame.agents import Hyperparams, ModalityMask
+from signgame.agents import Hyperparams
 from signgame.datagen import SyntheticConfig, generate_dataset
 from signgame.stochastic import (
     EXP_CLAMP,
@@ -441,7 +441,7 @@ def test_normalize_log_rows_one_block_matches_2d_normalizer_on_game_conditionals
     monkeypatch.setattr(game, "normalize_log_rows", capture)
     hyper = Hyperparams(num_categories=6, num_signs=6)
     config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=5)
-    dataset = generate_dataset(config, hyper, ModalityMask.of("v", "s", "h"), ModalityMask.of("h"), RngStream(1))
+    dataset = generate_dataset(config, hyper, (("v", "s", "h"), ("h",)), RngStream(1))
     for mode in ("mh", "gibbs"):
         game.run_game(variant, mode, hyper, dataset, 10, RngStream(2))
     assert len(captured) == 2 * 10 * 2 + 10
