@@ -27,8 +27,6 @@ from .game import METHODS, run_game
 from .metrics import kappa_band, summarize
 from .stochastic import RngStream
 
-CONDITION_CHOICES = (1, 2, 3, 4)
-
 # agent A's and agent B's observable modalities per condition, each in
 # MODALITIES order, which fixes the order the likelihood sums them in
 CONDITION_MASKS = {
@@ -37,6 +35,7 @@ CONDITION_MASKS = {
     3: (("v", "s", "h"), ("v",)),
     4: (("v", "s"), ("h",)),
 }
+CONDITION_CHOICES = tuple(CONDITION_MASKS)
 
 DETAIL_HEADER = ("variant", "method", "condition", "trial", "iteration", "ari_a", "ari_b", "kappa")
 SUMMARY_HEADER = (
@@ -141,17 +140,13 @@ class ExperimentConfig:
                 raise ConfigError(f"an array of {shape} elements would span 2**63 bytes or more")
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> list:
-    """Play one seeded trial of a cell; returns its per-iteration metrics."""
+def run_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
+    """Play one seeded trial of a cell; returns its (ari_a, ari_b, kappa)
+    row per iteration."""
     trial_rng = RngStream(cfg.seed).derive(cfg.condition, trial)
     dataset = generate_dataset(cfg.synthetic, cfg.hyper, CONDITION_MASKS[cfg.condition], trial_rng.derive(_STREAM_DATA))
-    _, records = run_game(cfg.variant, cfg.method, cfg.hyper, dataset, cfg.iterations, trial_rng.derive(_STREAM_GAME))
-    return records
-
-
-def _trial_worker(payload):
-    cfg, trial = payload
-    return run_trial(cfg, trial)
+    _, rows = run_game(cfg.variant, cfg.method, cfg.hyper, dataset, cfg.iterations, trial_rng.derive(_STREAM_GAME))
+    return rows
 
 
 class ProcessPoolExecutor:
@@ -184,7 +179,7 @@ def _usable_cpus() -> int:
 
 
 def _trial_records(cells: list[ExperimentConfig]):
-    """Yield each trial's records, cell by cell and trial by trial: one task
+    """Yield each trial's rows, cell by cell and trial by trial: one task
     list, mapped by one pool when there is more than one worker, so no cell
     waits for the slowest trial of the cell before it."""
     tasks = [(cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials)]
@@ -193,45 +188,26 @@ def _trial_records(cells: list[ExperimentConfig]):
     workers = min(cells[0].jobs, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_trial_worker, tasks)
+            yield from pool.map(run_trial, *zip(*tasks))
     else:
-        yield from map(_trial_worker, tasks)
+        yield from map(run_trial, *zip(*tasks))
 
 
 def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:
     """All trials of one cell: detail rows (trial, iteration order) + summary.
 
-    The cell takes its cfg.trials per-trial records from the records
+    The cell takes its cfg.trials per-trial row lists from the records
     iterator when one is given, and runs its own trials otherwise.
     """
     # running its own generator to the end shuts down any pool it started
     per_trial = list(_trial_records([cfg]) if records is None else islice(records, cfg.trials))
-
-    detail = []
-    for trial, trial_records in enumerate(per_trial):
-        for rec in trial_records:
-            detail.append(
-                (cfg.variant, cfg.method, cfg.condition, trial, rec.iteration, rec.ari_a, rec.ari_b, rec.kappa)
-            )
-
-    final = [records[-1] for records in per_trial]
-    ari_a = summarize([rec.ari_a for rec in final])
-    ari_b = summarize([rec.ari_b for rec in final])
-    if any(rec.kappa is None for rec in final):
-        kap = (None, None)
-    else:
-        kap = summarize([rec.kappa for rec in final])
-    summary = {
-        "variant": cfg.variant,
-        "method": cfg.method,
-        "condition": cfg.condition,
-        "ari_a_mean": ari_a[0],
-        "ari_a_sd": ari_a[1],
-        "ari_b_mean": ari_b[0],
-        "ari_b_sd": ari_b[1],
-        "kappa_mean": kap[0],
-        "kappa_sd": kap[1],
-    }
+    cell = (cfg.variant, cfg.method, cfg.condition)
+    detail = [
+        (*cell, trial, iteration, *row) for trial, rows in enumerate(per_trial) for iteration, row in enumerate(rows)
+    ]
+    ari_a, ari_b, kappas = zip(*(rows[-1] for rows in per_trial))
+    kap = (None, None) if None in kappas else summarize(kappas)
+    summary = dict(zip(SUMMARY_HEADER, (*cell, *summarize(ari_a), *summarize(ari_b), *kap)))
     return detail, summary
 
 

@@ -39,7 +39,7 @@ from .agents import (
     update_parameters,
 )
 from .datagen import Dataset
-from .metrics import MetricsRecord, adjusted_rand_index, kappa
+from .metrics import adjusted_rand_index, kappa
 from .stochastic import (
     PROB_FLOOR,
     RngStream,
@@ -173,8 +173,10 @@ def run_game(
     dataset: Dataset,
     iterations: int,
     rng: RngStream,
-) -> tuple[GameState, list[MetricsRecord]]:
-    """Play a full game and record metrics at the end of every iteration.
+) -> tuple[GameState, list[tuple]]:
+    """Play a full game; returns the final state and one (ari_a, ari_b,
+    kappa) row per iteration, scored at the iteration's end, with kappa None
+    under "gibbs".
 
     Each iteration's categories and signs are copied aside, and every
     iteration is scored in one batched pass after the last; scoring reads
@@ -203,8 +205,4 @@ def run_game(
                 signs[i, t] = agent.signs
     ari = adjusted_rand_index(categories.reshape(2 * iterations, -1), dataset.true_type)
     kappas = [None] * iterations if joint_signs else kappa(signs[0], signs[1], hyper.num_signs)
-    records = [
-        MetricsRecord(iteration=t, ari_a=ari[t], ari_b=ari[iterations + t], kappa=kappas[t])
-        for t in range(iterations)
-    ]
-    return state, records
+    return state, list(zip(ari[:iterations], ari[iterations:], kappas))

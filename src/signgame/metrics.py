@@ -6,20 +6,7 @@ agreement two unrelated labelings of the same shape would show, so 0 means
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Metrics of one iteration; kappa is None when signs are jointly drawn."""
-
-    iteration: int
-    ari_a: float
-    ari_b: float
-    kappa: float | None
-
 
 # rows of a stack scored per pass; bounds the temporaries of a long stack
 _ROWS_PER_PASS = 32

@@ -20,6 +20,7 @@ from signgame.datagen import SyntheticConfig, generate_dataset
 import signgame.experiment as experiment
 from signgame.experiment import (
     CONDITION_MASKS,
+    DETAIL_HEADER,
     REFERENCE_RESULTS,
     SUMMARY_HEADER,
     ConfigError,
@@ -131,8 +132,10 @@ def test_run_cell_row_layout():
     assert [(row[3], row[4]) for row in detail] == [(t, i) for t in range(2) for i in range(3)]
     assert all(row[:3] == ("h2h", "mh", 1) for row in detail)
     assert all(isinstance(row[5], float) and isinstance(row[6], float) for row in detail)
+    assert all(len(row) == len(DETAIL_HEADER) == 8 for row in detail)
     assert summary["ari_a_sd"] >= 0.0
     assert summary["kappa_mean"] is not None
+    assert list(summary) == list(SUMMARY_HEADER)
 
 
 def test_run_cell_gibbs_leaves_kappa_blank(tmp_path):
@@ -220,9 +223,9 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
         def map(self, fn, *iterables, **kwargs):
-            tasks = list(iterables[0])
-            mapped.append([(c.variant, c.method, c.condition, t) for c, t in tasks])
-            return super().map(fn, tasks, **kwargs)
+            cfgs, trials = (list(column) for column in iterables)
+            mapped.append([(c.variant, c.method, c.condition, t) for c, t in zip(cfgs, trials)])
+            return super().map(fn, cfgs, trials, **kwargs)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -279,16 +282,18 @@ def test_grid_pinned_to_one_cpu_starts_no_pool(tmp_path, monkeypatch):
         assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
+FAILING_CELL = full_grid_configs(small_config())[10]
+RUN_TRIAL = experiment.run_trial
+
+
+def fail_one_cell(cfg, trial):
+    # at module level, so the pool can pickle it in place of run_trial
+    if (cfg.variant, cfg.method, cfg.condition) == (FAILING_CELL.variant, FAILING_CELL.method, FAILING_CELL.condition):
+        raise RuntimeError("trial failed")
+    return RUN_TRIAL(cfg, trial)
+
+
 def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
-    failing = full_grid_configs(small_config())[10]
-    run_trial = experiment.run_trial
-
-    def fail_one_cell(cfg, trial):
-        if (cfg.variant, cfg.method, cfg.condition) == (failing.variant, failing.method, failing.condition):
-            raise RuntimeError("trial failed")
-        return run_trial(cfg, trial)
-
-    # patched before the pool forks, so the workers inherit it
     monkeypatch.setattr(experiment, "run_trial", fail_one_cell)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
     cells = []
@@ -417,8 +422,8 @@ def test_library_partial_emission_concentration_keeps_the_other_defaults(monkeyp
         return generate_dataset(config, hyper, *args)
 
     monkeypatch.setattr(experiment, "generate_dataset", spy)
-    records = experiment.run_trial(small_config(hyper=hyper, iterations=2), 0)
-    assert [r.iteration for r in records] == [0, 1]
+    rows = experiment.run_trial(small_config(hyper=hyper, iterations=2), 0)
+    assert len(rows) == 2
     assert drawn == [hyper]
 
 

@@ -128,13 +128,12 @@ def test_gibbs_word_degenerate_and_mismatch_cases():
 
 
 def test_run_game_repeats_bit_for_bit():
-    state_1, records_1 = small_game("mh")
-    state_2, records_2 = small_game("mh")
-    flat_1 = [(m.iteration, m.ari_a, m.ari_b, m.kappa) for m in records_1]
-    flat_2 = [(m.iteration, m.ari_a, m.ari_b, m.kappa) for m in records_2]
-    assert flat_1 == flat_2
-    assert [m.iteration for m in records_1] == [0, 1, 2, 3]
-    assert all(m.kappa is not None for m in records_1)
+    state_1, rows_1 = small_game("mh")
+    state_2, rows_2 = small_game("mh")
+    assert rows_1 == rows_2
+    assert len(rows_1) == 4
+    assert all(len(row) == 3 for row in rows_1)
+    assert all(kap is not None for _, _, kap in rows_1)
     np.testing.assert_array_equal(state_1.agent_a.signs, state_2.agent_a.signs)
     np.testing.assert_array_equal(state_1.agent_b.categories, state_2.agent_b.categories)
 
@@ -144,11 +143,11 @@ def test_run_game_repeats_bit_for_bit():
 
 def test_all_rejection_keeps_signs_at_initialization():
     state_short, _ = small_game("reject", iterations=1)
-    state_long, records = small_game("reject", iterations=5)
+    state_long, rows = small_game("reject", iterations=5)
     np.testing.assert_array_equal(state_short.agent_a.signs, state_long.agent_a.signs)
     np.testing.assert_array_equal(state_short.agent_b.signs, state_long.agent_b.signs)
     # frozen signs mean the agreement score cannot move either
-    assert len({m.kappa for m in records}) == 1
+    assert len({kap for _, _, kap in rows}) == 1
 
 
 def test_all_rejection_isolates_the_listener_from_the_speaker():
@@ -170,9 +169,9 @@ def test_all_rejection_isolates_the_listener_from_the_speaker():
 
 
 def test_gibbs_topline_keeps_one_shared_sign_vector():
-    state, records = small_game("gibbs")
+    state, rows = small_game("gibbs")
     np.testing.assert_array_equal(state.agent_a.signs, state.agent_b.signs)
-    assert all(m.kappa is None for m in records)
+    assert all(kap is None for _, _, kap in rows)
 
 
 def test_run_game_rejects_bad_arguments():
@@ -402,7 +401,7 @@ def reference_game(variant, mode, dataset, iterations, rng):
         init_agent(variant, SMALL_HYPER, dataset.modalities[slot], dataset.observations[slot], rng.derive(0, slot))
         for slot in (0, 1)
     ]
-    records = []
+    rows = []
     for it in range(iterations):
         for slot, (speaker, listener) in enumerate((agents, agents[::-1])):
             update_parameters(speaker, rng.derive(1, it, slot, 0).generator())
@@ -412,15 +411,14 @@ def reference_game(variant, mode, dataset, iterations, rng):
         if mode == "gibbs":
             gibbs_word(*agents, rng.derive(1, it, 2, 3).generator())
         a, b = agents
-        records.append(
+        rows.append(
             (
-                it,
                 adjusted_rand_index(a.categories, dataset.true_type),
                 adjusted_rand_index(b.categories, dataset.true_type),
                 None if mode == "gibbs" else kappa(a.signs, b.signs, SMALL_HYPER.num_signs),
             )
         )
-    return agents, records
+    return agents, rows
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
@@ -429,9 +427,9 @@ def test_run_game_across_seed_blocks_matches_per_phase_streams(variant, mode):
     iterations = 66
     dataset = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(8))
     rng = RngStream(2**33 + 1, 12)
-    state, records = run_game(variant, mode, SMALL_HYPER, dataset, iterations, rng)
+    state, rows = run_game(variant, mode, SMALL_HYPER, dataset, iterations, rng)
     agents, expect = reference_game(variant, mode, dataset, iterations, rng)
-    assert [(r.iteration, r.ari_a, r.ari_b, r.kappa) for r in records] == expect
+    assert rows == expect
     for agent, ref in zip((state.agent_a, state.agent_b), agents):
         np.testing.assert_array_equal(agent.categories, ref.categories)
         np.testing.assert_array_equal(agent.signs, ref.signs)

@@ -47,3 +47,48 @@ def test_the_parser_sees_relative_and_absolute_imports(tmp_path):
 @pytest.mark.parametrize("module", ["stochastic", "metrics", "agents"])
 def test_lower_layers_import_no_upper_layer(module):
     assert package_imports(PACKAGE / f"{module}.py") & UPPER_LAYERS == set()
+
+
+def unused_module_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each module-level def, class or assigned name (dunders
+    aside) that no top-level statement of the sources loads, the statement
+    that defines it excepted. sources maps module names to their text."""
+    defined = []
+    loads = []  # (module, statement index, loaded names)
+    for module, text in sources.items():
+        for index, stmt in enumerate(ast.parse(text).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined += [(module, index, name) for name in names if not name.startswith("__")]
+            used = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+            }
+            loads.append((module, index, used))
+    return [
+        f"{module}.{name}"
+        for module, index, name in defined
+        if not any(name in used for where, at, used in loads if (where, at) != (module, index))
+    ]
+
+
+def test_the_name_check_sees_unused_classes_constants_and_functions():
+    sources = {
+        "lower": "LIMIT = 3\nUNUSED = 4\nclass Spare:\n    pass\ndef helper():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1)\n",
+        "upper": "from .lower import helper\n__version__ = '1'\ndef main():\n    return helper()\n",
+    }
+    assert unused_module_names(sources) == ["lower.UNUSED", "lower.Spare", "lower.recursive", "upper.main"]
+
+
+def test_every_module_level_name_is_used_by_package_code():
+    # the profiler guard in test_experiment sees only functions; this one
+    # also catches a class or constant that only tests read
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_module_names(sources) == []
