@@ -201,10 +201,10 @@ def install_parameters(agent: AgentModel, probs: np.ndarray) -> None:
     The parameter fields become views of probs, and the log_ fields views
     of one buffer of its logs floored at PROB_FLOOR. This is the one place
     the parameters are floored and logged; every log-space reader reads
-    these views.
+    these views, so every row of log-weights the game normalizes has a
+    finite maximum. probs must fill the layout, as update_parameters'
+    Dirichlet draw does; nothing here checks it.
     """
-    if probs.shape != agent.prior.shape:
-        raise ValueError(f"expected {agent.prior.size} parameters in the agent's layout, got shape {probs.shape}")
     logs = np.maximum(probs, PROB_FLOOR)
     np.log(logs, out=logs)
     blocks = zip(agent.slices, agent.shapes)

@@ -17,7 +17,7 @@ import numbers
 import os
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, replace
-from itertools import islice
+from itertools import islice, starmap
 from pathlib import Path
 from typing import Mapping
 
@@ -180,17 +180,18 @@ def _usable_cpus() -> int:
 
 def _trial_records(cells: list[ExperimentConfig]):
     """Yield each trial's rows, cell by cell and trial by trial: one task
-    list, mapped by one pool when there is more than one worker, so no cell
-    waits for the slowest trial of the cell before it."""
-    tasks = [(cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials)]
+    stream, mapped by one pool when there is more than one worker, so no
+    cell waits for the slowest trial of the cell before it. A serial run
+    draws each task as it runs it; a pool's map submits them all at once."""
+    tasks = ((cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials))
     # workers beyond the tasks or the cores only contend; the pool forks
     # all of them at once
-    workers = min(cells[0].jobs, len(tasks), _usable_cpus())
+    workers = min(cells[0].jobs, sum(cell_cfg.trials for cell_cfg in cells), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run_trial, *zip(*tasks))
     else:
-        yield from map(run_trial, *zip(*tasks))
+        yield from starmap(run_trial, tasks)
 
 
 def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:

@@ -117,10 +117,9 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generato
     """Draw one shared sign for every object from the product of both models.
 
     Centralized topline: requires both agents' couplings simultaneously.
-    Each object consumes one uniform. Returns the drawn signs.
+    Each object consumes one uniform. Returns the drawn signs. Both agents
+    must share one variant, as run_game builds them; nothing here checks it.
     """
-    if agent_a.variant != agent_b.variant:
-        raise ValueError("agents disagree on the coupling variant")
     logw = category_signs(agent_a, log=True)[agent_a.categories]
     logw += category_signs(agent_b, log=True)[agent_b.categories]
     signs = sample_categorical_rows(normalize_log_rows(logw).cumsum(axis=1), gen.random(logw.shape[0]))

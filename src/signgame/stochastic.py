@@ -6,7 +6,6 @@ reproducible from a single integer seed. Sub-streams are derived by value
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
@@ -37,10 +36,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-
-
-class DegenerateDistributionError(ValueError):
-    """All probability mass vanished; nothing can be drawn."""
 
 
 def _splitmix64(x):
@@ -203,19 +198,14 @@ def sample_dirichlet_rows(alpha: np.ndarray, shapes, gen: np.random.Generator) -
     positive concentrations; returns the draws as one flat vector in the
     same layout.
 
-    alpha holds the blocks one after another, each row-major in the
-    (rows, width) shape that shapes lists for it. All gamma variates come
-    from one standard_gamma call and one random call over alpha in order.
-    Entries are strictly positive even when alpha is far below one, where
-    naive normalized-gamma sampling returns zeros.
+    alpha is a float64 vector holding the blocks one after another, each
+    row-major in the (rows, width) shape that shapes lists for it. All
+    gamma variates come from one standard_gamma call and one random call
+    over alpha in order. Entries are strictly positive even when alpha is
+    far below one, where naive normalized-gamma sampling returns zeros.
+    Every concentration must be finite and at least PROB_FLOOR, unchecked:
+    Hyperparams bounds each prior concentration so, and counts are finite.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    shapes = tuple(map(tuple, shapes))
-    if alpha.ndim != 1 or alpha.size != _row_layout(shapes)[0]:
-        raise ValueError("alpha must be a flat vector of non-empty (rows, width) blocks")
-    # a NaN fails both comparisons
-    if not (alpha.min() > 0 and alpha.max() < np.inf):
-        raise ValueError("alpha entries must be positive and finite")
     return normalize_log_rows(_log_gamma_draws(alpha, gen), shapes)
 
 
@@ -232,10 +222,11 @@ def sample_categorical_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _row_layout(shapes: tuple) -> tuple[int, np.ndarray, np.ndarray, tuple]:
-    """Size of a flat vector of row-major (rows, width) blocks, each row's
-    offset and width, and (start, stop, width) of each run of one width; a
-    simulation meets few layouts, so the cache stays small."""
+def _row_layout(shapes: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Each row's offset and width in a flat vector of row-major (rows,
+    width) blocks, and (start, stop, width) of each run of one width; a
+    simulation meets few layouts, so the cache stays small, and the check
+    below runs once per layout."""
     if not shapes or min(map(min, shapes)) < 1:
         raise ValueError("a block layout needs at least one block, and every block a row and a column")
     widths = np.repeat([width for _, width in shapes], [rows for rows, _ in shapes])
@@ -245,7 +236,7 @@ def _row_layout(shapes: tuple) -> tuple[int, np.ndarray, np.ndarray, tuple]:
     for width, run in groupby(shapes, key=lambda shape: shape[1]):
         start, stop = stop, stop + width * sum(rows for rows, _ in run)
         runs.append((start, stop, width))
-    return stop, starts, widths, tuple(runs)
+    return starts, widths, tuple(runs)
 
 
 def normalize_log_rows(values: np.ndarray, shapes=None) -> np.ndarray:
@@ -256,26 +247,18 @@ def normalize_log_rows(values: np.ndarray, shapes=None) -> np.ndarray:
 
     Stable for spreads up to hundreds of thousands of nats: entries far
     below their row's maximum are clamped at EXP_CLAMP and floored at
-    PROB_FLOOR instead of poisoning the sum.
+    PROB_FLOOR instead of poisoning the sum. values must fill the layout
+    and every row have a finite maximum, unchecked here: install_parameters
+    floors every log the game sums, and Dirichlet log-gammas are finite.
     """
     # contiguous, so that the flat view below writes through to values
     values = np.ascontiguousarray(values, dtype=float)
     if shapes is None:
-        if values.ndim != 2:
-            raise ValueError("log-weights without a block layout must be a 2-d matrix")
         shapes = (values.shape,)
-    size, starts, widths, runs = _row_layout(tuple(map(tuple, shapes)))
-    if values.size != size:
-        raise ValueError(f"expected {size} log-weights in the block layout, got {values.size}")
+    starts, widths, runs = _row_layout(tuple(map(tuple, shapes)))
     flat = values.reshape(-1)
-    # max is exact in any order, and propagates NaN: a NaN entry makes the
-    # smallest row maximum NaN
+    # max is exact in any order
     m = np.maximum.reduceat(flat, starts)
-    lowest = m.min()
-    if math.isnan(lowest):
-        raise ValueError("log-weights contain NaN")
-    if lowest == -np.inf:
-        raise DegenerateDistributionError("a row of log-weights is entirely -inf")
     flat -= np.repeat(m, widths)
     np.maximum(flat, EXP_CLAMP, out=flat)
     np.exp(flat, out=flat)

@@ -251,6 +251,21 @@ def test_log_views_are_the_floored_logs_of_the_parameters(variant, modalities):
             floored += np.count_nonzero(probs < PROB_FLOOR)
     # some entries sit below the floor, so the floor is exercised
     assert floored > 0
+    # normalize_log_rows needs a finite maximum in every row, and the floor
+    # is what guarantees it: zero the coupling row and column that every
+    # object's sign selects and a whole emission row, and every log-weight
+    # of the category conditional and of gibbs_word's summed table stays
+    # finite
+    weights = [agent.category_weights.copy()] if variant == "h2h" else []
+    coupling, emissions = agent.coupling.copy(), agent.emissions.copy()
+    coupling[0] = coupling[:, 0] = 0.0
+    emissions[0, 0] = 0.0
+    install_blocks(agent, coupling, emissions, *weights)
+    agent.signs[:] = 0
+    logw = observation_log_likelihood(agent) + category_log_prior(agent)
+    joint = 2 * category_signs(agent, log=True)[agent.categories]
+    for table in (logw, joint):
+        assert np.all(np.isfinite(table))
 
 
 def test_update_parameters_rows_are_distributions():

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,22 @@ def test_grid_pinned_to_one_cpu_starts_no_pool(tmp_path, monkeypatch):
     assert started == []
     for name in ("detail.csv", "summary.csv"):
         assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_a_serial_run_starts_its_first_trial_without_listing_the_rest(monkeypatch):
+    # a stub trial costs nothing, so the traced peak is the task bookkeeping:
+    # a list of 10**5 (cell, trial) tasks alone takes several MB
+    monkeypatch.setattr(experiment, "run_trial", lambda cfg, trial: [(trial,)])
+    records = experiment._trial_records([small_config(trials=10**5)])
+    tracemalloc.start()
+    try:
+        first = next(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        records.close()
+    assert first == [(0,)]
+    assert peak < 2**20
 
 
 FAILING_CELL = full_grid_configs(small_config())[10]

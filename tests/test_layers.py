@@ -92,3 +92,64 @@ def test_every_module_level_name_is_used_by_package_code():
     # also catches a class or constant that only tests read
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_module_names(sources) == []
+
+
+# The kernels that run on every iteration of a game. Their preconditions
+# hold at the boundaries (Hyperparams, SyntheticConfig, ExperimentConfig,
+# init_agent, run_game and install_parameters' floor), so none of them
+# re-checks its input. stochastic._row_layout keeps its check and is left
+# out: it is cached and runs once per layout.
+KERNELS = {
+    "stochastic": [
+        "sample_dirichlet_rows",
+        "_log_gamma_draws",
+        "normalize_log_rows",
+        "sample_categorical_rows",
+        "open_generator",
+    ],
+    "agents": [
+        "posterior_concentrations",
+        "install_parameters",
+        "update_parameters",
+        "observation_log_likelihood",
+        "category_log_prior",
+        "sample_categories",
+        "category_signs",
+    ],
+    "game": ["acceptance_ratio", "mh_exchange", "gibbs_word", "run_iteration"],
+}
+
+
+def raising_functions(text: str, names) -> list[str]:
+    """Those of the named module-level functions of a source text whose body
+    holds a raise statement anywhere, nested functions included; a name the
+    source does not define counts as raising, so a rename cannot hide one."""
+    bodies = {
+        stmt.name: stmt for stmt in ast.parse(text).body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    return [
+        name
+        for name in names
+        if name not in bodies or any(isinstance(node, ast.Raise) for node in ast.walk(bodies[name]))
+    ]
+
+
+def test_the_raise_check_sees_raises_in_kernels():
+    source = (
+        "def plain(x):\n    return x\n"
+        "def checked(x):\n    if x < 0:\n        raise ValueError(x)\n    return x\n"
+        "def nested(x):\n    def inner():\n        raise RuntimeError\n    return inner\n"
+        "def guarded(x):\n    try:\n        return 1 / x\n    except ZeroDivisionError:\n        raise\n"
+    )
+    assert raising_functions(source, ["plain", "checked", "nested", "guarded", "missing"]) == [
+        "checked",
+        "nested",
+        "guarded",
+        "missing",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(KERNELS))
+def test_per_iteration_kernels_raise_nothing(module):
+    text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert raising_functions(text, KERNELS[module]) == []
