@@ -96,9 +96,8 @@ class AgentModel:
     weights and K x L coupling, or t2t's L x K coupling, then an M x K x
     bins stack of emission blocks, one per observed modality in
     modalities order. prior holds the blocks' prior concentrations in
-    that layout. install_parameters sets category_weights, coupling and
-    emissions as views of a drawn vector, and the log_ fields as views of
-    its floored logs. observations is the agent's own read-only float64
+    that layout. install_parameters sets what the game reads of a drawn
+    vector (see there). observations is the agent's own read-only float64
     (M, objects, bins) stack, the dataset's array itself, and the only
     data its kernels read; modalities names its rows in order.
     """
@@ -112,11 +111,9 @@ class AgentModel:
     shapes: tuple = field(init=False)
     slices: tuple = field(init=False)
     prior: np.ndarray = field(init=False)
-    category_weights: np.ndarray | None = field(default=None, init=False)
-    coupling: np.ndarray | None = field(default=None, init=False)
-    emissions: np.ndarray | None = field(default=None, init=False)
-    log_category_weights: np.ndarray | None = field(default=None, init=False)
-    log_coupling: np.ndarray | None = field(default=None, init=False)
+    sign_table: np.ndarray | None = field(default=None, init=False)
+    log_sign_table: np.ndarray | None = field(default=None, init=False)
+    log_category_prior: np.ndarray | None = field(default=None, init=False)
     log_emissions: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -160,6 +157,22 @@ def init_agent(
     return agent
 
 
+def _views(agent: AgentModel, flat: np.ndarray) -> tuple:
+    """The category weights (None in t2t), the K x L sign table and the
+    M x K x bins emission stack of a flat vector in the agent's layout, as
+    views of it. The sign table is the h2h coupling, or the t2t coupling
+    transposed: the likelihood of the category under each sign."""
+    k, l = agent.hyper.num_categories, agent.hyper.num_signs
+    if agent.variant == VARIANT_H2H:
+        weights, coupling, *_ = agent.slices
+        out = flat[weights], flat[coupling].reshape(k, l)
+    else:
+        coupling = agent.slices[0]
+        out = None, flat[coupling].reshape(l, k).T
+    # the emission blocks, all of the last block's shape, follow the coupling
+    return *out, flat[coupling.stop :].reshape(-1, *agent.shapes[-1])
+
+
 def posterior_concentrations(agent: AgentModel) -> np.ndarray:
     """Dirichlet parameters of every conditional posterior, given the
     assignments: one flat vector in the agent's layout (see AgentModel).
@@ -170,18 +183,14 @@ def posterior_concentrations(agent: AgentModel) -> np.ndarray:
     k, l = agent.hyper.num_categories, agent.hyper.num_signs
     c, w = agent.categories, agent.signs
     conc = np.empty(agent.prior.size)
-    if agent.variant == VARIANT_H2H:
-        weights, coupling, *_ = agent.slices
-        conc[weights] = np.bincount(c, minlength=k)
-        conc[coupling] = np.bincount(c * l + w, minlength=k * l)
-    else:
-        coupling = agent.slices[0]
-        conc[coupling] = np.bincount(w * k + c, minlength=l * k)
+    weights, table, emissions = _views(agent, conc)
+    if weights is not None:
+        weights[:] = np.bincount(c, minlength=k)
+    table[...] = np.bincount(c * l + w, minlength=k * l).reshape(k, l)
     # integer counts summed in float64 are exact far below 2**53; one BLAS
     # product per modality, as one over all modalities side by side starts
     # a second BLAS thread at wide histograms
-    obs = agent.observations
-    np.matmul(_identity(k)[c].T, obs, out=conc[coupling.stop :].reshape(obs.shape[0], k, obs.shape[2]))
+    np.matmul(_identity(k)[c].T, agent.observations, out=emissions)
     # count + prior is bitwise prior + count
     conc += agent.prior
     return conc
@@ -196,25 +205,25 @@ def _identity(k: int) -> np.ndarray:
 
 def install_parameters(agent: AgentModel, probs: np.ndarray) -> None:
     """Make probs, a flat vector in the agent's layout (see AgentModel), the
-    agent's parameters.
+    agent's parameters, in the forms the game reads; past these fields no
+    kernel tells the variants apart.
 
-    The parameter fields become views of probs, and the log_ fields views
-    of one buffer of its logs floored at PROB_FLOOR. This is the one place
-    the parameters are floored and logged; every log-space reader reads
-    these views, so every row of log-weights the game normalizes has a
-    finite maximum. probs must fill the layout, as update_parameters'
-    Dirichlet draw does; nothing here checks it.
+    sign_table is the K x L view of probs (see _views), and log_sign_table
+    and log_emissions are views of one buffer of its logs floored at
+    PROB_FLOOR. log_category_prior is L x K, row w the log prior over
+    categories of an object whose sign is w: the h2h log coupling
+    transposed plus the log category weights, or the t2t log coupling
+    block itself. This is the one place the parameters are floored and
+    logged, so every row of log-weights the game normalizes has a finite
+    maximum. probs must fill the layout, as update_parameters' Dirichlet
+    draw does; nothing here checks it.
     """
     logs = np.maximum(probs, PROB_FLOOR)
     np.log(logs, out=logs)
-    blocks = zip(agent.slices, agent.shapes)
-    if agent.variant == VARIANT_H2H:
-        s, _ = next(blocks)
-        agent.category_weights, agent.log_category_weights = probs[s], logs[s]
-    s, shape = next(blocks)
-    agent.coupling, agent.log_coupling = probs[s].reshape(shape), logs[s].reshape(shape)
-    # the emission blocks, all of the last block's shape, follow the coupling
-    agent.emissions, agent.log_emissions = (v[s.stop :].reshape(-1, *agent.shapes[-1]) for v in (probs, logs))
+    _, agent.sign_table, _ = _views(agent, probs)
+    log_weights, agent.log_sign_table, agent.log_emissions = _views(agent, logs)
+    prior = agent.log_sign_table.T
+    agent.log_category_prior = prior if log_weights is None else prior + log_weights
 
 
 def update_parameters(agent: AgentModel, gen: np.random.Generator) -> None:
@@ -235,37 +244,11 @@ def observation_log_likelihood(agent: AgentModel) -> np.ndarray:
     return np.matmul(agent.observations, agent.log_emissions.transpose(0, 2, 1)).sum(axis=0)
 
 
-def category_log_prior(agent: AgentModel) -> np.ndarray:
-    """(num_objects, num_categories) log prior of each object's category
-    given its current sign.
-
-    h2h: the category weights times the probability that the category emits
-    the sign. t2t: the coupling row over categories that the sign selects.
-    """
-    log_prior = category_signs(agent, log=True).T[agent.signs]
-    if agent.variant == VARIANT_H2H:
-        log_prior += agent.log_category_weights
-    return log_prior
-
-
 def sample_categories(agent: AgentModel, gen: np.random.Generator) -> np.ndarray:
     """Redraw every category assignment from its exact conditional given the
     parameters, the observations and the current signs."""
     logw = observation_log_likelihood(agent)
-    logw += category_log_prior(agent)
+    logw += agent.log_category_prior[agent.signs]
     cum = normalize_log_rows(logw).cumsum(axis=1)
     agent.categories = sample_categorical_rows(cum, gen.random(cum.shape[0]))
     return agent.categories
-
-
-def category_signs(agent: AgentModel, log: bool = False) -> np.ndarray:
-    """(num_categories, num_signs) unnormalized weights over signs, one row
-    per category; with log, their floored logs.
-
-    h2h reads the coupling rows, t2t the coupling columns: the likelihood
-    of the category under each sign, which a uniform sign prior turns into
-    the sign posterior. Every reader draws or takes ratios within a row, so
-    the row's normalizer never matters.
-    """
-    table = agent.log_coupling if log else agent.coupling
-    return table if agent.variant == VARIANT_H2H else table.T

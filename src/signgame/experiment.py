@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import os
+from collections import deque
 from contextlib import closing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import islice, starmap
@@ -151,7 +152,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
 
 class ProcessPoolExecutor:
     """concurrent.futures.ProcessPoolExecutor as the grid uses it, a context
-    manager with map, whose modules load when the first pool starts: they
+    manager with submit, whose modules load when the first pool starts: they
     cost start-up time that a serial run never needs."""
 
     def __init__(self, max_workers):
@@ -166,8 +167,8 @@ class ProcessPoolExecutor:
     def __exit__(self, *exc_info):
         return self._pool.__exit__(*exc_info)
 
-    def map(self, fn, *iterables, **kwargs):
-        return self._pool.map(fn, *iterables, **kwargs)
+    def submit(self, fn, *args):
+        return self._pool.submit(fn, *args)
 
 
 def _usable_cpus() -> int:
@@ -180,18 +181,29 @@ def _usable_cpus() -> int:
 
 def _trial_records(cells: list[ExperimentConfig]):
     """Yield each trial's rows, cell by cell and trial by trial: one task
-    stream, mapped by one pool when there is more than one worker, so no
-    cell waits for the slowest trial of the cell before it. A serial run
-    draws each task as it runs it; a pool's map submits them all at once."""
+    stream, run by one pool when there is more than one worker, so no cell
+    waits for the slowest trial of the cell before it. Tasks are drawn as
+    they run: a pool holds at most two per worker, submitted but not yet
+    yielded, and closing the generator cancels those not yet started."""
     tasks = ((cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials))
     # workers beyond the tasks or the cores only contend; the pool forks
     # all of them at once
     workers = min(cells[0].jobs, sum(cell_cfg.trials for cell_cfg in cells), _usable_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run_trial, *zip(*tasks))
-    else:
+    if workers <= 1:
         yield from starmap(run_trial, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = deque()
+        try:
+            for task in tasks:
+                futures.append(pool.submit(run_trial, *task))
+                if len(futures) == 2 * workers:
+                    yield futures.popleft().result()
+            while futures:
+                yield futures.popleft().result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:

@@ -33,7 +33,6 @@ import numpy as np
 from .agents import (
     AgentModel,
     Hyperparams,
-    category_signs,
     init_agent,
     sample_categories,
     update_parameters,
@@ -85,9 +84,9 @@ _COLUMN = {key: i for i, key in enumerate(_PHASE_STREAMS)}
 
 def acceptance_ratio(listener: AgentModel, sign_new, sign_old) -> np.ndarray:
     """Listener-side ratio of its floored sign weights, new sign over
-    current one, for every object; the table's per-category normalizer
+    current one, for every object; the sign table's per-category normalizer
     cancels. sign_new and sign_old hold one sign per object."""
-    weights = np.maximum(category_signs(listener), PROB_FLOOR)
+    weights = np.maximum(listener.sign_table, PROB_FLOOR)
     c = listener.categories
     return weights[c, sign_new] / weights[c, sign_old]
 
@@ -107,7 +106,7 @@ def mh_exchange(speaker: AgentModel, listener: AgentModel, gen: np.random.Genera
     the (proposed, accepted) arrays.
     """
     u = gen.random((listener.signs.size, 2))
-    proposed = sample_categorical_rows(category_signs(speaker).cumsum(axis=1)[speaker.categories], u[:, 0])
+    proposed = sample_categorical_rows(speaker.sign_table.cumsum(axis=1)[speaker.categories], u[:, 0])
     accepted = u[:, 1] < acceptance_ratio(listener, proposed, listener.signs)
     listener.signs[accepted] = proposed[accepted]
     return proposed, accepted
@@ -116,12 +115,11 @@ def mh_exchange(speaker: AgentModel, listener: AgentModel, gen: np.random.Genera
 def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generator) -> np.ndarray:
     """Draw one shared sign for every object from the product of both models.
 
-    Centralized topline: requires both agents' couplings simultaneously.
-    Each object consumes one uniform. Returns the drawn signs. Both agents
-    must share one variant, as run_game builds them; nothing here checks it.
+    Centralized topline: requires both agents' sign tables simultaneously.
+    Each object consumes one uniform. Returns the drawn signs.
     """
-    logw = category_signs(agent_a, log=True)[agent_a.categories]
-    logw += category_signs(agent_b, log=True)[agent_b.categories]
+    logw = agent_a.log_sign_table[agent_a.categories]
+    logw += agent_b.log_sign_table[agent_b.categories]
     signs = sample_categorical_rows(normalize_log_rows(logw).cumsum(axis=1), gen.random(logw.shape[0]))
     agent_a.signs[:] = signs
     agent_b.signs[:] = signs

@@ -9,7 +9,6 @@ import numpy as np
 from signgame.agents import (
     AgentModel,
     Hyperparams,
-    category_signs,
     install_parameters,
     sample_categories,
     update_parameters,
@@ -110,7 +109,7 @@ def solo_gibbs_fit(agent, iterations, rng):
         step = rng.derive(it)
         update_parameters(agent, step.derive(0).generator())
         sample_categories(agent, step.derive(1).generator())
-        cum = category_signs(agent).cumsum(axis=1)[agent.categories]
+        cum = agent.sign_table.cumsum(axis=1)[agent.categories]
         # one uniform per object, in object order
         agent.signs = sample_categorical_rows(cum, step.derive(2).generator().random(cum.shape[0]))
     return agent

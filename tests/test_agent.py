@@ -12,8 +12,6 @@ from conftest import install_blocks, solo_gibbs_fit
 from signgame.agents import (
     AgentModel,
     Hyperparams,
-    category_log_prior,
-    category_signs,
     init_agent,
     install_parameters,
     observation_log_likelihood,
@@ -66,13 +64,30 @@ def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_w
 
 
 def blocks(agent, flat):
-    """A flat vector in the agent's layout, split into its named blocks."""
+    """A flat vector in the agent's layout, split into its named blocks;
+    "emissions" stacks the emission blocks."""
     names = ["category_weights"] if agent.variant == "h2h" else []
     names += ["coupling"] + [f"emissions.{m}" for m in agent.modalities]
     out = {name: flat[s].reshape(shape) for name, s, shape in zip(names, agent.slices, agent.shapes)}
     if agent.variant == "h2h":
         out["category_weights"] = out["category_weights"][0]
+    out["emissions"] = np.stack([out[f"emissions.{m}"] for m in agent.modalities])
     return out
+
+
+@pytest.fixture
+def installed(monkeypatch):
+    """The flat vectors that update_parameters gives install_parameters from
+    here on, in order: the Dirichlet draws the agent's tables view."""
+    vectors = []
+    install = agents.install_parameters
+
+    def capture(agent, probs):
+        vectors.append(probs)
+        install(agent, probs)
+
+    monkeypatch.setattr(agents, "install_parameters", capture)
+    return vectors
 
 
 def test_init_agent_ranges_and_determinism():
@@ -82,9 +97,10 @@ def test_init_agent_ranges_and_determinism():
     assert agent.signs.shape == (150,)
     assert agent.categories.min() >= 0 and agent.categories.max() < 15
     assert agent.signs.min() >= 0 and agent.signs.max() < 15
-    assert agent.category_weights.shape == (15,)
-    assert agent.coupling.shape == (15, 15)
-    assert agent.emissions.shape == (3, 15, 20)
+    assert agent.shapes == ((1, 15), (15, 15)) + ((15, 20),) * 3
+    assert agent.sign_table.shape == agent.log_sign_table.shape == (15, 15)
+    assert agent.log_category_prior.shape == (15, 15)
+    assert agent.log_emissions.shape == (3, 15, 20)
     # the agent holds the dataset's stack itself, read-only
     assert agent.observations is data.observations[0]
     assert not agent.observations.flags.writeable
@@ -92,11 +108,12 @@ def test_init_agent_ranges_and_determinism():
     again = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(9))
     assert np.array_equal(agent.categories, again.categories)
     assert np.array_equal(agent.signs, again.signs)
-    np.testing.assert_array_equal(agent.coupling, again.coupling)
+    np.testing.assert_array_equal(agent.sign_table, again.sign_table)
 
     t2t = init_agent("t2t", Hyperparams(), data.modalities[1], data.observations[1], RngStream(9))
-    assert t2t.category_weights is None
-    assert t2t.coupling.shape == (15, 15)
+    # no category weights block: the layout opens with the L x K coupling
+    assert t2t.shapes == ((15, 15),) + ((15, 20),) * 3
+    assert t2t.sign_table.shape == (15, 15)
 
 
 def test_init_agent_validation():
@@ -232,7 +249,7 @@ def test_posterior_concentrations_t2t_orientation():
     [("h2h", FULL), ("t2t", FULL), ("h2h", ("s", "h"))],
     ids=["h2h", "t2t", "h2h-masked"],
 )
-def test_log_views_are_the_floored_logs_of_the_parameters(variant, modalities):
+def test_log_views_are_the_floored_logs_of_the_parameters(variant, modalities, installed):
     data = generate_dataset(SyntheticConfig(), Hyperparams(), (modalities, FULL), RngStream(5))
     agent = init_agent(variant, Hyperparams(), data.modalities[0], data.observations[0], RngStream(6))
     assert agent.log_emissions.shape == (len(modalities), 15, 20)
@@ -241,14 +258,14 @@ def test_log_views_are_the_floored_logs_of_the_parameters(variant, modalities):
         if step:
             sample_categories(agent, RngStream(7).derive(step, 0).generator())
             update_parameters(agent, RngStream(7).derive(step, 1).generator())
-        pairs = [(agent.coupling, agent.log_coupling)]
-        pairs.append((agent.emissions, agent.log_emissions))
-        if variant == "h2h":
-            pairs.append((agent.category_weights, agent.log_category_weights))
-        for probs, logs in pairs:
-            assert logs.shape == probs.shape
-            assert logs.tobytes() == np.log(np.maximum(probs, PROB_FLOOR)).tobytes()
-            floored += np.count_nonzero(probs < PROB_FLOOR)
+        probs = installed[-1]
+        drawn, logs = blocks(agent, probs), blocks(agent, np.log(np.maximum(probs, PROB_FLOOR)))
+        # the h2h coupling, or the t2t coupling transposed
+        orient = (lambda table: table) if variant == "h2h" else np.transpose
+        assert agent.sign_table.tobytes() == orient(drawn["coupling"]).tobytes()
+        assert agent.log_sign_table.tobytes() == orient(logs["coupling"]).tobytes()
+        assert agent.log_emissions.tobytes() == logs["emissions"].tobytes()
+        floored += np.count_nonzero(probs < PROB_FLOOR)
     # some entries sit below the floor, so the floor is exercised
     assert floored > 0
     # normalize_log_rows needs a finite maximum in every row, and the floor
@@ -256,32 +273,34 @@ def test_log_views_are_the_floored_logs_of_the_parameters(variant, modalities):
     # object's sign selects and a whole emission row, and every log-weight
     # of the category conditional and of gibbs_word's summed table stays
     # finite
-    weights = [agent.category_weights.copy()] if variant == "h2h" else []
-    coupling, emissions = agent.coupling.copy(), agent.emissions.copy()
+    drawn = blocks(agent, installed[-1])
+    weights = [drawn["category_weights"]] if variant == "h2h" else []
+    coupling, emissions = drawn["coupling"].copy(), drawn["emissions"].copy()
     coupling[0] = coupling[:, 0] = 0.0
     emissions[0, 0] = 0.0
     install_blocks(agent, coupling, emissions, *weights)
     agent.signs[:] = 0
-    logw = observation_log_likelihood(agent) + category_log_prior(agent)
-    joint = 2 * category_signs(agent, log=True)[agent.categories]
+    logw = observation_log_likelihood(agent) + agent.log_category_prior[agent.signs]
+    joint = 2 * agent.log_sign_table[agent.categories]
     for table in (logw, joint):
         assert np.all(np.isfinite(table))
 
 
-def test_update_parameters_rows_are_distributions():
+def test_update_parameters_rows_are_distributions(installed):
     data = full_dataset()
     for variant in ("h2h", "t2t"):
         agent = init_agent(variant, Hyperparams(), data.modalities[0], data.observations[0], RngStream(3))
         update_parameters(agent, RngStream(4).generator())
+        drawn = blocks(agent, installed[-1])
         if variant == "h2h":
-            np.testing.assert_allclose(agent.category_weights.sum(), 1.0, atol=1e-9)
-        np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
-        assert agent.emissions.shape == (3, 15, 20)
-        np.testing.assert_allclose(agent.emissions.sum(axis=2), 1.0, atol=1e-9)
-        assert np.all(agent.emissions > 0)
+            np.testing.assert_allclose(drawn["category_weights"].sum(), 1.0, atol=1e-9)
+        np.testing.assert_allclose(drawn["coupling"].sum(axis=1), 1.0, atol=1e-9)
+        assert drawn["emissions"].shape == (3, 15, 20)
+        np.testing.assert_allclose(drawn["emissions"].sum(axis=2), 1.0, atol=1e-9)
+        assert np.all(drawn["emissions"] > 0)
 
 
-def test_category_weight_posterior_mean_matches_conjugacy():
+def test_category_weight_posterior_mean_matches_conjugacy(installed):
     # counts [3, 7] with gamma=0.01 give Dirichlet(3.01, 7.01), whose mean
     # is [0.3004..., 0.6995...]
     agent = tiny_agent(
@@ -300,11 +319,11 @@ def test_category_weight_posterior_mean_matches_conjugacy():
     gen = RngStream(77).generator()
     for _ in range(draws):
         update_parameters(agent, gen)
-        total += agent.category_weights
+        total += blocks(agent, installed.pop())["category_weights"]
     np.testing.assert_allclose(total / draws, [3.01 / 10.02, 7.01 / 10.02], atol=5e-3)
 
 
-def test_empty_category_keeps_valid_rows():
+def test_empty_category_keeps_valid_rows(installed):
     agent = tiny_agent(
         "h2h",
         coupling=np.full((2, 2), 0.5),
@@ -314,23 +333,68 @@ def test_empty_category_keeps_valid_rows():
     )
     agent.categories = np.array([0, 0])  # category 1 empty
     update_parameters(agent, RngStream(8).generator())
-    np.testing.assert_allclose(agent.coupling.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(agent.emissions[0].sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(agent.emissions[0, 1] > 0)
+    drawn = blocks(agent, installed[-1])
+    np.testing.assert_allclose(drawn["coupling"].sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(drawn["emissions.v"].sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(drawn["emissions.v"][1] > 0)
 
 
 def test_category_log_prior_hand_values():
     # h2h: category weight times the chance the category emits the sign
     h2h = tiny_agent("h2h", [[0.6, 0.4], [0.3, 0.7]], [[0.5, 0.5], [0.5, 0.5]], [0, 1], category_weights=[0.25, 0.75])
     np.testing.assert_allclose(
-        np.exp(category_log_prior(h2h)), [[0.25 * 0.6, 0.75 * 0.3], [0.25 * 0.4, 0.75 * 0.7]], rtol=1e-12
+        np.exp(h2h.log_category_prior[h2h.signs]), [[0.25 * 0.6, 0.75 * 0.3], [0.25 * 0.4, 0.75 * 0.7]], rtol=1e-12
     )
     # t2t: the sign's row over categories
     t2t = tiny_agent("t2t", [[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]], [1, 0, 1])
-    np.testing.assert_allclose(np.exp(category_log_prior(t2t)), [[0.2, 0.8], [0.9, 0.1], [0.2, 0.8]], rtol=1e-12)
+    np.testing.assert_allclose(
+        np.exp(t2t.log_category_prior[t2t.signs]), [[0.2, 0.8], [0.9, 0.1], [0.2, 0.8]], rtol=1e-12
+    )
 
 
-def test_category_signs_h2h_reads_coupling_row():
+def hand_set(variant):
+    """A tiny agent of 2 categories and 3 signs, with a zero in its
+    coupling, and the flat vector installed in it."""
+    agent = tiny_agent(variant, np.full((2, 3) if variant == "h2h" else (3, 2), 0.5), [[0.5, 0.5], [0.9, 0.1]], [0, 2, 1])
+    coupling = [[0.6, 0.4, 0.0], [0.1, 0.2, 0.7]] if variant == "h2h" else [[0.7, 0.3], [0.0, 1.0], [0.4, 0.6]]
+    front = [[0.25, 0.75]] if variant == "h2h" else []
+    probs = np.concatenate([np.ravel(b) for b in front + [coupling, [[0.5, 0.5], [0.9, 0.1]]]])
+    install_parameters(agent, probs)
+    return agent, probs
+
+
+def test_log_category_prior_h2h_adds_the_log_weights_to_the_log_coupling_columns():
+    agent, probs = hand_set("h2h")
+    logs = blocks(agent, np.log(np.maximum(probs, PROB_FLOOR)))
+    expected = logs["coupling"].T + logs["category_weights"]
+    assert agent.log_category_prior.shape == (3, 2)
+    assert agent.log_category_prior.tobytes() == expected.tobytes()
+
+
+def test_log_category_prior_t2t_is_the_log_coupling_block():
+    agent, probs = hand_set("t2t")
+    logs = blocks(agent, np.log(np.maximum(probs, PROB_FLOOR)))
+    assert agent.log_category_prior.shape == (3, 2)
+    assert agent.log_category_prior.tobytes() == logs["coupling"].tobytes()
+    # its rows are the log sign table's columns, one buffer
+    assert np.shares_memory(agent.log_category_prior, agent.log_sign_table)
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_sign_tables_view_the_vector_and_its_logs(variant):
+    agent, probs = hand_set(variant)
+    assert agent.sign_table.shape == agent.log_sign_table.shape == (2, 3)
+    assert np.shares_memory(agent.sign_table, probs)
+    # the log tables view one buffer of the vector's floored logs
+    logs = agent.log_emissions.base
+    assert logs.tobytes() == np.log(np.maximum(probs, PROB_FLOOR)).tobytes()
+    assert np.shares_memory(agent.log_sign_table, logs)
+    # the zero coupling entry is floored before its log
+    assert np.count_nonzero(agent.sign_table == 0.0) == 1
+    assert agent.log_sign_table[agent.sign_table == 0.0].tolist() == [np.log(PROB_FLOOR)]
+
+
+def test_sign_table_h2h_reads_coupling_row():
     agent = tiny_agent(
         "h2h",
         coupling=[[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]],
@@ -338,10 +402,10 @@ def test_category_signs_h2h_reads_coupling_row():
         signs=[0],
     )
     agent.categories = np.array([1])
-    np.testing.assert_allclose(category_signs(agent)[agent.categories], [[0.1, 0.2, 0.7]])
+    np.testing.assert_allclose(agent.sign_table[agent.categories], [[0.1, 0.2, 0.7]])
 
 
-def test_category_signs_t2t_reads_raw_column():
+def test_sign_table_t2t_reads_raw_column():
     agent = tiny_agent(
         "t2t",
         coupling=[[0.2, 0.8], [0.6, 0.4], [0.2, 0.8]],
@@ -350,9 +414,9 @@ def test_category_signs_t2t_reads_raw_column():
     )
     agent.categories = np.array([0, 1])
     # the column of each object's category, not normalized over signs
-    assert category_signs(agent)[agent.categories].tolist() == [[0.2, 0.6, 0.2], [0.8, 0.4, 0.8]]
+    assert agent.sign_table[agent.categories].tolist() == [[0.2, 0.6, 0.2], [0.8, 0.4, 0.8]]
     agent.categories = np.array([1, 0])
-    assert category_signs(agent)[agent.categories].tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
+    assert agent.sign_table[agent.categories].tolist() == [[0.8, 0.4, 0.8], [0.2, 0.6, 0.2]]
 
 
 def side_by_side(agent):
@@ -421,7 +485,7 @@ def test_observation_log_likelihood_floors_zero_probability():
     assert ll[1, 0] < -600
 
 
-def test_masked_modalities_contribute_nothing():
+def test_masked_modalities_contribute_nothing(installed):
     config = SyntheticConfig()
     full = generate_dataset(config, Hyperparams(), (FULL, FULL), RngStream(55))
     # same draws, but agent A is masked to v only: its stack is full's v row
@@ -435,8 +499,8 @@ def test_masked_modalities_contribute_nothing():
         sample_categories(one, RngStream(58).generator())
         sample_categories(two, RngStream(58).generator())
     assert np.array_equal(one.categories, two.categories)
-    np.testing.assert_array_equal(one.coupling, two.coupling)
-    np.testing.assert_array_equal(one.emissions, two.emissions)
+    # the last Dirichlet draws of one and of two
+    np.testing.assert_array_equal(installed[-2], installed[-1])
 
 
 def test_two_applications_leave_category_distribution_invariant():
@@ -574,11 +638,11 @@ def frozen_pair(sign_marginal, seed=7):
 
 
 def category_conditionals(agent):
-    return normalize_log_rows(observation_log_likelihood(agent) + category_log_prior(agent))
+    return normalize_log_rows(observation_log_likelihood(agent) + agent.log_category_prior[agent.signs])
 
 
 def normalized_sign_rows(agent):
-    rows = category_signs(agent)
+    rows = agent.sign_table
     return rows / rows.sum(axis=1, keepdims=True)
 
 
@@ -663,9 +727,10 @@ def uniform_z(codes, cells):
     return (chi_square - (cells - 1)) / math.sqrt(2 * (cells - 1))
 
 
-def geweke_statistics(variant, replicas, seed):
+def geweke_statistics(variant, replicas, seed, installed):
     """z scores of the replicas' statistics after one solo Gibbs sweep
-    against their prior values, by name."""
+    against their prior values, by name; installed collects the sweep's
+    Dirichlet draws (see the installed fixture)."""
     h = GEWEKE_HYPER
     k, l, b = h.num_categories, h.num_signs, GEWEKE_BINS
     alpha, beta, gamma = h.coupling_concentration, h.emission_concentration["v"], h.category_concentration
@@ -680,7 +745,8 @@ def geweke_statistics(variant, replicas, seed):
         solo_gibbs_fit(agent, 1, sweep.derive(i))
         c0[i], w0[i] = agent.categories[0], agent.signs[0]
         same_c[i], same_w[i] = agent.categories[0] == agent.categories[1], agent.signs[0] == agent.signs[1]
-        theta00[i], phi00[i] = agent.coupling[0, 0], agent.emissions[0, 0, 0]
+        drawn = blocks(agent, installed.pop())
+        theta00[i], phi00[i] = drawn["coupling"][0, 0], drawn["emissions"][0, 0, 0]
 
     # a coupling row has n entries: signs in h2h, categories in t2t
     n = l if variant == "h2h" else k
@@ -704,18 +770,19 @@ def geweke_statistics(variant, replicas, seed):
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
-def test_one_gibbs_sweep_keeps_the_joint_prior(variant):
+def test_one_gibbs_sweep_keeps_the_joint_prior(variant, installed):
     # replicas drawn from the joint prior keep its law through one sweep of
     # parameters, categories and signs (Geweke, JASA 99:799-804, 2004)
-    z = geweke_statistics(variant, 10_000, seed={"h2h": 1, "t2t": 2}[variant])
+    z = geweke_statistics(variant, 10_000, seed={"h2h": 1, "t2t": 2}[variant], installed=installed)
     assert max(abs(v) for v in z.values()) < 4, z
 
 
-def joint_geweke_statistics(replicas, seed):
+def joint_geweke_statistics(replicas, seed, installed):
     """z scores of two t2t agents' statistics after one gibbs-mode
     run_iteration against their values under the two-agent joint prior:
     w uniform and shared, then for each agent its own theta, phi,
-    c ~ theta[w] and x ~ Mult(phi[c])."""
+    c ~ theta[w] and x ~ Mult(phi[c]); installed collects the iteration's
+    Dirichlet draws, A's then B's."""
     h = GEWEKE_HYPER
     k, l, bins = h.num_categories, h.num_signs, GEWEKE_BINS
     alpha, beta = h.coupling_concentration, h.emission_concentration["v"]
@@ -735,7 +802,9 @@ def joint_geweke_statistics(replicas, seed):
         a, b = pair
         w0 = a.signs[0]
         labels[i] = a.categories[0], a.categories[1], b.categories[0], w0, a.signs[1]
-        values[i] = a.coupling[0, 0], a.emissions[0, 0, 0], a.coupling[w0, a.categories[0]], b.coupling[w0, b.categories[0]]
+        drawn_b, drawn_a = blocks(b, installed.pop()), blocks(a, installed.pop())
+        theta_a, theta_b = drawn_a["coupling"], drawn_b["coupling"]
+        values[i] = theta_a[0, 0], drawn_a["emissions"][0, 0, 0], theta_a[w0, a.categories[0]], theta_b[w0, b.categories[0]]
     ca0, ca1, cb0, w0, w1 = labels.T
     theta_a00, phi_a00, theta_a_drawn, theta_b_drawn = values.T
     # E theta[w, c] for c ~ theta[w] is the second moment summed over a row
@@ -754,8 +823,8 @@ def joint_geweke_statistics(replicas, seed):
     }
 
 
-def test_one_joint_gibbs_iteration_keeps_the_two_agent_prior():
+def test_one_joint_gibbs_iteration_keeps_the_two_agent_prior(installed):
     # t2t in gibbs mode is an exact Gibbs sweep of one two-agent joint, so
     # one run_iteration, gibbs_word included, keeps its law
-    z = joint_geweke_statistics(10_000, seed=3)
+    z = joint_geweke_statistics(10_000, seed=3, installed=installed)
     assert max(abs(v) for v in z.values()) < 4, z

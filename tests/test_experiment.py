@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -216,17 +217,17 @@ def test_full_grid_across_a_seed_block_matches_golden_digests(tmp_path):
 
 def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     started = []
-    mapped = []
+    submitted = []  # one list of (cell, trial) tasks per pool
 
     class CountedPool(experiment.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
+            submitted.append([])
             super().__init__(*args, **kwargs)
 
-        def map(self, fn, *iterables, **kwargs):
-            cfgs, trials = (list(column) for column in iterables)
-            mapped.append([(c.variant, c.method, c.condition, t) for c, t in zip(cfgs, trials)])
-            return super().map(fn, cfgs, trials, **kwargs)
+        def submit(self, fn, c, t):
+            submitted[-1].append((c.variant, c.method, c.condition, t))
+            return super().submit(fn, c, t)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -235,9 +236,9 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     run_full_grid(cfg, tmp_path / "parallel", progress=cells.append)
     assert started == [2]
     assert len(cells) == 24
-    # every trial of every cell is one task of a single map call, in report order
+    # every trial of every cell is one task submitted to a single pool, in report order
     order = [(c.variant, c.method, c.condition) for c in full_grid_configs(cfg)]
-    assert mapped == [[key + (t,) for key in order for t in range(cfg.trials)]]
+    assert submitted == [[key + (t,) for key in order for t in range(cfg.trials)]]
     assert [(row["variant"], row["method"], row["condition"]) for row in cells] == order
     run_full_grid(small_config(iterations=2), tmp_path / "serial")
     assert started == [2]
@@ -250,7 +251,7 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     # a one-trial grid still has 24 tasks for its pool
     run_full_grid(small_config(iterations=2, jobs=2, trials=1), tmp_path / "one_trial")
     assert started == [2, 3, 2, 2]
-    assert len(mapped) == 4
+    assert len(submitted) == 4
     run_full_grid(small_config(iterations=2, trials=1), tmp_path / "one_trial_serial")
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(1)))
     run_full_grid(small_config(iterations=2, jobs=2), tmp_path / "one_core")
@@ -297,6 +298,33 @@ def test_a_serial_run_starts_its_first_trial_without_listing_the_rest(monkeypatc
         records.close()
     assert first == [(0,)]
     assert peak < 2**20
+
+
+def stub_trial(cfg, trial):
+    # at module level, so the pool can pickle it in place of run_trial
+    return [(trial,)]
+
+
+def test_a_parallel_run_starts_its_first_trial_without_submitting_the_rest(monkeypatch):
+    # a pending future costs some hundred bytes, so submitting 10**5 of them
+    # at once would take tens of MB; a bounded window takes a handful
+    monkeypatch.setattr(experiment, "run_trial", stub_trial)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
+    # the pool's modules load before tracing starts, so the peak counts the
+    # task bookkeeping, not about 1 MB of imports
+    importlib.import_module("concurrent.futures.process")
+    records = experiment._trial_records([small_config(trials=10**5, jobs=2)])
+    tracemalloc.start()
+    try:
+        first = next(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        records.close()
+    assert first == [(0,)]
+    assert peak < 2**20
+    # closing the stream cancelled its pending tasks and shut the pool down
+    assert multiprocessing.active_children() == []
 
 
 FAILING_CELL = full_grid_configs(small_config())[10]

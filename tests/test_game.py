@@ -10,7 +10,6 @@ import signgame.game as game
 from conftest import counting_draw, frozen_agent, install_blocks, tv_distance
 from signgame.agents import (
     Hyperparams,
-    category_signs,
     init_agent,
     sample_categories,
     update_parameters,
@@ -162,7 +161,7 @@ def test_all_rejection_isolates_the_listener_from_the_speaker():
     np.testing.assert_array_equal(state_base.agent_b.categories, state_swap.agent_b.categories)
     np.testing.assert_array_equal(state_base.agent_b.signs, state_swap.agent_b.signs)
     # the swap really reached agent A: its emission posteriors track its data
-    assert np.any(state_base.agent_a.emissions != state_swap.agent_a.emissions)
+    assert np.any(state_base.agent_a.log_emissions != state_swap.agent_a.log_emissions)
 
 
 def test_gibbs_topline_keeps_one_shared_sign_vector():
@@ -182,14 +181,15 @@ def test_run_game_rejects_bad_arguments():
 
 
 # Scalar reference: the per-object formulas the array kernels replace
-# (cumsum + searchsorted draw, floored ratio, one object per call).
+# (cumsum + searchsorted draw, floored ratio, one object per call), read
+# off the coupling block each agent was given, in its layout's orientation.
 
 
-def reference_object_signs(agent, d):
+def reference_object_signs(agent, coupling, d):
     c = agent.categories[d]
     if agent.variant == "h2h":
-        return agent.coupling[c]
-    return agent.coupling[:, c]
+        return coupling[c]
+    return coupling[:, c]
 
 
 def reference_draw(probs, gen):
@@ -198,27 +198,27 @@ def reference_draw(probs, gen):
     return min(idx, probs.size - 1)
 
 
-def reference_ratio(listener, d, proposed, current):
+def reference_ratio(listener, coupling, d, proposed, current):
     c = listener.categories[d]
     if listener.variant == "h2h":
-        p_new, p_old = listener.coupling[c, proposed], listener.coupling[c, current]
+        p_new, p_old = coupling[c, proposed], coupling[c, current]
     else:
-        p_new, p_old = listener.coupling[proposed, c], listener.coupling[current, c]
+        p_new, p_old = coupling[proposed, c], coupling[current, c]
     return float(max(p_new, PROB_FLOOR) / max(p_old, PROB_FLOOR))
 
 
-def reference_mh(speaker, listener, d, gen):
-    proposed = reference_draw(reference_object_signs(speaker, d), gen)
+def reference_mh(speaker, listener, couplings, d, gen):
+    proposed = reference_draw(reference_object_signs(speaker, couplings[0], d), gen)
     current = int(listener.signs[d])
-    accepted = bool(gen.random() < min(1.0, reference_ratio(listener, d, proposed, current)))
+    accepted = bool(gen.random() < min(1.0, reference_ratio(listener, couplings[1], d, proposed, current)))
     if accepted:
         listener.signs[d] = proposed
     return proposed, accepted
 
 
-def reference_gibbs(agent_a, agent_b, d, gen):
-    pa = reference_object_signs(agent_a, d)
-    pb = reference_object_signs(agent_b, d)
+def reference_gibbs(agent_a, agent_b, couplings, d, gen):
+    pa = reference_object_signs(agent_a, couplings[0], d)
+    pb = reference_object_signs(agent_b, couplings[1], d)
     logw = np.log(np.maximum(pa, PROB_FLOOR)) + np.log(np.maximum(pb, PROB_FLOOR))
     p = np.exp(logw - logw.max())
     sign = reference_draw(p / p.sum(), gen)
@@ -233,54 +233,64 @@ KERNEL_DATA = SyntheticConfig(
 )
 
 
+def install_coupling(agent, coupling):
+    """Hand-set the coupling block, with uniform category weights and
+    emissions, which the exchange kernels never read."""
+    k, bins = agent.hyper.num_categories, agent.observations.shape[2]
+    install_blocks(agent, coupling, np.full(agent.log_emissions.shape, 1 / bins), np.full(k, 1 / k))
+
+
 def random_agents(variant, seed):
     """Two agents with random categories, signs and couplings, some of them
-    sharply peaked so that floored probabilities and certain rejections occur."""
+    sharply peaked so that floored probabilities and certain rejections
+    occur; and the two coupling blocks."""
     dataset = generate_dataset(KERNEL_DATA, KERNEL_HYPER, (FULL, FULL), RngStream(seed))
     gen = RngStream(seed).derive(1).generator()
-    agents = []
+    agents, couplings = [], []
     for i in (0, 1):
         agent = init_agent(variant, KERNEL_HYPER, dataset.modalities[i], dataset.observations[i], RngStream(seed).derive(2, i))
-        shape = agent.coupling.shape
-        coupling = gen.dirichlet(np.full(shape[1], 0.05), size=shape[0])
+        k, l = KERNEL_HYPER.num_categories, KERNEL_HYPER.num_signs
+        rows, width = (k, l) if variant == "h2h" else (l, k)
+        coupling = gen.dirichlet(np.full(width, 0.05), size=rows)
         coupling[0, 0] = 0.0
-        install_blocks(agent, coupling, agent.emissions, agent.category_weights)
+        install_coupling(agent, coupling)
         agent.categories = gen.integers(0, KERNEL_HYPER.num_categories, size=dataset.num_objects)
         agent.signs = gen.integers(0, KERNEL_HYPER.num_signs, size=dataset.num_objects)
         agents.append(agent)
-    return agents
+        couplings.append(coupling)
+    return agents, couplings
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
 def test_object_signs_and_ratios_match_scalar_reference_bitwise(variant):
     # a last-bit difference here almost never flips a draw, so it is checked
     # directly rather than through the drawn signs
-    agent, _ = random_agents(variant, 6)
-    coupling = RngStream(6).generator().dirichlet(np.ones(agent.coupling.shape[1]), size=agent.coupling.shape[0])
-    install_blocks(agent, coupling, agent.emissions, agent.category_weights)
+    (agent, _), (shaped, _) = random_agents(variant, 6)
+    coupling = RngStream(6).generator().dirichlet(np.ones(shaped.shape[1]), size=shaped.shape[0])
+    install_coupling(agent, coupling)
     objects = np.arange(agent.categories.size)
-    table = category_signs(agent)[agent.categories]
+    table = agent.sign_table[agent.categories]
     for d in objects:
-        assert table[d].tobytes() == reference_object_signs(agent, d).tobytes()
+        assert table[d].tobytes() == reference_object_signs(agent, coupling, d).tobytes()
     # every (object, new, old) triple, one whole-object call per (new, old)
     signs = range(KERNEL_HYPER.num_signs)
     for new in signs:
         for old in signs:
             batched = acceptance_ratio(agent, np.full(objects.size, new), np.full(objects.size, old))
-            expected = [reference_ratio(agent, d, new, old) for d in objects]
+            expected = [reference_ratio(agent, coupling, d, new, old) for d in objects]
             assert batched.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_mh_exchange_array_call_matches_scalar_reference(variant, seed):
-    speaker, listener = random_agents(variant, seed)
+    (speaker, listener), couplings = random_agents(variant, seed)
     objects = np.arange(listener.categories.size)
     ref_speaker, ref_listener = copy.deepcopy(speaker), copy.deepcopy(listener)
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
 
     proposed, accepted = mh_exchange(speaker, listener, gen)
-    expected = [reference_mh(ref_speaker, ref_listener, d, ref_gen) for d in objects]
+    expected = [reference_mh(ref_speaker, ref_listener, couplings, d, ref_gen) for d in objects]
 
     np.testing.assert_array_equal(proposed, [sign for sign, _ in expected])
     np.testing.assert_array_equal(accepted, [ok for _, ok in expected])
@@ -294,13 +304,13 @@ def test_mh_exchange_array_call_matches_scalar_reference(variant, seed):
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gibbs_word_array_call_matches_scalar_reference(variant, seed):
-    agent_a, agent_b = random_agents(variant, seed)
+    (agent_a, agent_b), couplings = random_agents(variant, seed)
     objects = np.arange(agent_a.categories.size)
     ref_a, ref_b = copy.deepcopy(agent_a), copy.deepcopy(agent_b)
     gen, ref_gen = RngStream(seed).generator(), RngStream(seed).generator()
 
     signs = gibbs_word(agent_a, agent_b, gen)
-    expected = [reference_gibbs(ref_a, ref_b, d, ref_gen) for d in objects]
+    expected = [reference_gibbs(ref_a, ref_b, couplings, d, ref_gen) for d in objects]
 
     np.testing.assert_array_equal(signs, expected)
     np.testing.assert_array_equal(agent_a.signs, ref_a.signs)
@@ -342,14 +352,14 @@ def test_draw_signs_first_index_matches_counting_edges(weights, u):
 def test_per_category_gathers_match_object_tables(variant, seed):
     # the kernels gather per-category tables by category; the object tables
     # they replace give the same bytes and draws
-    speaker, listener = random_agents(variant, seed)
-    table = category_signs(speaker)[speaker.categories]
-    gathered = category_signs(speaker).cumsum(axis=1)[speaker.categories]
+    (speaker, listener), _ = random_agents(variant, seed)
+    table = speaker.sign_table[speaker.categories]
+    gathered = speaker.sign_table.cumsum(axis=1)[speaker.categories]
     assert gathered.tobytes() == table.cumsum(axis=1).tobytes()
     u = RngStream(seed).generator().random(table.shape[0])
     assert np.array_equal(sample_categorical_rows(gathered, u), counting_draw(table.cumsum(axis=1), u))
 
-    weights = np.maximum(category_signs(listener)[listener.categories], PROB_FLOOR)
+    weights = np.maximum(listener.sign_table[listener.categories], PROB_FLOOR)
     rows = np.arange(weights.shape[0])
     new = RngStream(seed).derive(1).generator().integers(0, KERNEL_HYPER.num_signs, size=rows.size)
     expected = weights[rows, new] / weights[rows, listener.signs]
@@ -357,9 +367,8 @@ def test_per_category_gathers_match_object_tables(variant, seed):
 
     # gibbs_word's two log tables: floored and logged per category, then gathered
     for agent in (speaker, listener):
-        gathered = np.log(np.maximum(category_signs(agent), PROB_FLOOR))[agent.categories]
-        objects = np.log(np.maximum(category_signs(agent)[agent.categories], PROB_FLOOR))
-        assert gathered.tobytes() == objects.tobytes()
+        objects = np.log(np.maximum(agent.sign_table[agent.categories], PROB_FLOOR))
+        assert agent.log_sign_table[agent.categories].tobytes() == objects.tobytes()
 
 
 @pytest.mark.parametrize("mode, calls", [("mh", {"mh_exchange": 8}), ("reject", {}), ("gibbs", {"gibbs_word": 4})])
@@ -430,4 +439,4 @@ def test_run_game_across_seed_blocks_matches_per_phase_streams(variant, mode):
     for agent, ref in zip((state.agent_a, state.agent_b), agents):
         np.testing.assert_array_equal(agent.categories, ref.categories)
         np.testing.assert_array_equal(agent.signs, ref.signs)
-        np.testing.assert_array_equal(agent.coupling, ref.coupling)
+        np.testing.assert_array_equal(agent.sign_table, ref.sign_table)

@@ -108,13 +108,12 @@ KERNELS = {
         "open_generator",
     ],
     "agents": [
+        "_views",
         "posterior_concentrations",
         "install_parameters",
         "update_parameters",
         "observation_log_likelihood",
-        "category_log_prior",
         "sample_categories",
-        "category_signs",
     ],
     "game": ["acceptance_ratio", "mh_exchange", "gibbs_word", "run_iteration"],
 }
@@ -153,3 +152,46 @@ def test_the_raise_check_sees_raises_in_kernels():
 def test_per_iteration_kernels_raise_nothing(module):
     text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert raising_functions(text, KERNELS[module]) == []
+
+
+def variant_readers(text: str) -> list[str]:
+    """The defs of a source text that read a .variant attribute, nested
+    ones and methods by their dotted path, such as Class.method; a read
+    outside any def counts as "<module>"."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope is None else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "variant" and isinstance(child.ctx, ast.Load):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(text), None)
+    return sorted(found)
+
+
+def test_the_variant_check_sees_reads_in_functions_methods_and_module_code():
+    source = (
+        "class Model:\n    def __post_init__(self):\n        return self.variant\n"
+        "def plain(agent):\n    return agent.signs\n"
+        "def branching(agent):\n    if agent.variant == 'h2h':\n        return 1\n"
+        "def nested(agent):\n    def inner():\n        return agent.variant\n    return inner\n"
+        "def writer(agent):\n    agent.variant = 'h2h'\n"
+        "LABEL = Model().variant\n"
+    )
+    assert variant_readers(source) == ["<module>", "Model.__post_init__", "branching", "nested.inner"]
+
+
+# The functions that build or read the flat parameter layout, the only ones
+# that tell the h2h and t2t variants apart; every other kernel reads the
+# tables install_parameters sets.
+LAYOUT_FUNCTIONS = {"agents": ["AgentModel.__post_init__", "_views"], "game": []}
+
+
+@pytest.mark.parametrize("module", sorted(LAYOUT_FUNCTIONS))
+def test_only_the_layout_functions_read_the_variant(module):
+    text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert variant_readers(text) == LAYOUT_FUNCTIONS[module]
