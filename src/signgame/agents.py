@@ -18,6 +18,7 @@ assignments are drawn from their exact conditionals given the parameters.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
@@ -44,14 +45,38 @@ _STREAM_ASSIGN = 0
 _STREAM_PARAMS = 1
 
 
-def check_sizes(config, **least: int) -> None:
-    """Raise ValueError naming the first of config's size fields, given with
-    their least values, that lies outside [least, 2**63): sizes index
-    numpy's int64 arrays and bound its integer draws."""
+def check_sizes(config, bits: int = 63, **least: int) -> None:
+    """Check config's integer fields, given with their least values: raise
+    ValueError naming the first that is not an integer or lies outside
+    [least, 2**bits), and store an integral float such as 2.0 as the int.
+    Sizes index numpy's int64 arrays and bound its integer draws."""
     for name, low in least.items():
         value = getattr(config, name)
-        if not low <= value < 2**63:
-            raise ValueError(f"{name} must be in [{low}, 2**63), got {value!r}")
+        # int() would truncate 2.7 to 2, read True as 1 and parse "2"
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()
+        ):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not low <= value < 2**bits:
+            raise ValueError(f"{name} must be in [{low}, 2**{bits}), got {value!r}")
+        object.__setattr__(config, name, int(value))
+
+
+def _check_concentration(name: str, value) -> float:
+    """value as a float; ValueError naming the field unless it is a finite
+    number of at least PROB_FLOOR. The Dirichlet draw divides log1p(-u),
+    which is at least -53 ln 2 = -36.7, by the concentration; from
+    PROB_FLOOR up the quotient stays finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond float range
+        value = np.inf
+    # written so that NaN fails too
+    if not PROB_FLOOR <= value < np.inf:
+        raise ValueError(f"{name} must be finite and at least {PROB_FLOOR:g}, got {value!r}")
+    return value
 
 
 def _default_emission_concentration() -> dict[str, float]:
@@ -71,18 +96,17 @@ class Hyperparams:
     num_signs: int = 15
 
     def __post_init__(self):
-        # Written so that NaN fails too. The Dirichlet draw divides
-        # log1p(-u), which is at least -53 ln 2 = -36.7, by the
-        # concentration; from PROB_FLOOR up the quotient stays finite.
-        if not (PROB_FLOOR <= self.coupling_concentration < np.inf and PROB_FLOOR <= self.category_concentration < np.inf):
-            raise ValueError(f"concentrations must be finite and at least {PROB_FLOOR:g}")
-        for m, b in self.emission_concentration.items():
-            if m not in MODALITIES:
-                raise ValueError(f"unknown modality {m!r}")
-            if not PROB_FLOOR <= b < np.inf:
-                raise ValueError(f"emission concentration for {m!r} must be finite and at least {PROB_FLOOR:g}")
+        for name in ("coupling_concentration", "category_concentration"):
+            object.__setattr__(self, name, _check_concentration(name, getattr(self, name)))
+        emission = self.emission_concentration
+        if not isinstance(emission, Mapping):
+            raise ValueError(f"emission_concentration must map modalities to numbers, got {emission!r}")
         # modalities the mapping does not name keep the default
-        filled = {**_default_emission_concentration(), **self.emission_concentration}
+        filled = _default_emission_concentration()
+        for m, b in emission.items():
+            if m not in MODALITIES:
+                raise ValueError(f"emission_concentration names unknown modality {m!r}")
+            filled[m] = _check_concentration(f"emission_concentration.{m}", b)
         object.__setattr__(self, "emission_concentration", filled)
         check_sizes(self, num_categories=1, num_signs=1)
 

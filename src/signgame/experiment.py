@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from collections import deque
 from contextlib import closing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice, starmap
 from pathlib import Path
 from typing import Mapping
@@ -85,7 +84,8 @@ _STREAM_GAME = 1
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys or out-of-range configuration values."""
+    """Raised by parse_config for a file, block or value that cannot build
+    an ExperimentConfig."""
 
 
 class ReportError(ValueError):
@@ -109,18 +109,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.condition not in CONDITION_CHOICES:
-            raise ConfigError(f"condition must be in {CONDITION_CHOICES}, got {self.condition!r}")
-        try:
-            check_sizes(self, trials=1, iterations=1, jobs=1)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ValueError(f"condition must be in {CONDITION_CHOICES}, got {self.condition!r}")
+        # True and 1.0 pass the membership test: this rejects the one and
+        # stores the other as 1
+        check_sizes(self, condition=1, trials=1, iterations=1, jobs=1)
         # RngStream keeps a seed's low 64 bits: a wider range would alias runs
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
+        check_sizes(self, bits=64, seed=0)
+        for name, cls in (("hyper", Hyperparams), ("synthetic", SyntheticConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         # each size is in range alone, but the products that shape a trial's
         # widest arrays, at up to 8 bytes an element, must stay below the
         # 2**63 bytes numpy can size
@@ -138,7 +139,7 @@ class ExperimentConfig:
         }
         for shape, elements in widest.items():
             if 8 * elements >= 2**63:
-                raise ConfigError(f"an array of {shape} elements would span 2**63 bytes or more")
+                raise ValueError(f"an array of {shape} elements would span 2**63 bytes or more")
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
@@ -302,9 +303,10 @@ def run_full_grid(cfg: ExperimentConfig, out_dir, progress=None) -> list[dict]:
 def read_summary(path) -> list[dict]:
     """Load a summary.csv back into row dicts (floats, None for blank kappas).
 
-    Raises ReportError if the file is not UTF-8, a column is missing, a
-    row's field count differs from the header's, a value does not parse or
-    is not finite, or an ARI cell is blank.
+    Raises ReportError if the file is not UTF-8 or not CSV that the csv
+    module reads, a column is missing, a row's field count differs from the
+    header's, a value does not parse or is not finite, or an ARI cell is
+    blank.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         try:
@@ -312,29 +314,32 @@ def read_summary(path) -> list[dict]:
         except UnicodeDecodeError as exc:
             raise ReportError(f"{path}: not UTF-8 text: {exc}") from exc
     reader = csv.reader(lines)
-    header = next(reader, [])
-    missing = [key for key in SUMMARY_HEADER if key not in header]
-    if missing:
-        raise ReportError(f"{path}: missing column {missing[0]!r}")
-    rows = []
-    for fields in filter(None, reader):  # a blank line holds no row
-        where = f"{path}, line {reader.line_num}"
-        if len(fields) != len(header):
-            raise ReportError(f"{where}: {len(fields)} fields where the header has {len(header)}")
-        raw = dict(zip(header, fields))
-        try:
-            row = {"variant": raw["variant"], "method": raw["method"], "condition": int(raw["condition"])}
-            for key in SUMMARY_HEADER[3:]:
-                row[key] = float(raw[key]) if raw[key] else None
-                if row[key] is not None and not math.isfinite(row[key]):
-                    raise ValueError(f"{key} is {raw[key]!r}, not a finite number")
-        except ValueError as exc:
-            raise ReportError(f"{where}: {exc}") from exc
-        # only kappa may be blank: the joint sampler has none
-        blank = [key for key in SUMMARY_HEADER if key.startswith("ari") and row[key] is None]
-        if blank:
-            raise ReportError(f"{where}: blank {blank[0]!r}")
-        rows.append(row)
+    try:
+        header = next(reader, [])
+        missing = [key for key in SUMMARY_HEADER if key not in header]
+        if missing:
+            raise ReportError(f"{path}: missing column {missing[0]!r}")
+        rows = []
+        for fields in filter(None, reader):  # a blank line holds no row
+            where = f"{path}, line {reader.line_num}"
+            if len(fields) != len(header):
+                raise ReportError(f"{where}: {len(fields)} fields where the header has {len(header)}")
+            raw = dict(zip(header, fields))
+            try:
+                row = {"variant": raw["variant"], "method": raw["method"], "condition": int(raw["condition"])}
+                for key in SUMMARY_HEADER[3:]:
+                    row[key] = float(raw[key]) if raw[key] else None
+                    if row[key] is not None and not math.isfinite(row[key]):
+                        raise ValueError(f"{key} is {raw[key]!r}, not a finite number")
+            except ValueError as exc:
+                raise ReportError(f"{where}: {exc}") from exc
+            # only kappa may be blank: the joint sampler has none
+            blank = [key for key in SUMMARY_HEADER if key.startswith("ari") and row[key] is None]
+            if blank:
+                raise ReportError(f"{where}: blank {blank[0]!r}")
+            rows.append(row)
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise ReportError(f"{path}, line {reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -376,56 +381,19 @@ def compare_to_reference(summary_rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _integer(key: str, value) -> int:
-    # int() would truncate 2.7 to 2, read true as 1 and parse "2"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        isinstance(value, numbers.Integral) or float(value).is_integer()
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} must be finite, got a value beyond float range") from None
-
-
 def _build(cls, block, where: str, **given):
     """cls from a config block whose keys are cls's fields (less those in
-    given, which fill themselves); each value is checked against the type of
-    its field's default, and where prefixes the key paths in messages."""
+    given, which fill themselves); cls checks the values, and where
+    prefixes the key paths in messages."""
     if not isinstance(block, Mapping):
         raise ConfigError(f"{where} must be a JSON object, got {block!r}")
-    defaults = {
-        f.name: f.default if f.default is not MISSING else f.default_factory()
-        for f in fields(cls)
-        if f.name not in given
-    }
-    unknown = set(block) - set(defaults)
+    unknown = set(block) - ({f.name for f in fields(cls)} - set(given))
     if unknown:
         raise ConfigError(f"unknown {where or 'config'} key {sorted(unknown)[0]!r}")
-    kwargs = dict(given)
-    for key, value in block.items():
-        path = f"{where}.{key}" if where else key
-        default = defaults[key]
-        if isinstance(default, Mapping):
-            # the one mapping field, emission_concentration, is per modality
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"{path} must map modalities to numbers")
-            value = {str(m): _number(f"{path}.{m}", b) for m, b in value.items()}
-        elif isinstance(default, int):
-            value = _integer(path, value)
-        elif isinstance(default, float):
-            value = _number(path, value)
-        kwargs[key] = value
     try:
-        return cls(**kwargs)
+        return cls(**block, **given)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}.{exc}" if where else str(exc)) from exc
 
 
 def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentConfig:
@@ -437,10 +405,12 @@ def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentCo
             text = Path(config_file).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        # JSONDecodeError is a ValueError, as is an integer of more digits
+        # than int() reads; deep nesting exhausts the parser's recursion
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot parse config file as JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     hyper = _build(Hyperparams, data.pop("hyperparams", {}), "hyperparams")

@@ -640,6 +640,74 @@ def test_every_dataclass_field_is_a_config_key(tmp_path, capsys, block, key):
     assert not (tmp_path / "out").exists()
 
 
+# every field of the three dataclasses by the class that declares it; a
+# field's default tells an integer from a concentration
+LIBRARY_FIELDS = [
+    (cls, f.name, getattr(cls(), f.name))
+    for cls in (Hyperparams, SyntheticConfig, ExperimentConfig)
+    for f in dataclasses.fields(cls)
+]
+INTEGER_FIELDS = [(cls, name) for cls, name, default in LIBRARY_FIELDS if type(default) is int]
+# (class, field, modality of a per-modality mapping or None)
+CONCENTRATIONS = [(cls, name, None) for cls, name, default in LIBRARY_FIELDS if type(default) is float] + [
+    (cls, name, m) for cls, name, default in LIBRARY_FIELDS if isinstance(default, dict) for m in default
+]
+
+
+def test_the_library_field_lists_see_every_field():
+    # a field of another type would escape both lists below
+    kinds = {type(default) for _, _, default in LIBRARY_FIELDS}
+    assert kinds == {int, float, dict, str, Hyperparams, SyntheticConfig}
+
+
+@pytest.mark.parametrize("cls, name", INTEGER_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INTEGER_FIELDS])
+def test_every_integer_field_checks_its_type_when_built_directly(cls, name):
+    # condition's message may list its choices instead
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            cls(**{name: bad})
+    value = getattr(cls(**{name: 2.0}), name)
+    assert type(value) is int and value == 2
+
+
+@pytest.mark.parametrize("name", [n for _, n, default in LIBRARY_FIELDS if dataclasses.is_dataclass(default)])
+def test_every_nested_config_field_checks_its_class_when_built_directly(name):
+    for bad in (None, 5, {}):
+        with pytest.raises(ValueError, match=f"^{name} must be a "):
+            ExperimentConfig(**{name: bad})
+
+
+@pytest.mark.parametrize(
+    "cls, name, modality", CONCENTRATIONS, ids=[f"{n}.{m}" if m else n for _, n, m in CONCENTRATIONS]
+)
+def test_every_concentration_checks_its_type_when_built_directly(cls, name, modality):
+    def build(value):
+        return cls(**{name: value if modality is None else {modality: value}})
+
+    path = name if modality is None else f"{name}.{modality}"
+    with pytest.raises(ValueError, match=f"^{path} must be a number"):
+        build("x")
+    held = getattr(build(1), name)
+    value = held if modality is None else held[modality]
+    assert type(value) is float and value == 1.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100_000, id="deep-nesting"),
+        pytest.param('{"seed": ' + "1" * 5000 + "}", id="5000-digit-integer"),
+    ],
+)
+def test_cli_maps_unparseable_json_to_a_config_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "JSON" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare_names_the_missing_column(tmp_path, capsys):
     (tmp_path / "summary.csv").write_text("variant,method\nh2h,mh\n")
     assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
@@ -687,6 +755,21 @@ def test_cli_compare_rejects_malformed_rows(tmp_path, capsys, row, message):
     assert out == ""
     assert err.startswith("input error:") and err.count("\n") == 1
     assert "line 2" in err and message in err
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_cli_compare_maps_an_oversized_field_to_an_input_error(tmp_path, capsys, where):
+    # past the csv module's default field limit of 131072 characters
+    huge = "x" * 200_000
+    header = ",".join(SUMMARY_HEADER)
+    row = "h2h,mh,1,0.5,0.1,0.5,0.1,0.9,0.05"
+    lines = [header + "," + huge, row] if where == "header" else [header, row + "," + huge]
+    (tmp_path / "summary.csv").write_text("\n".join(lines) + "\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert f"line {1 if where == 'header' else 2}" in err and "field larger than field limit" in err
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
