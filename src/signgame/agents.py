@@ -45,6 +45,17 @@ _STREAM_ASSIGN = 0
 _STREAM_PARAMS = 1
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, or a stand-in where str() refuses:
+    it prints no int of over 4,300 digits, nor a value that holds one."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, numbers.Integral):
+            return f"an integer of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def check_sizes(config, bits: int = 63, **least: int) -> None:
     """Check config's integer fields, given with their least values: raise
     ValueError naming the first that is not an integer or lies outside
@@ -52,13 +63,12 @@ def check_sizes(config, bits: int = 63, **least: int) -> None:
     Sizes index numpy's int64 arrays and bound its integer draws."""
     for name, low in least.items():
         value = getattr(config, name)
-        # int() would truncate 2.7 to 2, read True as 1 and parse "2"
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            isinstance(value, numbers.Integral) or float(value).is_integer()
-        ):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        # int() would truncate 2.7 to 2, read True as 1 and parse "2"; % 1
+        # stays exact where float() overflows, as for Fraction(10**400, 3)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+            raise ValueError(f"{name} must be an integer, got {shown(value)}")
         if not low <= value < 2**bits:
-            raise ValueError(f"{name} must be in [{low}, 2**{bits}), got {value!r}")
+            raise ValueError(f"{name} must be in [{low}, 2**{bits}), got {shown(value)}")
         object.__setattr__(config, name, int(value))
 
 
@@ -68,7 +78,7 @@ def _check_concentration(name: str, value) -> float:
     which is at least -53 ln 2 = -36.7, by the concentration; from
     PROB_FLOOR up the quotient stays finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {shown(value)}")
     try:
         value = float(value)
     except OverflowError:  # an int beyond float range
@@ -100,12 +110,12 @@ class Hyperparams:
             object.__setattr__(self, name, _check_concentration(name, getattr(self, name)))
         emission = self.emission_concentration
         if not isinstance(emission, Mapping):
-            raise ValueError(f"emission_concentration must map modalities to numbers, got {emission!r}")
+            raise ValueError(f"emission_concentration must map modalities to numbers, got {shown(emission)}")
         # modalities the mapping does not name keep the default
         filled = _default_emission_concentration()
         for m, b in emission.items():
             if m not in MODALITIES:
-                raise ValueError(f"emission_concentration names unknown modality {m!r}")
+                raise ValueError(f"emission_concentration names unknown modality {shown(m)}")
             filled[m] = _check_concentration(f"emission_concentration.{m}", b)
         object.__setattr__(self, "emission_concentration", filled)
         check_sizes(self, num_categories=1, num_signs=1)

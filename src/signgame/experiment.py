@@ -21,7 +21,7 @@ from itertools import islice, starmap
 from pathlib import Path
 from typing import Mapping
 
-from .agents import MODALITIES, VARIANTS, Hyperparams, check_sizes
+from .agents import MODALITIES, VARIANTS, Hyperparams, check_sizes, shown
 from .datagen import SyntheticConfig, generate_dataset
 from .game import METHODS, run_game
 from .metrics import kappa_band, summarize
@@ -109,11 +109,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {shown(self.variant)}")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {METHODS}, got {shown(self.method)}")
         if self.condition not in CONDITION_CHOICES:
-            raise ValueError(f"condition must be in {CONDITION_CHOICES}, got {self.condition!r}")
+            raise ValueError(f"condition must be in {CONDITION_CHOICES}, got {shown(self.condition)}")
         # True and 1.0 pass the membership test: this rejects the one and
         # stores the other as 1
         check_sizes(self, condition=1, trials=1, iterations=1, jobs=1)
@@ -121,7 +121,7 @@ class ExperimentConfig:
         check_sizes(self, bits=64, seed=0)
         for name, cls in (("hyper", Hyperparams), ("synthetic", SyntheticConfig)):
             if not isinstance(getattr(self, name), cls):
-                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be a {cls.__name__}, got {shown(getattr(self, name))}")
         # each size is in range alone, but the products that shape a trial's
         # widest arrays, at up to 8 bytes an element, must stay below the
         # 2**63 bytes numpy can size

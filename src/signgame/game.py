@@ -42,11 +42,9 @@ from .metrics import adjusted_rand_index, kappa
 from .stochastic import (
     PROB_FLOOR,
     RngStream,
-    derive_streams,
     normalize_log_rows,
     open_generator,
     sample_categorical_rows,
-    seed_words,
 )
 
 
@@ -72,14 +70,6 @@ _PHASE_JOINT = 3
 
 # stream slots: agent A is 0 and agent B 1, the order of a pass's speakers
 _SLOT_JOINT = 2
-
-# every (slot, phase) stream an iteration may open, and its column in the seed table
-_PHASE_STREAMS = tuple(
-    (slot, phase)
-    for slot in (0, 1)
-    for phase in (_PHASE_PARAMS, _PHASE_CATEGORIES, _PHASE_SPEAK)
-) + ((_SLOT_JOINT, _PHASE_JOINT),)
-_COLUMN = {key: i for i, key in enumerate(_PHASE_STREAMS)}
 
 
 def acceptance_ratio(listener: AgentModel, sign_new, sign_old) -> np.ndarray:
@@ -128,21 +118,19 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generato
 
 def _game_seeds(rng: RngStream, iterations: int) -> np.ndarray:
     """Seed words of every phase stream of a game, shape (iterations,
-    len(_PHASE_STREAMS), 4).
+    slots, phases, 4).
 
-    Row [t, _COLUMN[slot, phase]] opens the generator of
+    Entry [t, slot, phase] opens the generator of
     rng.derive(_STREAM_ITERATION, t, slot, phase). All streams are derived
     and hashed in one vectorized pass, which costs a fraction of a
-    SeedSequence per phase.
+    SeedSequence per phase; an iteration opens at most 7 of its 12.
     """
-    slots, phases = np.array(_PHASE_STREAMS).T
-    streams = derive_streams(rng.stream, _STREAM_ITERATION, np.arange(iterations)[:, None], slots, phases)
-    return seed_words(rng.seed, streams)
+    return rng.seed_table(_STREAM_ITERATION, *np.ogrid[:iterations, : _SLOT_JOINT + 1, : _PHASE_JOINT + 1])
 
 
 def run_iteration(state: GameState, seeds: np.ndarray) -> GameState:
-    """Advance the game by one full iteration, given that iteration's rows
-    of the seed table (see _game_seeds).
+    """Advance the game by one full iteration, given that iteration's
+    (slot, phase) block of the seed table (see _game_seeds).
 
     Order: agent A refreshes parameters and categories, A speaks about every
     object in one mh_exchange call, then agent B does the same. "reject"
@@ -154,12 +142,12 @@ def run_iteration(state: GameState, seeds: np.ndarray) -> GameState:
     """
     pairs = ((state.agent_a, state.agent_b), (state.agent_b, state.agent_a))
     for slot, (speaker, listener) in enumerate(pairs):
-        update_parameters(speaker, open_generator(seeds[_COLUMN[slot, _PHASE_PARAMS]]))
-        sample_categories(speaker, open_generator(seeds[_COLUMN[slot, _PHASE_CATEGORIES]]))
+        update_parameters(speaker, open_generator(seeds[slot, _PHASE_PARAMS]))
+        sample_categories(speaker, open_generator(seeds[slot, _PHASE_CATEGORIES]))
         if state.mode == "mh":
-            mh_exchange(speaker, listener, open_generator(seeds[_COLUMN[slot, _PHASE_SPEAK]]))
+            mh_exchange(speaker, listener, open_generator(seeds[slot, _PHASE_SPEAK]))
     if state.mode == "gibbs":
-        gibbs_word(state.agent_a, state.agent_b, open_generator(seeds[_COLUMN[_SLOT_JOINT, _PHASE_JOINT]]))
+        gibbs_word(state.agent_a, state.agent_b, open_generator(seeds[_SLOT_JOINT, _PHASE_JOINT]))
     return state
 
 

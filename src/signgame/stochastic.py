@@ -40,27 +40,12 @@ _XSHIFT = 16
 
 def _splitmix64(x):
     # splitmix64 finalizer; bijective on 64-bit ints. x is a Python int or
-    # a 1-d uint64 array, whose arithmetic wraps silently; the masks keep
-    # Python ints to 64 bits and leave array words as they are.
+    # a uint64 array of 1 or more dims, whose arithmetic wraps silently; the
+    # masks keep Python ints to 64 bits and leave array words as they are.
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def derive_streams(stream: int, *ids) -> np.ndarray:
-    """Stream ids of RngStream(seed, stream).derive(*ids) for id arrays.
-
-    The ids broadcast against each other; the result is a uint64 array of
-    their broadcast shape.
-    """
-    ids = np.broadcast_arrays(*ids)
-    shape = ids[0].shape if ids else ()
-    # 1-d lanes keep numpy in array arithmetic, which wraps silently
-    s = np.full(int(np.prod(shape)), stream & _MASK64, dtype=np.uint64)
-    for v in ids:
-        s = _splitmix64(s ^ _splitmix64(v.astype(np.uint64).reshape(-1)))
-    return s.reshape(shape)
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list[int]:
@@ -112,18 +97,19 @@ def seed_words(seed: int, streams) -> np.ndarray:
     # bits. 1-d lanes keep numpy in array arithmetic, which wraps silently.
     shape = np.shape(streams)
     flat = np.asarray(streams, dtype=np.uint64).reshape(-1)
-    words = (flat & np.uint64(_MASK32), flat >> np.uint64(32))
-    mixer = [np.full(flat.shape, v, dtype=np.uint64) for v in pool]
-    for w, word in enumerate(words):
-        mixed = [_mix(mixer[dst], _hashmix(word, call + 4 * w + dst)) for dst in range(_POOL_SIZE)]
-        # the high word exists only for stream ids of 2**32 and above
-        mixer = mixed if w == 0 else [np.where(word != 0, m, old) for m, old in zip(mixed, mixer)]
-    state = np.empty((flat.size, 2 * _POOL_SIZE), dtype=np.uint64)
+    low, high = flat & np.uint64(_MASK32), flat >> np.uint64(32)
+    mixer = [_mix(v, _hashmix(low, call + dst)) for dst, v in enumerate(pool)]
+    # the high word exists only for stream ids of 2**32 and above
+    for dst, m in enumerate(mixer):
+        np.copyto(m, _mix(m, _hashmix(high, call + _POOL_SIZE + dst)), where=high != 0)
+    out = np.zeros((flat.size, _POOL_SIZE), dtype=np.uint64)
     for i in range(2 * _POOL_SIZE):
         value = (mixer[i % _POOL_SIZE] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
-        state[:, i] = value ^ (value >> _XSHIFT)
-    # pairs of little-endian 32-bit words form each 64-bit word
-    return (state[:, 0::2] | (state[:, 1::2] << np.uint64(32))).reshape(shape + (_POOL_SIZE,))
+        value ^= value >> _XSHIFT
+        # pairs of little-endian 32-bit words form each 64-bit word
+        value <<= np.uint64(32 * (i % 2))
+        out[:, i // 2] |= value
+    return out.reshape(shape + (_POOL_SIZE,))
 
 
 @cache
@@ -172,6 +158,17 @@ class RngStream:
         for v in ids:
             s = _splitmix64(s ^ _splitmix64(v & _MASK64))
         return RngStream(self.seed, s)
+
+    def seed_table(self, *ids) -> np.ndarray:
+        """Seed words of self.derive(*ids) for id arrays that broadcast
+        against each other: their broadcast shape plus a trailing axis of
+        four uint64 words, each row of which open_generator turns into the
+        derived stream's generator (see seed_words)."""
+        s = np.full(1, self.stream & _MASK64, dtype=np.uint64)
+        for v in ids:
+            # each fold broadcasts only as far as the ids so far reach
+            s = _splitmix64(s ^ _splitmix64(np.array(v, ndmin=1).astype(np.uint64)))
+        return seed_words(self.seed, s.reshape(np.broadcast_shapes(*map(np.shape, ids))))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed & _MASK64, spawn_key=(self.stream,))

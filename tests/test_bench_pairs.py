@@ -116,6 +116,36 @@ def test_main_exits_1_naming_workloads_with_unequal_digests_or_failures(tmp_path
     assert ("cell-wide (wall_s)" in err) == (wall > 1.0)
 
 
+def test_main_writes_a_null_ratio_and_exits_1_when_every_parent_run_failed(tmp_path, monkeypatch, capsys):
+    spec = {
+        "workloads": [{"name": "cell-mh"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}, {"name": "iter_per_s", "better": "higher", "bound": 0.25}],
+        "per_layer": [],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        # a side with no completed run: perfbench reports 0.0 and prints no digest
+        parent = checkout != tmp_path.resolve()
+        return {
+            "metrics": {"wall_s": {"value": 0.0 if parent else 1.0}, "iter_per_s": {"value": 0.0 if parent else 2.0}},
+            "attempted": 5,
+            "failed": 5 if parent else 0,
+            "digests": [] if parent else ["d"],
+            "machine": {"cpu": "test"},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--workload", "cell-mh", "--pairs", "2"]) == 1
+    summary = json.loads(out.read_text())["workloads"]["cell-mh"]["summary"]
+    assert summary["wall_s"]["change_over_parent"] is None
+    assert summary["iter_per_s"]["change_over_parent"] is None
+    assert summary["failed_operations"] == {"parent": 10, "change": 0}
+    assert not summary["digests_equal"]
+    assert "cell-mh" in capsys.readouterr().err
+
+
 def test_traced_runs_pairs_per_side_in_alternating_order_and_records_the_spread(tmp_path, monkeypatch):
     spec = {
         "workloads": [{"name": "cell-mh"}, {"name": "cell-wide"}],

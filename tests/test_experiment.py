@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -662,10 +663,13 @@ def test_the_library_field_lists_see_every_field():
 
 @pytest.mark.parametrize("cls, name", INTEGER_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INTEGER_FIELDS])
 def test_every_integer_field_checks_its_type_when_built_directly(cls, name):
-    # condition's message may list its choices instead
-    for bad in (True, 2.5, "2"):
-        with pytest.raises(ValueError, match=f"^{name} must be "):
+    # condition's message may list its choices instead; an int too long
+    # for str() and a fraction beyond float range are named by their field
+    # too, the int by its bit length
+    for bad in (True, 2.5, "2", 10**5000, Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match=f"^{name} must be ") as caught:
             cls(**{name: bad})
+        assert bad != 10**5000 or str(caught.value).endswith("got an integer of 16610 bits")
     value = getattr(cls(**{name: 2.0}), name)
     assert type(value) is int and value == 2
 
@@ -856,7 +860,9 @@ def test_serial_runs_never_import_the_process_pool(tmp_path):
 
 # Functions that no run, full or compare command enters in this process,
 # each with the reason it still exists.
-UNPROFILED = {}
+UNPROFILED = {
+    "signgame.agents.shown": "formats a rejected config value for its error message; a command that succeeds rejects none",
+}
 
 PROFILED_COMMANDS = r"""
 import json, os, sys

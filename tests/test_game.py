@@ -389,15 +389,14 @@ def test_run_iteration_makes_one_kernel_call_per_phase(monkeypatch, mode, calls)
 
 
 def test_game_seeds_open_every_phase_stream():
-    # every (iteration, slot, phase) row of a game's seed table opens
+    # every [iteration, slot, phase] entry of a game's seed table opens
     # rng.derive(_STREAM_ITERATION, iteration, slot, phase).generator()
     for rng in (RngStream(2**40 + 9, 5), RngStream(3, 2**32 + 7)):
         seeds = game._game_seeds(rng, 130)
-        assert seeds.shape == (130, len(game._PHASE_STREAMS), 4)
-        for it, row in enumerate(seeds):
-            for (slot, phase), words in zip(game._PHASE_STREAMS, row):
-                expect = rng.derive(game._STREAM_ITERATION, it, slot, phase).generator()
-                assert open_generator(words).bit_generator.state == expect.bit_generator.state
+        assert seeds.shape == (130, 3, 4, 4)
+        for (it, slot, phase), words in zip(np.ndindex(seeds.shape[:3]), seeds.reshape(-1, 4)):
+            expect = rng.derive(game._STREAM_ITERATION, it, slot, phase).generator()
+            assert open_generator(words).bit_generator.state == expect.bit_generator.state
 
 
 def reference_game(variant, mode, dataset, iterations, rng):

@@ -154,10 +154,10 @@ def test_per_iteration_kernels_raise_nothing(module):
     assert raising_functions(text, KERNELS[module]) == []
 
 
-def variant_readers(text: str) -> list[str]:
-    """The defs of a source text that read a .variant attribute, nested
-    ones and methods by their dotted path, such as Class.method; a read
-    outside any def counts as "<module>"."""
+def attribute_readers(text: str, attr: str) -> list[str]:
+    """The defs of a source text that read the attribute attr, nested ones
+    and methods by their dotted path, such as Class.method; a read outside
+    any def counts as "<module>"."""
     found = set()
 
     def visit(node, scope):
@@ -165,7 +165,7 @@ def variant_readers(text: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if scope is None else f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "variant" and isinstance(child.ctx, ast.Load):
+            if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
                 found.add(scope or "<module>")
             visit(child, scope)
 
@@ -173,7 +173,7 @@ def variant_readers(text: str) -> list[str]:
     return sorted(found)
 
 
-def test_the_variant_check_sees_reads_in_functions_methods_and_module_code():
+def test_the_attribute_check_sees_reads_in_functions_methods_and_module_code():
     source = (
         "class Model:\n    def __post_init__(self):\n        return self.variant\n"
         "def plain(agent):\n    return agent.signs\n"
@@ -182,7 +182,8 @@ def test_the_variant_check_sees_reads_in_functions_methods_and_module_code():
         "def writer(agent):\n    agent.variant = 'h2h'\n"
         "LABEL = Model().variant\n"
     )
-    assert variant_readers(source) == ["<module>", "Model.__post_init__", "branching", "nested.inner"]
+    assert attribute_readers(source, "variant") == ["<module>", "Model.__post_init__", "branching", "nested.inner"]
+    assert attribute_readers(source, "signs") == ["plain"]
 
 
 # The functions that build or read the flat parameter layout, the only ones
@@ -194,4 +195,12 @@ LAYOUT_FUNCTIONS = {"agents": ["AgentModel.__post_init__", "_views"], "game": []
 @pytest.mark.parametrize("module", sorted(LAYOUT_FUNCTIONS))
 def test_only_the_layout_functions_read_the_variant(module):
     text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
-    assert variant_readers(text) == LAYOUT_FUNCTIONS[module]
+    assert attribute_readers(text, "variant") == LAYOUT_FUNCTIONS[module]
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "stochastic"))
+def test_only_stochastic_reads_a_stream_id(module):
+    # the rest of the package reaches a derived stream through RngStream's
+    # methods (derive, generator, seed_table), never through its raw id
+    text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert attribute_readers(text, "stream") == []

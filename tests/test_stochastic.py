@@ -18,7 +18,6 @@ from signgame.stochastic import (
     EXP_CLAMP,
     PROB_FLOOR,
     RngStream,
-    derive_streams,
     normalize_log_rows,
     sample_categorical_rows,
     sample_dirichlet_rows,
@@ -74,19 +73,24 @@ def test_open_generator_draws_like_the_stream_generator():
     assert np.array_equal(ours.standard_gamma(np.full(8, 0.5)), theirs.standard_gamma(np.full(8, 0.5)))
 
 
-def test_derive_streams_broadcasts_like_derive():
+def test_seed_table_broadcasts_like_derive():
+    # each entry is seed_words of the stream that derive(...) reaches
     base = RngStream(5, 2**63 + 11)
     iterations = np.arange(40)[:, None]
     slots, phases = np.array([0, 0, 1, 2]), np.array([0, 2, 1, 3])
-    table = derive_streams(base.stream, 1, iterations, slots, phases)
-    assert table.shape == (40, 4) and table.dtype == np.uint64
+    table = base.seed_table(1, iterations, slots, phases)
+    assert table.shape == (40, 4, 4) and table.dtype == np.uint64
     pairs = list(zip(slots.tolist(), phases.tolist()))
-    expect = [[base.derive(1, it, sl, ph).stream for sl, ph in pairs] for it in range(40)]
-    assert table.tolist() == expect
+    streams = [[base.derive(1, it, sl, ph).stream for sl, ph in pairs] for it in range(40)]
+    assert np.array_equal(table, seed_words(base.seed, np.array(streams, dtype=np.uint64)))
     gen = np.random.default_rng(3)
     ids = gen.integers(0, 2**64, size=(500, 3), dtype=np.uint64)
-    table = derive_streams(base.stream, ids[:, 0], ids[:, 1], ids[:, 2])
-    assert table.tolist() == [base.derive(*row).stream for row in ids.tolist()]
+    table = base.seed_table(ids[:, 0], ids[:, 1], ids[:, 2])
+    streams = [base.derive(*row).stream for row in ids.tolist()]
+    assert np.array_equal(table, seed_words(base.seed, np.array(streams, dtype=np.uint64)))
+    # scalar ids give one row of words, and no ids the base stream's own
+    assert np.array_equal(base.seed_table(1, 2), seed_words(base.seed, base.derive(1, 2).stream))
+    assert np.array_equal(base.seed_table(), seed_words(base.seed, base.stream))
 
 
 def dirichlet_row(alpha, gen):

@@ -94,7 +94,8 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
         out[name] = {
             "parent_median": round(parent_median, 6),
             "change_median": round(change_median, 6),
-            "change_over_parent": round(change_median / parent_median, 4),
+            # perfbench reports 0.0 for a metric of a side that failed every run
+            "change_over_parent": round(change_median / parent_median, 4) if parent_median else None,
             "parent_iqr": round(q3 - q1, 6),
             "change_better_pairs": wins,
             "bound": spec["bound"],
