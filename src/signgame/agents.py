@@ -22,7 +22,6 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
-from typing import Mapping
 
 import numpy as np
 
@@ -89,8 +88,17 @@ def _check_concentration(name: str, value) -> float:
     return value
 
 
-def _default_emission_concentration() -> dict[str, float]:
-    return {m: 0.001 for m in MODALITIES}
+@dataclass(frozen=True)
+class EmissionConcentration:
+    """The Dirichlet prior concentration of each modality's emissions."""
+
+    v: float = 0.001
+    s: float = 0.001
+    h: float = 0.001
+
+    def __post_init__(self):
+        for m in MODALITIES:
+            object.__setattr__(self, m, _check_concentration(m, getattr(self, m)))
 
 
 @dataclass(frozen=True)
@@ -98,9 +106,7 @@ class Hyperparams:
     """Concentrations and sizes shared by both agents of a run."""
 
     coupling_concentration: float = 0.01
-    emission_concentration: Mapping[str, float] = field(
-        default_factory=_default_emission_concentration
-    )
+    emission_concentration: EmissionConcentration = field(default_factory=EmissionConcentration)
     category_concentration: float = 0.01
     num_categories: int = 15
     num_signs: int = 15
@@ -109,15 +115,8 @@ class Hyperparams:
         for name in ("coupling_concentration", "category_concentration"):
             object.__setattr__(self, name, _check_concentration(name, getattr(self, name)))
         emission = self.emission_concentration
-        if not isinstance(emission, Mapping):
-            raise ValueError(f"emission_concentration must map modalities to numbers, got {shown(emission)}")
-        # modalities the mapping does not name keep the default
-        filled = _default_emission_concentration()
-        for m, b in emission.items():
-            if m not in MODALITIES:
-                raise ValueError(f"emission_concentration names unknown modality {shown(m)}")
-            filled[m] = _check_concentration(f"emission_concentration.{m}", b)
-        object.__setattr__(self, "emission_concentration", filled)
+        if not isinstance(emission, EmissionConcentration):
+            raise ValueError(f"emission_concentration must be an EmissionConcentration, got {shown(emission)}")
         check_sizes(self, num_categories=1, num_signs=1)
 
 
@@ -157,7 +156,7 @@ class AgentModel:
             blocks = [((1, k), hyper.category_concentration), ((k, l), hyper.coupling_concentration)]
         else:
             blocks = [((l, k), hyper.coupling_concentration)]
-        blocks += [((k, self.observations.shape[2]), hyper.emission_concentration[m]) for m in self.modalities]
+        blocks += [((k, self.observations.shape[2]), getattr(hyper.emission_concentration, m)) for m in self.modalities]
         self.shapes = tuple(shape for shape, _ in blocks)
         sizes = [rows * width for rows, width in self.shapes]
         self.slices = tuple(slice(stop - size, stop) for stop, size in zip(accumulate(sizes), sizes))

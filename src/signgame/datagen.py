@@ -65,7 +65,7 @@ def generate_dataset(
     true_emissions = {}
     for mi, m in enumerate(MODALITIES):
         shape = (config.num_types, config.feature_dim)
-        conc = np.full(shape[0] * shape[1], hyper.emission_concentration[m])
+        conc = np.full(shape[0] * shape[1], getattr(hyper.emission_concentration, m))
         gen = rng.derive(_STREAM_EMISSIONS, mi).generator()
         true_emissions[m] = sample_dirichlet_rows(conc, [shape], gen).reshape(shape)
 

@@ -16,7 +16,7 @@ import math
 import os
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import islice, starmap
 from pathlib import Path
 from typing import Mapping
@@ -383,15 +383,20 @@ def compare_to_reference(summary_rows) -> str:
 
 def _build(cls, block, where: str, **given):
     """cls from a config block whose keys are cls's fields (less those in
-    given, which fill themselves); cls checks the values, and where
-    prefixes the key paths in messages."""
+    given, which fill themselves); a field whose default is a config class
+    is built from its own block by this same rule. cls checks the values,
+    and where prefixes the key paths in messages."""
     if not isinstance(block, Mapping):
         raise ConfigError(f"{where} must be a JSON object, got {block!r}")
     unknown = set(block) - ({f.name for f in fields(cls)} - set(given))
     if unknown:
         raise ConfigError(f"unknown {where or 'config'} key {sorted(unknown)[0]!r}")
+    values = {**block, **given}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory) and f.name in block:
+            values[f.name] = _build(f.default_factory, block[f.name], f"{where}.{f.name}" if where else f.name)
     try:
-        return cls(**block, **given)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}" if where else str(exc)) from exc
 
@@ -414,6 +419,5 @@ def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentCo
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     hyper = _build(Hyperparams, data.pop("hyperparams", {}), "hyperparams")
-    synthetic = _build(SyntheticConfig, data.pop("synthetic", {}), "synthetic")
     data.update((key, value) for key, value in (flags or {}).items() if value is not None)
-    return _build(ExperimentConfig, data, "", hyper=hyper, synthetic=synthetic)
+    return _build(ExperimentConfig, data, "", hyper=hyper)

@@ -123,7 +123,7 @@ def _game_seeds(rng: RngStream, iterations: int) -> np.ndarray:
     Entry [t, slot, phase] opens the generator of
     rng.derive(_STREAM_ITERATION, t, slot, phase). All streams are derived
     and hashed in one vectorized pass, which costs a fraction of a
-    SeedSequence per phase; an iteration opens at most 7 of its 12.
+    SeedSequence per phase; an iteration opens at most 6 of its 12.
     """
     return rng.seed_table(_STREAM_ITERATION, *np.ogrid[:iterations, : _SLOT_JOINT + 1, : _PHASE_JOINT + 1])
 

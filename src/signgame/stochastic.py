@@ -80,19 +80,15 @@ def seed_words(seed: int, streams) -> np.ndarray:
     spawn_key=(s,)).generate_state(4, np.uint64). The assembled entropy is
     the seed's two 32-bit halves padded with zeros to the pool size, then
     the stream id's one word (s < 2**32) or two words. The first part is
-    the same for every stream, so it is mixed once in Python ints and only
-    the stream words are mixed per element. The result has the shape of
-    streams plus a trailing axis of four uint64 words; open_generator turns
-    a row into the stream's generator.
+    the same for every stream: numpy mixes it once, in the pool of
+    SeedSequence(seed) after 16 hash calls, and only the stream words are
+    mixed here, per element. The result has the shape of streams plus a
+    trailing axis of four uint64 words; open_generator turns a row into
+    the stream's generator.
     """
-    seed &= _MASK64
-    pool = [_hashmix(word, i) for i, word in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
-                call += 1
+    # SeedSequence rejects a negative seed, which RngStream reads mod 2**64
+    pool = np.random.SeedSequence(seed & _MASK64).pool.tolist()
+    call = 16
     # uint64 lanes hold 32-bit words; every product is masked back to 32
     # bits. 1-d lanes keep numpy in array arithmetic, which wraps silently.
     shape = np.shape(streams)

@@ -35,9 +35,7 @@ def frozen_agent(variant, weights):
     objects, num_signs = weights.shape
     agent = AgentModel(
         variant=variant,
-        hyper=Hyperparams(
-            num_categories=objects, num_signs=num_signs, emission_concentration={"v": 0.001}
-        ),
+        hyper=Hyperparams(num_categories=objects, num_signs=num_signs),
         modalities=("v",),
         observations=np.zeros((1, objects, 2)),
         categories=np.arange(objects),

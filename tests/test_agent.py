@@ -11,6 +11,7 @@ import signgame.agents as agents
 from conftest import install_blocks, solo_gibbs_fit
 from signgame.agents import (
     AgentModel,
+    EmissionConcentration,
     Hyperparams,
     init_agent,
     install_parameters,
@@ -48,11 +49,7 @@ def tiny_agent(variant, coupling, emissions, signs, num_categories=2, category_w
         histograms = np.zeros((signs.size, emissions.shape[1]))
     agent = AgentModel(
         variant=variant,
-        hyper=Hyperparams(
-            num_categories=num_categories,
-            num_signs=num_signs,
-            emission_concentration={"v": 0.001},
-        ),
+        hyper=Hyperparams(num_categories=num_categories, num_signs=num_signs),
         modalities=("v",),
         observations=np.asarray(histograms, dtype=np.float64)[None],
         categories=np.zeros(signs.size, dtype=np.int64),
@@ -218,7 +215,7 @@ def test_posterior_concentrations_exact_bookkeeping():
     conc = blocks(agent, posterior_concentrations(agent))
     gamma = agent.hyper.category_concentration
     alpha = agent.hyper.coupling_concentration
-    beta = agent.hyper.emission_concentration["v"]
+    beta = agent.hyper.emission_concentration.v
     np.testing.assert_array_equal(conc["category_weights"], [gamma + 2, gamma + 2])
     np.testing.assert_array_equal(
         conc["coupling"],
@@ -579,28 +576,28 @@ def test_single_agent_fit_recovers_types_on_most_seeds():
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "cls, kwargs",
     [
-        {"coupling_concentration": float("inf")},
-        {"coupling_concentration": float("nan")},
-        {"category_concentration": float("nan")},
-        {"category_concentration": 0.0},
-        {"emission_concentration": {"v": float("inf")}},
-        {"emission_concentration": {"s": float("nan")}},
-        {"emission_concentration": {"h": -1.0}},
+        (Hyperparams, {"coupling_concentration": float("inf")}),
+        (Hyperparams, {"coupling_concentration": float("nan")}),
+        (Hyperparams, {"category_concentration": float("nan")}),
+        (Hyperparams, {"category_concentration": 0.0}),
+        (EmissionConcentration, {"v": float("inf")}),
+        (EmissionConcentration, {"s": float("nan")}),
+        (EmissionConcentration, {"h": -1.0}),
         # log1p(-u) / 1e-310 overflows to -inf and turns a Dirichlet row to NaN
-        {"emission_concentration": {"v": 1e-310}},
-        {"coupling_concentration": 1e-310},
+        (EmissionConcentration, {"v": 1e-310}),
+        (Hyperparams, {"coupling_concentration": 1e-310}),
     ],
 )
-def test_hyperparams_reject_non_finite_or_non_positive_concentrations(kwargs):
+def test_hyperparams_reject_non_finite_or_non_positive_concentrations(cls, kwargs):
     with pytest.raises(ValueError, match="finite and at least 1e-300"):
-        Hyperparams(**kwargs)
+        cls(**kwargs)
 
 
 def test_smallest_accepted_concentration_draws_finite_rows():
-    hyper = Hyperparams(coupling_concentration=1e-300, emission_concentration={"v": 1e-300})
-    alpha = np.full(50 * 20, hyper.emission_concentration["v"])
+    hyper = Hyperparams(coupling_concentration=1e-300, emission_concentration=EmissionConcentration(v=1e-300))
+    alpha = np.full(50 * 20, hyper.emission_concentration.v)
     rows = sample_dirichlet_rows(alpha, [(50, 20)], RngStream(seed=1).generator()).reshape(50, 20)
     assert np.all(rows > 0) and np.allclose(rows.sum(axis=1), 1.0)
 
@@ -667,7 +664,7 @@ def test_frozen_variants_differ_only_through_the_sign_marginal():
 # seconds, with every concentration 1.0 so that no parameter nears the floor
 GEWEKE_HYPER = Hyperparams(
     coupling_concentration=1.0,
-    emission_concentration={"v": 1.0},
+    emission_concentration=EmissionConcentration(v=1.0),
     category_concentration=1.0,
     num_categories=2,
     num_signs=3,
@@ -692,7 +689,7 @@ def prior_replicas(variant, replicas, gen, signs=None):
     h = GEWEKE_HYPER
     k, l, d = h.num_categories, h.num_signs, GEWEKE_OBJECTS
     rows = np.arange(replicas)[:, None]
-    phi = gen.dirichlet(np.full(GEWEKE_BINS, h.emission_concentration["v"]), size=(replicas, k))
+    phi = gen.dirichlet(np.full(GEWEKE_BINS, h.emission_concentration.v), size=(replicas, k))
     if variant == "h2h":
         pi = gen.dirichlet(np.full(k, h.category_concentration), size=replicas)
         theta = gen.dirichlet(np.full(l, h.coupling_concentration), size=(replicas, k))
@@ -733,7 +730,7 @@ def geweke_statistics(variant, replicas, seed, installed):
     Dirichlet draws (see the installed fixture)."""
     h = GEWEKE_HYPER
     k, l, b = h.num_categories, h.num_signs, GEWEKE_BINS
-    alpha, beta, gamma = h.coupling_concentration, h.emission_concentration["v"], h.category_concentration
+    alpha, beta, gamma = h.coupling_concentration, h.emission_concentration.v, h.category_concentration
     flat, c, w, x = prior_replicas(variant, replicas, RngStream(seed).generator())
     sweep = RngStream(seed).derive(1)
     c0, w0, same_c, same_w = (np.empty(replicas, dtype=np.int64) for _ in range(4))
@@ -785,7 +782,7 @@ def joint_geweke_statistics(replicas, seed, installed):
     Dirichlet draws, A's then B's."""
     h = GEWEKE_HYPER
     k, l, bins = h.num_categories, h.num_signs, GEWEKE_BINS
-    alpha, beta = h.coupling_concentration, h.emission_concentration["v"]
+    alpha, beta = h.coupling_concentration, h.emission_concentration.v
     gen = RngStream(seed).generator()
     w = gen.integers(0, l, size=(replicas, GEWEKE_OBJECTS))
     drawn = [prior_replicas("t2t", replicas, gen, signs=w) for _ in "AB"]

@@ -80,6 +80,15 @@ def test_summarize_reports_failures_and_digest_mismatch():
     assert not out["digests_equal"]
 
 
+def test_summarize_shows_no_gain_when_the_change_failed_more_operations():
+    # a side that failed every run reads 0.0, which beats every parent median
+    pairs = [{"parent": side(1.0 + i / 10, 1.0), "change": side(0.0, 1.0, failed=5)} for i in range(10)]
+    out = bench_pairs.summarize(pairs, {"wall_s": WALL})
+    assert out["wall_s"]["change_better_pairs"] == 10
+    assert out["failed_operations"] == {"parent": 0, "change": 50}
+    assert not out["wall_s"]["gain_shown"]
+
+
 @pytest.mark.parametrize(
     "digest, failed, wall, status",
     [("d", 0, 1.0, 0), ("other", 0, 1.0, 1), ("d", 3, 1.0, 1), ("d", 0, 1.3, 1)],

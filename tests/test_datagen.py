@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import solo_gibbs_fit
-from signgame.agents import Hyperparams, init_agent
+from signgame.agents import EmissionConcentration, Hyperparams, init_agent
 from signgame.datagen import SyntheticConfig, generate_dataset
 from signgame.experiment import CONDITION_MASKS
 from signgame.metrics import adjusted_rand_index
@@ -58,7 +58,7 @@ def test_masked_modalities_are_absent():
 def test_agents_draw_independently_from_shared_emissions():
     # diffuse emissions so that independent draws cannot coincide; the
     # default near-one-hot emissions make both agents' histograms equal
-    hyper = Hyperparams(emission_concentration={"v": 1.0, "s": 1.0, "h": 1.0})
+    hyper = Hyperparams(emission_concentration=EmissionConcentration(v=1.0, s=1.0, h=1.0))
     data = make_dataset(seed=7, hyper=hyper)
     a = data.observations[0][0]
     b = data.observations[1][0]
@@ -121,11 +121,11 @@ def test_float_observations_follow_the_given_modality_order():
     assert np.array_equal(obs, np.round(obs))
     assert np.all(obs.sum(axis=2) == config.draws_per_modality)
     # the agent's emission prior blocks follow the same order
-    hyper = Hyperparams(emission_concentration={"v": 0.5, "h": 0.25})
+    hyper = Hyperparams(emission_concentration=EmissionConcentration(v=0.5, h=0.25))
     agent = init_agent("h2h", hyper, data.modalities[0], obs, RngStream(4))
     h_block, v_block = agent.slices[2:]
-    assert np.all(agent.prior[h_block] == hyper.emission_concentration["h"])
-    assert np.all(agent.prior[v_block] == hyper.emission_concentration["v"])
+    assert np.all(agent.prior[h_block] == hyper.emission_concentration.h)
+    assert np.all(agent.prior[v_block] == hyper.emission_concentration.v)
 
 
 def dataset_digest(seed=0, trials=3):

@@ -8,6 +8,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from signgame.agents import Hyperparams
+from signgame.agents import EmissionConcentration, Hyperparams
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from signgame.datagen import SyntheticConfig, generate_dataset
 import signgame.experiment as experiment
@@ -456,10 +457,13 @@ def test_cli_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch, 
 
 
 def test_library_partial_emission_concentration_keeps_the_other_defaults(monkeypatch):
-    hyper = Hyperparams(num_categories=4, num_signs=4, emission_concentration={"v": 0.1})
-    assert hyper.emission_concentration == {"v": 0.1, "s": 0.001, "h": 0.001}
+    hyper = Hyperparams(num_categories=4, num_signs=4, emission_concentration=EmissionConcentration(v=0.1))
+    assert hyper.emission_concentration == EmissionConcentration(v=0.1, s=0.001, h=0.001)
+    # a mapping is not the config class, as a dict hyper is not a Hyperparams
+    with pytest.raises(ValueError, match="^emission_concentration must be an EmissionConcentration"):
+        Hyperparams(emission_concentration={"v": 0.1})
     # the dataset draws every modality's true emissions, so a partial
-    # mapping without the defaults ended in a KeyError there; the cell's
+    # block without the defaults ended in a KeyError there; the cell's
     # hyper reaches the data
     drawn = []
 
@@ -478,7 +482,7 @@ def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, c
     blocks = {**SMALL_FILE_BLOCKS, "hyperparams": {**SMALL_FILE_BLOCKS["hyperparams"], "emission_concentration": {"v": 0.01}}}
     cfg_path.write_text(json.dumps({**blocks, "trials": 1, "iterations": 2}))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert parse_config(None, cfg_path).hyper.emission_concentration == {"v": 0.01, "s": 0.001, "h": 0.001}
+    assert parse_config(None, cfg_path).hyper.emission_concentration == EmissionConcentration(v=0.01, s=0.001, h=0.001)
     capsys.readouterr()
 
     cfg_path.write_text(json.dumps({"hyperparams": {"emission_concentration": {"v": -1}}}))
@@ -561,6 +565,14 @@ def test_cli_maps_exhausted_memory_to_a_config_error(tmp_path, capsys, payload):
         ({"hyperparams": {"num_signs": "4"}}, "hyperparams.num_signs"),
         ({"hyperparams": {"coupling_concentration": "0.05"}}, "hyperparams.coupling_concentration"),
         ({"hyperparams": {"emission_concentration": {"v": "0.01"}}}, "hyperparams.emission_concentration.v"),
+        # a nested block is built by the rule of every block
+        (
+            {"hyperparams": {"emission_concentration": 0.01}},
+            "hyperparams.emission_concentration must be a JSON object, got 0.01",
+        ),
+        ({"hyperparams": {"emission_concentration": {"q": 1}}}, "unknown hyperparams.emission_concentration key 'q'"),
+        # the file names the field hyper hyperparams
+        ({"hyper": {}}, "unknown config key 'hyper'"),
         # raw file bytes, not a JSON payload
         pytest.param(b"\xff\xfe{}", "utf-8", id="not-utf-8"),
     ],
@@ -600,24 +612,51 @@ def test_parse_config_accepts_integral_floats(tmp_path):
     assert parse_config(None, cfg_path).trials == 2
 
 
-# every config key a file may hold: (JSON block or None for the top level, field)
+def _schema_blocks(cls=ExperimentConfig, path=None):
+    """Every config block a file may hold, found by the rule parse_config
+    builds them by: (key path, or None for the top level, class). A field
+    whose default is a config class holds a nested block, which the file
+    names by the field, except hyperparams for hyper."""
+    yield path, cls
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            key = "hyperparams" if f.name == "hyper" else f.name
+            yield from _schema_blocks(f.default_factory, f"{path}.{key}" if path else key)
+
+
+SCHEMA_BLOCKS = list(_schema_blocks())
+# every config key a file may hold: (key path of its block, field)
 SCHEMA_KEYS = [
     (block, f.name)
-    for block, cls in (("hyperparams", Hyperparams), ("synthetic", SyntheticConfig), (None, ExperimentConfig))
+    for block, cls in SCHEMA_BLOCKS
     for f in dataclasses.fields(cls)
-    if f.name not in ("hyper", "synthetic")
+    if not dataclasses.is_dataclass(f.default_factory)
 ]
-# non-default values of the string fields; numbers and mappings are doubled
+# non-default values of the string fields; numbers are doubled
 OTHER_CHOICE = {"variant": "t2t", "method": "gibbs"}
 
 
+def test_the_schema_walk_sees_every_nested_block():
+    assert SCHEMA_BLOCKS == [
+        (None, ExperimentConfig),
+        ("hyperparams", Hyperparams),
+        ("hyperparams.emission_concentration", EmissionConcentration),
+        ("synthetic", SyntheticConfig),
+    ]
+
+
 def _schema_payload(block, key, value):
-    return {key: value} if block is None else {block: {key: value}}
+    payload = {key: value}
+    for part in reversed(block.split(".") if block else []):
+        payload = {part: payload}
+    return payload
 
 
 def _schema_holder(cfg, block):
     """The object that a block's keys land on."""
-    return {"hyperparams": cfg.hyper, "synthetic": cfg.synthetic, None: cfg}[block]
+    for part in block.split(".") if block else []:
+        cfg = getattr(cfg, "hyper" if part == "hyperparams" else part)
+    return cfg
 
 
 @pytest.mark.parametrize("block, key", SCHEMA_KEYS, ids=[f"{b or 'top'}.{k}" for b, k in SCHEMA_KEYS])
@@ -625,8 +664,6 @@ def test_every_dataclass_field_is_a_config_key(tmp_path, capsys, block, key):
     default = getattr(_schema_holder(ExperimentConfig(), block), key)
     if isinstance(default, str):
         value = OTHER_CHOICE[key]
-    elif isinstance(default, dict):
-        value = {m: 2 * b for m, b in default.items()}
     else:
         value = 2 * default + 1 if isinstance(default, int) else 2 * default
     assert value != default
@@ -634,31 +671,25 @@ def test_every_dataclass_field_is_a_config_key(tmp_path, capsys, block, key):
     cfg_path.write_text(json.dumps(_schema_payload(block, key, value)))
     assert getattr(_schema_holder(parse_config(None, cfg_path), block), key) == value
 
-    # a string is never a number, a mapping or one of the string choices
+    # a string is never a number or one of the string choices
     cfg_path.write_text(json.dumps(_schema_payload(block, key, "1")))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert (f"{block}.{key}" if block else key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-# every field of the three dataclasses by the class that declares it; a
-# field's default tells an integer from a concentration
-LIBRARY_FIELDS = [
-    (cls, f.name, getattr(cls(), f.name))
-    for cls in (Hyperparams, SyntheticConfig, ExperimentConfig)
-    for f in dataclasses.fields(cls)
-]
+# every field of every config class by the class that declares it; a
+# field's default tells an integer from a concentration and a nested block
+LIBRARY_FIELDS = [(cls, f.name, getattr(cls(), f.name)) for _, cls in SCHEMA_BLOCKS for f in dataclasses.fields(cls)]
 INTEGER_FIELDS = [(cls, name) for cls, name, default in LIBRARY_FIELDS if type(default) is int]
-# (class, field, modality of a per-modality mapping or None)
-CONCENTRATIONS = [(cls, name, None) for cls, name, default in LIBRARY_FIELDS if type(default) is float] + [
-    (cls, name, m) for cls, name, default in LIBRARY_FIELDS if isinstance(default, dict) for m in default
-]
+CONCENTRATIONS = [(cls, name) for cls, name, default in LIBRARY_FIELDS if type(default) is float]
+NESTED_FIELDS = [(cls, name) for cls, name, default in LIBRARY_FIELDS if dataclasses.is_dataclass(default)]
 
 
 def test_the_library_field_lists_see_every_field():
-    # a field of another type would escape both lists below
+    # a field of another type would escape the lists above
     kinds = {type(default) for _, _, default in LIBRARY_FIELDS}
-    assert kinds == {int, float, dict, str, Hyperparams, SyntheticConfig}
+    assert kinds == {int, float, str, Hyperparams, EmissionConcentration, SyntheticConfig}
 
 
 @pytest.mark.parametrize("cls, name", INTEGER_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INTEGER_FIELDS])
@@ -674,26 +705,40 @@ def test_every_integer_field_checks_its_type_when_built_directly(cls, name):
     assert type(value) is int and value == 2
 
 
-@pytest.mark.parametrize("name", [n for _, n, default in LIBRARY_FIELDS if dataclasses.is_dataclass(default)])
-def test_every_nested_config_field_checks_its_class_when_built_directly(name):
+@pytest.mark.parametrize("cls, name", NESTED_FIELDS, ids=[n for _, n in NESTED_FIELDS])
+def test_every_nested_config_field_checks_its_class_when_built_directly(cls, name):
     for bad in (None, 5, {}):
-        with pytest.raises(ValueError, match=f"^{name} must be a "):
-            ExperimentConfig(**{name: bad})
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            cls(**{name: bad})
 
 
-@pytest.mark.parametrize(
-    "cls, name, modality", CONCENTRATIONS, ids=[f"{n}.{m}" if m else n for _, n, m in CONCENTRATIONS]
-)
-def test_every_concentration_checks_its_type_when_built_directly(cls, name, modality):
-    def build(value):
-        return cls(**{name: value if modality is None else {modality: value}})
-
-    path = name if modality is None else f"{name}.{modality}"
-    with pytest.raises(ValueError, match=f"^{path} must be a number"):
-        build("x")
-    held = getattr(build(1), name)
-    value = held if modality is None else held[modality]
+@pytest.mark.parametrize("cls, name", CONCENTRATIONS, ids=[n for _, n in CONCENTRATIONS])
+def test_every_concentration_checks_its_type_when_built_directly(cls, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a number"):
+        cls(**{name: "x"})
+    value = getattr(cls(**{name: 1}), name)
     assert type(value) is float and value == 1.0
+
+
+def test_two_parses_of_one_file_are_equal_and_hash_equal(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 2, "hyperparams": {"emission_concentration": {"v": 0.01}}}))
+    first, second = parse_config(None, cfg_path), parse_config(None, cfg_path)
+    assert first == second and hash(first) == hash(second)
+    assert hash(ExperimentConfig()) == hash(ExperimentConfig())
+
+
+def test_a_config_survives_pickling_as_the_same_value():
+    cfg = small_config(hyper=Hyperparams(emission_concentration=EmissionConcentration(s=0.5)))
+    loaded = pickle.loads(pickle.dumps(cfg))
+    assert loaded == cfg and hash(loaded) == hash(cfg)
+
+
+def test_a_stored_concentration_cannot_be_overwritten():
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.hyper.emission_concentration.v = "x"
+    assert cfg.hyper.emission_concentration.v == 0.001
 
 
 @pytest.mark.parametrize(

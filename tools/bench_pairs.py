@@ -24,8 +24,9 @@ default (exclusive method).
 Each workload's summary gives, per end-to-end metric, the ``BENCHMARK.json``
 bound, whether the change's median is worse than the parent's by more than
 it (``worse_than_bound``), and ``gain_shown``: the change won at least nine
-pairs in ten and its median beats the parent's by more than the parent's
-interquartile range.
+pairs in ten, its median beats the parent's by more than the parent's
+interquartile range, and it failed no more operations than the parent. A
+side that failed every run reads 0.0, which would beat any parent median.
 
 The exit status is 1, after the file is written, when a workload's digests
 differ between runs, the change failed any operation, a metric is worse
@@ -81,6 +82,7 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
     metrics maps each metric name to its BENCHMARK.json entry: its better
     direction and its bound as a fraction of the parent median.
     """
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     out = {}
     for name, spec in metrics.items():
         parent = [p["parent"][name] for p in pairs]
@@ -100,9 +102,9 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
             "change_better_pairs": wins,
             "bound": spec["bound"],
             "worse_than_bound": gap < -spec["bound"] * parent_median,
-            "gain_shown": 10 * wins >= 9 * len(pairs) and gap > q3 - q1,
+            "gain_shown": 10 * wins >= 9 * len(pairs) and gap > q3 - q1 and failed["change"] <= failed["parent"],
         }
-    out["failed_operations"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    out["failed_operations"] = failed
     out["digests_equal"] = len({p[side]["digest"] for p in pairs for side in SIDES}) == 1
     return out
 
