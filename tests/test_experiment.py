@@ -636,15 +636,6 @@ SCHEMA_KEYS = [
 OTHER_CHOICE = {"variant": "t2t", "method": "gibbs"}
 
 
-def test_the_schema_walk_sees_every_nested_block():
-    assert SCHEMA_BLOCKS == [
-        (None, ExperimentConfig),
-        ("hyperparams", Hyperparams),
-        ("hyperparams.emission_concentration", EmissionConcentration),
-        ("synthetic", SyntheticConfig),
-    ]
-
-
 def _schema_payload(block, key, value):
     payload = {key: value}
     for part in reversed(block.split(".") if block else []):
