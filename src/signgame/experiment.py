@@ -104,7 +104,7 @@ class ExperimentConfig:
     iterations: int = 300
     seed: int = 0
     jobs: int = 1
-    hyper: Hyperparams = field(default_factory=Hyperparams)
+    hyperparams: Hyperparams = field(default_factory=Hyperparams)
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
 
     def __post_init__(self):
@@ -119,13 +119,13 @@ class ExperimentConfig:
         check_sizes(self, condition=1, trials=1, iterations=1, jobs=1)
         # RngStream keeps a seed's low 64 bits: a wider range would alias runs
         check_sizes(self, bits=64, seed=0)
-        for name, cls in (("hyper", Hyperparams), ("synthetic", SyntheticConfig)):
+        for name, cls in (("hyperparams", Hyperparams), ("synthetic", SyntheticConfig)):
             if not isinstance(getattr(self, name), cls):
                 raise ValueError(f"{name} must be a {cls.__name__}, got {shown(getattr(self, name))}")
         # each size is in range alone, but the products that shape a trial's
         # widest arrays, at up to 8 bytes an element, must stay below the
         # 2**63 bytes numpy can size
-        s, h = self.synthetic, self.hyper
+        s, h = self.synthetic, self.hyperparams
         objects = s.num_types * s.objects_per_type
         m = len(MODALITIES)
         widest = {
@@ -146,8 +146,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
     """Play one seeded trial of a cell; returns its (ari_a, ari_b, kappa)
     row per iteration."""
     trial_rng = RngStream(cfg.seed).derive(cfg.condition, trial)
-    dataset = generate_dataset(cfg.synthetic, cfg.hyper, CONDITION_MASKS[cfg.condition], trial_rng.derive(_STREAM_DATA))
-    _, rows = run_game(cfg.variant, cfg.method, cfg.hyper, dataset, cfg.iterations, trial_rng.derive(_STREAM_GAME))
+    dataset = generate_dataset(cfg.synthetic, cfg.hyperparams, CONDITION_MASKS[cfg.condition], trial_rng.derive(_STREAM_DATA))
+    _, rows = run_game(cfg.variant, cfg.method, cfg.hyperparams, dataset, cfg.iterations, trial_rng.derive(_STREAM_GAME))
     return rows
 
 
@@ -193,6 +193,7 @@ def _trial_records(cells: list[ExperimentConfig]):
     if workers <= 1:
         yield from starmap(run_trial, tasks)
         return
+    from concurrent.futures.process import BrokenProcessPool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = deque()
         try:
@@ -202,6 +203,8 @@ def _trial_records(cells: list[ExperimentConfig]):
                     yield futures.popleft().result()
             while futures:
                 yield futures.popleft().result()
+        except BrokenProcessPool as exc:  # a worker killed or crashed, not a trial that raised
+            raise ChildProcessError(f"a worker process ended before its trial returned: {exc}") from exc
         finally:
             for future in futures:
                 future.cancel()
@@ -239,14 +242,12 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow(row)
 
 
-def write_reports(out_dir: Path, detail_rows, summary_rows) -> tuple[Path, Path]:
+def write_reports(out_dir: Path, detail_rows, summary_rows) -> None:
     """Write detail.csv and summary.csv under out_dir (created if missing)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    detail_path = out_dir / "detail.csv"
-    summary_path = out_dir / "summary.csv"
     _write_csv(
-        detail_path,
+        out_dir / "detail.csv",
         DETAIL_HEADER,
         (
             (variant, method, condition, trial, iteration, _fmt(a), _fmt(b), _fmt(k))
@@ -254,11 +255,10 @@ def write_reports(out_dir: Path, detail_rows, summary_rows) -> tuple[Path, Path]
         ),
     )
     _write_csv(
-        summary_path,
+        out_dir / "summary.csv",
         SUMMARY_HEADER,
         ([_fmt(row[key]) if key.startswith(("ari", "kappa")) else row[key] for key in SUMMARY_HEADER] for row in summary_rows),
     )
-    return detail_path, summary_path
 
 
 def full_grid_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
@@ -381,17 +381,17 @@ def compare_to_reference(summary_rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build(cls, block, where: str, **given):
-    """cls from a config block whose keys are cls's fields (less those in
-    given, which fill themselves); a field whose default is a config class
-    is built from its own block by this same rule. cls checks the values,
-    and where prefixes the key paths in messages."""
+def _build(cls, block, where: str):
+    """cls from a config block whose keys are cls's fields; a field whose
+    default is a config class is built from its own block by this same
+    rule. cls checks the values, and where prefixes the key paths in
+    messages."""
     if not isinstance(block, Mapping):
         raise ConfigError(f"{where} must be a JSON object, got {block!r}")
-    unknown = set(block) - ({f.name for f in fields(cls)} - set(given))
+    unknown = set(block) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where or 'config'} key {sorted(unknown)[0]!r}")
-    values = {**block, **given}
+    values = dict(block)
     for f in fields(cls):
         if is_dataclass(f.default_factory) and f.name in block:
             values[f.name] = _build(f.default_factory, block[f.name], f"{where}.{f.name}" if where else f.name)
@@ -403,7 +403,8 @@ def _build(cls, block, where: str, **given):
 
 def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides (None
-    flags are not given)."""
+    flags are not given). Flags override the file's top-level keys, so a
+    hyperparams or synthetic flag replaces the file's whole block."""
     data = {}
     if config_file is not None:
         try:
@@ -418,6 +419,5 @@ def parse_config(flags: Mapping | None = None, config_file=None) -> ExperimentCo
             raise ConfigError(f"cannot parse config file as JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    hyper = _build(Hyperparams, data.pop("hyperparams", {}), "hyperparams")
     data.update((key, value) for key, value in (flags or {}).items() if value is not None)
-    return _build(ExperimentConfig, data, "", hyper=hyper)
+    return _build(ExperimentConfig, data, "")

@@ -60,14 +60,14 @@ def adjusted_rand_index(labels_x, labels_y):
     kx = int(x.max()) + 1
     ky = int(y.max()) + 1
     total_pairs = n * (n - 1) // 2
+    # every row is scored against the one y, so its column sums are y's counts
+    pairs_y = _pairs(np.bincount(y))
     out = []
     for rows in _passes(x.reshape(-1, n)):
         contingency = _row_counts(rows * ky + y, kx * ky)
         index = _pairs(contingency)
-        contingency = contingency.reshape(-1, kx, ky)
-        row_pairs = _pairs(contingency.sum(axis=2))
-        col_pairs = _pairs(contingency.sum(axis=1))
-        for pairs_xy, pairs_x, pairs_y in zip(index, row_pairs, col_pairs):
+        row_pairs = _pairs(contingency.reshape(-1, kx, ky).sum(axis=2))
+        for pairs_xy, pairs_x in zip(index, row_pairs):
             # scaled by total_pairs to stay in integers
             numerator = total_pairs * pairs_xy - pairs_x * pairs_y
             denominator = total_pairs * (pairs_x + pairs_y) - 2 * pairs_x * pairs_y

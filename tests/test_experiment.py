@@ -17,12 +17,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from signgame.agents import EmissionConcentration, Hyperparams
+from signgame.agents import VARIANTS, EmissionConcentration, Hyperparams
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from signgame.datagen import SyntheticConfig, generate_dataset
 import signgame.experiment as experiment
 from signgame.experiment import (
+    CONDITION_CHOICES,
     CONDITION_MASKS,
     DETAIL_HEADER,
     REFERENCE_RESULTS,
@@ -37,6 +40,7 @@ from signgame.experiment import (
     run_experiment,
     run_full_grid,
 )
+from signgame.game import METHODS
 
 SMALL_HYPER = Hyperparams(num_categories=4, num_signs=4)
 SMALL_SYNTH = SyntheticConfig(
@@ -52,7 +56,7 @@ def small_config(**overrides):
         trials=2,
         iterations=3,
         seed=0,
-        hyper=SMALL_HYPER,
+        hyperparams=SMALL_HYPER,
         synthetic=SMALL_SYNTH,
     )
     base.update(overrides)
@@ -69,7 +73,7 @@ def test_parse_config_defaults():
     cfg = parse_config()
     assert (cfg.variant, cfg.method, cfg.condition) == ("h2h", "mh", 1)
     assert (cfg.trials, cfg.iterations, cfg.seed, cfg.jobs) == (10, 300, 0, 1)
-    assert cfg.hyper == Hyperparams()
+    assert cfg.hyperparams == Hyperparams()
 
 
 def test_parse_config_flags_override_file(tmp_path):
@@ -86,7 +90,7 @@ def test_parse_config_reads_nested_blocks(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_FILE_BLOCKS))
     cfg = parse_config(None, path)
-    assert cfg.hyper.num_categories == 4
+    assert cfg.hyperparams.num_categories == 4
     assert cfg.synthetic.num_types == 4
 
 
@@ -368,6 +372,34 @@ def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def kill_worker_on_trial_1(cfg, trial):
+    # at module level, so the pool can pickle it in place of run_trial; the
+    # worker ends as a crash or an out-of-memory kill would end it
+    if trial == 1:
+        os._exit(9)
+    return RUN_TRIAL(cfg, trial)
+
+
+def test_a_dead_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiment, "run_trial", kill_worker_on_trial_1)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_FILE_BLOCKS))
+    out = tmp_path / "out"
+    args = ["run", "--config", str(cfg_path), "--trials", "3", "--iterations", "2", "--jobs", "2", "--out", str(out)]
+    assert main(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: a worker process ended before its trial returned: ")
+    assert err.count("\n") == 1
+    assert not (out / "detail.csv").exists()
+    assert not (out / "summary.csv").exists()
+    assert multiprocessing.active_children() == []
+    # the library raises the built-in error for a failed child process
+    with pytest.raises(ChildProcessError):
+        run_cell(small_config(trials=3, iterations=2, jobs=2))
+    assert multiprocessing.active_children() == []
+
+
 def test_full_grid_configs_enumerate_24_cells():
     cells = full_grid_configs(small_config())
     assert len(cells) == 24
@@ -459,12 +491,12 @@ def test_cli_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch, 
 def test_library_partial_emission_concentration_keeps_the_other_defaults(monkeypatch):
     hyper = Hyperparams(num_categories=4, num_signs=4, emission_concentration=EmissionConcentration(v=0.1))
     assert hyper.emission_concentration == EmissionConcentration(v=0.1, s=0.001, h=0.001)
-    # a mapping is not the config class, as a dict hyper is not a Hyperparams
+    # a mapping is not the config class, as a dict hyperparams is not a Hyperparams
     with pytest.raises(ValueError, match="^emission_concentration must be an EmissionConcentration"):
         Hyperparams(emission_concentration={"v": 0.1})
     # the dataset draws every modality's true emissions, so a partial
     # block without the defaults ended in a KeyError there; the cell's
-    # hyper reaches the data
+    # hyperparams reach the data
     drawn = []
 
     def spy(config, hyper, *args):
@@ -472,7 +504,7 @@ def test_library_partial_emission_concentration_keeps_the_other_defaults(monkeyp
         return generate_dataset(config, hyper, *args)
 
     monkeypatch.setattr(experiment, "generate_dataset", spy)
-    rows = experiment.run_trial(small_config(hyper=hyper, iterations=2), 0)
+    rows = experiment.run_trial(small_config(hyperparams=hyper, iterations=2), 0)
     assert len(rows) == 2
     assert drawn == [hyper]
 
@@ -482,7 +514,7 @@ def test_cli_partial_emission_concentration_keeps_the_other_defaults(tmp_path, c
     blocks = {**SMALL_FILE_BLOCKS, "hyperparams": {**SMALL_FILE_BLOCKS["hyperparams"], "emission_concentration": {"v": 0.01}}}
     cfg_path.write_text(json.dumps({**blocks, "trials": 1, "iterations": 2}))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert parse_config(None, cfg_path).hyper.emission_concentration == EmissionConcentration(v=0.01, s=0.001, h=0.001)
+    assert parse_config(None, cfg_path).hyperparams.emission_concentration == EmissionConcentration(v=0.01, s=0.001, h=0.001)
     capsys.readouterr()
 
     cfg_path.write_text(json.dumps({"hyperparams": {"emission_concentration": {"v": -1}}}))
@@ -571,7 +603,7 @@ def test_cli_maps_exhausted_memory_to_a_config_error(tmp_path, capsys, payload):
             "hyperparams.emission_concentration must be a JSON object, got 0.01",
         ),
         ({"hyperparams": {"emission_concentration": {"q": 1}}}, "unknown hyperparams.emission_concentration key 'q'"),
-        # the file names the field hyper hyperparams
+        # the field is hyperparams, and hyper names no field
         ({"hyper": {}}, "unknown config key 'hyper'"),
         # raw file bytes, not a JSON payload
         pytest.param(b"\xff\xfe{}", "utf-8", id="not-utf-8"),
@@ -616,12 +648,11 @@ def _schema_blocks(cls=ExperimentConfig, path=None):
     """Every config block a file may hold, found by the rule parse_config
     builds them by: (key path, or None for the top level, class). A field
     whose default is a config class holds a nested block, which the file
-    names by the field, except hyperparams for hyper."""
+    names by the field."""
     yield path, cls
     for f in dataclasses.fields(cls):
         if dataclasses.is_dataclass(f.default_factory):
-            key = "hyperparams" if f.name == "hyper" else f.name
-            yield from _schema_blocks(f.default_factory, f"{path}.{key}" if path else key)
+            yield from _schema_blocks(f.default_factory, f"{path}.{f.name}" if path else f.name)
 
 
 SCHEMA_BLOCKS = list(_schema_blocks())
@@ -646,7 +677,7 @@ def _schema_payload(block, key, value):
 def _schema_holder(cfg, block):
     """The object that a block's keys land on."""
     for part in block.split(".") if block else []:
-        cfg = getattr(cfg, "hyper" if part == "hyperparams" else part)
+        cfg = getattr(cfg, part)
     return cfg
 
 
@@ -720,7 +751,7 @@ def test_two_parses_of_one_file_are_equal_and_hash_equal(tmp_path):
 
 
 def test_a_config_survives_pickling_as_the_same_value():
-    cfg = small_config(hyper=Hyperparams(emission_concentration=EmissionConcentration(s=0.5)))
+    cfg = small_config(hyperparams=Hyperparams(emission_concentration=EmissionConcentration(s=0.5)))
     loaded = pickle.loads(pickle.dumps(cfg))
     assert loaded == cfg and hash(loaded) == hash(cfg)
 
@@ -728,8 +759,86 @@ def test_a_config_survives_pickling_as_the_same_value():
 def test_a_stored_concentration_cannot_be_overwritten():
     cfg = ExperimentConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.hyper.emission_concentration.v = "x"
-    assert cfg.hyper.emission_concentration.v == 0.001
+        cfg.hyperparams.emission_concentration.v = "x"
+    assert cfg.hyperparams.emission_concentration.v == 0.001
+
+
+def _every_field(cls, **strategies):
+    """st.builds(cls) from a strategy for each of cls's fields, no fewer."""
+    assert set(strategies) == {f.name for f in dataclasses.fields(cls)}
+    return st.builds(cls, **strategies)
+
+
+def _canonical(cfg) -> str:
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+
+
+# every size stays at most 2**16, so that no product of them shapes an
+# array of 2**63 bytes; trials and jobs shape none
+CONCENTRATION = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+CONFIGS = _every_field(
+    ExperimentConfig,
+    variant=st.sampled_from(VARIANTS),
+    method=st.sampled_from(METHODS),
+    condition=st.sampled_from(CONDITION_CHOICES),
+    trials=st.integers(1, 2**63 - 1),
+    iterations=st.integers(1, 2**16),
+    seed=st.integers(0, 2**64 - 1),
+    jobs=st.integers(1, 2**63 - 1),
+    hyperparams=_every_field(
+        Hyperparams,
+        coupling_concentration=CONCENTRATION,
+        emission_concentration=_every_field(EmissionConcentration, v=CONCENTRATION, s=CONCENTRATION, h=CONCENTRATION),
+        category_concentration=CONCENTRATION,
+        num_categories=st.integers(1, 2**16),
+        num_signs=st.integers(1, 2**16),
+    ),
+    synthetic=_every_field(
+        SyntheticConfig,
+        num_types=st.integers(1, 2**16),
+        objects_per_type=st.integers(1, 2**16),
+        feature_dim=st.integers(2, 2**16),
+        draws_per_modality=st.integers(1, 2**16),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=CONFIGS)
+@example(
+    cfg=ExperimentConfig(
+        seed=2**64 - 1,
+        hyperparams=Hyperparams(coupling_concentration=0.1 + 0.2, emission_concentration=EmissionConcentration(s=1e-300)),
+    )
+)
+def test_the_canonical_json_of_a_config_parses_back_to_it(tmp_path_factory, cfg):
+    text = _canonical(cfg)
+    cfg_path = tmp_path_factory.getbasetemp() / "canonical.json"
+    cfg_path.write_text(text)
+    parsed = parse_config(None, cfg_path)
+    assert parsed == cfg
+    assert _canonical(parsed) == text
+
+
+def test_a_file_and_the_config_it_builds_have_one_canonical_json(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"trials": 2.0, "hyperparams": {"coupling_concentration": 1}}')
+    text = _canonical(parse_config(None, cfg_path))
+    assert text == _canonical(ExperimentConfig(trials=2, hyperparams=Hyperparams(coupling_concentration=1.0)))
+    assert '"trials": 2,' in text and '"coupling_concentration": 1.0,' in text
+
+
+def test_a_hyperparams_flag_builds_the_block_as_a_file_does(tmp_path):
+    assert parse_config({"hyperparams": {"num_signs": 4}}).hyperparams.num_signs == 4
+    # a flag replaces the file's whole block, as it replaces any top-level key
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"hyperparams": {"num_categories": 4}}))
+    cfg = parse_config({"hyperparams": {"num_signs": 4}}, cfg_path)
+    assert cfg.hyperparams == Hyperparams(num_signs=4)
+    with pytest.raises(ConfigError, match="^hyperparams.num_signs must be an integer"):
+        parse_config({"hyperparams": {"num_signs": 4.5}})
+    with pytest.raises(ConfigError, match="^unknown config key 'hyper'$"):
+        parse_config({"hyper": {}})
 
 
 @pytest.mark.parametrize(
