@@ -228,37 +228,22 @@ def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:
     return detail, summary
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".6g")
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Every report cell: a float (numpy's float64 too) as .6g, any other as csv writes it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(row)
+            writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
 
 
 def write_reports(out_dir: Path, detail_rows, summary_rows) -> None:
-    """Write detail.csv and summary.csv under out_dir (created if missing)."""
+    """Write detail.csv and summary.csv under out_dir (created if missing);
+    a summary dict is read by key, so any key order writes in header order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "detail.csv",
-        DETAIL_HEADER,
-        (
-            (variant, method, condition, trial, iteration, _fmt(a), _fmt(b), _fmt(k))
-            for variant, method, condition, trial, iteration, a, b, k in detail_rows
-        ),
-    )
-    _write_csv(
-        out_dir / "summary.csv",
-        SUMMARY_HEADER,
-        ([_fmt(row[key]) if key.startswith(("ari", "kappa")) else row[key] for key in SUMMARY_HEADER] for row in summary_rows),
-    )
+    _write_csv(out_dir / "detail.csv", DETAIL_HEADER, detail_rows)
+    _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, ([row[key] for key in SUMMARY_HEADER] for row in summary_rows))
 
 
 def full_grid_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:

@@ -90,6 +90,53 @@ def test_summarize_shows_no_gain_when_the_change_failed_more_operations():
 
 
 @pytest.mark.parametrize(
+    "parent, change, unresolved",
+    [
+        # parent quartiles 0.75 and 1.25: an IQR of 0.5 against a bound of 0.25 x 1.0
+        ([0.5, 1.0, 1.0, 1.0, 1.5], [1.0] * 5, True),
+        # the same spread, but every change run reads better than every parent run
+        ([0.5, 1.0, 1.0, 1.0, 1.5], [0.4] * 5, False),
+        # an IQR of 0.1 resolves a 0.25 bound
+        ([0.9, 1.0, 1.0, 1.0, 1.1], [1.0] * 5, False),
+    ],
+    ids=["wide", "wide-every-run-better", "tight"],
+)
+def test_summarize_marks_a_metric_whose_parent_spread_exceeds_the_bound_unresolved(parent, change, unresolved):
+    pairs = [{"parent": side(p, 1 / p), "change": side(c, 1 / c)} for p, c in zip(parent, change)]
+    out = bench_pairs.summarize(pairs, {"wall_s": WALL, "iter_per_s": RATE})
+    assert out["wall_s"]["unresolved"] is unresolved
+    # the rate's spread mirrors the wall time's
+    assert out["iter_per_s"]["unresolved"] is unresolved
+
+
+def test_main_names_unresolved_metrics_and_keeps_the_exit_status(tmp_path, monkeypatch, capsys):
+    spec = {
+        "workloads": [{"name": "cell-mh"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    # parent quartiles 0.625 and 1.375; every change run reads 1.0
+    parent_walls = iter([0.5, 1.0, 1.0, 1.5])
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        wall = 1.0 if checkout == tmp_path.resolve() else next(parent_walls)
+        return {
+            "metrics": {"wall_s": {"value": wall}},
+            "attempted": 5,
+            "failed": 0,
+            "digests": ["d"],
+            "machine": {"cpu": "test"},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--workload", "cell-mh", "--pairs", "4"]) == 0
+    assert json.loads(out.read_text())["workloads"]["cell-mh"]["summary"]["wall_s"]["unresolved"]
+    assert "unresolved on: cell-mh (wall_s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "digest, failed, wall, status",
     [("d", 0, 1.0, 0), ("other", 0, 1.0, 1), ("d", 3, 1.0, 1), ("d", 0, 1.3, 1)],
     ids=["sound", "digest-differs", "change-failed", "metric-worse"],
@@ -165,23 +212,27 @@ def test_traced_runs_pairs_per_side_in_alternating_order_and_records_the_spread(
     order = []
 
     def fake_run(checkout, workload, seed, seconds, trace):
+        # one workload per run, traced
+        assert (workload, trace) in (("cell-mh", 1), ("cell-wide", 1))
         side = "change" if checkout == tmp_path.resolve() else "parent"
-        order.append(side)
-        # the side's k-th run, counting from 1, reads k (parent) or 10 k (change) on cell-mh
-        k = order.count(side)
+        order.append((workload, side))
+        # the side's k-th cell-mh run, counting from 1, reads k (parent) or 10 k (change)
+        k = order.count((workload, side))
         scale = 10 if side == "change" else 1
         return {
-            "metrics": {"cell-mh.game.exchange.self_s": {"value": scale * k}, "cell-wide.game.exchange.self_s": {"value": 0.5}},
-            "absent": ["none", "none"],
+            "metrics": {"game.exchange.self_s": {"value": scale * k if workload == "cell-mh" else 0.5}},
+            "absent": ["none"],
             "machine": {"cpu": "test"},
         }
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--traced", "--pairs", "3"]) == 0
-    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    for workload in ("cell-mh", "cell-wide"):
+        assert [side for w, side in order if w == workload] == ["parent", "change", "change", "parent", "parent", "change"]
     section = json.loads(out.read_text())["traced"]
     assert section["runs_per_side"] == 3
+    assert section["command"] == "python3 perfbench/run.py --workload <W> --seed 1 --seconds 10 --trace 1"
     assert section["absent_names"] == {"parent": ["none"], "change": ["none"]}
     layer = section["game.exchange.self_s"]
     assert layer["cell-mh"] == {
@@ -210,12 +261,13 @@ def test_traced_exits_1_naming_names_absent_on_the_change_side(tmp_path, monkeyp
     calls = []
 
     def fake_run(checkout, workload, seed, seconds, trace):
+        assert (workload, trace) == ("cell-mh", 1)
         side = "change" if checkout == tmp_path.resolve() else "parent"
         calls.append(side)
         # only the side's second run reports its absent names
         names = absent[side] if calls.count(side) == 2 else "none"
         return {
-            "metrics": {"cell-mh.game.exchange.self_s": {"value": 1.0}},
+            "metrics": {"game.exchange.self_s": {"value": 1.0}},
             "absent": [names],
             "machine": {"cpu": "test"},
         }

@@ -16,6 +16,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from signgame.experiment import (
     run_cell,
     run_experiment,
     run_full_grid,
+    write_reports,
 )
 from signgame.game import METHODS
 
@@ -171,6 +173,21 @@ def test_reports_are_byte_identical_and_lf_terminated(tmp_path):
     row = (tmp_path / "one" / "detail.csv").read_text().splitlines()[1]
     for field in row.split(",")[5:7]:
         assert field == format(float(field), ".6g")
+
+
+def test_write_reports_formats_every_float_cell_alike(tmp_path):
+    # library callers' rows: a numpy float64 and an integral float, a None
+    # kappa, and a summary dict whose keys run against the header
+    detail = [("h2h", "mh", 1, 0, 0, np.float64(0.123456789), 1.0, None)]
+    summary = dict(zip(SUMMARY_HEADER, ("t2t", "gibbs", 2, 0.5, 0.0, 1 / 3, 2.5e-7, None, None)))
+    write_reports(tmp_path, detail, [dict(reversed(summary.items()))])
+    assert (tmp_path / "detail.csv").read_text() == (
+        "variant,method,condition,trial,iteration,ari_a,ari_b,kappa\n" "h2h,mh,1,0,0,0.123457,1,\n"
+    )
+    assert (tmp_path / "summary.csv").read_text() == (
+        "variant,method,condition,ari_a_mean,ari_a_sd,ari_b_mean,ari_b_sd,kappa_mean,kappa_sd\n"
+        "t2t,gibbs,2,0.5,0,0.333333,2.5e-07,,\n"
+    )
 
 
 def test_read_summary_round_trips_values(tmp_path):

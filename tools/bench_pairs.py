@@ -11,15 +11,15 @@ writes (or merges into) a ``BENCH_*.json`` file:
     # pairs at a seed not used while the change was written, into "cell-mh-seed-3"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json \\
         --workload cell-mh --seed 3 --pairs 4 --seconds 10 --section cell-mh-seed-3
-    # three traced runs of every workload per side, into "traced"
+    # three ``--trace 1`` runs of every workload per side, into "traced"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --pairs 3 --seed 1 --seconds 3
 
 Pair i runs the parent first when i is even and the change first when i is
-odd; so does traced run i. A traced per-layer figure is the median over
-the runs of its side, with their min and max. Workload names, metric names
-and each metric's better direction and bound come from the change
-checkout's ``BENCHMARK.json``. Quartiles are the ``statistics.quantiles``
-default (exclusive method).
+odd; so does each workload's traced run i. A traced per-layer figure is the
+median over the runs of its side, with their min and max. Workload names,
+metric names and each metric's better direction and bound come from the
+change checkout's ``BENCHMARK.json``. Quartiles are the
+``statistics.quantiles`` default (exclusive method).
 
 Each workload's summary gives, per end-to-end metric, the ``BENCHMARK.json``
 bound, whether the change's median is worse than the parent's by more than
@@ -27,6 +27,11 @@ it (``worse_than_bound``), and ``gain_shown``: the change won at least nine
 pairs in ten, its median beats the parent's by more than the parent's
 interquartile range, and it failed no more operations than the parent. A
 side that failed every run reads 0.0, which would beat any parent median.
+It is ``unresolved`` when the parent's interquartile range is wider than the
+bound times the parent median and not every change run reads better than
+every parent run: that spread cannot tell a move within the bound from
+noise. stderr names the unresolved metrics, which leave the exit status as
+it is.
 
 The exit status is 1, after the file is written, when a workload's digests
 differ between runs, the change failed any operation, a metric is worse
@@ -77,7 +82,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 def summarize(pairs: list[dict], metrics: dict) -> dict:
     """Per metric: both medians, their ratio, the parent's interquartile
     range, how many pairs the change won (ties count for neither), and the
-    metric's bound with the two verdicts the module docstring describes.
+    metric's bound with the three verdicts the module docstring describes.
 
     metrics maps each metric name to its BENCHMARK.json entry: its better
     direction and its bound as a fraction of the parent median.
@@ -91,6 +96,7 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
         sign = -1.0 if spec["better"] == "lower" else 1.0
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
         # how far the change's median is better than the parent's
         gap = sign * (change_median - parent_median)
         out[name] = {
@@ -102,6 +108,7 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
             "change_better_pairs": wins,
             "bound": spec["bound"],
             "worse_than_bound": gap < -spec["bound"] * parent_median,
+            "unresolved": q3 - q1 > spec["bound"] * parent_median and not every_run_better,
             "gain_shown": 10 * wins >= 9 * len(pairs) and gap > q3 - q1 and failed["change"] <= failed["parent"],
         }
     out["failed_operations"] = failed
@@ -129,22 +136,25 @@ def _spread(values: list[float]) -> dict:
 
 
 def traced(checkouts: dict, args, per_layer: list[str], workloads: list[str], machines: list) -> dict:
-    """args.pairs ``--workload all`` runs per side in alternating order; each
-    per-layer metric by name, workload and side as its median, min and max
-    over the side's runs."""
-    cmd = f"python3 perfbench/run.py --workload all --seed {args.seed} --seconds {args.seconds:g}"
+    """args.pairs ``--trace 1`` runs of each workload per side, the sides in
+    alternating order; each per-layer metric by name, workload and side as
+    its median, min and max over the side's runs."""
+    cmd = f"python3 perfbench/run.py --workload <W> --seed {args.seed} --seconds {args.seconds:g} --trace 1"
     section = {"command": cmd, "runs_per_side": args.pairs}
-    results = {side: [] for side in SIDES}
+    results = {side: {w: [] for w in workloads} for side in SIDES}
     for i in range(args.pairs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            res = run_bench(checkouts[side], "all", args.seed, args.seconds, trace=0)
-            machines.append(res["machine"])
-            results[side].append(res)
-            print(f"traced seed {args.seed} run {i} {side}: absent names {res['absent']}", flush=True)
-    section["absent_names"] = {side: sorted({a for res in results[side] for a in res["absent"]}) for side in SIDES}
+        for w in workloads:
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                res = run_bench(checkouts[side], w, args.seed, args.seconds, trace=1)
+                machines.append(res["machine"])
+                results[side][w].append(res)
+                print(f"traced {w} seed {args.seed} run {i} {side}: absent names {res['absent']}", flush=True)
+    section["absent_names"] = {
+        side: sorted({a for runs in results[side].values() for res in runs for a in res["absent"]}) for side in SIDES
+    }
     for name in per_layer:
         section[name] = {
-            w: {side: _spread([res["metrics"][f"{w}.{name}"]["value"] for res in results[side]]) for side in SIDES}
+            w: {side: _spread([res["metrics"][name]["value"] for res in results[side][w]]) for side in SIDES}
             for w in workloads
         }
     return section
@@ -184,7 +194,7 @@ def main(argv=None) -> int:
     doc["parent_commit"] = _git_head(checkouts["parent"])
     doc.setdefault("change_commit", "the commit that adds this file")
 
-    machines, unsound, worse, absent = [], [], [], []
+    machines, unsound, worse, unresolved, absent = [], [], [], [], []
     if args.traced:
         doc["traced"] = traced(checkouts, args, [m["name"] for m in spec["per_layer"]], known, machines)
         absent = [names for names in doc["traced"]["absent_names"]["change"] if names != "none"]
@@ -196,6 +206,9 @@ def main(argv=None) -> int:
         beyond = [name for name in metrics if summary[name]["worse_than_bound"]]
         if beyond:
             worse.append(f"{workload} ({', '.join(beyond)})")
+        spread = [name for name in metrics if summary[name]["unresolved"]]
+        if spread:
+            unresolved.append(f"{workload} ({', '.join(spread)})")
         record = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} --seconds {args.seconds:g} --trace 0",
             "summary": summary,
@@ -213,6 +226,8 @@ def main(argv=None) -> int:
         print(f"digests differ or the change failed operations on: {', '.join(unsound)}", file=sys.stderr)
     if worse:
         print(f"metrics worse than their bound on: {'; '.join(worse)}", file=sys.stderr)
+    if unresolved:
+        print(f"metrics the parent's spread leaves unresolved on: {'; '.join(unresolved)}", file=sys.stderr)
     if absent:
         print(f"traced names absent on the change side: {'; '.join(absent)}", file=sys.stderr)
     return 1 if unsound or worse or absent else 0
