@@ -1,11 +1,12 @@
 """Experiment grid driver: seeded trials, CSV reports, reference comparison.
 
 A cell of the grid is one (variant, method, condition) triple run for a
-number of independent trials.  Every trial regenerates its dataset from a
-stream derived only from (seed, condition, trial), so the three methods and
-both variants of a condition see identical data and identical
-initialisation draws.  Method comparisons are therefore paired, which keeps
-the variance of mean differences down without biasing any single cell.
+number of independent trials.  A trial's dataset comes from a stream
+derived only from (seed, condition, trial), so the three methods and both
+variants of a condition see identical data and identical initialisation
+draws; one task generates it once and plays those six cells' games on it.
+Method comparisons are therefore paired, which keeps the variance of mean
+differences down without biasing any single cell.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import islice, starmap
+from itertools import islice, starmap, tee
 from pathlib import Path
 from typing import Mapping
 
@@ -142,13 +143,15 @@ class ExperimentConfig:
                 raise ValueError(f"an array of {shape} elements would span 2**63 bytes or more")
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> list[tuple]:
-    """Play one seeded trial of a cell; returns its (ari_a, ari_b, kappa)
-    row per iteration."""
+def run_trial(cells: tuple[ExperimentConfig, ...], trial: int) -> list[list[tuple]]:
+    """Play one seeded trial of each of cells, configs equal but for variant
+    and method, on one dataset; returns each cell's (ari_a, ari_b, kappa)
+    row per iteration, in the order given."""
+    cfg = cells[0]
     trial_rng = RngStream(cfg.seed).derive(cfg.condition, trial)
     dataset = generate_dataset(cfg.synthetic, cfg.hyperparams, CONDITION_MASKS[cfg.condition], trial_rng.derive(_STREAM_DATA))
-    _, rows = run_game(cfg.variant, cfg.method, cfg.hyperparams, dataset, cfg.iterations, trial_rng.derive(_STREAM_GAME))
-    return rows
+    game_rng = trial_rng.derive(_STREAM_GAME)
+    return [run_game(c.variant, c.method, c.hyperparams, dataset, c.iterations, game_rng)[1] for c in cells]
 
 
 class ProcessPoolExecutor:
@@ -180,16 +183,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _trial_records(cells: list[ExperimentConfig]):
-    """Yield each trial's rows, cell by cell and trial by trial: one task
-    stream, run by one pool when there is more than one worker, so no cell
-    waits for the slowest trial of the cell before it. Tasks are drawn as
-    they run: a pool holds at most two per worker, submitted but not yet
+def _task_results(tasks, workers: int):
+    """run_trial's result for each (cells, trial) task, in task order: in
+    this process for one worker, else from one pool. Tasks are drawn as
+    they run: the pool holds at most two per worker, submitted but not yet
     yielded, and closing the generator cancels those not yet started."""
-    tasks = ((cell_cfg, t) for cell_cfg in cells for t in range(cell_cfg.trials))
-    # workers beyond the tasks or the cores only contend; the pool forks
-    # all of them at once
-    workers = min(cells[0].jobs, sum(cell_cfg.trials for cell_cfg in cells), _usable_cpus())
     if workers <= 1:
         yield from starmap(run_trial, tasks)
         return
@@ -208,6 +206,30 @@ def _trial_records(cells: list[ExperimentConfig]):
         finally:
             for future in futures:
                 future.cancel()
+
+
+def _trial_records(cells: list[ExperimentConfig]):
+    """Yield each trial's rows, cell by cell and trial by trial. A task is
+    one trial of the cells that differ only in variant and method, in a
+    grid one condition's six: one dataset, each cell's game played on it.
+    Tasks run in the order of their group's first cell, trials in order;
+    rows of a task that finishes before their cell's turn wait for it."""
+    groups = {}
+    for i, cell_cfg in enumerate(cells):
+        groups.setdefault(replace(cell_cfg, variant=VARIANTS[0], method=METHODS[0]), []).append(i)
+    order, task_order = tee((group, t) for group in groups.values() for t in range(cells[group[0]].trials))
+    # workers beyond the tasks or the cores only contend; the pool forks
+    # all of them at once
+    workers = min(cells[0].jobs, sum(cells[group[0]].trials for group in groups.values()), _usable_cpus())
+    tasks = ((tuple(cells[i] for i in group), t) for group, t in task_order)
+    waiting = {}  # (cell index, trial) -> rows
+    with closing(_task_results(tasks, workers)) as results:
+        finished = zip(order, results)
+        for key in ((i, t) for i, cell_cfg in enumerate(cells) for t in range(cell_cfg.trials)):
+            while key not in waiting:
+                (group, trial), per_cell = next(finished)
+                waiting.update(((j, trial), rows) for j, rows in zip(group, per_cell))
+            yield waiting.pop(key)
 
 
 def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:

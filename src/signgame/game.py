@@ -27,6 +27,7 @@ normalized elementwise product of the two agents' sign distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,16 +117,21 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generato
     return signs
 
 
+@lru_cache(maxsize=1)
 def _game_seeds(rng: RngStream, iterations: int) -> np.ndarray:
     """Seed words of every phase stream of a game, shape (iterations,
-    slots, phases, 4).
+    slots, phases, 4), read-only.
 
     Entry [t, slot, phase] opens the generator of
     rng.derive(_STREAM_ITERATION, t, slot, phase). All streams are derived
     and hashed in one vectorized pass, which costs a fraction of a
-    SeedSequence per phase; an iteration opens at most 6 of its 12.
+    SeedSequence per phase; an iteration opens at most 6 of its 12. The
+    last table is kept: a trial's games run back to back with one (rng,
+    iterations), so the first builds it and the rest reuse it.
     """
-    return rng.seed_table(_STREAM_ITERATION, *np.ogrid[:iterations, : _SLOT_JOINT + 1, : _PHASE_JOINT + 1])
+    table = rng.seed_table(_STREAM_ITERATION, *np.ogrid[:iterations, : _SLOT_JOINT + 1, : _PHASE_JOINT + 1])
+    table.flags.writeable = False
+    return table
 
 
 def run_iteration(state: GameState, seeds: np.ndarray) -> GameState:

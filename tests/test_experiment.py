@@ -42,7 +42,9 @@ from signgame.experiment import (
     run_full_grid,
     write_reports,
 )
+import signgame.game as game
 from signgame.game import METHODS
+from signgame.stochastic import RngStream
 
 SMALL_HYPER = Hyperparams(num_categories=4, num_signs=4)
 SMALL_SYNTH = SyntheticConfig(
@@ -206,6 +208,57 @@ def test_parallel_jobs_match_serial_results():
     assert parallel_summary == serial_summary
 
 
+def test_a_trial_generates_one_dataset_and_one_seed_table_for_its_cells(tmp_path, monkeypatch):
+    # a grid trial plays its condition's six games on one dataset, and the
+    # six draw one seed table; one table per task, never six
+    calls = {"generate_dataset": 0, "seed_table": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return spy
+
+    monkeypatch.setattr(experiment, "generate_dataset", counted("generate_dataset", generate_dataset))
+    monkeypatch.setattr(RngStream, "seed_table", counted("seed_table", RngStream.seed_table))
+    game._game_seeds.cache_clear()
+    run_full_grid(small_config(iterations=2, trials=2), tmp_path)
+    assert calls == {"generate_dataset": 8, "seed_table": 8}
+    calls.update(dict.fromkeys(calls, 0))
+    run_cell(small_config(iterations=2, trials=3))
+    assert calls == {"generate_dataset": 3, "seed_table": 3}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cells_share_a_task_only_when_they_differ_in_variant_and_method(tmp_path, monkeypatch, jobs):
+    # each of these cells shares condition 1 with the first; a task that
+    # grouped cells by fewer fields would play some on another's dataset
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
+    base = small_config(iterations=2, jobs=jobs)
+    cells = [
+        base,
+        dataclasses.replace(base, variant="t2t", method="gibbs"),
+        dataclasses.replace(base, seed=1),
+        dataclasses.replace(base, method="reject", seed=1),
+        dataclasses.replace(base, iterations=3),
+        dataclasses.replace(base, trials=3),
+        dataclasses.replace(base, synthetic=dataclasses.replace(SMALL_SYNTH, feature_dim=6)),
+        # the data's true emissions are drawn with the hyperparams' concentrations
+        dataclasses.replace(base, hyperparams=dataclasses.replace(SMALL_HYPER, emission_concentration=EmissionConcentration(v=0.1))),
+    ]
+    alone = [run_cell(dataclasses.replace(cell_cfg, jobs=1)) for cell_cfg in cells]
+    seen = []
+
+    def recorded(cell_cfg, records=None):
+        seen.append(run_cell(cell_cfg, records))
+        return seen[-1]
+
+    monkeypatch.setattr(experiment, "run_cell", recorded)
+    experiment._run_cells(cells, tmp_path)
+    assert seen == alone
+
+
 # sha256 of the reports of run_full_grid at default sizes with trials=1,
 # iterations=5, seed=7, regenerated when an agent's Dirichlet rows came to
 # be drawn in one pass; a speedup must keep them
@@ -248,9 +301,9 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
             submitted.append([])
             super().__init__(*args, **kwargs)
 
-        def submit(self, fn, c, t):
-            submitted[-1].append((c.variant, c.method, c.condition, t))
-            return super().submit(fn, c, t)
+        def submit(self, fn, group, t):
+            submitted[-1].append(([(c.variant, c.method, c.condition) for c in group], t))
+            return super().submit(fn, group, t)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -259,19 +312,21 @@ def test_parallel_full_grid_starts_one_pool(tmp_path, monkeypatch):
     run_full_grid(cfg, tmp_path / "parallel", progress=cells.append)
     assert started == [2]
     assert len(cells) == 24
-    # every trial of every cell is one task submitted to a single pool, in report order
+    # every trial of a condition's six cells is one task submitted to a
+    # single pool, in condition order, the cells of a task in report order
     order = [(c.variant, c.method, c.condition) for c in full_grid_configs(cfg)]
-    assert submitted == [[key + (t,) for key in order for t in range(cfg.trials)]]
+    by_condition = [[key for key in order if key[2] == condition] for condition in CONDITION_CHOICES]
+    assert submitted == [[(group, t) for group in by_condition for t in range(cfg.trials)]]
     assert [(row["variant"], row["method"], row["condition"]) for row in cells] == order
     run_full_grid(small_config(iterations=2), tmp_path / "serial")
     assert started == [2]
     # a pool never has more workers than cores, nor than tasks: the grid's
-    # 48 tasks fill 3 cores, a lone cell's 2 trials fill 2 workers
+    # 8 tasks fill 3 cores, a lone cell's 2 trials fill 2 workers
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: set(range(3)))
     run_full_grid(small_config(iterations=2, jobs=5000, trials=2), tmp_path / "wide")
     run_cell(small_config(iterations=1, jobs=5000, trials=2))
     assert started == [2, 3, 2]
-    # a one-trial grid still has 24 tasks for its pool
+    # a one-trial grid still has 4 tasks for its pool
     run_full_grid(small_config(iterations=2, jobs=2, trials=1), tmp_path / "one_trial")
     assert started == [2, 3, 2, 2]
     assert len(submitted) == 4
@@ -310,7 +365,7 @@ def test_grid_pinned_to_one_cpu_starts_no_pool(tmp_path, monkeypatch):
 def test_a_serial_run_starts_its_first_trial_without_listing_the_rest(monkeypatch):
     # a stub trial costs nothing, so the traced peak is the task bookkeeping:
     # a list of 10**5 (cell, trial) tasks alone takes several MB
-    monkeypatch.setattr(experiment, "run_trial", lambda cfg, trial: [(trial,)])
+    monkeypatch.setattr(experiment, "run_trial", lambda cells, trial: [[(trial,)] for _ in cells])
     records = experiment._trial_records([small_config(trials=10**5)])
     tracemalloc.start()
     try:
@@ -323,9 +378,9 @@ def test_a_serial_run_starts_its_first_trial_without_listing_the_rest(monkeypatc
     assert peak < 2**20
 
 
-def stub_trial(cfg, trial):
+def stub_trial(cells, trial):
     # at module level, so the pool can pickle it in place of run_trial
-    return [(trial,)]
+    return [[(trial,)] for _ in cells]
 
 
 def test_a_parallel_run_starts_its_first_trial_without_submitting_the_rest(monkeypatch):
@@ -354,11 +409,12 @@ FAILING_CELL = full_grid_configs(small_config())[10]
 RUN_TRIAL = experiment.run_trial
 
 
-def fail_one_cell(cfg, trial):
+def fail_one_cell(cells, trial):
     # at module level, so the pool can pickle it in place of run_trial
-    if (cfg.variant, cfg.method, cfg.condition) == (FAILING_CELL.variant, FAILING_CELL.method, FAILING_CELL.condition):
+    failing = (FAILING_CELL.variant, FAILING_CELL.method, FAILING_CELL.condition)
+    if any((cfg.variant, cfg.method, cfg.condition) == failing for cfg in cells):
         raise RuntimeError("trial failed")
-    return RUN_TRIAL(cfg, trial)
+    return RUN_TRIAL(cells, trial)
 
 
 def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
@@ -367,7 +423,9 @@ def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
     cells = []
     with pytest.raises(RuntimeError, match="trial failed"):
         run_full_grid(small_config(iterations=2, jobs=2), tmp_path, progress=cells.append)
-    assert len(cells) == 10
+    # cells finish a condition at a time: the first cells of conditions 1
+    # and 2 report before the failing cell's condition 3 task
+    assert len(cells) == 2
     assert not (tmp_path / "detail.csv").exists()
     assert not (tmp_path / "summary.csv").exists()
     # the pool is shut down before run_full_grid returns
@@ -377,24 +435,24 @@ def test_failing_trial_stops_a_parallel_grid(tmp_path, monkeypatch):
     # while the traceback still holds run_full_grid's frame
     cells = []
 
-    def stop_at_cell_5(summary):
-        if len(cells) == 5:
+    def stop_at_cell_1(summary):
+        if len(cells) == 1:
             raise KeyboardInterrupt
         cells.append(summary)
 
     with pytest.raises(KeyboardInterrupt) as stopped:
-        run_full_grid(small_config(iterations=2, jobs=2), tmp_path, progress=stop_at_cell_5)
+        run_full_grid(small_config(iterations=2, jobs=2), tmp_path, progress=stop_at_cell_1)
     assert stopped.traceback
     assert not (tmp_path / "detail.csv").exists()
     assert multiprocessing.active_children() == []
 
 
-def kill_worker_on_trial_1(cfg, trial):
+def kill_worker_on_trial_1(cells, trial):
     # at module level, so the pool can pickle it in place of run_trial; the
     # worker ends as a crash or an out-of-memory kill would end it
     if trial == 1:
         os._exit(9)
-    return RUN_TRIAL(cfg, trial)
+    return RUN_TRIAL(cells, trial)
 
 
 def test_a_dead_worker_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
@@ -493,7 +551,7 @@ def test_cli_run_compare_and_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "full"])
 def test_cli_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch, command):
-    def no_trial(cfg, trial):
+    def no_trial(cells, trial):
         raise AssertionError("a trial ran before --out was checked")
 
     monkeypatch.setattr(experiment, "run_trial", no_trial)
@@ -521,7 +579,7 @@ def test_library_partial_emission_concentration_keeps_the_other_defaults(monkeyp
         return generate_dataset(config, hyper, *args)
 
     monkeypatch.setattr(experiment, "generate_dataset", spy)
-    rows = experiment.run_trial(small_config(hyperparams=hyper, iterations=2), 0)
+    rows = experiment.run_trial((small_config(hyperparams=hyper, iterations=2),), 0)[0]
     assert len(rows) == 2
     assert drawn == [hyper]
 

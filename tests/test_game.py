@@ -399,6 +399,19 @@ def test_game_seeds_open_every_phase_stream():
             assert open_generator(words).bit_generator.state == expect.bit_generator.state
 
 
+def test_game_seeds_keeps_the_last_table_read_only():
+    # the six games of a trial reuse one table, so none may write to it,
+    # and a change of rng or of iterations builds the table afresh
+    a, b = RngStream(3, 4), RngStream(5, 6)
+    for rng, iterations in ((a, 7), (b, 7), (a, 9)):
+        table = game._game_seeds(rng, iterations)
+        expect = rng.seed_table(game._STREAM_ITERATION, *np.ogrid[:iterations, : game._SLOT_JOINT + 1, : game._PHASE_JOINT + 1])
+        np.testing.assert_array_equal(table, expect)
+        assert game._game_seeds(rng, iterations) is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 0
+
+
 def reference_game(variant, mode, dataset, iterations, rng):
     """The game loop with one SeedSequence-hashed stream per phase and
     scalar metrics after every iteration."""
