@@ -12,17 +12,14 @@ import numpy as np
 _ROWS_PER_PASS = 32
 
 
-def _check_labels(x, name: str, stack: bool = False) -> np.ndarray:
-    """Validated labels: integer arrays as given, anything else as int64."""
+def _check_labels(x, name: str, ndim: int) -> np.ndarray:
+    """x as an array: a non-empty ndim-d array of nonnegative integer labels."""
     x = np.asarray(x)
-    if x.ndim not in ((1, 2) if stack else (1,)) or x.size == 0:
-        shape = "1-d label vector or 2-d stack of them" if stack else "1-d label vector"
-        raise ValueError(f"{name} must be a non-empty {shape}")
-    integer = x.dtype.kind in "iu"
-    # integer labels need no floor test
-    if x.min() < 0 or not (integer or np.all(x == np.floor(x))):
-        raise ValueError(f"{name} must hold nonnegative integer labels")
-    return x if integer else x.astype(np.int64)
+    if x.ndim != ndim or x.size == 0 or x.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a non-empty {ndim}-d array of integer dtype")
+    if x.min() < 0:
+        raise ValueError(f"{name} must hold nonnegative labels")
+    return x
 
 
 def _passes(rows: np.ndarray):
@@ -46,15 +43,15 @@ def _pairs(counts: np.ndarray) -> list[int]:
 def adjusted_rand_index(labels_x, labels_y):
     """Chance-corrected pairwise agreement of two partitions.
 
-    labels_x is one labeling (n,), or a stack (rows, n) of labelings that
-    are each scored against labels_y (n,): a float for one labeling, a list
-    of floats for a stack. Contingency counts are integer sums over many
-    rows at once; the final products and division run in Python ints, so
-    the result is exact for any n.
+    labels_x is an integer stack (rows, n) of labelings, each scored
+    against the integer truth labels_y (n,); returns one float per row.
+    Contingency counts are integer sums over many rows at once; the final
+    products and division run in Python ints, so the result is exact for
+    any n.
     """
-    x = _check_labels(labels_x, "labels_x", stack=True)
-    y = _check_labels(labels_y, "labels_y").astype(np.int64)
-    n = x.shape[-1]
+    x = _check_labels(labels_x, "labels_x", 2)
+    y = _check_labels(labels_y, "labels_y", 1).astype(np.int64)
+    n = x.shape[1]
     if n != y.size:
         raise ValueError(f"length mismatch: {n} vs {y.size}")
     kx = int(x.max()) + 1
@@ -63,7 +60,7 @@ def adjusted_rand_index(labels_x, labels_y):
     # every row is scored against the one y, so its column sums are y's counts
     pairs_y = _pairs(np.bincount(y))
     out = []
-    for rows in _passes(x.reshape(-1, n)):
+    for rows in _passes(x):
         contingency = _row_counts(rows * ky + y, kx * ky)
         index = _pairs(contingency)
         row_pairs = _pairs(contingency.reshape(-1, kx, ky).sum(axis=2))
@@ -75,26 +72,26 @@ def adjusted_rand_index(labels_x, labels_y):
             # is 0 only when both partitions are all singletons, both are one
             # block, or n == 1: identical groupings, perfect agreement
             out.append(1.0 if denominator == 0 else (2 * numerator) / denominator)
-    return out if x.ndim == 2 else out[0]
+    return out
 
 
 def kappa(signs_x, signs_y, num_signs: int):
     """Chance-corrected per-object sign agreement between two agents.
 
     Chance agreement is the match probability of independent draws from the
-    two agents' empirical sign frequencies. signs_x and signs_y are one
-    pair of sign vectors (n,), or two stacks (rows, n) scored row by row:
-    a float for one pair, a list of floats for stacks.
+    two agents' empirical sign frequencies. signs_x and signs_y are integer
+    stacks (rows, n) of equal shape, scored row by row; returns one float
+    per row.
     """
-    x = _check_labels(signs_x, "signs_x", stack=True)
-    y = _check_labels(signs_y, "signs_y", stack=True)
+    x = _check_labels(signs_x, "signs_x", 2)
+    y = _check_labels(signs_y, "signs_y", 2)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if num_signs < 1 or int(x.max()) >= num_signs or int(y.max()) >= num_signs:
         raise ValueError("labels exceed num_signs")
-    n = x.shape[-1]
+    n = x.shape[1]
     out = []
-    for rows_x, rows_y in zip(_passes(x.reshape(-1, n)), _passes(y.reshape(-1, n))):
+    for rows_x, rows_y in zip(_passes(x), _passes(y)):
         observed = (np.count_nonzero(rows_x == rows_y, axis=1) / n).tolist()
         freq_x = _row_counts(rows_x, num_signs) / n
         freq_y = _row_counts(rows_y, num_signs) / n
@@ -105,7 +102,7 @@ def kappa(signs_x, signs_y, num_signs: int):
                 out.append(1.0 if agree == 1.0 else 0.0)
             else:
                 out.append((agree - expected) / (1.0 - expected))
-    return out if x.ndim == 2 else out[0]
+    return out
 
 
 # verbal scale for kappa values, used to annotate comparison reports

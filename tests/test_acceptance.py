@@ -197,7 +197,7 @@ def test_criterion_7_joint_draw_matches_hand_product():
 
 
 def test_criterion_8_metrics_match_brute_force():
-    crossed = adjusted_rand_index([0, 0, 1, 1], [0, 1, 0, 1])
+    crossed = adjusted_rand_index([[0, 0, 1, 1]], [0, 1, 0, 1])[0]
     gen = RngStream(808).generator()
     worst = 0.0
     for _ in range(1000):
@@ -205,8 +205,8 @@ def test_criterion_8_metrics_match_brute_force():
         labels = int(gen.integers(1, 6))
         x = gen.integers(0, labels, size=n)
         y = gen.integers(0, labels, size=n)
-        worst = max(worst, abs(adjusted_rand_index(x, y) - ari_by_pair_enumeration(x, y)))
-        worst = max(worst, abs(kappa(x, y, labels) - kappa_by_frequency_sums(x, y, labels)))
+        worst = max(worst, abs(adjusted_rand_index([x], y)[0] - ari_by_pair_enumeration(x, y)))
+        worst = max(worst, abs(kappa([x], [y], labels)[0] - kappa_by_frequency_sums(x, y, labels)))
     ok = crossed == -0.5 and worst <= 1e-12
     report(
         8,

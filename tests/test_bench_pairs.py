@@ -109,18 +109,24 @@ def test_summarize_marks_a_metric_whose_parent_spread_exceeds_the_bound_unresolv
     assert out["iter_per_s"]["unresolved"] is unresolved
 
 
-def test_main_names_unresolved_metrics_and_keeps_the_exit_status(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "change_wall, unresolved, gain",
+    [(1.0, True, False), (0.2, False, True)],
+    ids=["unresolved", "gain-shown"],
+)
+def test_main_names_unresolved_metrics_and_keeps_the_exit_status(tmp_path, monkeypatch, capsys, change_wall, unresolved, gain):
     spec = {
         "workloads": [{"name": "cell-mh"}],
         "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
         "per_layer": [],
     }
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
-    # parent quartiles 0.625 and 1.375; every change run reads 1.0
+    # parent quartiles 0.625 and 1.375; every change run reads change_wall,
+    # and 0.2 wins all four pairs by more than the parent's IQR of 0.75
     parent_walls = iter([0.5, 1.0, 1.0, 1.5])
 
     def fake_run(checkout, workload, seed, seconds, trace):
-        wall = 1.0 if checkout == tmp_path.resolve() else next(parent_walls)
+        wall = change_wall if checkout == tmp_path.resolve() else next(parent_walls)
         return {
             "metrics": {"wall_s": {"value": wall}},
             "attempted": 5,
@@ -132,8 +138,11 @@ def test_main_names_unresolved_metrics_and_keeps_the_exit_status(tmp_path, monke
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--workload", "cell-mh", "--pairs", "4"]) == 0
-    assert json.loads(out.read_text())["workloads"]["cell-mh"]["summary"]["wall_s"]["unresolved"]
-    assert "unresolved on: cell-mh (wall_s)" in capsys.readouterr().err
+    summary = json.loads(out.read_text())["workloads"]["cell-mh"]["summary"]["wall_s"]
+    assert (summary["unresolved"], summary["gain_shown"]) == (unresolved, gain)
+    err = capsys.readouterr().err
+    assert ("unresolved on: cell-mh (wall_s)" in err) is unresolved
+    assert ("gain shown on: cell-mh (wall_s)" in err) is gain
 
 
 @pytest.mark.parametrize(

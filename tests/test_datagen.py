@@ -102,7 +102,7 @@ def test_single_modality_fit_recovers_planted_types():
     data = generate_dataset(config, Hyperparams(), (("v",), ("v",)), RngStream(2025))
     agent = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(2025).derive(1))
     solo_gibbs_fit(agent, 150, RngStream(2025).derive(2))
-    assert adjusted_rand_index(agent.categories, data.true_type) >= 0.6
+    assert adjusted_rand_index([agent.categories], data.true_type)[0] >= 0.6
 
 
 def test_float_observations_follow_the_given_modality_order():

@@ -387,6 +387,29 @@ def test_run_iteration_makes_one_kernel_call_per_phase(monkeypatch, mode, calls)
     assert seen == calls
 
 
+@pytest.mark.parametrize(
+    "mode, opened",
+    [
+        ("mh", [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]),
+        ("reject", [(0, 0), (0, 1), (1, 0), (1, 1)]),
+        ("gibbs", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 3)]),
+    ],
+)
+def test_run_iteration_opens_exactly_its_phase_generators(monkeypatch, mode, opened):
+    # the (slot, phase) entries one iteration opens, in order: at most 6 of its 12
+    state = small_game(mode, iterations=1)[0]
+    seeds = game._game_seeds(RngStream(5), 1)[0]
+    entries = {seeds[index].tobytes(): index for index in np.ndindex(seeds.shape[:2])}
+    seen = []
+
+    def spy(words):
+        seen.append(entries[words.tobytes()])
+        return open_generator(words)
+
+    monkeypatch.setattr(game, "open_generator", spy)
+    game.run_iteration(state, seeds)
+    assert seen == opened
+
 
 def test_game_seeds_open_every_phase_stream():
     # every [iteration, slot, phase] entry of a game's seed table opens
@@ -431,9 +454,9 @@ def reference_game(variant, mode, dataset, iterations, rng):
         a, b = agents
         rows.append(
             (
-                adjusted_rand_index(a.categories, dataset.true_type),
-                adjusted_rand_index(b.categories, dataset.true_type),
-                None if mode == "gibbs" else kappa(a.signs, b.signs, SMALL_HYPER.num_signs),
+                adjusted_rand_index([a.categories], dataset.true_type)[0],
+                adjusted_rand_index([b.categories], dataset.true_type)[0],
+                None if mode == "gibbs" else kappa([a.signs], [b.signs], SMALL_HYPER.num_signs)[0],
             )
         )
     return agents, rows

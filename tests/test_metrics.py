@@ -15,61 +15,88 @@ from signgame.metrics import (
 )
 
 
+# label arrays of every non-integer kind: str, bool, float and object
+NON_INTEGER_LABELS = (
+    np.array(["0", "1"]),
+    np.array([True, False]),
+    np.array([0.0, 1.0]),
+    np.array([0, 1], dtype=object),
+)
+
+
 def test_ari_identical_partitions():
-    assert adjusted_rand_index([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
-    assert adjusted_rand_index([3, 3, 3], [3, 3, 3]) == 1.0
+    assert adjusted_rand_index([[0, 0, 1, 1]], [0, 0, 1, 1]) == [1.0]
+    assert adjusted_rand_index([[3, 3, 3]], [3, 3, 3]) == [1.0]
 
 
 def test_ari_crossed_pairs_is_exactly_minus_half():
-    assert adjusted_rand_index([0, 0, 1, 1], [0, 1, 0, 1]) == -0.5
+    assert adjusted_rand_index([[0, 0, 1, 1]], [0, 1, 0, 1]) == [-0.5]
 
 
 def test_ari_permutation_of_labels_is_perfect():
-    assert adjusted_rand_index([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
-    assert adjusted_rand_index([0, 1, 2, 0], [5, 0, 2, 5]) == 1.0
+    assert adjusted_rand_index([[0, 0, 1, 1]], [1, 1, 0, 0]) == [1.0]
+    assert adjusted_rand_index([[0, 1, 2, 0]], [5, 0, 2, 5]) == [1.0]
 
 
 def test_ari_degenerate_partitions():
     # all singletons on both sides group identically
-    assert adjusted_rand_index([0, 1, 2], [2, 0, 1]) == 1.0
-    assert adjusted_rand_index([0, 0, 0], [1, 1, 1]) == 1.0
+    assert adjusted_rand_index([[0, 1, 2]], [2, 0, 1]) == [1.0]
+    assert adjusted_rand_index([[0, 0, 0]], [1, 1, 1]) == [1.0]
 
 
 def test_ari_input_validation():
     with pytest.raises(ValueError):
-        adjusted_rand_index([0, 1], [0, 1, 2])
+        adjusted_rand_index([[0, 1]], [0, 1, 2])
     with pytest.raises(ValueError):
-        adjusted_rand_index([], [])
+        adjusted_rand_index([[]], [])
     with pytest.raises(ValueError):
-        adjusted_rand_index([0, -1], [0, 1])
+        adjusted_rand_index([[0, -1]], [0, 1])
     with pytest.raises(ValueError):
         adjusted_rand_index([[0, 1]], [[0, 1]])
+    # one labeling is a one-row stack, not a 1-d vector
+    with pytest.raises(ValueError, match="labels_x"):
+        adjusted_rand_index([0, 1], [0, 1])
+    for labels in NON_INTEGER_LABELS:
+        with pytest.raises(ValueError, match="labels_x"):
+            adjusted_rand_index(labels[None], [0, 1])
+        with pytest.raises(ValueError, match="labels_y"):
+            adjusted_rand_index([[0, 1]], labels)
 
 
 def test_kappa_hand_examples():
     # crossed halves: observed 0.5 equals chance 0.5
-    assert kappa([0, 0, 1, 1], [0, 1, 0, 1], 2) == 0.0
+    assert kappa([[0, 0, 1, 1]], [[0, 1, 0, 1]], 2) == [0.0]
     # disjoint constant signs: observed 0, chance 0
-    assert kappa([0, 0], [1, 1], 2) == 0.0
-    assert kappa([0, 1, 0, 1], [0, 1, 0, 1], 2) == 1.0
+    assert kappa([[0, 0]], [[1, 1]], 2) == [0.0]
+    assert kappa([[0, 1, 0, 1]], [[0, 1, 0, 1]], 2) == [1.0]
 
 
 def test_kappa_degenerate_single_shared_sign():
-    assert kappa([2, 2, 2], [2, 2, 2], 5) == 1.0
+    assert kappa([[2, 2, 2]], [[2, 2, 2]], 5) == [1.0]
 
 
 def test_kappa_is_negative_for_systematic_disagreement():
     # equal frequencies but never matching
-    assert kappa([0, 0, 1, 1], [1, 1, 0, 0], 2) == pytest.approx(-1.0)
+    assert kappa([[0, 0, 1, 1]], [[1, 1, 0, 0]], 2)[0] == pytest.approx(-1.0)
 
 
 def test_kappa_input_validation():
     with pytest.raises(ValueError):
-        kappa([0, 1], [0], 2)
+        kappa([[0, 1]], [[0]], 2)
     with pytest.raises(ValueError):
-        kappa([0, 2], [0, 1], 2)
+        kappa([[0, 2]], [[0, 1]], 2)
     with pytest.raises(ValueError):
-        kappa([0, 1], [0, 1], 0)
+        kappa([[0, 1]], [[0, 1]], 0)
+    # one pair of sign vectors is a pair of one-row stacks
+    with pytest.raises(ValueError, match="signs_x"):
+        kappa([0, 1], [[0, 1]], 2)
+    with pytest.raises(ValueError, match="signs_y"):
+        kappa([[0, 1]], [0, 1], 2)
+    for signs in NON_INTEGER_LABELS:
+        with pytest.raises(ValueError, match="signs_x"):
+            kappa(signs[None], [[0, 1]], 2)
+        with pytest.raises(ValueError, match="signs_y"):
+            kappa([[0, 1]], signs[None], 2)
 
 
 def test_ari_matches_pair_enumeration_on_random_instances():
@@ -78,7 +105,7 @@ def test_ari_matches_pair_enumeration_on_random_instances():
         n = int(gen.integers(2, 31))
         x = gen.integers(0, int(gen.integers(1, 7)), size=n)
         y = gen.integers(0, int(gen.integers(1, 7)), size=n)
-        assert adjusted_rand_index(x, y) == pytest.approx(
+        assert adjusted_rand_index([x], y)[0] == pytest.approx(
             ari_by_pair_enumeration(x, y), abs=1e-12
         )
 
@@ -90,7 +117,7 @@ def test_kappa_matches_frequency_sums_on_random_instances():
         num_signs = int(gen.integers(1, 7))
         x = gen.integers(0, num_signs, size=n)
         y = gen.integers(0, num_signs, size=n)
-        assert kappa(x, y, num_signs) == pytest.approx(
+        assert kappa([x], [y], num_signs)[0] == pytest.approx(
             kappa_by_frequency_sums(x, y, num_signs), abs=1e-12
         )
 
@@ -144,8 +171,8 @@ def test_stacked_ari_equals_the_scalar_formula_row_by_row():
         for truth in (gen.integers(0, 4, size=n), np.arange(n), np.zeros(n, dtype=int)):
             got = adjusted_rand_index(rows, truth)
             assert got == [scalar_ari(row, truth) for row in rows]
-            assert got == [adjusted_rand_index(row, truth) for row in rows]
-    assert type(adjusted_rand_index(rows[0], truth)) is float
+            assert got == [adjusted_rand_index([row], truth)[0] for row in rows]
+            assert all(type(value) is float for value in got)
 
 
 def test_stacked_ari_is_exact_beyond_float_integers():
@@ -173,20 +200,20 @@ def test_stacked_kappa_equals_the_scalar_formula_row_by_row():
         y[2] = x[2]
         got = kappa(x, y, num_signs)
         assert got == [scalar_kappa(a, b, num_signs) for a, b in zip(x, y)]
-        assert got == [kappa(a, b, num_signs) for a, b in zip(x, y)]
-    assert type(kappa(x[3], y[3], num_signs)) is float
+        assert got == [kappa([a], [b], num_signs)[0] for a, b in zip(x, y)]
+        assert all(type(value) is float for value in got)
 
 
 def test_stacked_metrics_validate_their_rows():
-    with pytest.raises(ValueError, match="2-d stack"):
+    with pytest.raises(ValueError, match="labels_x must be a non-empty 2-d array"):
         adjusted_rand_index([[[0, 1]]], [0, 1])
-    with pytest.raises(ValueError, match="1-d label vector"):
+    with pytest.raises(ValueError, match="labels_y must be a non-empty 1-d array"):
         adjusted_rand_index([[0, 1]], [[0, 1]])
     with pytest.raises(ValueError, match="length mismatch"):
         adjusted_rand_index([[0, 1]], [0, 1, 2])
     with pytest.raises(ValueError, match="nonnegative"):
         adjusted_rand_index([[0, -1]], [0, 1])
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="signs_x must be a non-empty 2-d array of integer dtype"):
         kappa([[0.5, 1]], [[0, 1]], 2)
     with pytest.raises(ValueError, match="length mismatch"):
         kappa([[0, 1]], [[0, 1], [1, 0]], 2)
@@ -206,18 +233,18 @@ def labeling_pairs(draw):
 @given(labeling_pairs())
 def test_ari_symmetric_and_relabel_invariant(pair):
     x, y = pair
-    value = adjusted_rand_index(x, y)
-    assert adjusted_rand_index(y, x) == pytest.approx(value, abs=1e-12)
+    value = adjusted_rand_index([x], y)[0]
+    assert adjusted_rand_index([y], x)[0] == pytest.approx(value, abs=1e-12)
     shuffled = [(v * 7 + 3) % 11 for v in y]  # injective on 0..5
-    assert adjusted_rand_index(x, shuffled) == pytest.approx(value, abs=1e-12)
+    assert adjusted_rand_index([x], shuffled)[0] == pytest.approx(value, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(labeling_pairs(), st.permutations(list(range(6))))
 def test_kappa_invariant_under_joint_sign_permutation(pair, perm):
     x, y = pair
-    value = kappa(x, y, 6)
-    assert kappa([perm[v] for v in x], [perm[v] for v in y], 6) == pytest.approx(
+    value = kappa([x], [y], 6)[0]
+    assert kappa([[perm[v] for v in x]], [[perm[v] for v in y]], 6)[0] == pytest.approx(
         value, abs=1e-12
     )
 
@@ -225,8 +252,8 @@ def test_kappa_invariant_under_joint_sign_permutation(pair, perm):
 def test_kappa_not_invariant_under_one_sided_relabeling():
     x = [0, 0, 1, 1]
     y = [0, 0, 1, 1]
-    assert kappa(x, y, 2) == 1.0
-    assert kappa(x, [1 - v for v in y], 2) != 1.0
+    assert kappa([x], [y], 2) == [1.0]
+    assert kappa([x], [[1 - v for v in y]], 2) != [1.0]
 
 
 def test_kappa_band_scale():

@@ -30,8 +30,8 @@ side that failed every run reads 0.0, which would beat any parent median.
 It is ``unresolved`` when the parent's interquartile range is wider than the
 bound times the parent median and not every change run reads better than
 every parent run: that spread cannot tell a move within the bound from
-noise. stderr names the unresolved metrics, which leave the exit status as
-it is.
+noise. stderr names the unresolved metrics and the metrics whose gain is
+shown; neither changes the exit status.
 
 The exit status is 1, after the file is written, when a workload's digests
 differ between runs, the change failed any operation, a metric is worse
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     doc["parent_commit"] = _git_head(checkouts["parent"])
     doc.setdefault("change_commit", "the commit that adds this file")
 
-    machines, unsound, worse, unresolved, absent = [], [], [], [], []
+    machines, unsound, worse, unresolved, gains, absent = [], [], [], [], [], []
     if args.traced:
         doc["traced"] = traced(checkouts, args, [m["name"] for m in spec["per_layer"]], known, machines)
         absent = [names for names in doc["traced"]["absent_names"]["change"] if names != "none"]
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
         spread = [name for name in metrics if summary[name]["unresolved"]]
         if spread:
             unresolved.append(f"{workload} ({', '.join(spread)})")
+        shown = [name for name in metrics if summary[name]["gain_shown"]]
+        if shown:
+            gains.append(f"{workload} ({', '.join(shown)})")
         record = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} --seconds {args.seconds:g} --trace 0",
             "summary": summary,
@@ -228,6 +231,8 @@ def main(argv=None) -> int:
         print(f"metrics worse than their bound on: {'; '.join(worse)}", file=sys.stderr)
     if unresolved:
         print(f"metrics the parent's spread leaves unresolved on: {'; '.join(unresolved)}", file=sys.stderr)
+    if gains:
+        print(f"gain shown on: {'; '.join(gains)}", file=sys.stderr)
     if absent:
         print(f"traced names absent on the change side: {'; '.join(absent)}", file=sys.stderr)
     return 1 if unsound or worse or absent else 0
