@@ -39,9 +39,8 @@ VARIANT_T2T = "t2t"
 VARIANT_H2H = "h2h"
 VARIANTS = (VARIANT_T2T, VARIANT_H2H)
 
-# stream ids used below init_agent's base stream
+# stream id used below init_agent's base stream
 _STREAM_ASSIGN = 0
-_STREAM_PARAMS = 1
 
 
 def shown(value) -> str:
@@ -130,7 +129,8 @@ class AgentModel:
     bins stack of emission blocks, one per observed modality in
     modalities order. prior holds the blocks' prior concentrations in
     that layout. install_parameters sets what the game reads of a drawn
-    vector (see there). observations is the agent's own read-only float64
+    vector (see there); those four tables are None until the agent's first
+    update_parameters. observations is the agent's own read-only float64
     (M, objects, bins) stack, the dataset's array itself, and the only
     data its kernels read; modalities names its rows in order.
     """
@@ -172,13 +172,13 @@ def init_agent(
     rng: RngStream,
 ) -> AgentModel:
     """Build an agent on its own observation stack, whose rows are the
-    modalities named in order, with uniform random assignments and
-    posterior-drawn parameters."""
+    modalities named in order, with uniform random assignments; its tables
+    are None until the first update_parameters draws them."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     d = observations.shape[1]
     gen = rng.derive(_STREAM_ASSIGN).generator()
-    agent = AgentModel(
+    return AgentModel(
         variant=variant,
         hyper=hyper,
         modalities=modalities,
@@ -186,8 +186,6 @@ def init_agent(
         categories=gen.integers(0, hyper.num_categories, size=d),
         signs=gen.integers(0, hyper.num_signs, size=d),
     )
-    update_parameters(agent, rng.derive(_STREAM_PARAMS).generator())
-    return agent
 
 
 def _views(agent: AgentModel, flat: np.ndarray) -> tuple:

@@ -62,6 +62,7 @@ class GameState:
 # first-level stream ids under a game's base stream
 _STREAM_INIT = 0
 _STREAM_ITERATION = 1
+_STREAM_INIT_TABLES = 1  # under (_STREAM_INIT, 1): agent B's initial tables
 
 # phase ids within one iteration
 _PHASE_PARAMS = 0
@@ -167,7 +168,7 @@ def run_game(
 ) -> tuple[GameState, list[tuple]]:
     """Play a full game; returns the final state and one (ari_a, ari_b,
     kappa) row per iteration, scored at the iteration's end, with kappa None
-    under "gibbs".
+    under "gibbs". Only "mh" draws initial tables, and only agent B's.
 
     Each iteration's categories and signs are copied aside, and every
     iteration is scored in one batched pass after the last; scoring reads
@@ -181,6 +182,10 @@ def run_game(
         init_agent(variant, hyper, dataset.modalities[i], dataset.observations[i], rng.derive(_STREAM_INIT, i))
         for i in (0, 1)
     )
+    # every iteration redraws a speaker's tables before it reads them, so the
+    # one initial set a game reads is B's, as listener to A's first proposals
+    if mode == "mh":
+        update_parameters(agent_b, rng.derive(_STREAM_INIT, 1, _STREAM_INIT_TABLES).generator())
     state = GameState(mode=mode, agent_a=agent_a, agent_b=agent_b)
     joint_signs = mode == "gibbs"
     labels = np.min_scalar_type(max(hyper.num_categories, hyper.num_signs) - 1)

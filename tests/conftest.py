@@ -9,11 +9,21 @@ import numpy as np
 from signgame.agents import (
     AgentModel,
     Hyperparams,
+    init_agent,
     install_parameters,
     sample_categories,
     update_parameters,
 )
 from signgame.stochastic import sample_categorical_rows
+
+
+def agent_with_tables(variant, hyper, modalities, observations, rng):
+    """init_agent's agent with its tables drawn from rng.derive(1), the
+    stream a game draws agent B's initial tables from; for tests that read
+    an agent's tables before any update of their own."""
+    agent = init_agent(variant, hyper, modalities, observations, rng)
+    update_parameters(agent, rng.derive(1).generator())
+    return agent
 
 
 def install_blocks(agent, coupling, emissions, category_weights=None):

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import signgame.agents as agents
-from conftest import install_blocks, solo_gibbs_fit
+from conftest import agent_with_tables, install_blocks, solo_gibbs_fit
 from signgame.agents import (
     AgentModel,
     EmissionConcentration,
@@ -95,9 +95,6 @@ def test_init_agent_ranges_and_determinism():
     assert agent.categories.min() >= 0 and agent.categories.max() < 15
     assert agent.signs.min() >= 0 and agent.signs.max() < 15
     assert agent.shapes == ((1, 15), (15, 15)) + ((15, 20),) * 3
-    assert agent.sign_table.shape == agent.log_sign_table.shape == (15, 15)
-    assert agent.log_category_prior.shape == (15, 15)
-    assert agent.log_emissions.shape == (3, 15, 20)
     # the agent holds the dataset's stack itself, read-only
     assert agent.observations is data.observations[0]
     assert not agent.observations.flags.writeable
@@ -105,12 +102,16 @@ def test_init_agent_ranges_and_determinism():
     again = init_agent("h2h", Hyperparams(), data.modalities[0], data.observations[0], RngStream(9))
     assert np.array_equal(agent.categories, again.categories)
     assert np.array_equal(agent.signs, again.signs)
-    np.testing.assert_array_equal(agent.sign_table, again.sign_table)
 
     t2t = init_agent("t2t", Hyperparams(), data.modalities[1], data.observations[1], RngStream(9))
     # no category weights block: the layout opens with the L x K coupling
     assert t2t.shapes == ((15, 15),) + ((15, 20),) * 3
-    assert t2t.sign_table.shape == (15, 15)
+    # no tables until the first update draws them
+    for fresh in (agent, t2t):
+        assert fresh.sign_table is fresh.log_sign_table is fresh.log_category_prior is fresh.log_emissions is None
+        update_parameters(fresh, RngStream(10).generator())
+        assert fresh.sign_table.shape == fresh.log_sign_table.shape == fresh.log_category_prior.shape == (15, 15)
+        assert fresh.log_emissions.shape == (3, 15, 20)
 
 
 def test_init_agent_validation():
@@ -248,7 +249,7 @@ def test_posterior_concentrations_t2t_orientation():
 )
 def test_log_views_are_the_floored_logs_of_the_parameters(variant, modalities, installed):
     data = generate_dataset(SyntheticConfig(), Hyperparams(), (modalities, FULL), RngStream(5))
-    agent = init_agent(variant, Hyperparams(), data.modalities[0], data.observations[0], RngStream(6))
+    agent = agent_with_tables(variant, Hyperparams(), data.modalities[0], data.observations[0], RngStream(6))
     assert agent.log_emissions.shape == (len(modalities), 15, 20)
     floored = 0
     for step in range(4):
@@ -450,7 +451,7 @@ def reference_observation_log_likelihood(agent):
 def test_stacked_counts_and_likelihood_match_per_modality_loops_bitwise(variant, names, bins):
     config = SyntheticConfig(num_types=6, objects_per_type=5, feature_dim=bins, draws_per_modality=bins)
     data = generate_dataset(config, Hyperparams(), (names, FULL), RngStream(bins))
-    agent = init_agent(variant, Hyperparams(num_categories=6, num_signs=6), names, data.observations[0], RngStream(1))
+    agent = agent_with_tables(variant, Hyperparams(num_categories=6, num_signs=6), names, data.observations[0], RngStream(1))
     for step in range(4):
         conc = posterior_concentrations(agent)
         # the emission blocks end the layout

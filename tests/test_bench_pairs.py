@@ -1,8 +1,10 @@
 """Tests for tools/bench_pairs.py: its pair summary and exit status (no benchmark runs)."""
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -290,3 +292,52 @@ def test_traced_exits_1_naming_names_absent_on_the_change_side(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert (err == "") == (status == 0)
     assert ("agents.sample_categories, game.run_iteration" in err) == bool(status)
+
+
+@pytest.mark.parametrize(
+    "summary_bytes, status",
+    [({}, 0), ({("change", 2): b"other"}, 1), ({("parent", 1): b"other", ("change", 1): b"other"}, 1)],
+    ids=["equal", "change-differs", "job-counts-differ"],
+)
+def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monkeypatch, capsys, summary_bytes, status):
+    spec = {
+        "workloads": [{"name": "cell-mh"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}, {"name": "cpu_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    order = []
+
+    def fake_run(cmd, **kwargs):
+        # git rev-parse fails on these directories; no signgame process starts
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 128, "", "")
+        assert cmd[1:6] == ["-m", "signgame.cli", "full", "--jobs", cmd[5]]
+        side = "change" if kwargs["env"]["PYTHONPATH"] == str(tmp_path.resolve() / "src") else "parent"
+        jobs = int(cmd[5])
+        order.append((jobs, side))
+        out = Path(cmd[cmd.index("--out") + 1])
+        (out / "detail.csv").write_bytes(b"detail")
+        (out / "summary.csv").write_bytes(summary_bytes.get((side, jobs), b"summary"))
+        return subprocess.CompletedProcess(cmd, 0, b"stdout")
+
+    # every run reads one second of wall time
+    ticks = iter(range(100))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "perf_counter", lambda: next(ticks))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--cli", "--pairs", "2"]) == status
+    # per pair and job count, the sides alternate
+    assert order == [(1, "parent"), (1, "change"), (2, "parent"), (2, "change")] + [
+        (1, "change"), (1, "parent"), (2, "change"), (2, "parent")
+    ]
+    section = json.loads(out.read_text())["cli"]
+    assert section["digests_equal"] is (status == 0)
+    for jobs in (1, 2):
+        summary = section[f"jobs{jobs}"]["summary"]
+        assert summary["wall_s"]["parent_median"] == summary["wall_s"]["change_median"] == 1
+        assert not summary["wall_s"]["worse_than_bound"]
+        assert len(section[f"jobs{jobs}"]["pairs"]) == 2
+    md5 = [hashlib.md5(data).hexdigest() for data in (b"detail", b"summary", b"stdout")]
+    assert section["jobs2"]["pairs"][0]["parent"]["digest"] == " ".join(md5)
+    assert ("digests differ or the change failed operations on: cli" in capsys.readouterr().err) is bool(status)

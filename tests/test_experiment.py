@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import signgame.agents as agents
 from signgame.agents import VARIANTS, EmissionConcentration, Hyperparams
 from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from signgame.datagen import SyntheticConfig, generate_dataset
@@ -210,8 +211,9 @@ def test_parallel_jobs_match_serial_results():
 
 def test_a_trial_generates_one_dataset_and_one_seed_table_for_its_cells(tmp_path, monkeypatch):
     # a grid trial plays its condition's six games on one dataset, and the
-    # six draw one seed table; one table per task, never six
-    calls = {"generate_dataset": 0, "seed_table": 0}
+    # six draw one seed table; one table per task, never six. Of the initial
+    # tables, a task draws only its two mh games' agent B sets: 2 of 12
+    calls = {"generate_dataset": 0, "seed_table": 0, "generator": 0, "update_parameters": 0}
 
     def counted(name, fn):
         def spy(*args):
@@ -222,12 +224,19 @@ def test_a_trial_generates_one_dataset_and_one_seed_table_for_its_cells(tmp_path
 
     monkeypatch.setattr(experiment, "generate_dataset", counted("generate_dataset", generate_dataset))
     monkeypatch.setattr(RngStream, "seed_table", counted("seed_table", RngStream.seed_table))
+    monkeypatch.setattr(RngStream, "generator", counted("generator", RngStream.generator))
+    update = counted("update_parameters", agents.update_parameters)
+    for module in (agents, game):
+        monkeypatch.setattr(module, "update_parameters", update)
     game._game_seeds.cache_clear()
     run_full_grid(small_config(iterations=2, trials=2), tmp_path)
-    assert calls == {"generate_dataset": 8, "seed_table": 8}
+    # 8 tasks, each 6 games x 2 iterations x 2 updates plus 2 initial table
+    # sets, and 14 init stream opens (12 assignments, 2 table sets); the
+    # other 60 opens draw the datasets
+    assert calls == {"generate_dataset": 8, "seed_table": 8, "generator": 172, "update_parameters": 208}
     calls.update(dict.fromkeys(calls, 0))
     run_cell(small_config(iterations=2, trials=3))
-    assert calls == {"generate_dataset": 3, "seed_table": 3}
+    assert calls == {"generate_dataset": 3, "seed_table": 3, "generator": 36, "update_parameters": 15}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import signgame.game as game
-from conftest import counting_draw, frozen_agent, install_blocks, tv_distance
+from conftest import agent_with_tables, counting_draw, frozen_agent, install_blocks, tv_distance
 from signgame.agents import (
     Hyperparams,
     init_agent,
@@ -248,7 +248,7 @@ def random_agents(variant, seed):
     gen = RngStream(seed).derive(1).generator()
     agents, couplings = [], []
     for i in (0, 1):
-        agent = init_agent(variant, KERNEL_HYPER, dataset.modalities[i], dataset.observations[i], RngStream(seed).derive(2, i))
+        agent = agent_with_tables(variant, KERNEL_HYPER, dataset.modalities[i], dataset.observations[i], RngStream(seed).derive(2, i))
         k, l = KERNEL_HYPER.num_categories, KERNEL_HYPER.num_signs
         rows, width = (k, l) if variant == "h2h" else (l, k)
         coupling = gen.dirichlet(np.full(width, 0.05), size=rows)
@@ -411,6 +411,56 @@ def test_run_iteration_opens_exactly_its_phase_generators(monkeypatch, mode, ope
     assert seen == opened
 
 
+@pytest.mark.parametrize(
+    "mode, drawn",
+    [
+        # (what, agent slot, stream): B's initial tables come before A first speaks to B
+        (
+            "mh",
+            [("update", 1, "init 1"), ("update", 0, "iteration 0"), ("speak", 0), ("update", 1, "iteration 1"), ("speak", 1)],
+        ),
+        ("reject", [("update", 0, "iteration 0"), ("update", 1, "iteration 1")]),
+        ("gibbs", [("update", 0, "iteration 0"), ("update", 1, "iteration 1")]),
+    ],
+)
+def test_run_game_draws_only_the_initial_tables_it_reads(monkeypatch, mode, drawn):
+    # each iteration redraws a speaker's tables before it reads them, so the
+    # one initial set a game reads is B's under "mh"; its stream, beside B's
+    # assignment stream, keeps the games' output bytes
+    rng = RngStream(121)
+    streams = {}
+    for slot in (0, 1):
+        for name, stream in (("init", rng.derive(game._STREAM_INIT, slot, 1)), ("iteration", rng.derive(1, 0, slot, 0))):
+            streams[repr(stream.generator().bit_generator.state)] = f"{name} {slot}"
+    made, seen = [], []
+
+    def slot_of(agent):
+        return next(i for i, other in enumerate(made) if other is agent)
+
+    def fresh(*args):
+        agent = init_agent(*args)
+        # a fresh agent holds no tables
+        assert agent.sign_table is agent.log_sign_table is agent.log_category_prior is agent.log_emissions is None
+        made.append(agent)
+        return agent
+
+    def update(agent, gen):
+        seen.append(("update", slot_of(agent), streams.get(repr(gen.bit_generator.state), "other")))
+        update_parameters(agent, gen)
+
+    def speak(speaker, listener, gen):
+        seen.append(("speak", slot_of(speaker)))
+        return mh_exchange(speaker, listener, gen)
+
+    monkeypatch.setattr(game, "init_agent", fresh)
+    monkeypatch.setattr(game, "update_parameters", update)
+    monkeypatch.setattr(game, "mh_exchange", speak)
+    dataset = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(21))
+    run_game("h2h", mode, SMALL_HYPER, dataset, 1, rng)
+    assert len(made) == 2
+    assert seen == drawn
+
+
 def test_game_seeds_open_every_phase_stream():
     # every [iteration, slot, phase] entry of a game's seed table opens
     # rng.derive(_STREAM_ITERATION, iteration, slot, phase).generator()
@@ -437,9 +487,10 @@ def test_game_seeds_keeps_the_last_table_read_only():
 
 def reference_game(variant, mode, dataset, iterations, rng):
     """The game loop with one SeedSequence-hashed stream per phase and
-    scalar metrics after every iteration."""
+    scalar metrics after every iteration. Both agents start with tables,
+    though the game reads only B's, under "mh"."""
     agents = [
-        init_agent(variant, SMALL_HYPER, dataset.modalities[slot], dataset.observations[slot], rng.derive(0, slot))
+        agent_with_tables(variant, SMALL_HYPER, dataset.modalities[slot], dataset.observations[slot], rng.derive(0, slot))
         for slot in (0, 1)
     ]
     rows = []

@@ -13,12 +13,20 @@ writes (or merges into) a ``BENCH_*.json`` file:
         --workload cell-mh --seed 3 --pairs 4 --seconds 10 --section cell-mh-seed-3
     # three ``--trace 1`` runs of every workload per side, into "traced"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --pairs 3 --seed 1 --seconds 3
+    # three pairs of ``signgame full`` at default sizes per job count, into "cli"
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --cli --pairs 3
 
 Pair i runs the parent first when i is even and the change first when i is
-odd; so does each workload's traced run i. A traced per-layer figure is the
-median over the runs of its side, with their min and max. Workload names,
-metric names and each metric's better direction and bound come from the
-change checkout's ``BENCHMARK.json``. Quartiles are the
+odd; so does each workload's traced run i, and each job count's ``--cli``
+pair i. A ``--cli`` run is ``python -m signgame.cli full --jobs J`` (J = 1
+and 2) with the checkout's own ``src`` on ``PYTHONPATH``, at the CLI's
+default sizes and seed (``--seed`` and ``--seconds`` apply only to
+perfbench). It records the wall time, the CPU time of its process tree
+(``cpu_s``), both in seconds not rescaled by perfbench's HostClock, and the
+md5 of ``detail.csv``, ``summary.csv`` and stdout. A traced per-layer
+figure is the median over the runs of its side, with their min and max.
+Workload names, metric names and each metric's better direction and bound
+come from the change checkout's ``BENCHMARK.json``. Quartiles are the
 ``statistics.quantiles`` default (exclusive method).
 
 Each workload's summary gives, per end-to-end metric, the ``BENCHMARK.json``
@@ -34,22 +42,28 @@ noise. stderr names the unresolved metrics and the metrics whose gain is
 shown; neither changes the exit status.
 
 The exit status is 1, after the file is written, when a workload's digests
-differ between runs, the change failed any operation, a metric is worse
-than its bound, or a traced change-side run reports a traced name absent
-(its per-layer metric would then be missing); stderr names those workloads
-(and the metrics) and the absent names.
+differ between runs, the ``--cli`` digests differ between sides or job
+counts, the change failed any operation, a metric is worse than its bound,
+or a traced change-side run reports a traced name absent (its per-layer
+metric would then be missing); stderr names those workloads (and the
+metrics) and the absent names.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from time import perf_counter
 
 SIDES = ("parent", "change")
+CLI_JOBS = (1, 2)
 
 
 def _git_head(checkout: Path) -> str | None:
@@ -77,6 +91,25 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     out["absent"] = [line.split("absent names: ", 1)[1] for line in lines if "absent names: " in line]
     out["machine"] = next((json.loads(line[len("machine ") :]) for line in lines if line.startswith("machine ")), None)
     return out
+
+
+def run_cli(checkout: Path, jobs: int) -> dict:
+    """One ``signgame full`` run at default sizes on checkout's own package:
+    its wall time, the CPU time of its process tree, pool workers included,
+    and the md5 of its two reports and its stdout, as one digest string."""
+    cmd = [sys.executable, "-m", "signgame.cli", "full", "--jobs", str(jobs)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    with tempfile.TemporaryDirectory() as out:
+        before, start = resource.getrusage(resource.RUSAGE_CHILDREN), perf_counter()
+        proc = subprocess.run([*cmd, "--out", out], cwd=checkout, env=env, stdout=subprocess.PIPE, check=False)
+        wall = perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}")
+        outputs = [(Path(out) / name).read_bytes() for name in ("detail.csv", "summary.csv")]
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    digest = " ".join(hashlib.md5(data).hexdigest() for data in (*outputs, proc.stdout))
+    return {"wall_s": round(wall, 6), "cpu_s": round(cpu, 6), "failed": 0, "digest": digest}
 
 
 def summarize(pairs: list[dict], metrics: dict) -> dict:
@@ -160,6 +193,35 @@ def traced(checkouts: dict, args, per_layer: list[str], workloads: list[str], ma
     return section
 
 
+def cli_pairs(checkouts: dict, args, metrics: dict) -> dict:
+    """args.pairs alternating pairs of ``run_cli`` runs per job count: per
+    job count its pairs and their summary (see summarize), and whether every
+    run of both sides and job counts gave one digest."""
+    cmd = "PYTHONPATH=<checkout>/src python -m signgame.cli full --jobs <J> --out <temporary directory>"
+    section = {"command": cmd, "pairs_per_job_count": args.pairs}
+    runs = {jobs: [] for jobs in CLI_JOBS}
+    for i in range(args.pairs):
+        for jobs, pairs in runs.items():
+            pair = {"pair": i, "first": SIDES[i % 2]}
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                pair[side] = run_cli(checkouts[side], jobs)
+                print(f"cli --jobs {jobs} pair {i} {side}: " + json.dumps(pair[side]), flush=True)
+            pairs.append(pair)
+    for jobs, pairs in runs.items():
+        section[f"jobs{jobs}"] = {"summary": summarize(pairs, metrics), "pairs": pairs}
+    section["digests_equal"] = len({p[side]["digest"] for pairs in runs.values() for p in pairs for side in SIDES}) == 1
+    return section
+
+
+def _name_verdicts(label: str, summary: dict, metrics: dict, worse: list, unresolved: list, gains: list) -> None:
+    """Add label with the metrics of summary that are worse than their
+    bound, unresolved or show a gain to the matching list."""
+    for key, found in (("worse_than_bound", worse), ("unresolved", unresolved), ("gain_shown", gains)):
+        names = [name for name in metrics if summary[name][key]]
+        if names:
+            found.append(f"{label} ({', '.join(names)})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -171,12 +233,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--section", help="top-level key for one workload's pairs (default: workloads.<name>)")
     parser.add_argument("--traced", action="store_true", help="--pairs traced runs of every workload per side")
+    parser.add_argument("--cli", action="store_true", help="--pairs pairs of signgame full per job count")
     parser.add_argument("--description", help="the file's description field")
     args = parser.parse_args(argv)
     if args.section and len(args.workload) != 1:
         parser.error("--section takes exactly one --workload")
-    if args.pairs < 1 or not (args.workload or args.traced):
-        parser.error("give at least one pair, and at least one --workload or --traced")
+    if args.pairs < 1 or not (args.workload or args.traced or args.cli):
+        parser.error("give at least one pair, and at least one --workload, --traced or --cli")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -203,15 +266,7 @@ def main(argv=None) -> int:
         summary = summarize(pairs, metrics)
         if not summary["digests_equal"] or summary["failed_operations"]["change"]:
             unsound.append(workload)
-        beyond = [name for name in metrics if summary[name]["worse_than_bound"]]
-        if beyond:
-            worse.append(f"{workload} ({', '.join(beyond)})")
-        spread = [name for name in metrics if summary[name]["unresolved"]]
-        if spread:
-            unresolved.append(f"{workload} ({', '.join(spread)})")
-        shown = [name for name in metrics if summary[name]["gain_shown"]]
-        if shown:
-            gains.append(f"{workload} ({', '.join(shown)})")
+        _name_verdicts(workload, summary, metrics, worse, unresolved, gains)
         record = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} --seconds {args.seconds:g} --trace 0",
             "summary": summary,
@@ -221,7 +276,14 @@ def main(argv=None) -> int:
             doc[args.section] = record
         else:
             doc.setdefault("workloads", {})[workload] = record
-    if "host" not in doc and machines[0]:
+    if args.cli:
+        cli_metrics = {name: metrics[name] for name in ("wall_s", "cpu_s")}
+        doc["cli"] = cli_pairs(checkouts, args, cli_metrics)
+        if not doc["cli"]["digests_equal"]:
+            unsound.append("cli")
+        for jobs in CLI_JOBS:
+            _name_verdicts(f"cli --jobs {jobs}", doc["cli"][f"jobs{jobs}"]["summary"], cli_metrics, worse, unresolved, gains)
+    if "host" not in doc and machines and machines[0]:
         note = "timings rescaled by perfbench's reference kernel (HostClock)"
         doc["host"] = {**machines[0], "note": note}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
