@@ -132,7 +132,10 @@ class AgentModel:
     vector (see there); those four tables are None until the agent's first
     update_parameters. observations is the agent's own read-only float64
     (M, objects, bins) stack, the dataset's array itself, and the only
-    data its kernels read; modalities names its rows in order.
+    data its kernels read; modalities names its rows in order. conc is the
+    last posterior_concentrations result, read-only; conc_key holds the bytes
+    of the categories and signs it counted, its only inputs that change in
+    the agent's life (signs change in place, so identity would not do).
     """
 
     variant: str
@@ -148,6 +151,8 @@ class AgentModel:
     log_sign_table: np.ndarray | None = field(default=None, init=False)
     log_category_prior: np.ndarray | None = field(default=None, init=False)
     log_emissions: np.ndarray | None = field(default=None, init=False)
+    conc_key: tuple | None = field(default=None, init=False, repr=False)
+    conc: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         hyper = self.hyper
@@ -259,9 +264,14 @@ def install_parameters(agent: AgentModel, probs: np.ndarray) -> None:
 
 def update_parameters(agent: AgentModel, gen: np.random.Generator) -> None:
     """Resample every parameter block from its conditional posterior in one
-    Dirichlet pass over the agent's flat layout."""
-    conc = posterior_concentrations(agent)
-    install_parameters(agent, sample_dirichlet_rows(conc, agent.shapes, gen))
+    Dirichlet pass over the agent's flat layout; conc is recounted only when
+    the categories' or signs' values differ from conc_key's (see AgentModel)."""
+    key = agent.categories.tobytes(), agent.signs.tobytes()
+    if key != agent.conc_key:
+        agent.conc = posterior_concentrations(agent)
+        agent.conc.flags.writeable = False
+        agent.conc_key = key
+    install_parameters(agent, sample_dirichlet_rows(agent.conc, agent.shapes, gen))
 
 
 def observation_log_likelihood(agent: AgentModel) -> np.ndarray:

@@ -296,8 +296,13 @@ def test_traced_exits_1_naming_names_absent_on_the_change_side(tmp_path, monkeyp
 
 @pytest.mark.parametrize(
     "summary_bytes, status",
-    [({}, 0), ({("change", 2): b"other"}, 1), ({("parent", 1): b"other", ("change", 1): b"other"}, 1)],
-    ids=["equal", "change-differs", "job-counts-differ"],
+    [
+        ({}, 0),
+        ({("change", "jobs2"): b"other"}, 1),
+        ({("parent", "jobs1"): b"other", ("change", "jobs1"): b"other"}, 1),
+        ({("change", "run_h2h_gibbs"): b"other"}, 1),
+    ],
+    ids=["equal", "change-differs", "job-counts-differ", "run-cell-differs"],
 )
 def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monkeypatch, capsys, summary_bytes, status):
     spec = {
@@ -306,19 +311,21 @@ def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monk
         "per_layer": [],
     }
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    keys = {command: key for key, command in bench_pairs.CLI_RUNS.items()}
     order = []
 
     def fake_run(cmd, **kwargs):
         # git rev-parse fails on these directories; no signgame process starts
         if cmd[0] == "git":
             return subprocess.CompletedProcess(cmd, 128, "", "")
-        assert cmd[1:6] == ["-m", "signgame.cli", "full", "--jobs", cmd[5]]
+        assert cmd[1:3] == ["-m", "signgame.cli"] and cmd[-2] == "--out"
         side = "change" if kwargs["env"]["PYTHONPATH"] == str(tmp_path.resolve() / "src") else "parent"
-        jobs = int(cmd[5])
-        order.append((jobs, side))
-        out = Path(cmd[cmd.index("--out") + 1])
-        (out / "detail.csv").write_bytes(b"detail")
-        (out / "summary.csv").write_bytes(summary_bytes.get((side, jobs), b"summary"))
+        key = keys[tuple(cmd[3:-2])]
+        order.append((key, side))
+        out = Path(cmd[-1])
+        # a grid's reports are the same at either job count, and each cell's its own
+        (out / "detail.csv").write_bytes(b"grid" if cmd[3] == "full" else key.encode())
+        (out / "summary.csv").write_bytes(summary_bytes.get((side, key), b"summary"))
         return subprocess.CompletedProcess(cmd, 0, b"stdout")
 
     # every run reads one second of wall time
@@ -327,17 +334,19 @@ def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monk
     monkeypatch.setattr(bench_pairs, "perf_counter", lambda: next(ticks))
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--cli", "--pairs", "2"]) == status
-    # per pair and job count, the sides alternate
-    assert order == [(1, "parent"), (1, "change"), (2, "parent"), (2, "change")] + [
-        (1, "change"), (1, "parent"), (2, "change"), (2, "parent")
+    # per pair and command, the sides alternate
+    assert list(keys.values()) == ["jobs1", "jobs2", "run_h2h_reject", "run_h2h_gibbs"]
+    assert order == [(key, side) for key in keys.values() for side in bench_pairs.SIDES] + [
+        (key, side) for key in keys.values() for side in bench_pairs.SIDES[::-1]
     ]
     section = json.loads(out.read_text())["cli"]
     assert section["digests_equal"] is (status == 0)
-    for jobs in (1, 2):
-        summary = section[f"jobs{jobs}"]["summary"]
+    assert section["run_h2h_gibbs"]["arguments"] == "run --variant h2h --method gibbs"
+    for key in keys.values():
+        summary = section[key]["summary"]
         assert summary["wall_s"]["parent_median"] == summary["wall_s"]["change_median"] == 1
         assert not summary["wall_s"]["worse_than_bound"]
-        assert len(section[f"jobs{jobs}"]["pairs"]) == 2
-    md5 = [hashlib.md5(data).hexdigest() for data in (b"detail", b"summary", b"stdout")]
+        assert len(section[key]["pairs"]) == 2
+    md5 = [hashlib.md5(data).hexdigest() for data in (b"grid", b"summary", b"stdout")]
     assert section["jobs2"]["pairs"][0]["parent"]["digest"] == " ".join(md5)
     assert ("digests differ or the change failed operations on: cli" in capsys.readouterr().err) is bool(status)

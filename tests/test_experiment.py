@@ -213,7 +213,7 @@ def test_a_trial_generates_one_dataset_and_one_seed_table_for_its_cells(tmp_path
     # a grid trial plays its condition's six games on one dataset, and the
     # six draw one seed table; one table per task, never six. Of the initial
     # tables, a task draws only its two mh games' agent B sets: 2 of 12
-    calls = {"generate_dataset": 0, "seed_table": 0, "generator": 0, "update_parameters": 0}
+    calls = {"generate_dataset": 0, "seed_table": 0, "generator": 0, "update_parameters": 0, "posterior_concentrations": 0}
 
     def counted(name, fn):
         def spy(*args):
@@ -228,15 +228,27 @@ def test_a_trial_generates_one_dataset_and_one_seed_table_for_its_cells(tmp_path
     update = counted("update_parameters", agents.update_parameters)
     for module in (agents, game):
         monkeypatch.setattr(module, "update_parameters", update)
+    monkeypatch.setattr(agents, "posterior_concentrations", counted("posterior_concentrations", agents.posterior_concentrations))
     game._game_seeds.cache_clear()
     run_full_grid(small_config(iterations=2, trials=2), tmp_path)
     # 8 tasks, each 6 games x 2 iterations x 2 updates plus 2 initial table
     # sets, and 14 init stream opens (12 assignments, 2 table sets); the
-    # other 60 opens draw the datasets
-    assert calls == {"generate_dataset": 8, "seed_table": 8, "generator": 172, "update_parameters": 208}
+    # other 60 opens draw the datasets. Two iterations are too few for an
+    # agent to keep its categories and signs, so every update recounts
+    assert calls == {
+        "generate_dataset": 8, "seed_table": 8, "generator": 172, "update_parameters": 208, "posterior_concentrations": 208
+    }
     calls.update(dict.fromkeys(calls, 0))
     run_cell(small_config(iterations=2, trials=3))
-    assert calls == {"generate_dataset": 3, "seed_table": 3, "generator": 36, "update_parameters": 15}
+    assert calls == {
+        "generate_dataset": 3, "seed_table": 3, "generator": 36, "update_parameters": 15, "posterior_concentrations": 15
+    }
+    # a settled chain mostly finds an agent's categories and signs as it
+    # last counted them: at the h2h/mh/1 benchmark cell, 41 recounts for
+    # 2 x 300 updates and the initial one
+    calls.update(dict.fromkeys(calls, 0))
+    run_cell(ExperimentConfig(variant="h2h", method="mh", condition=1, trials=1, iterations=300, seed=1))
+    assert (calls["update_parameters"], calls["posterior_concentrations"]) == (601, 41)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

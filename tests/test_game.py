@@ -6,11 +6,13 @@ import copy
 import numpy as np
 import pytest
 
+import signgame.agents as agents
 import signgame.game as game
 from conftest import agent_with_tables, counting_draw, frozen_agent, install_blocks, tv_distance
 from signgame.agents import (
     Hyperparams,
     init_agent,
+    posterior_concentrations,
     sample_categories,
     update_parameters,
 )
@@ -22,7 +24,7 @@ from signgame.game import (
     run_game,
 )
 from signgame.metrics import adjusted_rand_index, kappa
-from signgame.stochastic import PROB_FLOOR, RngStream, open_generator, sample_categorical_rows
+from signgame.stochastic import PROB_FLOOR, RngStream, open_generator, sample_categorical_rows, sample_dirichlet_rows
 
 FULL = ("v", "s", "h")
 
@@ -459,6 +461,35 @@ def test_run_game_draws_only_the_initial_tables_it_reads(monkeypatch, mode, draw
     run_game("h2h", mode, SMALL_HYPER, dataset, 1, rng)
     assert len(made) == 2
     assert seen == drawn
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+@pytest.mark.parametrize("mode", ["mh", "reject", "gibbs"])
+def test_every_dirichlet_draw_reads_a_fresh_count_whether_recounted_or_kept(monkeypatch, variant, mode):
+    # update_parameters recounts an agent's concentrations only when its
+    # categories or signs differ in value from the last count's; each draw
+    # must still read, bit for bit, what a count at that moment gives
+    updating, recounted = [], []
+
+    def update(agent, gen):
+        updating.append(agent)
+        update_parameters(agent, gen)
+
+    def recount(agent):
+        recounted.append(agent)
+        return posterior_concentrations(agent)
+
+    def draw(conc, shapes, gen):
+        assert not conc.flags.writeable
+        assert conc.tobytes() == posterior_concentrations(updating[-1]).tobytes()
+        return sample_dirichlet_rows(conc, shapes, gen)
+
+    monkeypatch.setattr(game, "update_parameters", update)
+    monkeypatch.setattr(agents, "posterior_concentrations", recount)
+    monkeypatch.setattr(agents, "sample_dirichlet_rows", draw)
+    small_game(mode, variant, iterations=30)
+    # some updates keep the last count
+    assert 0 < len(recounted) < len(updating)
 
 
 def test_game_seeds_open_every_phase_stream():

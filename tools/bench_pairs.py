@@ -13,21 +13,23 @@ writes (or merges into) a ``BENCH_*.json`` file:
         --workload cell-mh --seed 3 --pairs 4 --seconds 10 --section cell-mh-seed-3
     # three ``--trace 1`` runs of every workload per side, into "traced"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --pairs 3 --seed 1 --seconds 3
-    # three pairs of ``signgame full`` at default sizes per job count, into "cli"
+    # three pairs of each signgame command in CLI_RUNS at default sizes, into "cli"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --cli --pairs 3
 
 Pair i runs the parent first when i is even and the change first when i is
-odd; so does each workload's traced run i, and each job count's ``--cli``
-pair i. A ``--cli`` run is ``python -m signgame.cli full --jobs J`` (J = 1
-and 2) with the checkout's own ``src`` on ``PYTHONPATH``, at the CLI's
-default sizes and seed (``--seed`` and ``--seconds`` apply only to
-perfbench). It records the wall time, the CPU time of its process tree
-(``cpu_s``), both in seconds not rescaled by perfbench's HostClock, and the
-md5 of ``detail.csv``, ``summary.csv`` and stdout. A traced per-layer
-figure is the median over the runs of its side, with their min and max.
-Workload names, metric names and each metric's better direction and bound
-come from the change checkout's ``BENCHMARK.json``. Quartiles are the
-``statistics.quantiles`` default (exclusive method).
+odd; so does each workload's traced run i, and each ``--cli`` command's
+pair i. The ``--cli`` commands are ``python -m signgame.cli full --jobs J``
+(J = 1 and 2) and ``python -m signgame.cli run`` on the default h2h
+``reject`` and ``gibbs`` cells, each with the checkout's own ``src`` on
+``PYTHONPATH``, at the CLI's default sizes and seed (``--seed`` and
+``--seconds`` apply only to perfbench). A run records the wall time, the CPU
+time of its process tree (``cpu_s``), both in seconds not rescaled by
+perfbench's HostClock, and the md5 of ``detail.csv``, ``summary.csv`` and
+stdout. A traced per-layer figure is the median over the runs of its side,
+with their min and max. Workload names, metric names and each metric's
+better direction and bound come from the change checkout's
+``BENCHMARK.json``. Quartiles are the ``statistics.quantiles`` default
+(exclusive method).
 
 Each workload's summary gives, per end-to-end metric, the ``BENCHMARK.json``
 bound, whether the change's median is worse than the parent's by more than
@@ -42,8 +44,8 @@ noise. stderr names the unresolved metrics and the metrics whose gain is
 shown; neither changes the exit status.
 
 The exit status is 1, after the file is written, when a workload's digests
-differ between runs, the ``--cli`` digests differ between sides or job
-counts, the change failed any operation, a metric is worse than its bound,
+differ between runs, the ``--cli`` digests of one command differ between
+sides or, for ``full``, between job counts, the change failed any operation, a metric is worse than its bound,
 or a traced change-side run reports a traced name absent (its per-layer
 metric would then be missing); stderr names those workloads (and the
 metrics) and the absent names.
@@ -63,7 +65,14 @@ from pathlib import Path
 from time import perf_counter
 
 SIDES = ("parent", "change")
-CLI_JOBS = (1, 2)
+# the --cli commands by section key; commands that differ only in --jobs
+# must give one digest
+CLI_RUNS = {
+    "jobs1": ("full", "--jobs", "1"),
+    "jobs2": ("full", "--jobs", "2"),
+    "run_h2h_reject": ("run", "--variant", "h2h", "--method", "reject"),
+    "run_h2h_gibbs": ("run", "--variant", "h2h", "--method", "gibbs"),
+}
 
 
 def _git_head(checkout: Path) -> str | None:
@@ -93,11 +102,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return out
 
 
-def run_cli(checkout: Path, jobs: int) -> dict:
-    """One ``signgame full`` run at default sizes on checkout's own package:
-    its wall time, the CPU time of its process tree, pool workers included,
-    and the md5 of its two reports and its stdout, as one digest string."""
-    cmd = [sys.executable, "-m", "signgame.cli", "full", "--jobs", str(jobs)]
+def run_cli(checkout: Path, command: tuple) -> dict:
+    """One signgame run of command (signgame's arguments but ``--out``) at
+    default sizes on checkout's own package: its wall time, the CPU time of
+    its process tree, pool workers included, and the md5 of its two reports
+    and its stdout, as one digest string."""
+    cmd = [sys.executable, "-m", "signgame.cli", *command]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as out:
         before, start = resource.getrusage(resource.RUSAGE_CHILDREN), perf_counter()
@@ -193,23 +203,30 @@ def traced(checkouts: dict, args, per_layer: list[str], workloads: list[str], ma
     return section
 
 
+def _without_jobs(command: tuple) -> tuple:
+    return command[: command.index("--jobs")] if "--jobs" in command else command
+
+
 def cli_pairs(checkouts: dict, args, metrics: dict) -> dict:
-    """args.pairs alternating pairs of ``run_cli`` runs per job count: per
-    job count its pairs and their summary (see summarize), and whether every
-    run of both sides and job counts gave one digest."""
-    cmd = "PYTHONPATH=<checkout>/src python -m signgame.cli full --jobs <J> --out <temporary directory>"
-    section = {"command": cmd, "pairs_per_job_count": args.pairs}
-    runs = {jobs: [] for jobs in CLI_JOBS}
+    """args.pairs alternating pairs of ``run_cli`` runs per CLI_RUNS
+    command: per command its arguments, pairs and their summary (see
+    summarize), and whether the runs of both sides gave one digest for
+    every command, counting commands that differ only in --jobs as one."""
+    cmd = "PYTHONPATH=<checkout>/src python -m signgame.cli <command> --out <temporary directory>"
+    section = {"command": cmd, "pairs_per_command": args.pairs}
+    runs = {key: [] for key in CLI_RUNS}
     for i in range(args.pairs):
-        for jobs, pairs in runs.items():
+        for key, pairs in runs.items():
             pair = {"pair": i, "first": SIDES[i % 2]}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                pair[side] = run_cli(checkouts[side], jobs)
-                print(f"cli --jobs {jobs} pair {i} {side}: " + json.dumps(pair[side]), flush=True)
+                pair[side] = run_cli(checkouts[side], CLI_RUNS[key])
+                print(f"cli {' '.join(CLI_RUNS[key])} pair {i} {side}: " + json.dumps(pair[side]), flush=True)
             pairs.append(pair)
-    for jobs, pairs in runs.items():
-        section[f"jobs{jobs}"] = {"summary": summarize(pairs, metrics), "pairs": pairs}
-    section["digests_equal"] = len({p[side]["digest"] for pairs in runs.values() for p in pairs for side in SIDES}) == 1
+    digests = {}
+    for key, pairs in runs.items():
+        section[key] = {"arguments": " ".join(CLI_RUNS[key]), "summary": summarize(pairs, metrics), "pairs": pairs}
+        digests.setdefault(_without_jobs(CLI_RUNS[key]), set()).update(p[side]["digest"] for p in pairs for side in SIDES)
+    section["digests_equal"] = all(len(found) == 1 for found in digests.values())
     return section
 
 
@@ -233,7 +250,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--section", help="top-level key for one workload's pairs (default: workloads.<name>)")
     parser.add_argument("--traced", action="store_true", help="--pairs traced runs of every workload per side")
-    parser.add_argument("--cli", action="store_true", help="--pairs pairs of signgame full per job count")
+    parser.add_argument("--cli", action="store_true", help="--pairs pairs of each signgame command in CLI_RUNS")
     parser.add_argument("--description", help="the file's description field")
     args = parser.parse_args(argv)
     if args.section and len(args.workload) != 1:
@@ -281,8 +298,8 @@ def main(argv=None) -> int:
         doc["cli"] = cli_pairs(checkouts, args, cli_metrics)
         if not doc["cli"]["digests_equal"]:
             unsound.append("cli")
-        for jobs in CLI_JOBS:
-            _name_verdicts(f"cli --jobs {jobs}", doc["cli"][f"jobs{jobs}"]["summary"], cli_metrics, worse, unresolved, gains)
+        for key, command in CLI_RUNS.items():
+            _name_verdicts(f"cli {' '.join(command)}", doc["cli"][key]["summary"], cli_metrics, worse, unresolved, gains)
     if "host" not in doc and machines and machines[0]:
         note = "timings rescaled by perfbench's reference kernel (HostClock)"
         doc["host"] = {**machines[0], "note": note}
