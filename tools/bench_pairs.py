@@ -45,10 +45,10 @@ shown; neither changes the exit status.
 
 The exit status is 1, after the file is written, when a workload's digests
 differ between runs, the ``--cli`` digests of one command differ between
-sides or, for ``full``, between job counts, the change failed any operation, a metric is worse than its bound,
-or a traced change-side run reports a traced name absent (its per-layer
-metric would then be missing); stderr names those workloads (and the
-metrics) and the absent names.
+sides or, for ``full``, between job counts, the change failed any
+operation, a metric is worse than its bound, or a traced change-side run
+reports a traced name absent (its per-layer metric would then be missing);
+stderr names those workloads (and the metrics) and the absent names.
 """
 from __future__ import annotations
 
@@ -216,16 +216,17 @@ def cli_pairs(checkouts: dict, args, metrics: dict) -> dict:
     section = {"command": cmd, "pairs_per_command": args.pairs}
     runs = {key: [] for key in CLI_RUNS}
     for i in range(args.pairs):
-        for key, pairs in runs.items():
+        for key, command in CLI_RUNS.items():
             pair = {"pair": i, "first": SIDES[i % 2]}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                pair[side] = run_cli(checkouts[side], CLI_RUNS[key])
-                print(f"cli {' '.join(CLI_RUNS[key])} pair {i} {side}: " + json.dumps(pair[side]), flush=True)
-            pairs.append(pair)
+                pair[side] = run_cli(checkouts[side], command)
+                print(f"cli {' '.join(command)} pair {i} {side}: " + json.dumps(pair[side]), flush=True)
+            runs[key].append(pair)
     digests = {}
-    for key, pairs in runs.items():
-        section[key] = {"arguments": " ".join(CLI_RUNS[key]), "summary": summarize(pairs, metrics), "pairs": pairs}
-        digests.setdefault(_without_jobs(CLI_RUNS[key]), set()).update(p[side]["digest"] for p in pairs for side in SIDES)
+    for key, command in CLI_RUNS.items():
+        pairs = runs[key]
+        section[key] = {"arguments": " ".join(command), "summary": summarize(pairs, metrics), "pairs": pairs}
+        digests.setdefault(_without_jobs(command), set()).update(p[side]["digest"] for p in pairs for side in SIDES)
     section["digests_equal"] = all(len(found) == 1 for found in digests.values())
     return section
 
