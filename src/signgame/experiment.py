@@ -18,7 +18,7 @@ import os
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from itertools import islice, starmap, tee
+from itertools import islice, starmap
 from pathlib import Path
 from typing import Mapping
 
@@ -155,24 +155,20 @@ def run_trial(cells: tuple[ExperimentConfig, ...], trial: int) -> list[list[tupl
 
 
 class ProcessPoolExecutor:
-    """concurrent.futures.ProcessPoolExecutor as the grid uses it, a context
-    manager with submit, whose modules load when the first pool starts: they
-    cost start-up time that a serial run never needs."""
+    """concurrent.futures.ProcessPoolExecutor as the grid uses it, submit and
+    shutdown, whose modules load when the first pool starts: they cost
+    start-up time that a serial run never needs."""
 
     def __init__(self, max_workers):
         from concurrent.futures import ProcessPoolExecutor as Pool
 
         self._pool = Pool(max_workers=max_workers)
 
-    def __enter__(self):
-        self._pool.__enter__()
-        return self
-
-    def __exit__(self, *exc_info):
-        return self._pool.__exit__(*exc_info)
-
     def submit(self, fn, *args):
         return self._pool.submit(fn, *args)
+
+    def shutdown(self):
+        self._pool.shutdown()
 
 
 def _usable_cpus() -> int:
@@ -192,54 +188,54 @@ def _task_results(tasks, workers: int):
         yield from starmap(run_trial, tasks)
         return
     from concurrent.futures.process import BrokenProcessPool
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = deque()
-        try:
-            for task in tasks:
-                futures.append(pool.submit(run_trial, *task))
-                if len(futures) == 2 * workers:
-                    yield futures.popleft().result()
-            while futures:
+    pool = ProcessPoolExecutor(max_workers=workers)
+    futures = deque()
+    try:
+        for task in tasks:
+            futures.append(pool.submit(run_trial, *task))
+            if len(futures) == 2 * workers:
                 yield futures.popleft().result()
-        except BrokenProcessPool as exc:  # a worker killed or crashed, not a trial that raised
-            raise ChildProcessError(f"a worker process ended before its trial returned: {exc}") from exc
-        finally:
-            for future in futures:
-                future.cancel()
+        while futures:
+            yield futures.popleft().result()
+    except BrokenProcessPool as exc:  # a worker killed or crashed, not a trial that raised
+        raise ChildProcessError(f"a worker process ended before its trial returned: {exc}") from exc
+    finally:
+        for future in futures:
+            future.cancel()
+        pool.shutdown()
 
 
 def _trial_records(cells: list[ExperimentConfig]):
-    """Yield each trial's rows, cell by cell and trial by trial. A task is
-    one trial of the cells that differ only in variant and method, in a
-    grid one condition's six: one dataset, each cell's game played on it.
-    Tasks run in the order of their group's first cell, trials in order;
-    rows of a task that finishes before their cell's turn wait for it."""
+    """Yield each cell's row lists, trial by trial, one item per cell in the
+    order of cells. A task is one trial of the cells that differ only in
+    variant and method, in a grid one condition's six: one dataset, each
+    cell's game played on it. Tasks run in the order of their group's first
+    cell, trials in order; a cell whose group finishes before its turn waits."""
     groups = {}
     for i, cell_cfg in enumerate(cells):
         groups.setdefault(replace(cell_cfg, variant=VARIANTS[0], method=METHODS[0]), []).append(i)
-    order, task_order = tee((group, t) for group in groups.values() for t in range(cells[group[0]].trials))
     # workers beyond the tasks or the cores only contend; the pool forks
     # all of them at once
     workers = min(cells[0].jobs, sum(cells[group[0]].trials for group in groups.values()), _usable_cpus())
-    tasks = ((tuple(cells[i] for i in group), t) for group, t in task_order)
-    waiting = {}  # (cell index, trial) -> rows
+    tasks = ((tuple(cells[i] for i in group), t) for group in groups.values() for t in range(cells[group[0]].trials))
+    finishing = iter(groups.values())
+    waiting = {}  # cell index -> its row lists, trial by trial
     with closing(_task_results(tasks, workers)) as results:
-        finished = zip(order, results)
-        for key in ((i, t) for i, cell_cfg in enumerate(cells) for t in range(cell_cfg.trials)):
-            while key not in waiting:
-                (group, trial), per_cell = next(finished)
-                waiting.update(((j, trial), rows) for j, rows in zip(group, per_cell))
-            yield waiting.pop(key)
+        for i in range(len(cells)):
+            while i not in waiting:
+                group = next(finishing)
+                waiting.update(zip(group, zip(*islice(results, cells[group[0]].trials))))
+            yield waiting.pop(i)
 
 
 def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:
     """All trials of one cell: detail rows (trial, iteration order) + summary.
 
-    The cell takes its cfg.trials per-trial row lists from the records
+    The cell takes its per-trial row lists as the next item of the records
     iterator when one is given, and runs its own trials otherwise.
     """
-    # running its own generator to the end shuts down any pool it started
-    per_trial = list(_trial_records([cfg]) if records is None else islice(records, cfg.trials))
+    # unpacking its own one-item stream runs it to its end: any pool it started shuts down
+    (per_trial,) = _trial_records([cfg]) if records is None else (next(records),)
     cell = (cfg.variant, cfg.method, cfg.condition)
     detail = [
         (*cell, trial, iteration, *row) for trial, rows in enumerate(per_trial) for iteration, row in enumerate(rows)
@@ -251,12 +247,17 @@ def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Every report cell: a float (numpy's float64 too) as .6g, any other as csv writes it."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
+    """Each cell: a float (numpy's float64 too) as .6g, else as csv writes it. A failed write keeps the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in row])
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_reports(out_dir: Path, detail_rows, summary_rows) -> None:

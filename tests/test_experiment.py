@@ -193,6 +193,21 @@ def test_write_reports_formats_every_float_cell_alike(tmp_path):
     )
 
 
+def test_a_failed_report_write_keeps_the_earlier_file(tmp_path):
+    write_reports(tmp_path, [("h2h", "mh", 1, 0, 0, 0.5, 0.5, 1.0)], [])
+    before = (tmp_path / "detail.csv").read_bytes()
+
+    def rows():
+        yield ("h2h", "mh", 1, 0, 0, 0.25, 0.25, 1.0)
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_reports(tmp_path, rows(), [])
+    assert (tmp_path / "detail.csv").read_bytes() == before
+    # the temp file it was writing is gone too
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["detail.csv", "summary.csv"]
+
+
 def test_read_summary_round_trips_values(tmp_path):
     cfg = small_config(method="reject")
     summary = run_experiment(cfg, tmp_path)
@@ -383,19 +398,48 @@ def test_grid_pinned_to_one_cpu_starts_no_pool(tmp_path, monkeypatch):
         assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
+def test_the_record_stream_hands_each_cell_its_trials_in_report_order(monkeypatch):
+    run_trial = experiment.run_trial
+    ran = []
+
+    def spy(cells, trial):
+        ran.append((cells[0].condition, trial))
+        return run_trial(cells, trial)
+
+    monkeypatch.setattr(experiment, "run_trial", spy)
+    cells = full_grid_configs(small_config(trials=2, iterations=2))
+    records = experiment._trial_records(cells)
+    items = [next(records)]
+    # the first cell's item is ready once its condition's two tasks are
+    # back, before any other condition's task has run
+    assert ran == [(1, 0), (1, 1)]
+    items += records
+    assert ran == [(condition, t) for condition in CONDITION_CHOICES for t in range(2)]
+    # one item per cell, in report order: the cell's row lists, trial by trial
+    assert len(items) == 24
+    for cell_cfg, per_trial in zip(cells, items):
+        assert list(per_trial) == [run_trial((cell_cfg,), t)[0] for t in range(2)]
+
+
+class FirstTrial(Exception):
+    """Raised by a stub trial to carry out the traced peak at its start."""
+
+
 def test_a_serial_run_starts_its_first_trial_without_listing_the_rest(monkeypatch):
-    # a stub trial costs nothing, so the traced peak is the task bookkeeping:
-    # a list of 10**5 (cell, trial) tasks alone takes several MB
-    monkeypatch.setattr(experiment, "run_trial", lambda cells, trial: [[(trial,)] for _ in cells])
-    records = experiment._trial_records([small_config(trials=10**5)])
+    # a stub trial costs nothing, so the traced peak at its first call is the
+    # task bookkeeping: a list of 10**5 (cell, trial) tasks alone takes several MB
+    def first_trial(cells, trial):
+        raise FirstTrial(trial, tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(experiment, "run_trial", first_trial)
     tracemalloc.start()
     try:
-        first = next(records)
-        _, peak = tracemalloc.get_traced_memory()
+        with pytest.raises(FirstTrial) as raised:
+            run_cell(small_config(trials=10**5))
     finally:
         tracemalloc.stop()
-        records.close()
-    assert first == [(0,)]
+    trial, peak = raised.value.args
+    assert trial == 0
     assert peak < 2**20
 
 
@@ -408,19 +452,19 @@ def test_a_parallel_run_starts_its_first_trial_without_submitting_the_rest(monke
     # a pending future costs some hundred bytes, so submitting 10**5 of them
     # at once would take tens of MB; a bounded window takes a handful
     monkeypatch.setattr(experiment, "run_trial", stub_trial)
-    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
     # the pool's modules load before tracing starts, so the peak counts the
     # task bookkeeping, not about 1 MB of imports
     importlib.import_module("concurrent.futures.process")
-    records = experiment._trial_records([small_config(trials=10**5, jobs=2)])
+    cells = (small_config(),)
+    results = experiment._task_results(((cells, t) for t in range(10**5)), 2)
     tracemalloc.start()
     try:
-        first = next(records)
+        first = next(results)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        records.close()
-    assert first == [(0,)]
+        results.close()
+    assert first == [[(0,)]]
     assert peak < 2**20
     # closing the stream cancelled its pending tasks and shut the pool down
     assert multiprocessing.active_children() == []
