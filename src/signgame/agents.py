@@ -155,6 +155,8 @@ class AgentModel:
     conc: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {shown(self.variant)}")
         hyper = self.hyper
         k, l = hyper.num_categories, hyper.num_signs
         if self.variant == VARIANT_H2H:
@@ -179,8 +181,6 @@ def init_agent(
     """Build an agent on its own observation stack, whose rows are the
     modalities named in order, with uniform random assignments; its tables
     are None until the first update_parameters draws them."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     d = observations.shape[1]
     gen = rng.derive(_STREAM_ASSIGN).generator()
     return AgentModel(

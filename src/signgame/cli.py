@@ -9,6 +9,7 @@ from pathlib import Path
 from .agents import VARIANTS
 from .experiment import (
     CONDITION_CHOICES,
+    METRICS,
     ConfigError,
     ExperimentConfig,
     ReportError,
@@ -57,12 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _summary_line(summary: dict) -> str:
-    kap = summary["kappa_mean"]
-    kap_text = "--" if kap is None else f"{kap:.3f}"
-    return (
-        f"{summary['variant']} {summary['method']} condition {summary['condition']}: "
-        f"ARI A {summary['ari_a_mean']:.3f} ARI B {summary['ari_b_mean']:.3f} kappa {kap_text}"
-    )
+    means = (summary[f"{key}_mean"] for key in METRICS)
+    scores = " ".join(f"{label} {'--' if mean is None else f'{mean:.3f}'}" for label, mean in zip(METRICS.values(), means))
+    return f"{summary['variant']} {summary['method']} condition {summary['condition']}: {scores}"
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -38,21 +38,18 @@ CONDITION_MASKS = {
 }
 CONDITION_CHOICES = tuple(CONDITION_MASKS)
 
-DETAIL_HEADER = ("variant", "method", "condition", "trial", "iteration", "ari_a", "ari_b", "kappa")
-SUMMARY_HEADER = (
-    "variant",
-    "method",
-    "condition",
-    "ari_a_mean",
-    "ari_a_sd",
-    "ari_b_mean",
-    "ari_b_sd",
-    "kappa_mean",
-    "kappa_sd",
-)
+# each metric's column name and printed label, in report order; a run_game
+# row holds one value of each
+METRICS = {"ari_a": "ARI A", "ari_b": "ARI B", "kappa": "kappa"}
+# compare_to_reference shows these metrics' measured means with a band, not a deviation
+_BANDS = {"kappa": kappa_band}
+_CELL = ("variant", "method", "condition")
+DETAIL_HEADER = (*_CELL, "trial", "iteration", *METRICS)
+SUMMARY_HEADER = (*_CELL, *(f"{key}_{stat}" for key in METRICS for stat in ("mean", "sd")))
 
-# published means and sample deviations per (variant, method, condition);
-# kappa is None where the original report leaves the joint sampler blank
+# published (mean, sample deviation) of each metric in METRICS order per
+# (variant, method, condition); kappa's pair is None where the original
+# report leaves the joint sampler blank
 REFERENCE_RESULTS = {
     ("t2t", "mh", 1): (0.881, 0.031, 0.886, 0.035, 0.947, 0.046),
     ("t2t", "reject", 1): (0.883, 0.035, 0.886, 0.039, 0.004, 0.019),
@@ -145,8 +142,8 @@ class ExperimentConfig:
 
 def run_trial(cells: tuple[ExperimentConfig, ...], trial: int) -> list[list[tuple]]:
     """Play one seeded trial of each of cells, configs equal but for variant
-    and method, on one dataset; returns each cell's (ari_a, ari_b, kappa)
-    row per iteration, in the order given."""
+    and method, on one dataset; returns each cell's run_game row, one value
+    per METRICS column, per iteration, in the order given."""
     cfg = cells[0]
     trial_rng = RngStream(cfg.seed).derive(cfg.condition, trial)
     dataset = generate_dataset(cfg.synthetic, cfg.hyperparams, CONDITION_MASKS[cfg.condition], trial_rng.derive(_STREAM_DATA))
@@ -240,9 +237,10 @@ def run_cell(cfg: ExperimentConfig, records=None) -> tuple[list[tuple], dict]:
     detail = [
         (*cell, trial, iteration, *row) for trial, rows in enumerate(per_trial) for iteration, row in enumerate(rows)
     ]
-    ari_a, ari_b, kappas = zip(*(rows[-1] for rows in per_trial))
-    kap = (None, None) if None in kappas else summarize(kappas)
-    summary = dict(zip(SUMMARY_HEADER, (*cell, *summarize(ari_a), *summarize(ari_b), *kap)))
+    summary = dict(zip(_CELL, cell))
+    # a column is blank when any trial's value is, as gibbs's kappa is
+    for key, finals in zip(METRICS, zip(*(rows[-1] for rows in per_trial))):
+        summary[f"{key}_mean"], summary[f"{key}_sd"] = (None, None) if None in finals else summarize(finals)
     return detail, summary
 
 
@@ -335,7 +333,7 @@ def read_summary(path) -> list[dict]:
             raw = dict(zip(header, fields))
             try:
                 row = {"variant": raw["variant"], "method": raw["method"], "condition": int(raw["condition"])}
-                for key in SUMMARY_HEADER[3:]:
+                for key in SUMMARY_HEADER[len(_CELL) :]:
                     row[key] = float(raw[key]) if raw[key] else None
                     if row[key] is not None and not math.isfinite(row[key]):
                         raise ValueError(f"{key} is {raw[key]!r}, not a finite number")
@@ -353,36 +351,21 @@ def read_summary(path) -> list[dict]:
 
 def compare_to_reference(summary_rows) -> str:
     """Markdown table of measured vs published means; informational only."""
-    lines = [
-        "| variant | method | condition | ARI A measured | ARI A published | diff | "
-        "ARI B measured | ARI B published | diff | kappa measured | kappa published | diff |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|",
-    ]
+    columns = [*_CELL, *(c for label in METRICS.values() for c in (f"{label} measured", f"{label} published", "diff"))]
+    lines = ["| " + " | ".join(columns) + " |", "|---" * len(columns) + "|"]
     for row in summary_rows:
-        key = (row["variant"], row["method"], row["condition"])
+        key = tuple(row[name] for name in _CELL)
         reference = REFERENCE_RESULTS.get(key)
         if reference is None:
             continue
-        ref_a, ref_a_sd, ref_b, ref_b_sd, ref_k, ref_k_sd = reference
-        cells = [row["variant"], row["method"], str(row["condition"])]
-        for measured, measured_sd, ref, ref_sd in (
-            (row["ari_a_mean"], row["ari_a_sd"], ref_a, ref_a_sd),
-            (row["ari_b_mean"], row["ari_b_sd"], ref_b, ref_b_sd),
-        ):
-            cells += [
-                f"{measured:.3f} ({measured_sd:.3f})",
-                f"{ref:.3f} ({ref_sd:.3f})",
-                f"{abs(measured - ref):.3f}",
-            ]
-        measured_k = row["kappa_mean"]
-        if ref_k is None or measured_k is None:
-            cells += ["--" if measured_k is None else f"{measured_k:.3f}", "--", "--"]
-        else:
-            cells += [
-                f"{measured_k:.3f} ({kappa_band(measured_k)})",
-                f"{ref_k:.3f} ({ref_k_sd:.3f})",
-                f"{abs(measured_k - ref_k):.3f}",
-            ]
+        cells = [str(value) for value in key]
+        for name, ref, ref_sd in zip(METRICS, reference[::2], reference[1::2]):
+            measured = row[f"{name}_mean"]
+            if measured is None or ref is None:
+                cells += ["--" if measured is None else f"{measured:.3f}", "--", "--"]
+                continue
+            spread = _BANDS[name](measured) if name in _BANDS else f"{row[f'{name}_sd']:.3f}"
+            cells += [f"{measured:.3f} ({spread})", f"{ref:.3f} ({ref_sd:.3f})", f"{abs(measured - ref):.3f}"]
         lines.append("| " + " | ".join(cells) + " |")
     if len(lines) == 2:  # the header alone
         return "No grid cells with published counterparts.\n"

@@ -36,6 +36,7 @@ from .agents import (
     Hyperparams,
     init_agent,
     sample_categories,
+    shown,
     update_parameters,
 )
 from .datagen import Dataset
@@ -57,6 +58,10 @@ class GameState:
     mode: str
     agent_a: AgentModel
     agent_b: AgentModel
+
+    def __post_init__(self):
+        if self.mode not in METHODS:
+            raise ValueError(f"mode must be one of {METHODS}, got {shown(self.mode)}")
 
 
 # first-level stream ids under a game's base stream
@@ -166,16 +171,14 @@ def run_game(
     iterations: int,
     rng: RngStream,
 ) -> tuple[GameState, list[tuple]]:
-    """Play a full game; returns the final state and one (ari_a, ari_b,
-    kappa) row per iteration, scored at the iteration's end, with kappa None
-    under "gibbs". Only "mh" draws initial tables, and only agent B's.
+    """Play a full game; returns the final state and one row per iteration
+    in experiment.METRICS order, scored at the iteration's end, with kappa
+    None under "gibbs". Only "mh" draws initial tables, and only agent B's.
 
     Each iteration's categories and signs are copied aside, and every
     iteration is scored in one batched pass after the last; scoring reads
     the chain but never feeds back into it.
     """
-    if mode not in METHODS:
-        raise ValueError(f"mode must be one of {METHODS}, got {mode!r}")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     agent_a, agent_b = (

@@ -301,8 +301,10 @@ def test_traced_exits_1_naming_names_absent_on_the_change_side(tmp_path, monkeyp
         ({("change", "jobs2"): b"other"}, 1),
         ({("parent", "jobs1"): b"other", ("change", "jobs1"): b"other"}, 1),
         ({("change", "run_h2h_gibbs"): b"other"}, 1),
+        # reports alike, but the change's compare table differs
+        ({("change", "compare"): b"other table"}, 1),
     ],
-    ids=["equal", "change-differs", "job-counts-differ", "run-cell-differs"],
+    ids=["equal", "change-differs", "job-counts-differ", "run-cell-differs", "compare-differs"],
 )
 def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monkeypatch, capsys, summary_bytes, status):
     spec = {
@@ -318,8 +320,16 @@ def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monk
         # git rev-parse fails on these directories; no signgame process starts
         if cmd[0] == "git":
             return subprocess.CompletedProcess(cmd, 128, "", "")
-        assert cmd[1:3] == ["-m", "signgame.cli"] and cmd[-2] == "--out"
+        assert cmd[1:3] == ["-m", "signgame.cli"]
         side = "change" if kwargs["env"]["PYTHONPATH"] == str(tmp_path.resolve() / "src") else "parent"
+        if cmd[3] == "compare":
+            # it reads the reports the timed run just wrote, after its interval:
+            # this tick would otherwise read as a second of wall time
+            assert cmd[4] == "--in" and (Path(cmd[5]) / "summary.csv").exists()
+            assert order[-1][1] == side
+            next(ticks)
+            return subprocess.CompletedProcess(cmd, 0, summary_bytes.get((side, "compare"), b"table"))
+        assert cmd[-2] == "--out"
         key = keys[tuple(cmd[3:-2])]
         order.append((key, side))
         out = Path(cmd[-1])
@@ -347,6 +357,6 @@ def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monk
         assert summary["wall_s"]["parent_median"] == summary["wall_s"]["change_median"] == 1
         assert not summary["wall_s"]["worse_than_bound"]
         assert len(section[key]["pairs"]) == 2
-    md5 = [hashlib.md5(data).hexdigest() for data in (b"grid", b"summary", b"stdout")]
+    md5 = [hashlib.md5(data).hexdigest() for data in (b"grid", b"summary", b"stdout", b"table")]
     assert section["jobs2"]["pairs"][0]["parent"]["digest"] == " ".join(md5)
     assert ("digests differ or the change failed operations on: cli" in capsys.readouterr().err) is bool(status)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import signgame.agents as agents
 from signgame.agents import VARIANTS, EmissionConcentration, Hyperparams
-from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from signgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _summary_line, main
 from signgame.datagen import SyntheticConfig, generate_dataset
 import signgame.experiment as experiment
 from signgame.experiment import (
@@ -581,6 +581,40 @@ def test_compare_to_reference_table():
 
     empty = compare_to_reference([dict(rows[0], variant="out_of_grid")])
     assert "No grid cells" in empty
+
+
+def summary_row(variant, method, condition, ari_a, ari_b, kappa_pair):
+    """A summary dict as run_cell returns it; each metric a (mean, sd) pair."""
+    cell = {"variant": variant, "method": method, "condition": condition}
+    stats = {"ari_a": ari_a, "ari_b": ari_b, "kappa": kappa_pair}
+    return {**cell, **{f"{key}_{stat}": v for key, pair in stats.items() for stat, v in zip(("mean", "sd"), pair)}}
+
+
+def test_compare_table_and_summary_line_exact_text():
+    mh = summary_row("h2h", "mh", 1, (0.87, 0.03), (0.88, 0.03), (0.99, 0.01))
+    gibbs = summary_row("h2h", "gibbs", 1, (0.86, 0.04), (0.86, 0.04), (None, None))
+    # published kappa blank, measured present: no band, no published value, no diff
+    unpublished = summary_row("t2t", "gibbs", 2, (0.9, 0.02), (0.7, 0.01), (0.5, 0.1))
+    # measured kappa blank, published present
+    unmeasured = summary_row("h2h", "reject", 1, (0.88, 0.04), (0.89, 0.04), (None, None))
+    outside = dict(mh, variant="out_of_grid")
+    assert compare_to_reference([mh, gibbs, outside, unpublished, unmeasured]) == (
+        "| variant | method | condition | ARI A measured | ARI A published | diff | "
+        "ARI B measured | ARI B published | diff | kappa measured | kappa published | diff |\n"
+        "|---|---|---|---|---|---|---|---|---|---|---|---|\n"
+        "| h2h | mh | 1 | 0.870 (0.030) | 0.881 (0.031) | 0.011 | 0.880 (0.030) | 0.888 (0.033) | 0.008 "
+        "| 0.990 (almost perfect agreement) | 0.999 (0.003) | 0.009 |\n"
+        "| h2h | gibbs | 1 | 0.860 (0.040) | 0.881 (0.031) | 0.021 | 0.860 (0.040) | 0.882 (0.042) | 0.022 "
+        "| -- | -- | -- |\n"
+        "| t2t | gibbs | 2 | 0.900 (0.020) | 0.880 (0.033) | 0.020 | 0.700 (0.010) | 0.706 (0.009) | 0.006 "
+        "| 0.500 | -- | -- |\n"
+        "| h2h | reject | 1 | 0.880 (0.040) | 0.882 (0.037) | 0.002 | 0.890 (0.040) | 0.889 (0.037) | 0.001 "
+        "| -- | -- | -- |\n"
+    )
+    assert compare_to_reference([outside]) == "No grid cells with published counterparts.\n"
+    assert compare_to_reference([]) == "No grid cells with published counterparts.\n"
+    assert _summary_line(mh) == "h2h mh condition 1: ARI A 0.870 ARI B 0.880 kappa 0.990"
+    assert _summary_line(gibbs) == "h2h gibbs condition 1: ARI A 0.860 ARI B 0.860 kappa --"
 
 
 def test_cli_run_compare_and_exit_codes(tmp_path, capsys):

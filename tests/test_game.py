@@ -10,6 +10,7 @@ import signgame.agents as agents
 import signgame.game as game
 from conftest import agent_with_tables, counting_draw, frozen_agent, install_blocks, tv_distance
 from signgame.agents import (
+    AgentModel,
     Hyperparams,
     init_agent,
     posterior_concentrations,
@@ -18,6 +19,7 @@ from signgame.agents import (
 )
 from signgame.datagen import Dataset, SyntheticConfig, generate_dataset
 from signgame.game import (
+    GameState,
     acceptance_ratio,
     gibbs_word,
     mh_exchange,
@@ -180,6 +182,18 @@ def test_run_game_rejects_bad_arguments():
         run_game("h2h", "shout", SMALL_HYPER, dataset, 2, RngStream(1))
     with pytest.raises(ValueError):
         run_game("h2h", "mh", SMALL_HYPER, dataset, 0, RngStream(1))
+
+
+def test_direct_construction_rejects_unknown_variant_and_mode():
+    # the classes check their own field, so a state built without
+    # init_agent or run_game cannot fall back to t2t or to reject
+    dataset = generate_dataset(SMALL, Hyperparams(), (FULL, FULL), RngStream(0))
+    labels = np.zeros(dataset.num_objects, dtype=np.int64)
+    with pytest.raises(ValueError, match="variant"):
+        AgentModel("sideways", SMALL_HYPER, FULL, dataset.observations[0], labels, labels.copy())
+    agent_a, agent_b = (init_agent("h2h", SMALL_HYPER, FULL, dataset.observations[i], RngStream(i)) for i in (0, 1))
+    with pytest.raises(ValueError, match="mode"):
+        GameState("MH", agent_a, agent_b)
 
 
 # Scalar reference: the per-object formulas the array kernels replace

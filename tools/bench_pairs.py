@@ -24,8 +24,9 @@ pair i. The ``--cli`` commands are ``python -m signgame.cli full --jobs J``
 ``PYTHONPATH``, at the CLI's default sizes and seed (``--seed`` and
 ``--seconds`` apply only to perfbench). A run records the wall time, the CPU
 time of its process tree (``cpu_s``), both in seconds not rescaled by
-perfbench's HostClock, and the md5 of ``detail.csv``, ``summary.csv`` and
-stdout. A traced per-layer figure is the median over the runs of its side,
+perfbench's HostClock, and the md5 of ``detail.csv``, ``summary.csv``,
+stdout and the stdout of ``signgame compare`` on those reports, run after
+the timed interval. A traced per-layer figure is the median over the runs of its side,
 with their min and max. Workload names, metric names and each metric's
 better direction and bound come from the change checkout's
 ``BENCHMARK.json``. Quartiles are the ``statistics.quantiles`` default
@@ -105,20 +106,25 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 def run_cli(checkout: Path, command: tuple) -> dict:
     """One signgame run of command (signgame's arguments but ``--out``) at
     default sizes on checkout's own package: its wall time, the CPU time of
-    its process tree, pool workers included, and the md5 of its two reports
-    and its stdout, as one digest string."""
-    cmd = [sys.executable, "-m", "signgame.cli", *command]
+    its process tree, pool workers included, and the md5 of its two reports,
+    its stdout and, run after the timed interval, the stdout of ``signgame
+    compare`` on its reports, as one digest string."""
+    cli = [sys.executable, "-m", "signgame.cli"]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as out:
         before, start = resource.getrusage(resource.RUSAGE_CHILDREN), perf_counter()
-        proc = subprocess.run([*cmd, "--out", out], cwd=checkout, env=env, stdout=subprocess.PIPE, check=False)
+        proc = subprocess.run([*cli, *command, "--out", out], cwd=checkout, env=env, stdout=subprocess.PIPE, check=False)
         wall = perf_counter() - start
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         if proc.returncode != 0:
-            raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}")
+            raise RuntimeError(f"{' '.join([*cli, *command])} in {checkout} exited {proc.returncode}")
+        cmd = [*cli, "compare", "--in", out]
+        compared = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, check=False)
+        if compared.returncode != 0:
+            raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {compared.returncode}")
         outputs = [(Path(out) / name).read_bytes() for name in ("detail.csv", "summary.csv")]
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-    digest = " ".join(hashlib.md5(data).hexdigest() for data in (*outputs, proc.stdout))
+    digest = " ".join(hashlib.md5(data).hexdigest() for data in (*outputs, proc.stdout, compared.stdout))
     return {"wall_s": round(wall, 6), "cpu_s": round(cpu, 6), "failed": 0, "digest": digest}
 
 
