@@ -25,13 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .stochastic import (
-    PROB_FLOOR,
-    RngStream,
-    normalize_log_rows,
-    sample_categorical_rows,
-    sample_dirichlet_rows,
-)
+from .stochastic import PROB_FLOOR, RngStream, sample_dirichlet_rows, sample_log_rows
 
 MODALITIES = ("v", "s", "h")
 
@@ -290,6 +284,5 @@ def sample_categories(agent: AgentModel, gen: np.random.Generator) -> np.ndarray
     parameters, the observations and the current signs."""
     logw = observation_log_likelihood(agent)
     logw += agent.log_category_prior[agent.signs]
-    cum = normalize_log_rows(logw).cumsum(axis=1)
-    agent.categories = sample_categorical_rows(cum, gen.random(cum.shape[0]))
+    agent.categories = sample_log_rows(logw, gen)
     return agent.categories

@@ -310,9 +310,10 @@ def read_summary(path) -> list[dict]:
     """Load a summary.csv back into row dicts (floats, None for blank kappas).
 
     Raises ReportError if the file is not UTF-8 or not CSV that the csv
-    module reads, a column is missing, a row's field count differs from the
-    header's, a value does not parse or is not finite, or an ARI cell is
-    blank.
+    module reads, a column is missing or named twice, a row's field count
+    differs from the header's, a value does not parse or is not finite, a
+    mean lies outside [-1, 1] or a deviation below 0 (ARI and kappa lie in
+    [-1, 1]), or an ARI cell is blank.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         try:
@@ -325,6 +326,9 @@ def read_summary(path) -> list[dict]:
         missing = [key for key in SUMMARY_HEADER if key not in header]
         if missing:
             raise ReportError(f"{path}: missing column {missing[0]!r}")
+        twice = [key for i, key in enumerate(header) if key in header[:i]]
+        if twice:
+            raise ReportError(f"{path}: column {twice[0]!r} named twice")
         rows = []
         for fields in filter(None, reader):  # a blank line holds no row
             where = f"{path}, line {reader.line_num}"
@@ -335,8 +339,14 @@ def read_summary(path) -> list[dict]:
                 row = {"variant": raw["variant"], "method": raw["method"], "condition": int(raw["condition"])}
                 for key in SUMMARY_HEADER[len(_CELL) :]:
                     row[key] = float(raw[key]) if raw[key] else None
-                    if row[key] is not None and not math.isfinite(row[key]):
+                    if row[key] is None:
+                        continue
+                    if not math.isfinite(row[key]):
                         raise ValueError(f"{key} is {raw[key]!r}, not a finite number")
+                    if key.endswith("_mean") and abs(row[key]) > 1:
+                        raise ValueError(f"{key} is {raw[key]!r}, outside [-1, 1]")
+                    if key.endswith("_sd") and row[key] < 0:
+                        raise ValueError(f"{key} is {raw[key]!r}, negative")
             except ValueError as exc:
                 raise ReportError(f"{where}: {exc}") from exc
             # only kappa may be blank: the joint sampler has none

@@ -41,13 +41,7 @@ from .agents import (
 )
 from .datagen import Dataset
 from .metrics import adjusted_rand_index, kappa
-from .stochastic import (
-    PROB_FLOOR,
-    RngStream,
-    normalize_log_rows,
-    open_generator,
-    sample_categorical_rows,
-)
+from .stochastic import PROB_FLOOR, RngStream, open_generator, sample_categorical_rows, sample_log_rows
 
 
 METHODS = ("mh", "reject", "gibbs")
@@ -117,7 +111,7 @@ def gibbs_word(agent_a: AgentModel, agent_b: AgentModel, gen: np.random.Generato
     """
     logw = agent_a.log_sign_table[agent_a.categories]
     logw += agent_b.log_sign_table[agent_b.categories]
-    signs = sample_categorical_rows(normalize_log_rows(logw).cumsum(axis=1), gen.random(logw.shape[0]))
+    signs = sample_log_rows(logw, gen)
     agent_a.signs[:] = signs
     agent_b.signs[:] = signs
     return signs

@@ -171,21 +171,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def _log_gamma_draws(shape: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """log of Gamma(shape) draws, elementwise, safe for tiny shapes.
-
-    Uses G = G' * U^(1/a) with G' ~ Gamma(a + 1), so a draw with a = 0.001
-    comes back as a finite log instead of underflowing to zero.
-    """
-    boost = gen.standard_gamma(shape + 1.0)
-    u = gen.random(shape.shape)
-    logg = np.log(np.maximum(boost, PROB_FLOOR, out=boost), out=boost)
-    tail = np.log1p(np.negative(u, out=u), out=u)
-    tail /= shape
-    logg += tail
-    return logg
-
-
 def sample_dirichlet_rows(alpha: np.ndarray, shapes, gen: np.random.Generator) -> np.ndarray:
     """Draw one Dirichlet vector per row of every block of a flat vector of
     positive concentrations; returns the draws as one flat vector in the
@@ -194,12 +179,29 @@ def sample_dirichlet_rows(alpha: np.ndarray, shapes, gen: np.random.Generator) -
     alpha is a float64 vector holding the blocks one after another, each
     row-major in the (rows, width) shape that shapes lists for it. All
     gamma variates come from one standard_gamma call and one random call
-    over alpha in order. Entries are strictly positive even when alpha is
-    far below one, where naive normalized-gamma sampling returns zeros.
-    Every concentration must be finite and at least PROB_FLOOR, unchecked:
+    over alpha in order, as logs of G = G' * U^(1/a) with G' ~ Gamma(a + 1):
+    a draw with a = 0.001 comes back as a finite log instead of underflowing
+    to zero, so entries are strictly positive even when alpha is far below
+    one, where naive normalized-gamma sampling returns zeros. Every
+    concentration must be finite and at least PROB_FLOOR, unchecked:
     Hyperparams bounds each prior concentration so, and counts are finite.
     """
-    return normalize_log_rows(_log_gamma_draws(alpha, gen), shapes)
+    boost = gen.standard_gamma(alpha + 1.0)
+    u = gen.random(alpha.shape)
+    logg = np.log(np.maximum(boost, PROB_FLOOR, out=boost), out=boost)
+    tail = np.log1p(np.negative(u, out=u), out=u)
+    tail /= alpha
+    logg += tail
+    return normalize_log_rows(logg, shapes)
+
+
+def sample_log_rows(logw: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Draw one index per row of a 2-d matrix of unnormalized log-weights,
+    with one uniform per row; the rows of logw are normalized in place.
+    logw must be a C-contiguous float64 matrix, unchecked: the category
+    draw and gibbs_word pass fresh sums of install_parameters' logs."""
+    cum = normalize_log_rows(logw, (logw.shape,)).cumsum(axis=1)
+    return sample_categorical_rows(cum, gen.random(cum.shape[0]))
 
 
 def sample_categorical_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -232,11 +234,12 @@ def _row_layout(shapes: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
     return starts, widths, tuple(runs)
 
 
-def normalize_log_rows(values: np.ndarray, shapes=None) -> np.ndarray:
+def normalize_log_rows(values: np.ndarray, shapes) -> np.ndarray:
     """Turn every row of unnormalized log-weights into a probability
-    vector, in place; returns values. values holds row-major (rows, width)
-    blocks one after another in the shapes that shapes lists, or without
-    shapes one 2-d matrix; every step but the row sums runs once over all.
+    vector, in place; returns values. values is a flat vector, or an array
+    that flattens to one, holding row-major (rows, width) blocks one after
+    another in the shapes that shapes lists; every step but the row sums
+    runs once over all.
 
     Stable for spreads up to hundreds of thousands of nats: entries far
     below their row's maximum are clamped at EXP_CLAMP and floored at
@@ -246,8 +249,6 @@ def normalize_log_rows(values: np.ndarray, shapes=None) -> np.ndarray:
     """
     # contiguous, so that the flat view below writes through to values
     values = np.ascontiguousarray(values, dtype=float)
-    if shapes is None:
-        shapes = (values.shape,)
     starts, widths, runs = _row_layout(tuple(map(tuple, shapes)))
     flat = values.reshape(-1)
     # max is exact in any order

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import signgame.agents as agents
+import signgame.stochastic as stochastic
 from conftest import agent_with_tables, install_blocks, solo_gibbs_fit
 from signgame.agents import (
     AgentModel,
@@ -542,7 +543,7 @@ def test_category_draws_match_the_pinned_rule_on_game_conditionals(monkeypatch, 
         captured.append(cum.copy())
         return sample_categorical_rows(cum, u)
 
-    monkeypatch.setattr(agents, "sample_categorical_rows", capture)
+    monkeypatch.setattr(stochastic, "sample_categorical_rows", capture)
     hyper = Hyperparams(num_categories=6, num_signs=6)
     config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=2)
     dataset = generate_dataset(config, hyper, (FULL, ("v",)), RngStream(1))
@@ -636,7 +637,8 @@ def frozen_pair(sign_marginal, seed=7):
 
 
 def category_conditionals(agent):
-    return normalize_log_rows(observation_log_likelihood(agent) + agent.log_category_prior[agent.signs])
+    logw = observation_log_likelihood(agent) + agent.log_category_prior[agent.signs]
+    return normalize_log_rows(logw, [logw.shape])
 
 
 def normalized_sign_rows(agent):

@@ -303,8 +303,10 @@ def test_traced_exits_1_naming_names_absent_on_the_change_side(tmp_path, monkeyp
         ({("change", "run_h2h_gibbs"): b"other"}, 1),
         # reports alike, but the change's compare table differs
         ({("change", "compare"): b"other table"}, 1),
+        # digests alike, but the change fails one more Tier-1 test
+        ({("change", "tier1"): b"...F\n2 failed, 408 passed, 1 warning in 1.00s\n"}, 1),
     ],
-    ids=["equal", "change-differs", "job-counts-differ", "run-cell-differs", "compare-differs"],
+    ids=["equal", "change-differs", "job-counts-differ", "run-cell-differs", "compare-differs", "tier1-fails-more"],
 )
 def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monkeypatch, capsys, summary_bytes, status):
     spec = {
@@ -320,8 +322,15 @@ def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monk
         # git rev-parse fails on these directories; no signgame process starts
         if cmd[0] == "git":
             return subprocess.CompletedProcess(cmd, 128, "", "")
-        assert cmd[1:3] == ["-m", "signgame.cli"]
         side = "change" if kwargs["env"]["PYTHONPATH"] == str(tmp_path.resolve() / "src") else "parent"
+        if cmd[1:3] == ["-m", "pytest"]:
+            # in the checkout, on its own package
+            assert cmd[3:] == ["-q", "--continue-on-collection-errors"]
+            assert kwargs["env"]["PYTHONPATH"] == str(kwargs["cwd"] / "src")
+            order.append(("tier1", side))
+            stdout = summary_bytes.get((side, "tier1"), b"F..\n1 failed, 409 passed in 1.00s\n")
+            return subprocess.CompletedProcess(cmd, 1, stdout)
+        assert cmd[1:3] == ["-m", "signgame.cli"]
         if cmd[3] == "compare":
             # it reads the reports the timed run just wrote, after its interval:
             # this tick would otherwise read as a second of wall time
@@ -345,18 +354,28 @@ def test_cli_pairs_run_each_checkouts_package_and_compare_digests(tmp_path, monk
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path), "--out", str(out), "--cli", "--pairs", "2"]) == status
     # per pair and command, the sides alternate
-    assert list(keys.values()) == ["jobs1", "jobs2", "run_h2h_reject", "run_h2h_gibbs"]
-    assert order == [(key, side) for key in keys.values() for side in bench_pairs.SIDES] + [
-        (key, side) for key in keys.values() for side in bench_pairs.SIDES[::-1]
+    commands = [*keys.values(), "tier1"]
+    assert commands == ["jobs1", "jobs2", "run_h2h_reject", "run_h2h_gibbs", "tier1"]
+    assert order == [(key, side) for key in commands for side in bench_pairs.SIDES] + [
+        (key, side) for key in commands for side in bench_pairs.SIDES[::-1]
     ]
     section = json.loads(out.read_text())["cli"]
-    assert section["digests_equal"] is (status == 0)
+    tier1_fails_more = ("change", "tier1") in summary_bytes
+    assert section["digests_equal"] is (status == 0 or tier1_fails_more)
+    assert section["tier1_fails_more"] is tier1_fails_more
     assert section["run_h2h_gibbs"]["arguments"] == "run --variant h2h --method gibbs"
-    for key in keys.values():
+    assert section["tier1"]["arguments"] == "pytest -q --continue-on-collection-errors"
+    tier1 = section["tier1"]["pairs"][0]
+    assert (tier1["parent"]["passed"], tier1["parent"]["failed"]) == (409, 1)
+    assert (tier1["change"]["passed"], tier1["change"]["failed"]) == ((408, 2) if tier1_fails_more else (409, 1))
+    assert tier1["change"]["cpu_s"] >= 0
+    for key in commands:
         summary = section[key]["summary"]
         assert summary["wall_s"]["parent_median"] == summary["wall_s"]["change_median"] == 1
         assert not summary["wall_s"]["worse_than_bound"]
         assert len(section[key]["pairs"]) == 2
     md5 = [hashlib.md5(data).hexdigest() for data in (b"grid", b"summary", b"stdout", b"table")]
     assert section["jobs2"]["pairs"][0]["parent"]["digest"] == " ".join(md5)
-    assert ("digests differ or the change failed operations on: cli" in capsys.readouterr().err) is bool(status)
+    err = capsys.readouterr().err
+    assert ("digests differ or the change failed operations on: cli" in err) is bool(status)
+    assert ("cli tier1" in err) is tier1_fails_more

@@ -1045,6 +1045,17 @@ def test_cli_compare_names_the_missing_column(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_cli_compare_rejects_a_column_named_twice(tmp_path, capsys):
+    # the last copy of a repeated column would otherwise win: 0.1, not 0.9
+    header = ",".join([*SUMMARY_HEADER, "ari_a_mean"])
+    (tmp_path / "summary.csv").write_text(header + "\nh2h,mh,1,0.9,0.1,0.7,0.1,0.9,0.05,0.1\n")
+    assert main(["compare", "--in", str(tmp_path)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "column 'ari_a_mean' named twice" in err
+
+
 @pytest.mark.parametrize("column", ["ari_a_mean", "ari_a_sd", "ari_b_mean", "ari_b_sd"])
 def test_cli_compare_names_a_blank_ari_column(tmp_path, capsys, column):
     values = dict(zip(SUMMARY_HEADER, ["h2h", "mh", "1", "0.8", "0.1", "0.7", "0.1", "0.9", "0.05"]))
@@ -1068,8 +1079,10 @@ def test_cli_compare_names_a_blank_ari_column(tmp_path, capsys, column):
         ("h2h,mh,1,nan,0.1,0.5,0.1,0.9,0.05", "ari_a_mean is 'nan', not a finite number"),
         ("h2h,mh,1,0.5,0.1,inf,0.1,0.9,0.05", "ari_b_mean is 'inf', not a finite number"),
         ("h2h,mh,1,0.5,0.1,0.5,0.1,-inf,0.05", "kappa_mean is '-inf', not a finite number"),
+        ("h2h,mh,1,5.0,0.1,0.5,0.1,0.9,0.05", "ari_a_mean is '5.0', outside [-1, 1]"),
+        ("h2h,mh,1,0.5,-0.3,0.5,0.1,0.9,0.05", "ari_a_sd is '-0.3', negative"),
     ],
-    ids=["7-fields", "8-fields", "11-fields", "nan-ari", "inf-ari", "inf-kappa"],
+    ids=["7-fields", "8-fields", "11-fields", "nan-ari", "inf-ari", "inf-kappa", "mean-outside", "negative-sd"],
 )
 def test_cli_compare_rejects_malformed_rows(tmp_path, capsys, row, message):
     (tmp_path / "summary.csv").write_text(",".join(SUMMARY_HEADER) + "\n" + row + "\n")

@@ -102,7 +102,7 @@ def test_every_module_level_name_is_used_by_package_code():
 KERNELS = {
     "stochastic": [
         "sample_dirichlet_rows",
-        "_log_gamma_draws",
+        "sample_log_rows",
         "normalize_log_rows",
         "sample_categorical_rows",
         "open_generator",

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import signgame.agents as agents
 import signgame.game as game
 import signgame.stochastic as stochastic
 from conftest import counting_draw
@@ -21,6 +20,7 @@ from signgame.stochastic import (
     normalize_log_rows,
     sample_categorical_rows,
     sample_dirichlet_rows,
+    sample_log_rows,
     open_generator,
     seed_words,
 )
@@ -194,9 +194,16 @@ def reference_dirichlet_rows(alphas, gen):
         pytest.param([(4, 3), (6, 20), (5, 3)], id="ungrouped"),
     ],
 )
-def test_sample_dirichlet_rows_matches_block_by_block_reference(shapes):
+def test_sample_dirichlet_rows_matches_block_by_block_reference(monkeypatch, shapes):
     # exp(EXP_CLAMP) is floored like every smaller exp, and is normal
     assert np.finfo(float).tiny <= np.exp(EXP_CLAMP) < PROB_FLOOR
+    logs = []
+
+    def capture(values, layout):
+        logs.append(values.copy())
+        return normalize_log_rows(values, layout)
+
+    monkeypatch.setattr(stochastic, "normalize_log_rows", capture)
     gen = np.random.default_rng(5)
     floored = 0
     for seed in range(20):
@@ -211,7 +218,8 @@ def test_sample_dirichlet_rows_matches_block_by_block_reference(shapes):
         assert ours.shape == flat.shape
         assert np.array_equal(ours, theirs)
         # the flat normalizer on its own, on the sampler's log-gamma draws
-        logg = stochastic._log_gamma_draws(flat, np.random.default_rng(seed))
+        logg = logs.pop()
+        assert not logs
         assert normalize_log_rows(logg, shapes) is logg
         assert np.array_equal(logg, theirs)
         floored += np.count_nonzero(ours <= PROB_FLOOR)
@@ -310,7 +318,7 @@ def test_sample_categorical_rows_first_index_matches_counting_random():
 
 def normalize_one_row(logw):
     """normalize_log_rows on a copy of a single row of log-weights."""
-    return normalize_log_rows(np.array(logw, dtype=float).reshape(1, -1))[0]
+    return normalize_log_rows(np.array(logw, dtype=float), [(1, len(logw))])
 
 
 def test_normalize_log_weights_examples():
@@ -360,7 +368,7 @@ def test_normalize_log_weights_errors():
 def test_normalize_log_rows_matches_vector_version():
     logw = np.array([[0.0, math.log(3.0)], [-50.0, -50.0]])
     given = logw.copy()
-    rows = normalize_log_rows(given)
+    rows = normalize_log_rows(given, [logw.shape])
     # normalized in place
     assert rows is given
     assert rows[0].tolist() == normalize_one_row(logw[0]).tolist()
@@ -384,39 +392,59 @@ def reference_normalize_2d(logw, transposed):
 @pytest.mark.parametrize("width", [2, 48, 63, 64, 65, 500])
 def test_normalize_log_rows_row_max_forms_agree_bitwise(width):
     # the row maxima from np.maximum.reduceat give the bytes of both
-    # row-max forms of the one-matrix normalizer, in the one-block matrix
-    # form and in the flat form
+    # row-max forms of the one-matrix normalizer, for the matrix or its flat
+    # vector in the one-block layout
     gen = np.random.default_rng(width)
     logw = gen.normal(scale=300.0, size=(150, width))
     logw[::7, 1::3] = -np.inf
     for transposed in (False, True):
         expect = reference_normalize_2d(logw, transposed).tobytes()
-        assert normalize_log_rows(logw.copy()).tobytes() == expect
+        assert normalize_log_rows(logw.copy(), [logw.shape]).tobytes() == expect
         assert normalize_log_rows(logw.reshape(-1).copy(), [logw.shape]).tobytes() == expect
+
+
+def game_conditionals(monkeypatch, variant):
+    """Copies of the category conditionals and joint sign weights, each an
+    (objects, K) matrix of log-weights, that sample_log_rows normalizes in
+    10 iterations of an mh and a gibbs game; the Dirichlet draws' flat
+    vectors are left out."""
+    captured = []
+
+    def capture(logw, shapes):
+        if logw.ndim == 2:
+            captured.append(logw.copy())
+        return normalize_log_rows(logw, shapes)
+
+    hyper = Hyperparams(num_categories=6, num_signs=6)
+    config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=5)
+    dataset = generate_dataset(config, hyper, (("v", "s", "h"), ("h",)), RngStream(1))
+    with monkeypatch.context() as patch:
+        patch.setattr(stochastic, "normalize_log_rows", capture)
+        for mode in ("mh", "gibbs"):
+            game.run_game(variant, mode, hyper, dataset, 10, RngStream(2))
+    assert len(captured) == 2 * 10 * 2 + 10
+    return captured
 
 
 @pytest.mark.parametrize("variant", ["h2h", "t2t"])
 def test_normalize_log_rows_one_block_matches_2d_normalizer_on_game_conditionals(monkeypatch, variant):
-    # the category conditionals and joint sign weights of real games, both
-    # (objects, K) single blocks
-    captured = []
-
-    def capture(logw, shapes=None):
-        captured.append(logw.copy())
-        return normalize_log_rows(logw, shapes)
-
-    monkeypatch.setattr(agents, "normalize_log_rows", capture)
-    monkeypatch.setattr(game, "normalize_log_rows", capture)
-    hyper = Hyperparams(num_categories=6, num_signs=6)
-    config = SyntheticConfig(num_types=6, objects_per_type=10, feature_dim=8, draws_per_modality=5)
-    dataset = generate_dataset(config, hyper, (("v", "s", "h"), ("h",)), RngStream(1))
-    for mode in ("mh", "gibbs"):
-        game.run_game(variant, mode, hyper, dataset, 10, RngStream(2))
-    assert len(captured) == 2 * 10 * 2 + 10
-    for logw in captured:
+    for logw in game_conditionals(monkeypatch, variant):
         expect = reference_normalize_2d(logw, transposed=True)
-        assert normalize_log_rows(logw.copy()).tobytes() == expect.tobytes()
         assert normalize_log_rows(logw.copy(), [logw.shape]).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["h2h", "t2t"])
+def test_sample_log_rows_is_its_three_steps_on_game_conditionals(monkeypatch, variant):
+    for seed, logw in enumerate(game_conditionals(monkeypatch, variant)):
+        given, gen, twin = logw.copy(), np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = sample_log_rows(given, gen)
+        probs = normalize_log_rows(logw.copy(), (logw.shape,))
+        expect = sample_categorical_rows(probs.cumsum(axis=1), twin.random(logw.shape[0]))
+        assert drawn.dtype == expect.dtype and drawn.tobytes() == expect.tobytes()
+        # one uniform per row, and nothing else, from the generator
+        assert gen.bit_generator.state == twin.bit_generator.state
+        # the rows are normalized in place
+        assert given.tobytes() == probs.tobytes()
 
 
 def test_normalize_log_rows_rejects_a_mismatched_layout():

@@ -13,20 +13,24 @@ writes (or merges into) a ``BENCH_*.json`` file:
         --workload cell-mh --seed 3 --pairs 4 --seconds 10 --section cell-mh-seed-3
     # three ``--trace 1`` runs of every workload per side, into "traced"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --traced --pairs 3 --seed 1 --seconds 3
-    # three pairs of each signgame command in CLI_RUNS at default sizes, into "cli"
+    # three pairs of each signgame command in CLI_RUNS at default sizes and
+    # of the Tier-1 command, into "cli"
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_N.json --cli --pairs 3
 
 Pair i runs the parent first when i is even and the change first when i is
 odd; so does each workload's traced run i, and each ``--cli`` command's
 pair i. The ``--cli`` commands are ``python -m signgame.cli full --jobs J``
-(J = 1 and 2) and ``python -m signgame.cli run`` on the default h2h
-``reject`` and ``gibbs`` cells, each with the checkout's own ``src`` on
-``PYTHONPATH``, at the CLI's default sizes and seed (``--seed`` and
-``--seconds`` apply only to perfbench). A run records the wall time, the CPU
-time of its process tree (``cpu_s``), both in seconds not rescaled by
-perfbench's HostClock, and the md5 of ``detail.csv``, ``summary.csv``,
-stdout and the stdout of ``signgame compare`` on those reports, run after
-the timed interval. A traced per-layer figure is the median over the runs of its side,
+(J = 1 and 2), ``python -m signgame.cli run`` on the default h2h ``reject``
+and ``gibbs`` cells, and the Tier-1 command ``python -m pytest -q
+--continue-on-collection-errors`` in the checkout, each with the checkout's
+own ``src`` on ``PYTHONPATH``, the signgame ones at the CLI's default sizes
+and seed (``--seed`` and ``--seconds`` apply only to perfbench). A run
+records the wall time and the CPU time of its process tree (``cpu_s``), both
+in seconds not rescaled by perfbench's HostClock. A signgame run also records
+the md5 of ``detail.csv``, ``summary.csv``, stdout and the stdout of
+``signgame compare`` on those reports, run after the timed interval; a
+Tier-1 run records the passed and failed counts of pytest's summary line, an
+error counted as a failure. A traced per-layer figure is the median over the runs of its side,
 with their min and max. Workload names, metric names and each metric's
 better direction and bound come from the change checkout's
 ``BENCHMARK.json``. Quartiles are the ``statistics.quantiles`` default
@@ -47,7 +51,8 @@ shown; neither changes the exit status.
 The exit status is 1, after the file is written, when a workload's digests
 differ between runs, the ``--cli`` digests of one command differ between
 sides or, for ``full``, between job counts, the change failed any
-operation, a metric is worse than its bound, or a traced change-side run
+operation or, summed over the Tier-1 runs, more tests than the parent, a
+metric is worse than its bound, or a traced change-side run
 reports a traced name absent (its per-layer metric would then be missing);
 stderr names those workloads (and the metrics) and the absent names.
 """
@@ -57,11 +62,13 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -74,6 +81,8 @@ CLI_RUNS = {
     "run_h2h_reject": ("run", "--variant", "h2h", "--method", "reject"),
     "run_h2h_gibbs": ("run", "--variant", "h2h", "--method", "gibbs"),
 }
+# the Tier-1 command's arguments to ``python -m``, the --cli section's "tier1" key
+TIER1 = ("pytest", "-q", "--continue-on-collection-errors")
 
 
 def _git_head(checkout: Path) -> str | None:
@@ -103,29 +112,57 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return out
 
 
+def _run_on_own_package(checkout: Path, cmd: list) -> subprocess.CompletedProcess:
+    """cmd run in checkout with the checkout's own ``src`` on PYTHONPATH,
+    its stdout captured as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    return subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, check=False)
+
+
+def _timed(checkout: Path, cmd: list) -> tuple[subprocess.CompletedProcess, dict]:
+    """_run_on_own_package(checkout, cmd) and its wall time and the CPU time
+    of its process tree, pool workers included, as a result row."""
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), perf_counter()
+    proc = _run_on_own_package(checkout, cmd)
+    wall = perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return proc, {"wall_s": round(wall, 6), "cpu_s": round(cpu, 6)}
+
+
 def run_cli(checkout: Path, command: tuple) -> dict:
     """One signgame run of command (signgame's arguments but ``--out``) at
-    default sizes on checkout's own package: its wall time, the CPU time of
-    its process tree, pool workers included, and the md5 of its two reports,
-    its stdout and, run after the timed interval, the stdout of ``signgame
-    compare`` on its reports, as one digest string."""
+    default sizes on checkout's own package: its timed row (see _timed) and
+    the md5 of its two reports, its stdout and, run after the timed
+    interval, the stdout of ``signgame compare`` on its reports, as one
+    digest string."""
     cli = [sys.executable, "-m", "signgame.cli"]
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as out:
-        before, start = resource.getrusage(resource.RUSAGE_CHILDREN), perf_counter()
-        proc = subprocess.run([*cli, *command, "--out", out], cwd=checkout, env=env, stdout=subprocess.PIPE, check=False)
-        wall = perf_counter() - start
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc, row = _timed(checkout, [*cli, *command, "--out", out])
         if proc.returncode != 0:
             raise RuntimeError(f"{' '.join([*cli, *command])} in {checkout} exited {proc.returncode}")
         cmd = [*cli, "compare", "--in", out]
-        compared = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, check=False)
+        compared = _run_on_own_package(checkout, cmd)
         if compared.returncode != 0:
             raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {compared.returncode}")
         outputs = [(Path(out) / name).read_bytes() for name in ("detail.csv", "summary.csv")]
-    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     digest = " ".join(hashlib.md5(data).hexdigest() for data in (*outputs, proc.stdout, compared.stdout))
-    return {"wall_s": round(wall, 6), "cpu_s": round(cpu, 6), "failed": 0, "digest": digest}
+    return {**row, "failed": 0, "digest": digest}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One run of the Tier-1 command in checkout on its own package: its
+    timed row (see _timed) and the passed and failed counts of pytest's
+    summary line, its last line, where an error counts as a failure."""
+    cmd = [sys.executable, "-m", *TIER1]
+    proc, row = _timed(checkout, cmd)
+    lines = proc.stdout.decode(errors="replace").strip().splitlines()
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", lines[-1] if lines else "")}
+    # pytest exits 1 when a test failed, and 2 or above when it did not run them
+    if proc.returncode > 1 or not counts:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode} without a summary line")
+    failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
+    return {**row, "passed": counts.get("passed", 0), "failed": failed}
 
 
 def summarize(pairs: list[dict], metrics: dict) -> dict:
@@ -161,7 +198,8 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
             "gain_shown": 10 * wins >= 9 * len(pairs) and gap > q3 - q1 and failed["change"] <= failed["parent"],
         }
     out["failed_operations"] = failed
-    out["digests_equal"] = len({p[side]["digest"] for p in pairs for side in SIDES}) == 1
+    # a Tier-1 run has no digest
+    out["digests_equal"] = len({p[side].get("digest") for p in pairs for side in SIDES}) == 1
     return out
 
 
@@ -215,25 +253,32 @@ def _without_jobs(command: tuple) -> tuple:
 
 def cli_pairs(checkouts: dict, args, metrics: dict) -> dict:
     """args.pairs alternating pairs of ``run_cli`` runs per CLI_RUNS
-    command: per command its arguments, pairs and their summary (see
-    summarize), and whether the runs of both sides gave one digest for
-    every command, counting commands that differ only in --jobs as one."""
-    cmd = "PYTHONPATH=<checkout>/src python -m signgame.cli <command> --out <temporary directory>"
-    section = {"command": cmd, "pairs_per_command": args.pairs}
-    runs = {key: [] for key in CLI_RUNS}
+    command and of ``run_tier1`` runs: per command its arguments, pairs and
+    their summary (see summarize), whether the runs of both sides gave one
+    digest for every signgame command, counting commands that differ only in
+    --jobs as one, and whether the change failed more Tier-1 tests than the
+    parent, summed over the pairs."""
+    cmd = "PYTHONPATH=<checkout>/src python -m signgame.cli <arguments> --out <temporary directory>"
+    tier1 = f"PYTHONPATH=<checkout>/src python -m {' '.join(TIER1)}, in <checkout>"
+    section = {"command": cmd, "tier1_command": tier1, "pairs_per_command": args.pairs}
+    commands = {key: (" ".join(command), partial(run_cli, command=command)) for key, command in CLI_RUNS.items()}
+    commands["tier1"] = (" ".join(TIER1), run_tier1)
+    runs = {key: [] for key in commands}
     for i in range(args.pairs):
-        for key, command in CLI_RUNS.items():
+        for key, (arguments, run) in commands.items():
             pair = {"pair": i, "first": SIDES[i % 2]}
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                pair[side] = run_cli(checkouts[side], command)
-                print(f"cli {' '.join(command)} pair {i} {side}: " + json.dumps(pair[side]), flush=True)
+                pair[side] = run(checkouts[side])
+                print(f"cli {arguments} pair {i} {side}: " + json.dumps(pair[side]), flush=True)
             runs[key].append(pair)
+    for key, (arguments, _) in commands.items():
+        section[key] = {"arguments": arguments, "summary": summarize(runs[key], metrics), "pairs": runs[key]}
     digests = {}
     for key, command in CLI_RUNS.items():
-        pairs = runs[key]
-        section[key] = {"arguments": " ".join(command), "summary": summarize(pairs, metrics), "pairs": pairs}
-        digests.setdefault(_without_jobs(command), set()).update(p[side]["digest"] for p in pairs for side in SIDES)
+        digests.setdefault(_without_jobs(command), set()).update(p[side]["digest"] for p in runs[key] for side in SIDES)
     section["digests_equal"] = all(len(found) == 1 for found in digests.values())
+    failed = section["tier1"]["summary"]["failed_operations"]
+    section["tier1_fails_more"] = failed["change"] > failed["parent"]
     return section
 
 
@@ -305,8 +350,11 @@ def main(argv=None) -> int:
         doc["cli"] = cli_pairs(checkouts, args, cli_metrics)
         if not doc["cli"]["digests_equal"]:
             unsound.append("cli")
-        for key, command in CLI_RUNS.items():
-            _name_verdicts(f"cli {' '.join(command)}", doc["cli"][key]["summary"], cli_metrics, worse, unresolved, gains)
+        if doc["cli"]["tier1_fails_more"]:
+            unsound.append("cli tier1")
+        for key in (*CLI_RUNS, "tier1"):
+            label = f"cli {doc['cli'][key]['arguments']}"
+            _name_verdicts(label, doc["cli"][key]["summary"], cli_metrics, worse, unresolved, gains)
     if "host" not in doc and machines and machines[0]:
         note = "timings rescaled by perfbench's reference kernel (HostClock)"
         doc["host"] = {**machines[0], "note": note}
